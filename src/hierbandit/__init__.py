@@ -29,7 +29,7 @@ from .gaussian import (GaussianBelief, GPConfig, ThetaPosterior,
                        conditional_r_given_theta, gaussian_obs_update,
                        marginal_task_belief, posterior_r_gp,
                        posterior_r_naive, posterior_r_woodbury,
-                       posterior_theta, sample_belief, sample_r_via_theta)
+                       posterior_theta)
 from .metrics import (Curve, RegretLedger, bayes_regret_curve,
                       instantaneous_regret, multi_task_regret_curve)
 from .priors import (DerivedPriors, VarianceFit, derive_baseline_priors,
@@ -53,8 +53,7 @@ __all__ = [
     "GaussianBelief", "GPConfig", "ThetaPosterior",
     "conditional_r_given_theta", "gaussian_obs_update",
     "marginal_task_belief", "posterior_r_gp", "posterior_r_naive",
-    "posterior_r_woodbury", "posterior_theta", "sample_belief",
-    "sample_r_via_theta",
+    "posterior_r_woodbury", "posterior_theta",
     "Curve", "RegretLedger", "bayes_regret_curve", "instantaneous_regret",
     "multi_task_regret_curve",
     "DerivedPriors", "VarianceFit", "derive_baseline_priors",

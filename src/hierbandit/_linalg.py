@@ -3,7 +3,8 @@
 Every matrix inverse in the package goes through a factorized solve.  A
 Cholesky factorization is attempted on the (symmetrized) input first; on
 failure a diagonal jitter of 1e-10 is added and escalated by factors of 10
-up to 1e-6 before raising NumericalError.
+up to 1e-6 before raising NumericalError.  The precision-form sampler
+never jitters: a precision that fails to factor raises at once.
 """
 
 from __future__ import annotations
@@ -89,3 +90,27 @@ def sample_mvn(mean: np.ndarray, cov: np.ndarray, rng: np.random.Generator) -> n
     if w[0] < -JITTER_START:
         raise NumericalError("covariance not PSD within tolerance in sample_mvn")
     return mean + (v * np.sqrt(np.clip(w, 0.0, None))) @ (v.T @ z)
+
+
+def sample_mvn_precision(precision: np.ndarray, linear: np.ndarray,
+                         rng: np.random.Generator) -> np.ndarray:
+    """One draw from N(A^{-1} b, A^{-1}) given the precision A and b.
+
+    One Cholesky A = L L^T and two triangular solves,
+        x = L^{-T} (L^{-1} b + z),  z ~ N(0, I),
+    whose mean is A^{-1} b and covariance L^{-T} L^{-1} = A^{-1}.  Only the
+    lower triangle of A is read.  Consumes exactly len(b) standard normals.
+    A precision that is not positive definite is never jittered: it raises
+    NumericalError, as does a non-finite draw.
+    """
+    lower, info = sla.lapack.dpotrf(precision, lower=1)
+    if info != 0:
+        raise NumericalError(
+            "precision matrix not positive definite in sample_mvn_precision "
+            "(LAPACK dpotrf info=%d)" % info)
+    z = rng.standard_normal(lower.shape[0])
+    w, _ = sla.lapack.dtrtrs(lower, linear, lower=1)
+    x, _ = sla.lapack.dtrtrs(lower, w + z, lower=1, trans=1)
+    if not np.isfinite(x).all():
+        raise NumericalError("non-finite draw in sample_mvn_precision")
+    return x

@@ -21,6 +21,10 @@ Baselines (Gaussian):
                    posterior over per-arm hyper-means is resampled at
                    schedule boundaries and per-task beliefs hang off it.
 
+The hierarchical Gaussian agents and meta-ts share one core: a per-task
+prior mean, then conjugate per-arm TS under sigma1^2 I (meta-ts: its
+two-level variance times I), drawn in closed form.
+
 Bernoulli mirrors: hier-ts, oracle-ts, individual-ts, pooled-ts, meta-ts.
 
 All agents draw randomness from the single generator handed to them and
@@ -36,12 +40,12 @@ import numpy as np
 from scipy.special import betaln
 
 from . import bernoulli as bern
-from ._linalg import sample_mvn
+from ._linalg import sample_mvn_precision
 from .bernoulli import BetaParams, sample_theta_mcmc
 from .core import FeatureMap, HierarchyConfig, History, InteractionRecord
 from .envs import Population
-from .errors import ConfigError, ScheduleError
-from .gaussian import ThetaStatAccumulator, conditional_stats_update
+from .errors import ConfigError, NumericalError, ScheduleError
+from .gaussian import ThetaStatAccumulator, diagonal_effect_variances
 from .priors import DerivedPriors
 
 # Additive score perturbation applied inside every argmax; the validate
@@ -113,19 +117,60 @@ class Policy:
 # Gaussian hierarchy
 # ---------------------------------------------------------------------------
 
-class _GaussianTaskStats:
-    """Per-task pull counts and reward sums, shared bookkeeping."""
+class _ConditionalTS(Policy):
+    """Conjugate per-arm TS around a per-task prior mean.
 
-    def __init__(self, n_tasks: int, n_arms: int):
-        self.counts = np.zeros((n_tasks, n_arms))
-        self.sums = np.zeros((n_tasks, n_arms))
+    Subclasses supply only _prior_mean(task_id).  Given that mean m, arm a's
+    mean is N(m_a, v_a) independently of the other arms, and the task's own
+    pull count n and reward sum S per arm update it in closed form:
+        draw = m + v (S - n m) / d + sqrt(v sigma^2 / d) z,  d = sigma^2 + v n,
+    with z one standard normal per arm.  This is the update
+    conditional_stats_update does densely, specialized to diagonal
+    Sigma_delta, and it consumes the generator as sample_mvn does.  With
+    align set, rounds 1..n_arms of each task first play arm round-1.
+    """
 
-    def add(self, task_id: int, arm: int, reward: float) -> None:
+    align = False
+
+    def __init__(self, ctx: AgentContext, arm_var: np.ndarray, noise_sq: float):
+        self.rng = ctx.rng
+        self.n_arms = ctx.n_arms
+        self.arm_var = arm_var
+        self.noise_sq = noise_sq
+        self.counts = np.zeros((ctx.n_tasks, ctx.n_arms))
+        self.sums = np.zeros((ctx.n_tasks, ctx.n_arms))
+
+    def _prior_mean(self, task_id: int) -> np.ndarray:
+        raise NotImplementedError
+
+    def _rounds_played(self, task_id: int) -> int:
+        return int(self.counts[task_id].sum())
+
+    def act(self, task_id: int) -> int:
+        if self.align:
+            played = self._rounds_played(task_id)
+            if played < self.n_arms:
+                return played
+        return _pick(self._conditional_draw(task_id, self._prior_mean(task_id)))
+
+    def _conditional_draw(self, task_id: int, m: np.ndarray) -> np.ndarray:
+        """One draw of the task's arm means given prior mean m."""
+        n = self.counts[task_id]
+        v = self.arm_var
+        d = self.noise_sq + v * n
+        z = self.rng.standard_normal(self.n_arms)
+        draw = m + v * (self.sums[task_id] - n * m) / d \
+            + np.sqrt(v * self.noise_sq / d) * z
+        if not np.isfinite(draw).all():
+            raise NumericalError("non-finite arm-mean draw in %s" % self.name)
+        return draw
+
+    def update(self, task_id: int, arm: int, reward: float) -> None:
         self.counts[task_id, arm] += 1.0
         self.sums[task_id, arm] += reward
 
 
-class HierTS(Policy):
+class HierTS(_ConditionalTS):
     """Exact hierarchical Thompson sampling.
 
     Every decision: draw theta from its current posterior (maintained
@@ -139,36 +184,24 @@ class HierTS(Policy):
     def __init__(self, ctx: AgentContext):
         cfg = ctx.cfg
         cfg.require_gaussian()
+        super().__init__(ctx, diagonal_effect_variances(cfg), cfg.sigma_noise ** 2)
         self.cfg = cfg
-        self.fm = ctx.fm
-        self.rng = ctx.rng
-        self.stats = _GaussianTaskStats(ctx.n_tasks, ctx.n_arms)
         self.acc = ThetaStatAccumulator(cfg, ctx.fm, range(ctx.n_tasks))
         self._sigma_theta_inv = np.linalg.inv(cfg.sigma_theta)
 
     def _theta_draw(self) -> np.ndarray:
-        core = self._sigma_theta_inv + self.acc.phi_vinv_phi
-        lower = np.linalg.cholesky(0.5 * (core + core.T))
-        mean = self.cfg.mu_theta + np.linalg.solve(
-            core, self.acc.phi_vinv_resid)
-        # theta ~ N(mean, core^{-1}): solve L^T x = z gives cov core^{-1}.
-        z = self.rng.standard_normal(self.cfg.dim)
-        return mean + np.linalg.solve(lower.T, z)
+        return self.cfg.mu_theta + sample_mvn_precision(
+            self._sigma_theta_inv + self.acc.phi_vinv_phi,
+            self.acc.phi_vinv_resid, self.rng)
 
-    def _conditional_draw(self, task_id: int, theta: np.ndarray) -> np.ndarray:
-        row = self.acc.row(task_id)
-        prior_mean = self.acc.features[row] @ theta
-        mean, cov = conditional_stats_update(
-            prior_mean, self.cfg.sigma_delta, self.cfg.sigma_noise,
-            self.stats.counts[task_id], self.stats.sums[task_id])
-        return sample_mvn(mean, cov, self.rng)
+    def _current_theta(self) -> np.ndarray:
+        return self._theta_draw()
 
-    def act(self, task_id: int) -> int:
-        theta = self._theta_draw()
-        return _pick(self._conditional_draw(task_id, theta))
+    def _prior_mean(self, task_id: int) -> np.ndarray:
+        return self.acc.features[self.acc.row(task_id)] @ self._current_theta()
 
     def update(self, task_id: int, arm: int, reward: float) -> None:
-        self.stats.add(task_id, arm, reward)
+        super().update(task_id, arm, reward)
         self.acc.add(task_id, arm, reward)
 
 
@@ -196,9 +229,6 @@ class HierTSBatched(HierTS):
             self._since_refresh = 0
         return self._cached_theta
 
-    def act(self, task_id: int) -> int:
-        return _pick(self._conditional_draw(task_id, self._current_theta()))
-
     def update(self, task_id: int, arm: int, reward: float) -> None:
         super().update(task_id, arm, reward)
         self._since_refresh += 1
@@ -215,7 +245,7 @@ class HierTSBatched(HierTS):
             self._cached_theta = None
 
 
-class AlignedHierTS(Policy):
+class AlignedHierTS(HierTS):
     """Hierarchical TS with forced alignment pulls (sequential schedules).
 
     Rounds 1..n_arms of each task play arm round-1.  At round n_arms+1 the
@@ -227,59 +257,33 @@ class AlignedHierTS(Policy):
     """
 
     name = "hier-ts-aligned"
+    align = True
 
     def __init__(self, ctx: AgentContext):
-        cfg = ctx.cfg
-        cfg.require_gaussian()
         if ctx.schedule_kind != "sequential":
             raise ScheduleError("hier-ts-aligned requires a sequential schedule")
-        self.cfg = cfg
-        self.fm = ctx.fm
-        self.rng = ctx.rng
-        self.n_arms = ctx.n_arms
-        self.stats = _GaussianTaskStats(ctx.n_tasks, ctx.n_arms)
-        # Alignment records of finished tasks only.
-        self.acc = ThetaStatAccumulator(cfg, ctx.fm, range(ctx.n_tasks))
+        super().__init__(ctx)
         self._pending: dict[int, list[tuple[int, float]]] = {}
-        self._rounds_seen = np.zeros(ctx.n_tasks, dtype=np.int64)
         self._fixed_prior_mean: dict[int, np.ndarray] = {}
-        self._sigma_theta_inv = np.linalg.inv(cfg.sigma_theta)
 
-    def _fix_prior(self, task_id: int) -> None:
-        core = self._sigma_theta_inv + self.acc.phi_vinv_phi
-        lower = np.linalg.cholesky(0.5 * (core + core.T))
-        mean = self.cfg.mu_theta + np.linalg.solve(
-            core, self.acc.phi_vinv_resid)
-        z = self.rng.standard_normal(self.cfg.dim)
-        draw = mean + np.linalg.solve(lower.T, z)
-        row = self.acc.row(task_id)
-        self._fixed_prior_mean[task_id] = self.acc.features[row] @ draw
-
-    def act(self, task_id: int) -> int:
-        played = int(self._rounds_seen[task_id])
-        if played < self.n_arms:
-            return played
+    def _prior_mean(self, task_id: int) -> np.ndarray:
         if task_id not in self._fixed_prior_mean:
-            self._fix_prior(task_id)
-        mean, cov = conditional_stats_update(
-            self._fixed_prior_mean[task_id], self.cfg.sigma_delta,
-            self.cfg.sigma_noise, self.stats.counts[task_id],
-            self.stats.sums[task_id])
-        return _pick(sample_mvn(mean, cov, self.rng))
+            self._fixed_prior_mean[task_id] = super()._prior_mean(task_id)
+        return self._fixed_prior_mean[task_id]
 
     def update(self, task_id: int, arm: int, reward: float) -> None:
-        self._rounds_seen[task_id] += 1
-        self.stats.add(task_id, arm, reward)
-        if int(self._rounds_seen[task_id]) <= self.n_arms:
+        # Own counts only: the accumulator holds alignment records of
+        # finished tasks, released at end_of_task.
+        _ConditionalTS.update(self, task_id, arm, reward)
+        if self._rounds_played(task_id) <= self.n_arms:
             self._pending.setdefault(task_id, []).append((arm, reward))
 
     def end_of_task(self, task_id: int) -> None:
-        # Release the task's alignment records to later tasks.
         for arm, reward in self._pending.pop(task_id, []):
             self.acc.add(task_id, arm, reward)
 
 
-class OracleTS(Policy):
+class OracleTS(_ConditionalTS):
     """Single-task TS from the true-coefficient prior N(Phi_i theta, Sigma).
 
     With align=True it also plays the forced alignment schedule for the
@@ -293,32 +297,16 @@ class OracleTS(Policy):
                  theta: np.ndarray | None = None):
         cfg = ctx.cfg
         cfg.require_gaussian()
-        self.cfg = cfg
-        self.rng = ctx.rng
+        super().__init__(ctx, diagonal_effect_variances(cfg), cfg.sigma_noise ** 2)
         self.align = align
-        self.n_arms = ctx.n_arms
         theta = ctx.population.theta if theta is None else np.asarray(theta, float)
         fm = ctx.fm
         self.prior_means = np.stack([
             fm.task_features(fm.metadata_for(i)) @ theta
             for i in range(ctx.n_tasks)])
-        self.stats = _GaussianTaskStats(ctx.n_tasks, ctx.n_arms)
-        self._rounds_seen = np.zeros(ctx.n_tasks, dtype=np.int64)
 
-    def act(self, task_id: int) -> int:
-        if self.align:
-            played = int(self._rounds_seen[task_id])
-            if played < self.n_arms:
-                return played
-        mean, cov = conditional_stats_update(
-            self.prior_means[task_id], self.cfg.sigma_delta,
-            self.cfg.sigma_noise, self.stats.counts[task_id],
-            self.stats.sums[task_id])
-        return _pick(sample_mvn(mean, cov, self.rng))
-
-    def update(self, task_id: int, arm: int, reward: float) -> None:
-        self._rounds_seen[task_id] += 1
-        self.stats.add(task_id, arm, reward)
+    def _prior_mean(self, task_id: int) -> np.ndarray:
+        return self.prior_means[task_id]
 
 
 class _IndependentArmTS(Policy):
@@ -401,10 +389,7 @@ class LinearTS(Policy):
             for i in range(ctx.n_tasks)])
 
     def act(self, task_id: int) -> int:
-        lower = np.linalg.cholesky(0.5 * (self.a_mat + self.a_mat.T))
-        mean = np.linalg.solve(self.a_mat, self.b_vec)
-        z = self.rng.standard_normal(self.b_vec.shape[0])
-        theta = mean + np.linalg.solve(lower.T, z)
+        theta = sample_mvn_precision(self.a_mat, self.b_vec, self.rng)
         return _pick(self.features[task_id] @ theta)
 
     def update(self, task_id: int, arm: int, reward: float) -> None:
@@ -413,7 +398,7 @@ class LinearTS(Policy):
         self.b_vec += phi * (reward / self.noise_var)
 
 
-class MetaTS(Policy):
+class MetaTS(_ConditionalTS):
     """Two-level TS with an arm-mean hyper-prior, hierarchy's feature
     structure ignored.
 
@@ -430,13 +415,11 @@ class MetaTS(Policy):
 
     def __init__(self, ctx: AgentContext):
         spec = ctx.population.spec
-        self.rng = ctx.rng
-        self.noise_sq = spec.sigma_noise ** 2
+        super().__init__(
+            ctx, np.full(ctx.n_arms, ctx.priors.two_level_task_variance),
+            spec.sigma_noise ** 2)
         self.effect_var = spec.sigma1_sq
         self.hyper_var = spec.scale
-        self.counts = np.zeros((ctx.n_tasks, ctx.n_arms))
-        self.sums = np.zeros((ctx.n_tasks, ctx.n_arms))
-        self.cond_cov = ctx.priors.two_level_task_variance * np.eye(ctx.n_arms)
         self._hyper_sample = self._draw_hyper()
 
     def _hyper_posterior(self) -> tuple[np.ndarray, np.ndarray]:
@@ -454,15 +437,8 @@ class MetaTS(Policy):
         mean, var = self._hyper_posterior()
         return mean + np.sqrt(var) * self.rng.standard_normal(mean.shape[0])
 
-    def act(self, task_id: int) -> int:
-        mean, cov = conditional_stats_update(
-            self._hyper_sample, self.cond_cov, np.sqrt(self.noise_sq),
-            self.counts[task_id], self.sums[task_id])
-        return _pick(sample_mvn(mean, cov, self.rng))
-
-    def update(self, task_id: int, arm: int, reward: float) -> None:
-        self.counts[task_id, arm] += 1.0
-        self.sums[task_id, arm] += reward
+    def _prior_mean(self, task_id: int) -> np.ndarray:
+        return self._hyper_sample
 
     def end_of_round(self) -> None:
         self._hyper_sample = self._draw_hyper()

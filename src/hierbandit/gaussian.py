@@ -114,11 +114,6 @@ class ThetaPosterior:
         return sample_mvn(self.mean, self.cov, rng)
 
 
-def sample_belief(b: GaussianBelief, rng: np.random.Generator) -> np.ndarray:
-    """One reward-vector draw from a belief; deterministic given the rng state."""
-    return sample_mvn(b.mean, b.cov, rng)
-
-
 # ---------------------------------------------------------------------------
 # history stacking shared by both routes
 # ---------------------------------------------------------------------------
@@ -475,25 +470,18 @@ def marginal_task_belief(cfg: HierarchyConfig, fm: FeatureMap,
     return GaussianBelief(mean, cov)
 
 
-def sample_r_via_theta(cfg: HierarchyConfig, fm: FeatureMap, h: History,
-                       target_task: int, target_x: np.ndarray,
-                       rng: np.random.Generator,
-                       metadata_lookup=None) -> np.ndarray:
-    """One draw of r_target by the two-stage route: theta ~ P(theta | H),
-    then r ~ P(r | theta, H_target).  Marginally this equals a draw from
-    P(r_target | H)."""
-    tp = posterior_theta(cfg, fm, h, metadata_lookup)
-    theta = tp.sample(rng)
-    belief = conditional_r_given_theta(
-        cfg, fm, (h.task_records(target_task) if isinstance(h, History) else
-                  [r for r in h if r.task_id == target_task]),
-        theta, target_x)
-    return belief.sample(rng)
-
-
 # ---------------------------------------------------------------------------
 # incremental coefficient-posterior statistics (diagonal Sigma_delta)
 # ---------------------------------------------------------------------------
+
+def diagonal_effect_variances(cfg: HierarchyConfig) -> np.ndarray:
+    """The per-arm variances of a diagonal Sigma_delta; ConfigError if it
+    has any off-diagonal entry."""
+    off = cfg.sigma_delta - np.diag(np.diag(cfg.sigma_delta))
+    if np.any(off):
+        raise ConfigError("per-arm conjugate statistics need diagonal sigma_delta")
+    return np.diag(cfg.sigma_delta).copy()
+
 
 class ThetaStatAccumulator:
     """Running Phi^T V^{-1} Phi and Phi^T V^{-1} (R - Phi mu) under diagonal
@@ -509,9 +497,7 @@ class ThetaStatAccumulator:
 
     def __init__(self, cfg: HierarchyConfig, fm: FeatureMap, task_ids: Sequence[int]):
         cfg.require_gaussian()
-        off = cfg.sigma_delta - np.diag(np.diag(cfg.sigma_delta))
-        if np.any(off):
-            raise ConfigError("incremental statistics need diagonal sigma_delta")
+        self._effect_var = diagonal_effect_variances(cfg)
         self.cfg = cfg
         self.fm = fm
         self._index = {int(t): k for k, t in enumerate(task_ids)}
@@ -527,7 +513,6 @@ class ThetaStatAccumulator:
         self.phi_vinv_phi = np.zeros((fm.dim, fm.dim))
         self.phi_vinv_resid = np.zeros(fm.dim)
         self._noise_sq = cfg.sigma_noise ** 2
-        self._effect_var = np.diag(cfg.sigma_delta).copy()
 
     def row(self, task_id: int) -> int:
         return self._index[task_id]

@@ -12,6 +12,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 from scipy import stats
 
 from hierbandit.bench import ExperimentConfig, run_experiment, simulate_ledger
@@ -217,6 +218,7 @@ def _total_regret(ledger, algorithm):
     return np.array([by_seed[s] for s in sorted(by_seed)])
 
 
+@pytest.mark.slow
 def test_criterion_05_concurrent_regret_ordering():
     budget = 600.0
     start = time.perf_counter()
@@ -248,6 +250,7 @@ def test_criterion_05_concurrent_regret_ordering():
             % (ratio25, ratio50, p_hier_meta, p_meta_ind, elapsed, budget))
 
 
+@pytest.mark.slow
 def test_criterion_06_sequential_late_task_transfer():
     budget = 600.0
     start = time.perf_counter()
@@ -280,6 +283,7 @@ def _late_slopes(sigma1_sq, algorithms, seeds=10):
     return slopes
 
 
+@pytest.mark.slow
 def test_criterion_07_pooled_and_linear_failure_modes():
     budget = 300.0
     start = time.perf_counter()
@@ -297,6 +301,7 @@ def test_criterion_07_pooled_and_linear_failure_modes():
             % (pooled_ratio, linear_ratio, degenerate_ratio, elapsed, budget))
 
 
+@pytest.mark.slow
 def test_criterion_08_misspecification_robustness():
     budget = 600.0
     start = time.perf_counter()

@@ -12,8 +12,10 @@ from hierbandit.agents import (AgentContext, AlignedHierTS, HierTS,
                                make_policy)
 from hierbandit.core import FeatureMap, HierarchyConfig
 from hierbandit.envs import PopulationSpec, generate_population
-from hierbandit.errors import ConfigError, ScheduleError
-from hierbandit.gaussian import ThetaStatAccumulator, posterior_r_naive
+from hierbandit._linalg import sample_mvn
+from hierbandit.errors import ConfigError, NumericalError, ScheduleError
+from hierbandit.gaussian import (ThetaStatAccumulator,
+                                 conditional_stats_update, posterior_r_naive)
 from hierbandit.priors import derive_baseline_priors
 
 from oracles import scalar_conjugate_oracle
@@ -118,7 +120,8 @@ def test_batched_refresh_one_mixture_moments():
     n = 20_000
     draws = np.empty((n, spec.n_arms))
     for s in range(n):
-        draws[s] = agent._conditional_draw(0, agent._theta_draw())
+        draws[s] = agent._conditional_draw(
+            0, agent.acc.features[0] @ agent._theta_draw())
     exact = posterior_r_naive(spec.hierarchy_config(), pop.feature_map, h, 0,
                               pop.tasks[0].metadata)
     se = draws.std(axis=0, ddof=1) / math.sqrt(n)
@@ -395,6 +398,83 @@ def test_meta_bernoulli_candidate_weights():
                 want += lbeta(a1 + agent.wins[i, a], a2 + agent.losses[i, a]) \
                     - lbeta(a1, a2)
         np.testing.assert_allclose(got[c], want, atol=1e-10)
+
+
+def _oracle_on(sigma_delta, sigma_noise, rng):
+    """oracle-ts on one task with identity features, for core-level checks."""
+    k = sigma_delta.shape[0]
+    fm = FeatureMap.indicator_with_metadata(
+        n_arms=k, dim=k, task_metadata={0: np.zeros(0)})
+    cfg = HierarchyConfig(mu_theta=np.zeros(k), sigma_theta=np.eye(k),
+                          sigma_delta=sigma_delta, sigma_noise=sigma_noise)
+    return OracleTS(_stub_ctx(cfg, fm, 1, rng, "concurrent"),
+                    theta=np.zeros(k))
+
+
+def test_conditional_core_matches_dense_update():
+    # The closed-form per-arm draw equals conditional_stats_update followed
+    # by sample_mvn from the same generator state, and leaves the generator
+    # where the dense path leaves it.
+    rng = np.random.default_rng(71)
+    cases = []
+    for _ in range(20):
+        k = int(rng.integers(1, 9))
+        counts = rng.integers(0, 6, size=k).astype(float)
+        cases.append((np.diag(rng.uniform(0.05, 2.0, size=k)), counts))
+    cases.append((np.diag([0.4, 0.9, 1.3]), np.zeros(3)))     # no pulls yet
+    cases.append((np.zeros((4, 4)), np.array([0.0, 3.0, 1.0, 7.0])))
+    cases.append((np.array([[0.7]]), np.array([5.0])))         # K = 1
+    for sigma_delta, counts in cases:
+        k = counts.shape[0]
+        sigma_noise = float(rng.uniform(0.3, 1.5))
+        sums = counts * rng.normal(0.0, 2.0, size=k) \
+            + np.sqrt(counts) * rng.standard_normal(k)
+        prior_mean = rng.normal(0.0, 1.5, size=k)
+        seed = int(rng.integers(1 << 30))
+        agent = _oracle_on(sigma_delta, sigma_noise, np.random.default_rng(seed))
+        agent.counts[0] = counts
+        agent.sums[0] = sums
+        draw = agent._conditional_draw(0, prior_mean)
+        ref_rng = np.random.default_rng(seed)
+        mean, cov = conditional_stats_update(prior_mean, sigma_delta,
+                                             sigma_noise, counts, sums)
+        ref = sample_mvn(mean, cov, ref_rng)
+        np.testing.assert_allclose(draw, ref, rtol=0.0, atol=1e-12)
+        assert agent.rng.bit_generator.state == ref_rng.bit_generator.state
+        if not sigma_delta.any():
+            np.testing.assert_array_equal(draw, prior_mean)
+
+
+def test_conditional_core_rejects_non_finite_draw():
+    agent = _oracle_on(np.eye(2), 1.0, np.random.default_rng(0))
+    agent.update(0, 1, np.inf)
+    with pytest.raises(NumericalError, match="non-finite"):
+        agent.act(0)
+
+
+def test_gaussian_agents_reject_dense_effects():
+    sigma_delta = np.array([[1.0, 0.3], [0.3, 1.0]])
+    with pytest.raises(ConfigError):
+        _oracle_on(sigma_delta, 1.0, np.random.default_rng(0))
+    fm = FeatureMap.indicator_with_metadata(
+        n_arms=2, dim=2, task_metadata={0: np.zeros(0)})
+    cfg = HierarchyConfig(mu_theta=np.zeros(2), sigma_theta=np.eye(2),
+                          sigma_delta=sigma_delta, sigma_noise=1.0)
+    with pytest.raises(ConfigError):
+        HierTS(_stub_ctx(cfg, fm, 1, np.random.default_rng(0)))
+
+
+def test_non_pd_precision_raises_numerical_error():
+    spec = PopulationSpec(n_tasks=2, horizon=4, n_arms=3, dim=4, seed=73)
+    _, ctx = _ctx(spec, seed=74)
+    hier = HierTS(ctx)
+    hier.acc.phi_vinv_phi -= 1e6 * np.eye(spec.dim)
+    with pytest.raises(NumericalError, match="not positive definite"):
+        hier.act(0)
+    linear = LinearTS(ctx)
+    linear.a_mat = -np.eye(spec.dim)
+    with pytest.raises(NumericalError, match="not positive definite"):
+        linear.act(0)
 
 
 def test_registry_names():

@@ -4,17 +4,19 @@ import numpy as np
 import pytest
 
 import hierbandit.gaussian as gaussian
+from hierbandit._linalg import sample_mvn_precision
 from hierbandit.core import (FeatureMap, HierarchyConfig, History,
                              InteractionRecord)
+from hierbandit.envs import PopulationSpec, generate_population
 from hierbandit.errors import ConfigError, NumericalError
 from hierbandit.gaussian import (GaussianBelief, GPConfig, ThetaPosterior,
                                  ThetaStatAccumulator, conditional_r_given_theta,
                                  conditional_stats_update, gaussian_obs_update,
                                  marginal_task_belief, posterior_r_gp,
                                  posterior_r_naive, posterior_r_woodbury,
-                                 posterior_theta, sample_belief)
+                                 posterior_theta)
 
-from conftest import oracle_record_list, random_instance
+from conftest import oracle_record_list, random_cov, random_instance
 from oracles import (joint_posterior_oracle, ridge_posterior_oracle,
                      scalar_conjugate_oracle, target_records,
                      theta_posterior_oracle)
@@ -245,7 +247,7 @@ def test_two_stage_consistency_monte_carlo():
 
 def test_sample_belief_degenerate_cov():
     b = GaussianBelief(mean=np.array([1.0, -2.0]), cov=np.zeros((2, 2)))
-    out = sample_belief(b, np.random.default_rng(0))
+    out = b.sample(np.random.default_rng(0))
     np.testing.assert_array_equal(out, b.mean)
 
 
@@ -254,7 +256,7 @@ def test_sample_belief_moments():
     cov = np.array([[1.2, 0.4], [0.4, 0.9]])
     b = GaussianBelief(mean, cov)
     rng = np.random.default_rng(41)
-    draws = np.stack([sample_belief(b, rng) for _ in range(100_000)])
+    draws = np.stack([b.sample(rng) for _ in range(100_000)])
     se = np.sqrt(np.diag(cov) / draws.shape[0])
     assert np.all(np.abs(draws.mean(axis=0) - mean) <= 4.0 * se)
     np.testing.assert_allclose(np.cov(draws.T), cov, rtol=0.05)
@@ -262,8 +264,8 @@ def test_sample_belief_moments():
 
 def test_sample_belief_deterministic():
     b = GaussianBelief(np.zeros(3), np.eye(3))
-    a = sample_belief(b, np.random.default_rng(5))
-    c = sample_belief(b, np.random.default_rng(5))
+    a = b.sample(np.random.default_rng(5))
+    c = b.sample(np.random.default_rng(5))
     np.testing.assert_array_equal(a, c)
 
 
@@ -405,6 +407,62 @@ def test_theta_accumulator_matches_batch_posterior():
         tp_batch = posterior_theta(cfg, fm, h)
         np.testing.assert_allclose(tp_inc.mean, tp_batch.mean, atol=1e-9)
         np.testing.assert_allclose(tp_inc.cov, tp_batch.cov, atol=1e-9)
+
+
+def test_theta_accumulator_full_scale_drift():
+    # 200 tasks x 200 rounds of rank-one updates must not drift from a
+    # batch recomputation of the same sums.
+    spec = PopulationSpec(n_tasks=200, horizon=200, n_arms=8, dim=15,
+                          sigma_noise=1.0, sigma1_sq=0.5, seed=79)
+    pop = generate_population(spec)
+    cfg = spec.hierarchy_config()
+    fm = pop.feature_map
+    rng = np.random.default_rng(80)
+    acc = ThetaStatAccumulator(cfg, fm, range(spec.n_tasks))
+    h = History()
+    for t in range(spec.horizon):
+        arms = rng.integers(0, spec.n_arms, size=spec.n_tasks)
+        noise = rng.standard_normal(spec.n_tasks)
+        for i in range(spec.n_tasks):
+            a = int(arms[i])
+            r = float(pop.tasks[i].true_means[a] + noise[i])
+            acc.add(i, a, r)
+            h.append(InteractionRecord(i, a, r, t + 1))
+    ws = gaussian.KernelWorkspace(cfg, fm, h)
+
+    def rel(a, b):
+        return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+    assert rel(acc.phi_vinv_phi, ws.phi_vinv_phi) <= 1e-9
+    assert rel(acc.phi_vinv_resid, ws.phi_vinv_resid) <= 1e-9
+    tp_inc = acc.theta_posterior()
+    tp_batch = posterior_theta(cfg, fm, h)
+    assert rel(tp_inc.mean, tp_batch.mean) <= 1e-9
+    assert rel(tp_inc.cov, tp_batch.cov) <= 1e-9
+
+
+def test_precision_sampler_matches_cholesky_solve():
+    rng = np.random.default_rng(83)
+    for d in (1, 3, 15):
+        a = random_cov(rng, d, scale=2.0)
+        b = rng.standard_normal(d)
+        seed = int(rng.integers(1 << 30))
+        draw_rng = np.random.default_rng(seed)
+        x = sample_mvn_precision(a, b, draw_rng)
+        ref_rng = np.random.default_rng(seed)
+        lower = np.linalg.cholesky(a)
+        z = ref_rng.standard_normal(d)
+        ref = np.linalg.solve(a, b) + np.linalg.solve(lower.T, z)
+        np.testing.assert_allclose(x, ref, rtol=0.0, atol=1e-12)
+        assert draw_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_precision_sampler_rejects_non_pd():
+    rng = np.random.default_rng(89)
+    with pytest.raises(NumericalError, match="not positive definite"):
+        sample_mvn_precision(np.diag([1.0, -1.0]), np.zeros(2), rng)
+    with pytest.raises(NumericalError):
+        sample_mvn_precision(np.eye(2), np.array([np.nan, 0.0]), rng)
 
 
 def test_theta_accumulator_order_invariant():
