@@ -3,8 +3,9 @@
 Every matrix inverse in the package goes through a factorized solve.  A
 Cholesky factorization is attempted on the (symmetrized) input first; on
 failure a diagonal jitter of 1e-10 is added and escalated by factors of 10
-up to 1e-6 before raising NumericalError.  The precision-form sampler
-never jitters: a precision that fails to factor raises at once.
+up to 1e-6 before raising NumericalError.  Neither sampler jitters:
+sample_mvn falls back to an exact eigendecomposition, and the
+precision-form sampler raises at once on a precision that fails to factor.
 """
 
 from __future__ import annotations
@@ -63,11 +64,13 @@ def logdet_from_chol(lower: np.ndarray) -> float:
 def sample_mvn(mean: np.ndarray, cov: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One draw from N(mean, cov).
 
-    A plain Cholesky handles the well-conditioned case; a rank-deficient
-    covariance falls back to an eigendecomposition with small negative
-    eigenvalues (>= -1e-10) clipped to zero, so an all-zero covariance
-    returns the mean exactly.  Deterministic given the generator state:
-    every path consumes exactly len(mean) standard normals.
+    A plain Cholesky handles the well-conditioned case.  A covariance it
+    rejects goes straight to an eigendecomposition, never to a jittered
+    factor: small negative eigenvalues (>= -1e-10) are clipped to zero, so
+    a zero-variance coordinate (and an all-zero covariance) returns the mean
+    exactly, and a covariance further from PSD raises NumericalError.
+    Deterministic given the generator state: every path consumes exactly
+    len(mean) standard normals.
     """
     mean = np.asarray(mean, dtype=float)
     cov = np.asarray(cov, dtype=float)
@@ -80,10 +83,6 @@ def sample_mvn(mean: np.ndarray, cov: np.ndarray, rng: np.random.Generator) -> n
     z = rng.standard_normal(k)
     try:
         return mean + np.linalg.cholesky(cov) @ z
-    except np.linalg.LinAlgError:
-        pass
-    try:
-        return mean + np.linalg.cholesky(cov + JITTER_START * np.eye(k)) @ z
     except np.linalg.LinAlgError:
         pass
     w, v = np.linalg.eigh(symmetrize(cov))

@@ -41,8 +41,8 @@ from scipy.special import betaln
 
 from . import bernoulli as bern
 from ._linalg import sample_mvn_precision
-from .bernoulli import BetaParams, sample_theta_mcmc
-from .core import FeatureMap, HierarchyConfig, History, InteractionRecord
+from .bernoulli import BetaParams, sample_theta_counts
+from .core import FeatureMap, HierarchyConfig
 from .envs import Population
 from .errors import ConfigError, NumericalError, ScheduleError
 from .gaussian import ThetaStatAccumulator, diagonal_effect_variances
@@ -88,6 +88,12 @@ class AgentContext:
     @property
     def n_arms(self) -> int:
         return self.population.spec.n_arms
+
+    def stacked_features(self) -> np.ndarray:
+        """(n_tasks, K, d) array whose [i, a] row is phi(x_i, a)."""
+        fm = self.fm
+        return np.stack([fm.task_features(fm.metadata_for(i))
+                         for i in range(self.n_tasks)])
 
 
 class Policy:
@@ -384,9 +390,7 @@ class LinearTS(Policy):
         sigma_theta_inv = np.linalg.inv(cfg.sigma_theta)
         self.a_mat = sigma_theta_inv.copy()
         self.b_vec = sigma_theta_inv @ cfg.mu_theta
-        self.features = np.stack([
-            ctx.fm.task_features(ctx.fm.metadata_for(i))
-            for i in range(ctx.n_tasks)])
+        self.features = ctx.stacked_features()
 
     def act(self, task_id: int) -> int:
         theta = sample_mvn_precision(self.a_mat, self.b_vec, self.rng)
@@ -451,6 +455,20 @@ class MetaTS(_ConditionalTS):
 # Bernoulli mirrors
 # ---------------------------------------------------------------------------
 
+def _task_beta_priors(phi: np.ndarray, theta: np.ndarray,
+                      psi: float) -> tuple[np.ndarray, np.ndarray]:
+    """(alpha1, alpha2), each (n_tasks, K): the Beta(mu/psi, (1-mu)/psi)
+    prior of every task arm given theta, from the stacked features phi.
+    A shape that is not positive (a NaN mean from a NaN theta, or psi = inf)
+    raises ConfigError, as BetaParams does arm by arm."""
+    n, k, d = phi.shape
+    alpha1, alpha2 = bern.logistic_beta_shapes(phi.reshape(n * k, d), theta, psi)
+    if not (np.all(alpha1 > 0.0) and np.all(alpha2 > 0.0)):
+        raise ConfigError("Beta prior shapes must be positive; theta %s, psi %g"
+                          % (np.array2string(np.asarray(theta)), psi))
+    return alpha1.reshape(n, k), alpha2.reshape(n, k)
+
+
 class _BetaCountTS(Policy):
     """Beta-Bernoulli TS over (successes, failures) slots."""
 
@@ -510,17 +528,10 @@ class OracleTSBernoulli(Policy):
     name = "oracle-ts"
 
     def __init__(self, ctx: AgentContext, theta: np.ndarray | None = None):
-        spec = ctx.population.spec
         self.rng = ctx.rng
         theta = ctx.population.theta if theta is None else np.asarray(theta, float)
-        fm = ctx.fm
-        self.alpha1 = np.zeros((ctx.n_tasks, ctx.n_arms))
-        self.alpha2 = np.zeros((ctx.n_tasks, ctx.n_arms))
-        for i in range(ctx.n_tasks):
-            for a, prior in enumerate(bern.bblm_prior_for_task(
-                    theta, fm, fm.metadata_for(i), spec.psi)):
-                self.alpha1[i, a] = prior.alpha1
-                self.alpha2[i, a] = prior.alpha2
+        self.alpha1, self.alpha2 = _task_beta_priors(
+            ctx.stacked_features(), theta, ctx.population.spec.psi)
         self.wins = np.zeros((ctx.n_tasks, ctx.n_arms))
         self.losses = np.zeros((ctx.n_tasks, ctx.n_arms))
 
@@ -540,10 +551,13 @@ class HierTSBernoulli(Policy):
     """Hierarchical TS for Bernoulli rewards via MCMC coefficient draws.
 
     At every schedule boundary (and after `refresh_every` interactions, if
-    set) the agent reruns the Metropolis-within-Gibbs sampler on all data,
-    keeps one random post-burn-in draw of theta, and rebuilds each task's
-    Beta prior from it; decisions are conjugate Beta-Bernoulli TS under the
-    current draw.  MCMC length is configurable to trade accuracy for time.
+    set) the agent reruns the Metropolis-within-Gibbs sampler on the
+    per-slot counts of every task pulled so far, keeps one random
+    post-burn-in draw of theta, and rebuilds each task's Beta prior from it;
+    decisions are conjugate Beta-Bernoulli TS under the current draw.  MCMC
+    length is configurable to trade accuracy for time.  Each refresh's
+    post-burn-in acceptance rate is appended to `acceptance_rates` and its
+    sampler warnings to `mcmc_warnings`.
     """
 
     name = "hier-ts"
@@ -553,36 +567,35 @@ class HierTSBernoulli(Policy):
         cfg = ctx.cfg
         cfg.require_bernoulli()
         self.cfg = cfg
-        self.fm = ctx.fm
         self.rng = ctx.rng
         self.psi = ctx.population.spec.psi
         self.n_samples = n_samples
         self.burn_in = burn_in
         self.refresh_every = refresh_every
         self._since_refresh = 0
-        self.history = History()
-        self.n_tasks = ctx.n_tasks
-        self.n_arms = ctx.n_arms
+        self._phi = ctx.stacked_features()
         self.wins = np.zeros((ctx.n_tasks, ctx.n_arms))
         self.losses = np.zeros((ctx.n_tasks, ctx.n_arms))
-        self._round_within = np.zeros(ctx.n_tasks, dtype=np.int64)
-        self.alpha1 = np.zeros((ctx.n_tasks, ctx.n_arms))
-        self.alpha2 = np.zeros((ctx.n_tasks, ctx.n_arms))
+        self.acceptance_rates: list[float] = []
+        self.mcmc_warnings: list[str] = []
         self._set_theta(ctx.cfg.mu_theta
                         + np.sqrt(np.diag(ctx.cfg.sigma_theta))
                         * self.rng.standard_normal(ctx.cfg.dim))
 
     def _set_theta(self, theta: np.ndarray) -> None:
-        for i in range(self.n_tasks):
-            for a, prior in enumerate(bern.bblm_prior_for_task(
-                    theta, self.fm, self.fm.metadata_for(i), self.psi)):
-                self.alpha1[i, a] = prior.alpha1
-                self.alpha2[i, a] = prior.alpha2
+        self.alpha1, self.alpha2 = _task_beta_priors(self._phi, theta, self.psi)
 
     def _refresh(self) -> None:
-        chain = sample_theta_mcmc(self.cfg, self.fm, self.history, self.rng,
-                                  n_samples=self.n_samples,
-                                  burn_in=self.burn_in)
+        # the tasks pulled so far, in id order; with none, every task
+        tasks = np.flatnonzero((self.wins + self.losses).any(axis=1))
+        if tasks.size == 0:
+            tasks = np.arange(self._phi.shape[0])
+        chain = sample_theta_counts(
+            self.cfg, self._phi[tasks].reshape(-1, self._phi.shape[2]),
+            self.wins[tasks].ravel(), self.losses[tasks].ravel(), self.rng,
+            n_samples=self.n_samples, burn_in=self.burn_in)
+        self.acceptance_rates.append(chain.acceptance_rate)
+        self.mcmc_warnings.extend(chain.warnings)
         pick = int(self.rng.integers(chain.samples.shape[0]))
         self._set_theta(chain.samples[pick])
         self._since_refresh = 0
@@ -597,10 +610,6 @@ class HierTSBernoulli(Policy):
             self.wins[task_id, arm] += 1.0
         else:
             self.losses[task_id, arm] += 1.0
-        self._round_within[task_id] += 1
-        self.history.append(InteractionRecord(
-            task_id=task_id, action=arm, reward=reward,
-            round_within_task=int(self._round_within[task_id])))
         self._since_refresh += 1
         if self.refresh_every is not None \
                 and self._since_refresh >= self.refresh_every:

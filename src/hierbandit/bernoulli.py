@@ -14,9 +14,13 @@ Beta parameterization: for mean mu and precision psi > 0,
 so larger psi means more cross-task heterogeneity around the logistic mean.
 
 The arm-mean posterior given theta is conjugate (Beta-Bernoulli).  The
-coefficient posterior is not; sample_theta_mcmc runs Metropolis-within-Gibbs,
-alternating an exact vectorized resample of the latent arm means with a
-random-walk Metropolis move on theta against the marginalized-latent target.
+coefficient posterior is not; sample_theta_counts runs Metropolis-within-Gibbs
+on per-slot success and failure counts, alternating an exact vectorized
+resample of the latent arm means with a random-walk Metropolis move on theta
+against the latent-conditional target.  Each sweep computes the current
+state's terms once: a state's Beta shapes and log prior are computed when it
+is proposed and reused until a proposal replaces it.  Bernoulli hier-ts runs
+it on the counts it keeps; sample_theta_mcmc is the History adapter.
 """
 
 from __future__ import annotations
@@ -110,9 +114,10 @@ def bblm_prior_for_task(theta: np.ndarray, fm: FeatureMap, x: np.ndarray,
     return [beta_from_mean_precision(float(m), psi) for m in means]
 
 
-def _arm_shapes(fm: FeatureMap, phi_rows: np.ndarray, theta: np.ndarray,
-                psi: float) -> tuple[np.ndarray, np.ndarray]:
-    """(alpha1, alpha2) arrays over stacked task-arm rows."""
+def logistic_beta_shapes(phi_rows: np.ndarray, theta: np.ndarray,
+                         psi: float) -> tuple[np.ndarray, np.ndarray]:
+    """(alpha1, alpha2) = (mu/psi, (1-mu)/psi) over stacked task-arm rows,
+    mu the clipped logistic mean of each row; unchecked."""
     means = np.clip(expit(phi_rows @ theta), MEAN_CLIP, 1.0 - MEAN_CLIP)
     return means / psi, (1.0 - means) / psi
 
@@ -182,78 +187,116 @@ def sample_theta_mcmc(cfg: HierarchyConfig, fm: FeatureMap, h: History,
                       burn_in: int = 1000, initial_step: float = 0.25,
                       metadata_lookup=None) -> ThetaChain:
     """Metropolis-within-Gibbs chain for P(theta | H) under the Beta-logistic
-    model.
+    model: stacks the history into per-slot counts and runs
+    sample_theta_counts on them.
 
-    Each sweep (1) resamples every latent arm mean exactly from its conjugate
-    Beta(alpha1 + s, alpha2 + f) given the current theta, all task-arm pairs
-    in one vectorized draw, and (2) proposes a Gaussian random-walk step on
-    theta accepted against the latent-conditional target.  The proposal scale
-    adapts on the log scale during burn-in only (stochastic approximation
-    toward 30% acceptance); the reported acceptance rate covers the
-    post-burn-in phase.  With an empty history the latent resample draws from
-    the pure prior and the chain targets P(theta) exactly.
+    The chain conditions on the tasks that carry records, in sorted id
+    order; with an empty history it conditions on every task registered in
+    the feature map, whose latent resample then draws from the pure prior so
+    the chain targets P(theta) exactly.  A record counts as a success when
+    its reward is >= 0.5.
     """
     cfg.require_bernoulli()
-    if n_samples < 1 or burn_in < 0:
-        raise ConfigError("need n_samples >= 1 and burn_in >= 0")
     lookup = resolve_metadata(fm, metadata_lookup)
-    d = cfg.dim
     k = fm.n_arms
-
     task_ids = sorted({rec.task_id for rec in h}) if len(h) else []
     if not task_ids:
         task_ids = sorted(fm.known_tasks())
     if not task_ids:
         raise ConfigError("no tasks to condition on: history and feature-map "
                           "registry are both empty")
-    n_tasks = len(task_ids)
     row_of = {tid: j for j, tid in enumerate(task_ids)}
-    phi_rows = np.zeros((n_tasks * k, d))
-    for tid, j in row_of.items():
-        phi_rows[j * k:(j + 1) * k] = fm.task_features(
-            np.asarray(lookup(tid), dtype=float))
-    successes = np.zeros(n_tasks * k)
-    failures = np.zeros(n_tasks * k)
+    phi_rows = np.concatenate([
+        fm.task_features(np.asarray(lookup(tid), dtype=float))
+        for tid in task_ids])
+    successes = np.zeros(len(task_ids) * k)
+    failures = np.zeros(len(task_ids) * k)
     for rec in h:
         slot = row_of[rec.task_id] * k + rec.action
         if rec.reward >= 0.5:
             successes[slot] += 1.0
         else:
             failures[slot] += 1.0
+    return sample_theta_counts(cfg, phi_rows, successes, failures, rng,
+                               n_samples=n_samples, burn_in=burn_in,
+                               initial_step=initial_step)
 
-    prior_lower = np.linalg.cholesky(cfg.sigma_theta)
 
-    def log_prior(t: np.ndarray) -> float:
-        white = np.linalg.solve(prior_lower, t - cfg.mu_theta)
-        return -0.5 * float(white @ white)
+def sample_theta_counts(cfg: HierarchyConfig, phi_rows: np.ndarray,
+                        successes: np.ndarray, failures: np.ndarray,
+                        rng: np.random.Generator, n_samples: int = 2000,
+                        burn_in: int = 1000,
+                        initial_step: float = 0.25) -> ThetaChain:
+    """Metropolis-within-Gibbs chain for P(theta | counts) over stacked
+    task-arm slots: row j of phi_rows is a slot's feature vector and
+    successes[j], failures[j] its Bernoulli counts.
 
-    def log_latent_given(t: np.ndarray, latent: np.ndarray) -> float:
-        a1, a2 = _arm_shapes(fm, phi_rows, t, cfg.psi)
-        return float(np.sum(beta_log_pdf(latent, a1, a2)))
+    Each sweep (1) resamples every latent arm mean exactly from its conjugate
+    Beta(alpha1 + s, alpha2 + f) given the current theta, all slots in one
+    vectorized draw, and (2) proposes a Gaussian random-walk step on theta
+    accepted against the latent-conditional target.  A theta state's terms
+    (its Beta shapes, betaln of them and its log prior) are computed once,
+    when the state is proposed, and reused until another proposal is
+    accepted; the latent logs are shared by the current and candidate
+    targets.  Each sweep draws one beta(n_slots), one standard_normal(d) and
+    one uniform(), in that order.  The proposal scale adapts on the log
+    scale during burn-in only (stochastic approximation toward 30%
+    acceptance); the reported acceptance rate covers the post-burn-in phase.
+    """
+    cfg.require_bernoulli()
+    if n_samples < 1 or burn_in < 0:
+        raise ConfigError("need n_samples >= 1 and burn_in >= 0")
+    d = cfg.dim
+    n_slots = len(successes)
+    if n_slots == 0 or np.shape(phi_rows) != (n_slots, d) \
+            or np.shape(failures) != (n_slots,):
+        raise ConfigError(
+            "need phi_rows of shape (n_slots, %d) with n_slots >= 1 and "
+            "successes, failures of length n_slots; got %s, %s, %s"
+            % (d, np.shape(phi_rows), np.shape(successes), np.shape(failures)))
+    psi = cfg.psi
+    mu = cfg.mu_theta
+    # L^{-1} once per call: a log prior through it differs from a per-state
+    # triangular solve only in rounding, which could flip an accept only if
+    # log(u) fell within that rounding of the log ratio
+    whiten = np.linalg.inv(np.linalg.cholesky(cfg.sigma_theta))
 
-    theta = cfg.mu_theta.copy()
+    def terms(t: np.ndarray) -> tuple:
+        """(t, posterior shapes of the latent draw, alpha - 1 of both shapes,
+        betaln of the shapes, log prior up to a constant)."""
+        a1, a2 = logistic_beta_shapes(phi_rows, t, psi)
+        white = whiten @ (t - mu)
+        return (t, a1 + successes, a2 + failures, a1 - 1.0, a2 - 1.0,
+                betaln(a1, a2), -0.5 * float(white @ white))
+
+    def log_target(state: tuple, log_x: np.ndarray,
+                   log_1mx: np.ndarray) -> float:
+        """Log prior plus the Beta log density of the latent means."""
+        _, _, _, c1, c2, lbeta, lprior = state
+        return lprior + float((c1 * log_x + c2 * log_1mx - lbeta).sum())
+
+    state = terms(mu.copy())
     log_step = np.log(initial_step)
     total = burn_in + n_samples
     samples = np.zeros((n_samples, d))
     accepted_post = 0
     for sweep in range(total):
-        a1, a2 = _arm_shapes(fm, phi_rows, theta, cfg.psi)
-        latent = rng.beta(a1 + successes, a2 + failures)
-        latent = np.clip(latent, MEAN_CLIP, 1.0 - MEAN_CLIP)
-
-        current = log_prior(theta) + log_latent_given(theta, latent)
+        theta, post1, post2 = state[:3]
+        latent = np.clip(rng.beta(post1, post2), MEAN_CLIP, 1.0 - MEAN_CLIP)
+        log_x = np.log(latent)
+        log_1mx = np.log1p(-latent)
         step = np.exp(log_step)
-        proposal = theta + step * rng.standard_normal(d)
-        candidate = log_prior(proposal) + log_latent_given(proposal, latent)
-        accept = np.log(rng.uniform()) < candidate - current
+        cand = terms(theta + step * rng.standard_normal(d))
+        accept = np.log(rng.uniform()) < log_target(cand, log_x, log_1mx) \
+            - log_target(state, log_x, log_1mx)
         if accept:
-            theta = proposal
+            state = cand
         if sweep < burn_in:
             gamma = (sweep + 1.0) ** -0.6
             log_step += gamma * ((1.0 if accept else 0.0) - ACCEPTANCE_TARGET)
         else:
             accepted_post += int(accept)
-            samples[sweep - burn_in] = theta
+            samples[sweep - burn_in] = state[0]
 
     rate = accepted_post / float(n_samples)
     warnings: list[str] = []

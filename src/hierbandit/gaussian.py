@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy import linalg as sla
 
 from . import _linalg
 from ._linalg import chol_factor, chol_solve, inv_psd, sample_mvn, symmetrize
@@ -403,12 +404,17 @@ def conditional_stats_update(prior_mean: np.ndarray, sigma_delta: np.ndarray,
     if pulled.size == 0:
         return prior_mean.copy(), sigma_delta.copy()
     ybar = sums[pulled] / counts[pulled]
-    s = sigma_delta[np.ix_(pulled, pulled)] \
-        + np.diag(sigma_noise ** 2 / counts[pulled])
-    lower = chol_factor(s)
-    gain = chol_solve(lower, sigma_delta[pulled, :]).T             # K x |P|
+    rows = sigma_delta[pulled]                                     # |P| x K
+    s = rows[:, pulled]
+    s.flat[::pulled.size + 1] += sigma_noise ** 2 / counts[pulled]
+    # chol_factor has checked s for finiteness; dpotrs skips cho_solve's
+    # argument checks on this per-draw path
+    solved, info = sla.lapack.dpotrs(chol_factor(s), rows, lower=1)
+    if info != 0:
+        raise NumericalError("dpotrs failed (info=%d)" % info)
+    gain = solved.T                                                # K x |P|
     mean = prior_mean + gain @ (ybar - prior_mean[pulled])
-    cov = sigma_delta - gain @ sigma_delta[pulled, :]
+    cov = sigma_delta - gain @ rows
     return mean, cov
 
 

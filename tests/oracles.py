@@ -9,6 +9,7 @@ import from hierbandit.
 import math
 
 import numpy as np
+from scipy.special import betaln, expit
 
 
 def joint_posterior_oracle(mu_theta, sigma_theta, sigma_delta, sigma_noise,
@@ -221,3 +222,71 @@ def indicator_feature_oracle(x, arm, n_arms, dim):
     for j in range(block):
         out[n_arms + j] = float(x[arm * block + j])
     return np.array(out)
+
+
+def theta_mcmc_history_oracle(mu_theta, sigma_theta, psi, fm, records, rng,
+                              n_samples, burn_in, initial_step=0.25,
+                              mean_clip=1e-6, acceptance_target=0.3):
+    """Frozen copy of the History-based Metropolis-within-Gibbs loop.
+
+    Tasks are those carrying records, in sorted id order (all registered
+    tasks of fm when there are none); slot counts follow reward >= 0.5.
+    Every sweep recomputes the Beta shapes of both states and solves the
+    prior factor twice, exactly as the sampler did before it ran on counts.
+    Returns (samples, acceptance_rate, step_scale).
+    """
+    mu_theta = np.asarray(mu_theta, dtype=float)
+    records = list(records)
+    d = mu_theta.shape[0]
+    k = fm.n_arms
+    task_ids = sorted({rec.task_id for rec in records}) if records else []
+    if not task_ids:
+        task_ids = sorted(fm.known_tasks())
+    row_of = {tid: j for j, tid in enumerate(task_ids)}
+    phi_rows = np.zeros((len(task_ids) * k, d))
+    for tid, j in row_of.items():
+        phi_rows[j * k:(j + 1) * k] = fm.task_features(
+            np.asarray(fm.metadata_for(tid), dtype=float))
+    successes = np.zeros(len(task_ids) * k)
+    failures = np.zeros(len(task_ids) * k)
+    for rec in records:
+        slot = row_of[rec.task_id] * k + rec.action
+        if rec.reward >= 0.5:
+            successes[slot] += 1.0
+        else:
+            failures[slot] += 1.0
+
+    prior_lower = np.linalg.cholesky(np.asarray(sigma_theta, dtype=float))
+
+    def arm_shapes(t):
+        means = np.clip(expit(phi_rows @ t), mean_clip, 1.0 - mean_clip)
+        return means / psi, (1.0 - means) / psi
+
+    def log_target(t, latent):
+        white = np.linalg.solve(prior_lower, t - mu_theta)
+        a1, a2 = arm_shapes(t)
+        dens = (a1 - 1.0) * np.log(latent) + (a2 - 1.0) * np.log1p(-latent) \
+            - betaln(a1, a2)
+        return -0.5 * float(white @ white) + float(np.sum(dens))
+
+    theta = mu_theta.copy()
+    log_step = np.log(initial_step)
+    samples = np.zeros((n_samples, d))
+    accepted_post = 0
+    for sweep in range(burn_in + n_samples):
+        a1, a2 = arm_shapes(theta)
+        latent = rng.beta(a1 + successes, a2 + failures)
+        latent = np.clip(latent, mean_clip, 1.0 - mean_clip)
+        current = log_target(theta, latent)
+        proposal = theta + np.exp(log_step) * rng.standard_normal(d)
+        candidate = log_target(proposal, latent)
+        accept = np.log(rng.uniform()) < candidate - current
+        if accept:
+            theta = proposal
+        if sweep < burn_in:
+            gamma = (sweep + 1.0) ** -0.6
+            log_step += gamma * ((1.0 if accept else 0.0) - acceptance_target)
+        else:
+            accepted_post += int(accept)
+            samples[sweep - burn_in] = theta
+    return samples, accepted_post / float(n_samples), float(np.exp(log_step))

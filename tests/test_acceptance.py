@@ -3,9 +3,9 @@
 Every test prints a single ``[criterion NN] PASS/FAIL`` line with the
 measured quantities before asserting, so a verbose pytest run doubles as
 the acceptance report.  Runtime budgets are part of each check.  The
-regret-replication criteria (5 through 8) drive the seeded experiment
-pipeline, so their measured ratios are deterministic for the pinned
-configurations below.
+regret-replication criteria (5 through 8, and 11 for Bernoulli rewards)
+drive the seeded experiment pipeline, so their measured ratios are
+deterministic for the pinned configurations below.
 """
 
 import time
@@ -368,3 +368,26 @@ def test_criterion_10_manifest_determinism(tmp_path):
     ok = first_bytes == second_bytes and len(first_bytes) > 0
     _report(10, ok, "ledger rebuilt from manifest is byte-identical "
             "(%d bytes)" % len(first_bytes))
+
+
+@pytest.mark.slow
+def test_criterion_11_bernoulli_regret_ordering():
+    budget = 600.0
+    start = time.perf_counter()
+    names = ("oracle-ts", "hier-ts", "individual-ts", "pooled-ts", "meta-ts")
+    ledger = simulate_ledger(ExperimentConfig.from_dict({
+        "population": {"n_tasks": 40, "horizon": 30, "n_arms": 4, "dim": 6,
+                       "reward_kind": "bernoulli"},
+        "schedule": "sequential",
+        "algorithms": [{"name": name} for name in names],
+        "seeds": list(range(100, 120)),
+    }))
+    mean = {name: _total_regret(ledger, name).mean() for name in names}
+    elapsed = time.perf_counter() - start
+    ok = (mean["oracle-ts"] <= mean["hier-ts"] < mean["individual-ts"]
+          < mean["pooled-ts"] and elapsed <= budget)
+    _report(11, ok, "Bernoulli mean total regret over 20 seeds: oracle %.1f "
+            "<= hier %.1f < individual %.1f < pooled %.1f (meta %.1f), "
+            "%.0fs (budget %.0fs)"
+            % (mean["oracle-ts"], mean["hier-ts"], mean["individual-ts"],
+               mean["pooled-ts"], mean["meta-ts"], elapsed, budget))

@@ -8,9 +8,11 @@ import pytest
 
 from hierbandit.agents import (AgentContext, AlignedHierTS, HierTS,
                                HierTSBatched, IndividualTS, LinearTS, MetaTS,
-                               OracleTS, PooledTS, _pick, algorithm_names,
-                               make_policy)
-from hierbandit.core import FeatureMap, HierarchyConfig
+                               OracleTS, OracleTSBernoulli, PooledTS, _pick,
+                               algorithm_names, make_policy)
+from hierbandit.bernoulli import bblm_prior_for_task, sample_theta_counts
+from hierbandit.core import (FeatureMap, HierarchyConfig, History,
+                             InteractionRecord)
 from hierbandit.envs import PopulationSpec, generate_population
 from hierbandit._linalg import sample_mvn
 from hierbandit.errors import ConfigError, NumericalError, ScheduleError
@@ -18,7 +20,7 @@ from hierbandit.gaussian import (ThetaStatAccumulator,
                                  conditional_stats_update, posterior_r_naive)
 from hierbandit.priors import derive_baseline_priors
 
-from oracles import scalar_conjugate_oracle
+from oracles import scalar_conjugate_oracle, theta_mcmc_history_oracle
 
 
 def _ctx(spec, seed=0, schedule_kind="concurrent"):
@@ -165,6 +167,132 @@ def test_batched_bernoulli_beta_mechanism():
     want = _pick(probe.beta(agent.alpha1[0] + agent.wins[0],
                             agent.alpha2[0] + agent.losses[0]))
     assert agent.act(0) == want
+
+
+class _HistoryHierTSBernoulli:
+    """Bernoulli hier-ts as it ran on a History: the frozen History-based
+    sampler at every task end and Beta priors rebuilt arm by arm."""
+
+    def __init__(self, ctx, n_samples, burn_in):
+        self.cfg, self.fm, self.rng = ctx.cfg, ctx.fm, ctx.rng
+        self.psi = ctx.population.spec.psi
+        self.n_samples, self.burn_in = n_samples, burn_in
+        self.history = History()
+        self.wins = np.zeros((ctx.n_tasks, ctx.n_arms))
+        self.losses = np.zeros((ctx.n_tasks, ctx.n_arms))
+        self.alpha1 = np.zeros((ctx.n_tasks, ctx.n_arms))
+        self.alpha2 = np.zeros((ctx.n_tasks, ctx.n_arms))
+        self._set_theta(self.cfg.mu_theta
+                        + np.sqrt(np.diag(self.cfg.sigma_theta))
+                        * self.rng.standard_normal(self.cfg.dim))
+
+    def _set_theta(self, theta):
+        for i in range(self.wins.shape[0]):
+            for a, prior in enumerate(bblm_prior_for_task(
+                    theta, self.fm, self.fm.metadata_for(i), self.psi)):
+                self.alpha1[i, a] = prior.alpha1
+                self.alpha2[i, a] = prior.alpha2
+
+    def act(self, task_id):
+        return _pick(self.rng.beta(self.alpha1[task_id] + self.wins[task_id],
+                                   self.alpha2[task_id]
+                                   + self.losses[task_id]))
+
+    def update(self, task_id, arm, reward):
+        if reward >= 0.5:
+            self.wins[task_id, arm] += 1.0
+        else:
+            self.losses[task_id, arm] += 1.0
+        rnd = len(self.history.task_records(task_id)) + 1
+        self.history.append(InteractionRecord(task_id, arm, reward, rnd))
+
+    def end_of_task(self, task_id):
+        samples, _, _ = theta_mcmc_history_oracle(
+            self.cfg.mu_theta, self.cfg.sigma_theta, self.cfg.psi, self.fm,
+            self.history, self.rng, self.n_samples, self.burn_in)
+        self._set_theta(samples[int(self.rng.integers(samples.shape[0]))])
+
+
+def _play_sequential(agent, pop, horizon, seed):
+    """Arms chosen over a sequential schedule against a fixed reward table."""
+    u = np.random.default_rng(seed).random((len(pop.tasks), horizon))
+    arms = []
+    for task in pop.tasks:
+        for t in range(horizon):
+            arm = agent.act(task.task_id)
+            arms.append(arm)
+            agent.update(task.task_id, arm,
+                         float(u[task.task_id, t] < task.true_means[arm]))
+        agent.end_of_task(task.task_id)
+    return arms
+
+
+def test_bernoulli_hier_ts_matches_history_sampler_agent():
+    spec = PopulationSpec(n_tasks=6, horizon=8, n_arms=4, dim=6,
+                          reward_kind="bernoulli", psi=0.8, seed=61)
+    pop, ctx = _ctx(spec, seed=62, schedule_kind="sequential")
+    _, ref_ctx = _ctx(spec, seed=62, schedule_kind="sequential")
+    agent = make_policy("hier-ts", ctx, {"n_samples": 120, "burn_in": 60})
+    ref = _HistoryHierTSBernoulli(ref_ctx, n_samples=120, burn_in=60)
+    assert _play_sequential(agent, pop, 8, 63) \
+        == _play_sequential(ref, pop, 8, 63)
+    assert agent.rng.bit_generator.state == ref.rng.bit_generator.state
+    np.testing.assert_array_equal(agent.alpha1, ref.alpha1)
+    np.testing.assert_array_equal(agent.alpha2, ref.alpha2)
+
+
+def test_bernoulli_hier_ts_records_chain_diagnostics():
+    spec = PopulationSpec(n_tasks=4, horizon=5, n_arms=3, dim=4,
+                          reward_kind="bernoulli", seed=64)
+    pop, ctx = _ctx(spec, seed=65, schedule_kind="sequential")
+    agent = make_policy("hier-ts", ctx, {"n_samples": 6, "burn_in": 0})
+    fm = ctx.fm
+    rates, warnings = [], []
+    for task in pop.tasks:
+        for _ in range(spec.horizon):
+            arm = agent.act(task.task_id)
+            agent.update(task.task_id, arm, float(arm == 0))
+        pulled = range(task.task_id + 1)
+        probe = np.random.default_rng()
+        probe.bit_generator.state = agent.rng.bit_generator.state
+        chain = sample_theta_counts(
+            ctx.cfg,
+            np.concatenate([fm.task_features(fm.metadata_for(t))
+                            for t in pulled]),
+            agent.wins[:task.task_id + 1].ravel(),
+            agent.losses[:task.task_id + 1].ravel(), probe,
+            n_samples=6, burn_in=0)
+        rates.append(chain.acceptance_rate)
+        warnings.extend(chain.warnings)
+        agent.end_of_task(task.task_id)
+    assert agent.acceptance_rates == rates
+    assert agent.mcmc_warnings == warnings
+    assert warnings, "the short chains should trip the acceptance window"
+
+
+def test_bernoulli_beta_priors_match_per_arm_rebuild():
+    spec = PopulationSpec(n_tasks=7, horizon=3, n_arms=3, dim=5,
+                          reward_kind="bernoulli", psi=0.6, seed=66)
+    pop, ctx = _ctx(spec, seed=67)
+    hier = make_policy("hier-ts", ctx)
+    oracle = make_policy("oracle-ts", ctx)
+    fm = ctx.fm
+    rng = np.random.default_rng(68)
+    for theta, agent in ((pop.theta, oracle), (None, hier), (None, hier)):
+        if theta is None:
+            theta = 3.0 * rng.standard_normal(spec.dim)
+            agent._set_theta(theta)
+        for i in range(spec.n_tasks):
+            priors = bblm_prior_for_task(theta, fm, fm.metadata_for(i),
+                                         spec.psi)
+            np.testing.assert_array_equal(
+                agent.alpha1[i], [b.alpha1 for b in priors])
+            np.testing.assert_array_equal(
+                agent.alpha2[i], [b.alpha2 for b in priors])
+    with pytest.raises(ConfigError):
+        hier._set_theta(np.full(spec.dim, np.nan))
+    with pytest.raises(ConfigError):
+        OracleTSBernoulli(ctx, theta=np.full(spec.dim, np.nan))
 
 
 def test_aligned_forced_round_robin():

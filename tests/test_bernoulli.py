@@ -9,14 +9,15 @@ from hierbandit.bernoulli import (BetaParams, beta_from_mean_precision,
                                   beta_log_pdf, bblm_prior_for_task,
                                   clipped_logistic_means, conjugate_update,
                                   log_marginal_counts, log_posterior_theta,
-                                  precision_for_variance, sample_theta_mcmc)
+                                  precision_for_variance, sample_theta_counts,
+                                  sample_theta_mcmc)
 from hierbandit.core import (FeatureMap, HierarchyConfig, History,
                              InteractionRecord)
 from hierbandit.envs import PopulationSpec, generate_population, noise_rng
 from hierbandit.errors import ConfigError
 
 from oracles import (beta_log_pdf_oracle, bblm_counts_log_marginal_oracle,
-                     logistic)
+                     logistic, theta_mcmc_history_oracle)
 
 
 def test_mean_precision_round_trip():
@@ -233,3 +234,60 @@ def test_mcmc_needs_some_task():
     with pytest.raises(ConfigError):
         sample_theta_mcmc(cfg, fm, History(), np.random.default_rng(0),
                           n_samples=0)
+
+
+def _random_bblm_history(seed, n_tasks, k, d, pulled_tasks, rounds):
+    """Non-diagonal prior, indicator features and a history over the given
+    tasks only (the rest of the registry has no pulls)."""
+    rng = np.random.default_rng(seed)
+    metadata = {t: rng.standard_normal(k * (d - k)) for t in range(n_tasks)}
+    fm = FeatureMap.indicator_with_metadata(k, d, task_metadata=metadata)
+    a = rng.standard_normal((d, d))
+    cfg = HierarchyConfig(mu_theta=0.3 * rng.standard_normal(d),
+                          sigma_theta=a @ a.T / d + 0.5 * np.eye(d),
+                          psi=float(rng.uniform(0.2, 2.0)))
+    h = History()
+    for t in range(rounds):
+        for tid in pulled_tasks:
+            h.append(InteractionRecord(tid, int(rng.integers(k)),
+                                       float(rng.random() < 0.4), t + 1))
+    return cfg, fm, h
+
+
+@pytest.mark.parametrize("n_tasks, k, d, pulled, rounds, burn_in", [
+    (24, 4, 6, range(24), 20, 200),       # the bern-sequential shape
+    (5, 2, 3, [0, 2, 4], 7, 50),          # tasks 1 and 3 never pulled
+    (3, 1, 1, [1], 12, 0),                # burn_in = 0
+    (8, 3, 5, [7, 0, 3], 4, 30),          # unsorted first pulls
+    (4, 2, 4, [], 0, 40),                 # empty history: known_tasks route
+])
+def test_mcmc_counts_kernel_matches_history_reference(n_tasks, k, d, pulled,
+                                                      rounds, burn_in):
+    cfg, fm, h = _random_bblm_history(n_tasks + 10 * k + d, n_tasks, k, d,
+                                      list(pulled), rounds)
+    rng, ref_rng = np.random.default_rng(77), np.random.default_rng(77)
+    chain = sample_theta_mcmc(cfg, fm, h, rng, n_samples=150,
+                              burn_in=burn_in)
+    samples, rate, step = theta_mcmc_history_oracle(
+        cfg.mu_theta, cfg.sigma_theta, cfg.psi, fm, h, ref_rng,
+        n_samples=150, burn_in=burn_in)
+    np.testing.assert_array_equal(chain.samples, samples)
+    assert chain.acceptance_rate == rate
+    assert chain.step_scale == step
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_sample_theta_counts_rejects_bad_shapes():
+    cfg, fm, _ = _random_bblm_history(1, 2, 2, 3, [0], 3)
+    phi_rows = np.concatenate([fm.task_features(fm.metadata_for(t))
+                               for t in range(2)])
+    rng = np.random.default_rng(0)
+    for rows, s, f in ((phi_rows, np.zeros(3), np.zeros(4)),
+                       (phi_rows, np.zeros(4), np.zeros(3)),
+                       (phi_rows[:, :2], np.zeros(4), np.zeros(4)),
+                       (phi_rows[:0], np.zeros(0), np.zeros(0))):
+        with pytest.raises(ConfigError):
+            sample_theta_counts(cfg, rows, s, f, rng)
+    with pytest.raises(ConfigError):
+        sample_theta_counts(cfg, phi_rows, np.zeros(4), np.zeros(4), rng,
+                            n_samples=0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import hierbandit.gaussian as gaussian
-from hierbandit._linalg import sample_mvn_precision
+from hierbandit._linalg import sample_mvn, sample_mvn_precision
 from hierbandit.core import (FeatureMap, HierarchyConfig, History,
                              InteractionRecord)
 from hierbandit.envs import PopulationSpec, generate_population
@@ -463,6 +463,20 @@ def test_precision_sampler_rejects_non_pd():
         sample_mvn_precision(np.diag([1.0, -1.0]), np.zeros(2), rng)
     with pytest.raises(NumericalError):
         sample_mvn_precision(np.eye(2), np.array([np.nan, 0.0]), rng)
+
+
+def test_sample_mvn_singular_psd_is_exact_not_jittered():
+    rng = np.random.default_rng(90)
+    for mean, cov in ((np.array([0.3, -1.2]), np.diag([0.0, 1.0])),
+                      (np.array([0.3, -1.2, 0.7]),
+                       np.array([[2.0, 0.0, 0.5], [0.0, 0.0, 0.0],
+                                 [0.5, 0.0, 1.0]]))):
+        draws = np.stack([sample_mvn(mean, cov, rng) for _ in range(2000)])
+        zero = np.diag(cov) == 0.0
+        assert np.all(draws[:, zero] == mean[zero])
+        assert draws[:, ~zero].std(axis=0).min() > 0.5
+    with pytest.raises(NumericalError, match="not PSD"):
+        sample_mvn(np.zeros(2), np.diag([1.0, -1e-3]), rng)
 
 
 def test_theta_accumulator_order_invariant():
