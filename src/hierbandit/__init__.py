@@ -19,11 +19,11 @@ from .bernoulli import (BetaParams, ThetaChain, beta_from_mean_precision,
                         bblm_prior_for_task, conjugate_update,
                         precision_for_variance, sample_theta_mcmc)
 from .core import (FeatureMap, HierarchyConfig, History, InteractionRecord,
-                   TaskInstance, stack_history_features)
+                   TaskInstance)
 from .envs import (InteractionSchedule, Population, PopulationSpec,
-                   RewardTable, agent_rng, draw_reward,
-                   generate_misspecified, generate_population, make_schedule,
-                   noise_rng, population_to_csv)
+                   RewardTable, agent_rng, generate_misspecified,
+                   generate_population, make_schedule, noise_rng,
+                   population_to_csv)
 from .errors import ConfigError, NumericalError, ScheduleError
 from .gaussian import (GaussianBelief, GPConfig, ThetaPosterior,
                        conditional_r_given_theta, gaussian_obs_update,
@@ -45,9 +45,9 @@ __all__ = [
     "bblm_prior_for_task", "conjugate_update", "precision_for_variance",
     "sample_theta_mcmc",
     "FeatureMap", "HierarchyConfig", "History", "InteractionRecord",
-    "TaskInstance", "stack_history_features",
+    "TaskInstance",
     "InteractionSchedule", "Population", "PopulationSpec", "RewardTable",
-    "agent_rng", "draw_reward", "generate_misspecified",
+    "agent_rng", "generate_misspecified",
     "generate_population", "make_schedule", "noise_rng", "population_to_csv",
     "ConfigError", "NumericalError", "ScheduleError",
     "GaussianBelief", "GPConfig", "ThetaPosterior",

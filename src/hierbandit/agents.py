@@ -26,6 +26,13 @@ prior mean, then conjugate per-arm TS under sigma1^2 I (meta-ts: its
 two-level variance times I), drawn in closed form.
 
 Bernoulli mirrors: hier-ts, oracle-ts, individual-ts, pooled-ts, meta-ts.
+They share one core too: a per-task Beta prior, then conjugate Beta-
+Bernoulli TS on the task's success and failure counts.  Only the prior's
+source differs: the marginal Beta (individual-ts, and pooled-ts with one
+count slot for every task), Beta(mu/psi, (1-mu)/psi) with mu =
+logistic(phi^T theta) under the true theta (oracle-ts) or under an MCMC
+theta draw refreshed at schedule boundaries (hier-ts), or the candidate
+prior set meta-ts resamples at schedule boundaries.
 
 All agents draw randomness from the single generator handed to them and
 break score ties toward the lowest arm index.
@@ -39,9 +46,8 @@ from typing import Callable
 import numpy as np
 from scipy.special import betaln
 
-from . import bernoulli as bern
 from ._linalg import sample_mvn_precision
-from .bernoulli import BetaParams, sample_theta_counts
+from .bernoulli import logistic_beta_shapes, sample_theta_counts
 from .core import FeatureMap, HierarchyConfig
 from .envs import Population
 from .errors import ConfigError, NumericalError, ScheduleError
@@ -462,7 +468,7 @@ def _task_beta_priors(phi: np.ndarray, theta: np.ndarray,
     A shape that is not positive (a NaN mean from a NaN theta, or psi = inf)
     raises ConfigError, as BetaParams does arm by arm."""
     n, k, d = phi.shape
-    alpha1, alpha2 = bern.logistic_beta_shapes(phi.reshape(n * k, d), theta, psi)
+    alpha1, alpha2 = logistic_beta_shapes(phi.reshape(n * k, d), theta, psi)
     if not (np.all(alpha1 > 0.0) and np.all(alpha2 > 0.0)):
         raise ConfigError("Beta prior shapes must be positive; theta %s, psi %g"
                           % (np.array2string(np.asarray(theta)), psi))
@@ -470,22 +476,32 @@ def _task_beta_priors(phi: np.ndarray, theta: np.ndarray,
 
 
 class _BetaCountTS(Policy):
-    """Beta-Bernoulli TS over (successes, failures) slots."""
+    """Conjugate Beta-Bernoulli TS on per-slot success and failure counts.
 
-    def __init__(self, ctx: AgentContext, n_slots: int, prior: BetaParams):
+    Subclasses supply only _prior(task_id) -> (alpha1, alpha2), scalars or
+    K-vectors; arm a is drawn from Beta(alpha1_a + wins_a, alpha2_a +
+    losses_a) and a reward >= 0.5 counts as a success.  Every task has its
+    own slot unless n_slots and _slot say otherwise.
+    """
+
+    n_slots: int | None = None  # None: one slot per task
+
+    def __init__(self, ctx: AgentContext):
         self.rng = ctx.rng
-        self.prior = prior
+        n_slots = ctx.n_tasks if self.n_slots is None else self.n_slots
         self.wins = np.zeros((n_slots, ctx.n_arms))
         self.losses = np.zeros((n_slots, ctx.n_arms))
 
-    def _slot(self, task_id: int) -> int:
+    def _prior(self, task_id: int) -> tuple:
         raise NotImplementedError
+
+    def _slot(self, task_id: int) -> int:
+        return task_id
 
     def act(self, task_id: int) -> int:
         s = self._slot(task_id)
-        draw = self.rng.beta(self.prior.alpha1 + self.wins[s],
-                             self.prior.alpha2 + self.losses[s])
-        return _pick(draw)
+        alpha1, alpha2 = self._prior(task_id)
+        return _pick(self.rng.beta(alpha1 + self.wins[s], alpha2 + self.losses[s]))
 
     def update(self, task_id: int, arm: int, reward: float) -> None:
         s = self._slot(task_id)
@@ -496,68 +512,63 @@ class _BetaCountTS(Policy):
 
 
 class IndividualTSBernoulli(_BetaCountTS):
+    """Independent per-task TS from the marginal Beta prior."""
+
     name = "individual-ts"
 
     def __init__(self, ctx: AgentContext):
-        prior = ctx.priors.bernoulli_marginal
-        if prior is None:
-            raise ConfigError("individual-ts (bernoulli) needs the marginal Beta prior")
-        super().__init__(ctx, ctx.n_tasks, prior)
+        self.prior = ctx.priors.bernoulli_marginal
+        if self.prior is None:
+            raise ConfigError("%s (bernoulli) needs the marginal Beta prior"
+                              % self.name)
+        super().__init__(ctx)
 
-    def _slot(self, task_id: int) -> int:
-        return task_id
+    def _prior(self, task_id: int) -> tuple[float, float]:
+        return self.prior.alpha1, self.prior.alpha2
 
 
-class PooledTSBernoulli(_BetaCountTS):
+class PooledTSBernoulli(IndividualTSBernoulli):
+    """One Beta belief per arm shared by every task."""
+
     name = "pooled-ts"
-
-    def __init__(self, ctx: AgentContext):
-        prior = ctx.priors.bernoulli_marginal
-        if prior is None:
-            raise ConfigError("pooled-ts (bernoulli) needs the marginal Beta prior")
-        super().__init__(ctx, 1, prior)
+    n_slots = 1
 
     def _slot(self, task_id: int) -> int:
         return 0
 
 
-class OracleTSBernoulli(Policy):
-    """Per-task Beta-Bernoulli TS from the true-coefficient prior
+class OracleTSBernoulli(_BetaCountTS):
+    """Per-task TS from the true-coefficient prior
     Beta(mu_a/psi, (1-mu_a)/psi), mu_a = logistic(phi^T theta)."""
 
     name = "oracle-ts"
 
     def __init__(self, ctx: AgentContext, theta: np.ndarray | None = None):
-        self.rng = ctx.rng
-        theta = ctx.population.theta if theta is None else np.asarray(theta, float)
-        self.alpha1, self.alpha2 = _task_beta_priors(
-            ctx.stacked_features(), theta, ctx.population.spec.psi)
-        self.wins = np.zeros((ctx.n_tasks, ctx.n_arms))
-        self.losses = np.zeros((ctx.n_tasks, ctx.n_arms))
+        super().__init__(ctx)
+        self._phi = ctx.stacked_features()
+        self.psi = ctx.population.spec.psi
+        self._set_theta(ctx.population.theta if theta is None
+                        else np.asarray(theta, float))
 
-    def act(self, task_id: int) -> int:
-        draw = self.rng.beta(self.alpha1[task_id] + self.wins[task_id],
-                             self.alpha2[task_id] + self.losses[task_id])
-        return _pick(draw)
+    def _set_theta(self, theta: np.ndarray) -> None:
+        self.alpha1, self.alpha2 = _task_beta_priors(self._phi, theta, self.psi)
 
-    def update(self, task_id: int, arm: int, reward: float) -> None:
-        if reward >= 0.5:
-            self.wins[task_id, arm] += 1.0
-        else:
-            self.losses[task_id, arm] += 1.0
+    def _prior(self, task_id: int) -> tuple[np.ndarray, np.ndarray]:
+        return self.alpha1[task_id], self.alpha2[task_id]
 
 
-class HierTSBernoulli(Policy):
-    """Hierarchical TS for Bernoulli rewards via MCMC coefficient draws.
+class HierTSBernoulli(OracleTSBernoulli):
+    """Hierarchical TS for Bernoulli rewards: oracle-ts under an MCMC draw
+    of theta in place of the true one.
 
-    At every schedule boundary (and after `refresh_every` interactions, if
-    set) the agent reruns the Metropolis-within-Gibbs sampler on the
-    per-slot counts of every task pulled so far, keeps one random
-    post-burn-in draw of theta, and rebuilds each task's Beta prior from it;
-    decisions are conjugate Beta-Bernoulli TS under the current draw.  MCMC
-    length is configurable to trade accuracy for time.  Each refresh's
-    post-burn-in acceptance rate is appended to `acceptance_rates` and its
-    sampler warnings to `mcmc_warnings`.
+    The first theta is a draw from its prior.  At every schedule boundary
+    (and after `refresh_every` interactions, if set) the agent reruns the
+    Metropolis-within-Gibbs sampler on the per-slot counts of every task
+    pulled so far, keeps one random post-burn-in draw of theta, and rebuilds
+    each task's Beta prior from it.  MCMC length is configurable to trade
+    accuracy for time.  Each refresh's post-burn-in acceptance rate is
+    appended to `acceptance_rates` and its sampler warnings to
+    `mcmc_warnings`.
     """
 
     name = "hier-ts"
@@ -567,23 +578,15 @@ class HierTSBernoulli(Policy):
         cfg = ctx.cfg
         cfg.require_bernoulli()
         self.cfg = cfg
-        self.rng = ctx.rng
-        self.psi = ctx.population.spec.psi
         self.n_samples = n_samples
         self.burn_in = burn_in
         self.refresh_every = refresh_every
         self._since_refresh = 0
-        self._phi = ctx.stacked_features()
-        self.wins = np.zeros((ctx.n_tasks, ctx.n_arms))
-        self.losses = np.zeros((ctx.n_tasks, ctx.n_arms))
         self.acceptance_rates: list[float] = []
         self.mcmc_warnings: list[str] = []
-        self._set_theta(ctx.cfg.mu_theta
-                        + np.sqrt(np.diag(ctx.cfg.sigma_theta))
-                        * self.rng.standard_normal(ctx.cfg.dim))
-
-    def _set_theta(self, theta: np.ndarray) -> None:
-        self.alpha1, self.alpha2 = _task_beta_priors(self._phi, theta, self.psi)
+        super().__init__(ctx, theta=cfg.mu_theta
+                         + np.sqrt(np.diag(cfg.sigma_theta))
+                         * ctx.rng.standard_normal(cfg.dim))
 
     def _refresh(self) -> None:
         # the tasks pulled so far, in id order; with none, every task
@@ -600,16 +603,8 @@ class HierTSBernoulli(Policy):
         self._set_theta(chain.samples[pick])
         self._since_refresh = 0
 
-    def act(self, task_id: int) -> int:
-        draw = self.rng.beta(self.alpha1[task_id] + self.wins[task_id],
-                             self.alpha2[task_id] + self.losses[task_id])
-        return _pick(draw)
-
     def update(self, task_id: int, arm: int, reward: float) -> None:
-        if reward >= 0.5:
-            self.wins[task_id, arm] += 1.0
-        else:
-            self.losses[task_id, arm] += 1.0
+        super().update(task_id, arm, reward)
         self._since_refresh += 1
         if self.refresh_every is not None \
                 and self._since_refresh >= self.refresh_every:
@@ -622,7 +617,7 @@ class HierTSBernoulli(Policy):
         self._refresh()
 
 
-class MetaTSBernoulli(Policy):
+class MetaTSBernoulli(_BetaCountTS):
     """Two-level Bernoulli TS over a finite set of per-arm Beta priors.
 
     The hyper-posterior is categorical over the candidate prior sets.  Each
@@ -636,14 +631,11 @@ class MetaTSBernoulli(Policy):
     def __init__(self, ctx: AgentContext):
         if not ctx.priors.bernoulli_candidates:
             raise ConfigError("meta-ts (bernoulli) needs candidate priors")
-        self.rng = ctx.rng
+        super().__init__(ctx)
         self.candidates = ctx.priors.bernoulli_candidates
         self.n_candidates = len(self.candidates)
-        k = ctx.n_arms
         self.cand_a1 = np.stack([[b.alpha1 for b in cand] for cand in self.candidates])
         self.cand_a2 = np.stack([[b.alpha2 for b in cand] for cand in self.candidates])
-        self.wins = np.zeros((ctx.n_tasks, k))
-        self.losses = np.zeros((ctx.n_tasks, k))
         self._current = int(self.rng.integers(self.n_candidates))
 
     def _log_weights(self) -> np.ndarray:
@@ -661,17 +653,8 @@ class MetaTSBernoulli(Policy):
         probs /= probs.sum()
         self._current = int(self.rng.choice(self.n_candidates, p=probs))
 
-    def act(self, task_id: int) -> int:
-        c = self._current
-        draw = self.rng.beta(self.cand_a1[c] + self.wins[task_id],
-                             self.cand_a2[c] + self.losses[task_id])
-        return _pick(draw)
-
-    def update(self, task_id: int, arm: int, reward: float) -> None:
-        if reward >= 0.5:
-            self.wins[task_id, arm] += 1.0
-        else:
-            self.losses[task_id, arm] += 1.0
+    def _prior(self, task_id: int) -> tuple[np.ndarray, np.ndarray]:
+        return self.cand_a1[self._current], self.cand_a2[self._current]
 
     def end_of_round(self) -> None:
         self._resample()

@@ -33,7 +33,7 @@ from .envs import (InteractionSchedule, Population, PopulationSpec,
                    RewardTable, agent_rng, atomic_write_text,
                    generate_misspecified, generate_population, make_schedule)
 from .errors import ConfigError
-from .metrics import (Curve, RegretLedger, bayes_regret_curve,
+from .metrics import (ORACLE_NAME, Curve, RegretLedger, bayes_regret_curve,
                       cumulative_regret_by_seed, multi_task_regret_curve)
 from .priors import derive_baseline_priors
 from .svgplot import Series, write_line_plot
@@ -41,7 +41,6 @@ from .svgplot import Series, write_line_plot
 SCHEMA_VERSION = 1
 OUTPUT_ENV_VAR = "HIERBANDIT_OUT"
 DEFAULT_OUTPUT_DIR = "out"
-ORACLE_NAME = "oracle-ts"
 
 _POPULATION_KEYS = frozenset({
     "n_tasks", "horizon", "n_arms", "dim", "reward_kind", "sigma_noise",
@@ -243,17 +242,21 @@ def simulate_run(population: Population, table: RewardTable, policy: Policy,
                  schedule: InteractionSchedule
                  ) -> tuple[list, list, list, list, list]:
     """Drive one policy through one schedule; returns the ledger columns
-    (task_ids, rounds, arms, rewards, inst_regrets) in interaction order."""
-    spec = population.spec
+    (task_ids, rounds, arms, rewards, inst_regrets) in interaction order.
+    A concurrent schedule fires end_of_round after the last task of each
+    round, a sequential one end_of_task after each task's last round; a
+    custom schedule fires neither."""
     best = population.best_means
     means = np.stack([t.true_means for t in population.tasks])
+    round_hook = schedule.kind == "concurrent"
+    task_hook = schedule.kind == "sequential"
+    last_task, horizon = schedule.n_tasks - 1, schedule.horizon
     task_ids: list[int] = []
     rounds: list[int] = []
     arms: list[int] = []
     rewards: list[float] = []
     gaps: list[float] = []
-
-    def play(tid: int, rnd: int) -> None:
+    for tid, rnd in schedule.iter_with_rounds():
         arm = policy.act(tid)
         reward = table.reward(tid, rnd, arm)
         policy.update(tid, arm, reward)
@@ -262,20 +265,10 @@ def simulate_run(population: Population, table: RewardTable, policy: Policy,
         arms.append(arm)
         rewards.append(reward)
         gaps.append(float(best[tid] - means[tid, arm]))
-
-    if schedule.kind == "concurrent":
-        for rnd in range(1, spec.horizon + 1):
-            for tid in range(spec.n_tasks):
-                play(tid, rnd)
+        if round_hook and tid == last_task:
             policy.end_of_round()
-    elif schedule.kind == "sequential":
-        for tid in range(spec.n_tasks):
-            for rnd in range(1, spec.horizon + 1):
-                play(tid, rnd)
+        elif task_hook and rnd == horizon:
             policy.end_of_task(tid)
-    else:
-        for tid, rnd in schedule.iter_with_rounds():
-            play(tid, rnd)
     return task_ids, rounds, arms, rewards, gaps
 
 

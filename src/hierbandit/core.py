@@ -13,7 +13,7 @@ append-only (single writer).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -252,11 +252,6 @@ class HierarchyConfig:
             raise ConfigError("Bernoulli model needs psi")
 
 
-def build_task_feature_matrix(fm: FeatureMap, x: np.ndarray) -> np.ndarray:
-    """K x d matrix whose row a is phi(x, a)."""
-    return fm.task_features(x)
-
-
 def resolve_metadata(fm: FeatureMap, metadata_lookup=None) -> Callable[[int], np.ndarray]:
     """Normalize a metadata lookup: mapping, callable, or the map's registry."""
     if metadata_lookup is None:
@@ -264,20 +259,3 @@ def resolve_metadata(fm: FeatureMap, metadata_lookup=None) -> Callable[[int], np
     if callable(metadata_lookup):
         return metadata_lookup
     return lambda tid: metadata_lookup[tid]
-
-
-def stack_history_features(fm: FeatureMap, h: History | Sequence[InteractionRecord],
-                           metadata_lookup=None) -> tuple[np.ndarray, np.ndarray]:
-    """Stack (Phi, R): row j = phi(x_{task(j)}, action_j), entry j = reward_j.
-
-    Rows follow record order.  metadata_lookup may be a mapping or callable
-    task_id -> x; by default the feature map's task registry is used.
-    """
-    lookup = resolve_metadata(fm, metadata_lookup)
-    records = list(h)
-    phi = np.zeros((len(records), fm.dim))
-    rewards = np.zeros(len(records))
-    for j, rec in enumerate(records):
-        phi[j] = fm.feature(lookup(rec.task_id), rec.action)
-        rewards[j] = rec.reward
-    return phi, rewards

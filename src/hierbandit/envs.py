@@ -17,7 +17,7 @@ from __future__ import annotations
 import os
 import zlib
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 from scipy.special import expit
@@ -197,15 +197,6 @@ def generate_misspecified(spec: PopulationSpec) -> Population:
     if spec.reward_kind != "gaussian":
         raise ConfigError("misspecified populations support gaussian rewards only")
     return _generate(spec, spec.misspec_lambda)
-
-
-def draw_reward(task: TaskInstance, arm: int, rng: np.random.Generator, *,
-                sigma_noise: float, reward_kind: str) -> float:
-    """One reward draw for (task, arm) under the population's noise model."""
-    mean = float(task.true_means[arm])
-    if reward_kind == "gaussian":
-        return mean + sigma_noise * float(rng.standard_normal())
-    return float(rng.uniform() < mean)
 
 
 class RewardTable:

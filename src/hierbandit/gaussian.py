@@ -34,7 +34,7 @@ from scipy import linalg as sla
 from . import _linalg
 from ._linalg import chol_factor, chol_solve, inv_psd, sample_mvn, symmetrize
 from .core import (FeatureMap, HierarchyConfig, History, InteractionRecord,
-                   build_task_feature_matrix, resolve_metadata)
+                   resolve_metadata)
 from .errors import ConfigError, NumericalError
 
 # Fault-injection hook for the validate suite: multiplies the Woodbury
@@ -166,7 +166,7 @@ def posterior_r_naive(cfg: HierarchyConfig, fm: FeatureMap, h: History,
     N(Phi_i mu_theta, Phi_i Sigma_theta Phi_i^T + Sigma_delta).
     """
     cfg.require_gaussian()
-    phi_t = build_task_feature_matrix(fm, target_x)
+    phi_t = fm.task_features(target_x)
     if len(h) == 0:
         return _prior_predictive(cfg, phi_t)
     st = _Stacked(fm, h, metadata_lookup)
@@ -340,7 +340,7 @@ def posterior_r_woodbury(cfg: HierarchyConfig, fm: FeatureMap, h: History,
     rank-one diagonal shortcut applies (numerical cross-check lever).
     """
     cfg.require_gaussian()
-    phi_t = build_task_feature_matrix(fm, target_x)
+    phi_t = fm.task_features(target_x)
     if len(h) == 0:
         return _prior_predictive(cfg, phi_t)
     ws = KernelWorkspace(cfg, fm, h, metadata_lookup, block_strategy=block_strategy)
@@ -428,7 +428,7 @@ def conditional_r_given_theta(cfg: HierarchyConfig, fm: FeatureMap,
     theta_sample = np.asarray(theta_sample, dtype=float)
     if theta_sample.shape != (cfg.dim,):
         raise ConfigError("theta_sample must have length d=%d" % cfg.dim)
-    phi_t = build_task_feature_matrix(fm, target_x)
+    phi_t = fm.task_features(target_x)
     counts, sums = _arm_stats(list(h_i), fm.n_arms)
     mean, cov = conditional_stats_update(phi_t @ theta_sample, cfg.sigma_delta,
                                          cfg.sigma_noise, counts, sums)
@@ -458,7 +458,7 @@ def marginal_task_belief(cfg: HierarchyConfig, fm: FeatureMap,
     exactly.  This is what the vanilla hierarchical-TS agent samples from;
     it equals the kernel routes to numerical precision.
     """
-    phi_t = build_task_feature_matrix(fm, target_x)
+    phi_t = fm.task_features(target_x)
     pulled = np.nonzero(counts > 0)[0]
     if pulled.size == 0:
         mean = phi_t @ theta_post.mean

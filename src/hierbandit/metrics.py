@@ -85,15 +85,6 @@ class RegretLedger:
                 seen.append(a)
         return tuple(seen)
 
-    def seeds(self, algorithm: str | None = None) -> tuple[int, ...]:
-        seen: list[int] = []
-        for a, s in zip(self._algorithm, self._seed):
-            if algorithm is not None and a != algorithm:
-                continue
-            if s not in seen:
-                seen.append(s)
-        return tuple(seen)
-
     def columns(self) -> dict[str, np.ndarray]:
         return {
             "algorithm": np.array(self._algorithm, dtype=object),
@@ -125,15 +116,16 @@ class Curve:
 
 
 def _per_seed_series(ledger: RegretLedger, algorithm: str, view: str
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """(index, matrix) with one row per seed, one column per index point."""
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(seeds, index, matrix): one matrix row per seed, in ascending seed
+    order, and one column per index point."""
     if view not in VIEWS:
         raise ConfigError("view must be one of %s" % (VIEWS,))
     cols = ledger.columns()
     mask = cols["algorithm"] == algorithm
     if not mask.any():
         raise ConfigError("no ledger rows for algorithm %r" % algorithm)
-    seeds = np.array(sorted(set(cols["seed"][mask].tolist())))
+    seeds, rows = np.unique(cols["seed"][mask], return_inverse=True)
     if seeds.shape[0] < 2:
         raise ConfigError(
             "curves need at least 2 seeds, got %d for %r"
@@ -142,24 +134,16 @@ def _per_seed_series(ledger: RegretLedger, algorithm: str, view: str
         key = cols["round"][mask]
     else:
         key = cols["task_id"][mask] + 1  # 1-based task position
-    value = cols["inst_regret"][mask]
-    seed_col = cols["seed"][mask]
-    index = np.array(sorted(set(key.tolist())))
-    pos = {k: j for j, k in enumerate(index.tolist())}
+    index, cols_ix = np.unique(key, return_inverse=True)
     matrix = np.zeros((seeds.shape[0], index.shape[0]))
     counts = np.zeros_like(matrix)
-    srow = {s: j for j, s in enumerate(seeds.tolist())}
-    rows = np.fromiter((srow[s] for s in seed_col.tolist()), dtype=np.int64,
-                       count=seed_col.shape[0])
-    cols_ix = np.fromiter((pos[k] for k in key.tolist()), dtype=np.int64,
-                          count=key.shape[0])
-    np.add.at(matrix, (rows, cols_ix), value)
+    np.add.at(matrix, (rows, cols_ix), cols["inst_regret"][mask])
     np.add.at(counts, (rows, cols_ix), 1.0)
     if view == "per_round_concurrent":
         if np.any(counts == 0):
             raise ConfigError("missing (seed, round) cells for %r" % algorithm)
         matrix = matrix / counts
-    return index, matrix
+    return seeds, index, matrix
 
 
 def _summarize(index: np.ndarray, matrix: np.ndarray) -> Curve:
@@ -171,7 +155,7 @@ def _summarize(index: np.ndarray, matrix: np.ndarray) -> Curve:
 
 def bayes_regret_curve(ledger: RegretLedger, algorithm: str, view: str) -> Curve:
     """Across-seed regret curve for one algorithm under the given view."""
-    index, matrix = _per_seed_series(ledger, algorithm, view)
+    _, index, matrix = _per_seed_series(ledger, algorithm, view)
     return _summarize(index, matrix)
 
 
@@ -181,19 +165,15 @@ def multi_task_regret_curve(ledger: RegretLedger, algorithm: str,
     """Oracle-adjusted regret: the per-seed difference between the
     algorithm's series and the oracle reference's, summarized across the
     seeds the two have in common (paired; shared noise cancels)."""
-    idx_a, mat_a = _per_seed_series(ledger, algorithm, view)
-    idx_o, mat_o = _per_seed_series(ledger, oracle_name, view)
+    seeds_a, idx_a, mat_a = _per_seed_series(ledger, algorithm, view)
+    seeds_o, idx_o, mat_o = _per_seed_series(ledger, oracle_name, view)
     if idx_a.shape != idx_o.shape or np.any(idx_a != idx_o):
         raise ConfigError("algorithm and oracle cover different index sets")
-    seeds_a = ledger.seeds(algorithm)
-    seeds_o = ledger.seeds(oracle_name)
-    common = sorted(set(seeds_a) & set(seeds_o))
-    if len(common) < 2:
+    common, rows_a, rows_o = np.intersect1d(seeds_a, seeds_o,
+                                            return_indices=True)
+    if common.shape[0] < 2:
         raise ConfigError("paired curves need >= 2 common seeds")
-    ra = {s: j for j, s in enumerate(sorted(set(seeds_a)))}
-    ro = {s: j for j, s in enumerate(sorted(set(seeds_o)))}
-    diff = np.stack([mat_a[ra[s]] - mat_o[ro[s]] for s in common])
-    return _summarize(idx_a, diff)
+    return _summarize(idx_a, mat_a[rows_a] - mat_o[rows_o])
 
 
 def cumulative_regret_by_seed(ledger: RegretLedger, algorithm: str) -> dict[int, float]:

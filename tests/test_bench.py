@@ -1,14 +1,18 @@
 """Experiment config validation, artifact writing, and reproducibility."""
 
+import hashlib
 import os
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 
+from hierbandit.agents import Policy
 from hierbandit.bench import (ExperimentConfig, resolve_output_dir,
-                              run_experiment, simulate_ledger,
+                              run_experiment, simulate_ledger, simulate_run,
                               write_ledger_csv)
+from hierbandit.envs import (PopulationSpec, RewardTable, generate_population,
+                             make_schedule)
 from hierbandit.errors import ConfigError
 from hierbandit.metrics import RegretLedger
 
@@ -186,3 +190,81 @@ def test_ledger_csv_float_format(tmp_path):
     write_ledger_csv(ledger, str(path))
     line = path.read_text().splitlines()[1]
     assert line == "alg,0,1,2,0,0.10000000000000001,0.33333333333333331"
+
+
+# ledger.csv sha256 of the five Bernoulli policies on tiny configs, one per
+# schedule; a refactor of the Bernoulli agents or of simulate_run must keep
+# these bytes.  refresh_every is below the task length and the number of
+# tasks, so hier-ts also refreshes mid-task and mid-round.
+_BERNOULLI_LEDGER_SHA256 = {
+    "sequential":
+        "7f31388dd9e11e892a367b36c0fd5624d3873100f3ffacdc11e4b60707c949d6",
+    "concurrent":
+        "05a9cfd2459213adf433c489cb07b852592dfaad79da2ab6dd0977eadb844cf2",
+}
+
+
+@pytest.mark.parametrize("schedule", sorted(_BERNOULLI_LEDGER_SHA256))
+def test_bernoulli_policies_ledger_bytes_pinned(tmp_path, schedule):
+    hier = {"name": "hier-ts",
+            "options": {"n_samples": 40, "burn_in": 20, "refresh_every": 4}}
+    config = ExperimentConfig.from_dict({
+        "population": {"n_tasks": 5, "horizon": 6, "n_arms": 3, "dim": 4,
+                       "reward_kind": "bernoulli"},
+        "schedule": schedule,
+        "algorithms": [hier, "oracle-ts", "individual-ts", "pooled-ts",
+                       "meta-ts"],
+        "seeds": [3, 4],
+    })
+    paths = run_experiment(config, str(tmp_path))
+    digest = hashlib.sha256(Path(paths["ledger"]).read_bytes()).hexdigest()
+    assert digest == _BERNOULLI_LEDGER_SHA256[schedule]
+
+
+class _RecordingPolicy(Policy):
+    """Plays arm 0 and records every call the simulation loop makes."""
+
+    def __init__(self):
+        self.events = []
+
+    def act(self, task_id):
+        self.events.append(("act", task_id))
+        return 0
+
+    def update(self, task_id, arm, reward):
+        self.events.append(("update", task_id))
+
+    def end_of_round(self):
+        self.events.append(("end_of_round",))
+
+    def end_of_task(self, task_id):
+        self.events.append(("end_of_task", task_id))
+
+
+def _play(task_id):
+    return [("act", task_id), ("update", task_id)]
+
+
+@pytest.mark.parametrize("kind, stream, expected", [
+    ("concurrent", None,
+     _play(0) + _play(1) + _play(2) + [("end_of_round",)]
+     + _play(0) + _play(1) + _play(2) + [("end_of_round",)]),
+    ("sequential", None,
+     _play(0) + _play(0) + [("end_of_task", 0)]
+     + _play(1) + _play(1) + [("end_of_task", 1)]
+     + _play(2) + _play(2) + [("end_of_task", 2)]),
+    ("custom", [2, 0, 0, 1, 2, 1],
+     _play(2) + _play(0) + _play(0) + _play(1) + _play(2) + _play(1)),
+    ("custom", [0, 1, 2, 0, 1, 2],
+     _play(0) + _play(1) + _play(2) + _play(0) + _play(1) + _play(2)),
+])
+def test_simulate_run_hook_order(kind, stream, expected):
+    spec = PopulationSpec(n_tasks=3, horizon=2, n_arms=2, dim=3, seed=5)
+    population = generate_population(spec)
+    schedule = make_schedule(kind, spec.n_tasks, spec.horizon, stream)
+    policy = _RecordingPolicy()
+    task_ids, rounds, arms, _, _ = simulate_run(
+        population, RewardTable(population), policy, schedule)
+    assert policy.events == expected
+    assert list(zip(task_ids, rounds)) == list(schedule.iter_with_rounds())
+    assert arms == [0] * len(schedule)

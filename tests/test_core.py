@@ -1,12 +1,15 @@
 """Data-model tests: feature maps, histories, hierarchy config."""
 
+import inspect
+
 import numpy as np
 import pytest
 
+import hierbandit
 from hierbandit.core import (FeatureMap, HierarchyConfig, History,
-                             InteractionRecord, TaskInstance,
-                             build_task_feature_matrix, stack_history_features)
+                             InteractionRecord, TaskInstance)
 from hierbandit.errors import ConfigError
+from hierbandit.gaussian import _Stacked
 
 from oracles import indicator_feature_oracle
 
@@ -14,13 +17,13 @@ from oracles import indicator_feature_oracle
 def test_indicator_only_map_is_identity():
     fm = FeatureMap.indicator_with_metadata(n_arms=2, dim=2)
     x = np.zeros(0)
-    np.testing.assert_array_equal(build_task_feature_matrix(fm, x), np.eye(2))
+    np.testing.assert_array_equal(fm.task_features(x), np.eye(2))
 
 
 def test_custom_scalar_map():
     fm = FeatureMap.custom(n_arms=1, dim=1, p=1,
                            fn=lambda x, a: np.array([x[0]]))
-    np.testing.assert_array_equal(build_task_feature_matrix(fm, np.array([3.0])),
+    np.testing.assert_array_equal(fm.task_features(np.array([3.0])),
                                   np.array([[3.0]]))
 
 
@@ -29,7 +32,7 @@ def test_indicator_map_one_hot_block():
     rng = np.random.default_rng(0)
     x = rng.standard_normal(k * (d - k))
     fm = FeatureMap.indicator_with_metadata(n_arms=k, dim=d)
-    mat = build_task_feature_matrix(fm, x)
+    mat = fm.task_features(x)
     np.testing.assert_array_equal(mat[:, :k], np.eye(k))
     for a in range(k):
         np.testing.assert_array_equal(
@@ -86,7 +89,8 @@ def test_task_registry():
 
 def test_stack_empty_history():
     fm = FeatureMap.indicator_with_metadata(n_arms=2, dim=3)
-    phi, rewards = stack_history_features(fm, History(), metadata_lookup={})
+    stacked = _Stacked(fm, History(), metadata_lookup={})
+    phi, rewards = stacked.phi, stacked.rewards
     assert phi.shape == (0, 3)
     assert rewards.shape == (0,)
 
@@ -95,8 +99,8 @@ def test_stack_single_record():
     fm = FeatureMap.indicator_with_metadata(n_arms=2, dim=2)
     h = History([InteractionRecord(task_id=0, action=1, reward=0.5,
                                    round_within_task=1)])
-    phi, rewards = stack_history_features(fm, h,
-                                          metadata_lookup={0: np.zeros(0)})
+    stacked = _Stacked(fm, h, metadata_lookup={0: np.zeros(0)})
+    phi, rewards = stacked.phi, stacked.rewards
     np.testing.assert_array_equal(phi, [[0.0, 1.0]])
     np.testing.assert_array_equal(rewards, [0.5])
 
@@ -110,7 +114,8 @@ def test_stack_preserves_record_order():
                                             task_metadata=metadata)
     recs = [InteractionRecord(0, 1, 0.3, 1), InteractionRecord(1, 0, -0.2, 1),
             InteractionRecord(0, 0, 1.1, 2)]
-    phi, rewards = stack_history_features(fm, History(recs))
+    stacked = _Stacked(fm, History(recs))
+    phi, rewards = stacked.phi, stacked.rewards
     for j, rec in enumerate(recs):
         np.testing.assert_array_equal(
             phi[j], indicator_feature_oracle(metadata[rec.task_id],
@@ -122,7 +127,7 @@ def test_stack_accepts_callable_lookup():
     fm = FeatureMap.indicator_with_metadata(n_arms=2, dim=3)
     h = History([InteractionRecord(5, 0, 1.0, 1)])
     x = np.array([0.7, -0.4])
-    phi, _ = stack_history_features(fm, h, metadata_lookup=lambda tid: x)
+    phi = _Stacked(fm, h, metadata_lookup=lambda tid: x).phi
     np.testing.assert_array_equal(phi, [[1.0, 0.0, 0.7]])
 
 
@@ -185,3 +190,18 @@ def test_singular_sigma_delta_allowed():
     cfg = HierarchyConfig(mu_theta=np.zeros(2), sigma_theta=np.eye(2),
                           sigma_delta=np.zeros((2, 2)), sigma_noise=1.0)
     cfg.require_gaussian()
+
+
+def test_package_exports_resolve():
+    for name in hierbandit.__all__:
+        assert hasattr(hierbandit, name), name
+    for gone in ("draw_reward", "stack_history_features",
+                 "build_task_feature_matrix"):
+        assert gone not in hierbandit.__all__
+        assert not hasattr(hierbandit, gone)
+    assert not hasattr(hierbandit.core, "stack_history_features")
+    assert not hasattr(hierbandit.core, "build_task_feature_matrix")
+    assert not hasattr(hierbandit.envs, "draw_reward")
+    # one ORACLE_NAME, defined in metrics; bench imports it
+    assert "ORACLE_NAME =" not in inspect.getsource(hierbandit.bench)
+    assert hierbandit.bench.ORACLE_NAME == hierbandit.metrics.ORACLE_NAME

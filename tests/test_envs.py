@@ -6,12 +6,11 @@ import os
 import numpy as np
 import pytest
 
-from hierbandit.core import TaskInstance
 from hierbandit.envs import (InteractionSchedule, Population, PopulationSpec,
                              RewardTable, agent_rng, atomic_write_text,
-                             draw_reward, generate_misspecified,
-                             generate_population, make_schedule, noise_rng,
-                             population_rng, population_to_csv)
+                             generate_misspecified, generate_population,
+                             make_schedule, noise_rng, population_rng,
+                             population_to_csv)
 from hierbandit.errors import ConfigError, ScheduleError
 
 
@@ -111,30 +110,6 @@ def test_misspec_rejects_bernoulli():
     with pytest.raises(ConfigError):
         generate_misspecified(_spec(reward_kind="bernoulli",
                                     misspec_lambda=0.5))
-
-
-def test_draw_reward_zero_noise():
-    task = TaskInstance(0, np.zeros(2), np.array([0.4, -0.1]))
-    rng = np.random.default_rng(0)
-    got = draw_reward(task, 1, rng, sigma_noise=0.0, reward_kind="gaussian")
-    assert got == -0.1
-
-
-def test_draw_reward_lln():
-    task = TaskInstance(0, np.zeros(2), np.array([0.7, 0.0]))
-    rng = np.random.default_rng(5)
-    draws = [draw_reward(task, 0, rng, sigma_noise=1.0,
-                         reward_kind="gaussian") for _ in range(100_000)]
-    se = np.std(draws) / np.sqrt(len(draws))
-    assert abs(np.mean(draws) - 0.7) <= 4.0 * se
-
-
-def test_draw_reward_bernoulli_support():
-    task = TaskInstance(0, np.zeros(2), np.array([0.35]))
-    rng = np.random.default_rng(6)
-    draws = {draw_reward(task, 0, rng, sigma_noise=0.0,
-                         reward_kind="bernoulli") for _ in range(200)}
-    assert draws <= {0.0, 1.0}
 
 
 def test_schedule_sequential():
