@@ -18,7 +18,6 @@ All files are written atomically and contain nothing time- or host-dependent.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -178,13 +177,12 @@ class ExperimentConfig:
             raw = yaml.safe_load(fh)
         raw = _require_mapping(raw, "config file %s" % path)
         if "config" in raw and "schema_version" in raw:
-            # A manifest written by a previous run.
+            # A manifest written by a previous run; its seeds are a list.
             _check_keys(raw, _MANIFEST_KEYS, "manifest")
-            cfg = cls.from_dict(_require_mapping(raw["config"], "manifest config"))
-            seeds = tuple(int(s) for s in raw["seeds"])
-            if seeds != cfg.seeds:
-                cfg = dataclasses.replace(cfg, seeds=seeds)
-            return cfg
+            config = _require_mapping(raw["config"], "manifest config")
+            if not isinstance(raw.get("seeds"), list):
+                raise ConfigError("manifest seeds must be a list of ints")
+            return cls.from_dict({**config, "seeds": raw["seeds"]})
         return cls.from_dict(raw)
 
     def population_dict(self) -> dict:
@@ -240,36 +238,35 @@ def resolve_output_dir(explicit: str | None, config: ExperimentConfig) -> str:
 
 def simulate_run(population: Population, table: RewardTable, policy: Policy,
                  schedule: InteractionSchedule
-                 ) -> tuple[list, list, list, list, list]:
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
+                            np.ndarray]:
     """Drive one policy through one schedule; returns the ledger columns
     (task_ids, rounds, arms, rewards, inst_regrets) in interaction order.
     A concurrent schedule fires end_of_round after the last task of each
     round, a sequential one end_of_task after each task's last round; a
     custom schedule fires neither."""
-    best = population.best_means
-    means = np.stack([t.true_means for t in population.tasks])
+    steps = np.array(list(schedule.iter_with_rounds()),
+                     dtype=np.int64).reshape(-1, 2)
     round_hook = schedule.kind == "concurrent"
     task_hook = schedule.kind == "sequential"
     last_task, horizon = schedule.n_tasks - 1, schedule.horizon
-    task_ids: list[int] = []
-    rounds: list[int] = []
     arms: list[int] = []
     rewards: list[float] = []
-    gaps: list[float] = []
-    for tid, rnd in schedule.iter_with_rounds():
+    for tid, rnd in steps.tolist():
         arm = policy.act(tid)
         reward = table.reward(tid, rnd, arm)
         policy.update(tid, arm, reward)
-        task_ids.append(tid)
-        rounds.append(rnd)
         arms.append(arm)
         rewards.append(reward)
-        gaps.append(float(best[tid] - means[tid, arm]))
         if round_hook and tid == last_task:
             policy.end_of_round()
         elif task_hook and rnd == horizon:
             policy.end_of_task(tid)
-    return task_ids, rounds, arms, rewards, gaps
+    task_ids, rounds = steps.T
+    arms = np.array(arms, dtype=np.int64)
+    means = np.stack([t.true_means for t in population.tasks])
+    gaps = population.best_means[task_ids] - means[task_ids, arms]
+    return task_ids, rounds, arms, np.array(rewards, dtype=float), gaps
 
 
 def make_population(spec: PopulationSpec) -> Population:
@@ -279,7 +276,7 @@ def make_population(spec: PopulationSpec) -> Population:
 
 
 def run_pair(config: ExperimentConfig, algorithm: AlgorithmSpec, seed: int
-             ) -> tuple[list, list, list, list, list]:
+             ) -> tuple[np.ndarray, ...]:
     """Simulate one (algorithm, seed) pair from scratch (process-safe)."""
     spec = config.spec_for_seed(seed)
     population = make_population(spec)
@@ -293,7 +290,7 @@ def run_pair(config: ExperimentConfig, algorithm: AlgorithmSpec, seed: int
     return simulate_run(population, table, policy, schedule)
 
 
-def _run_pair_args(args) -> tuple[list, list, list, list, list]:
+def _run_pair_args(args) -> tuple[np.ndarray, ...]:
     return run_pair(*args)
 
 

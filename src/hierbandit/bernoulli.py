@@ -92,13 +92,6 @@ def conjugate_update(prior: BetaParams, successes: float, failures: float) -> Be
     return BetaParams(prior.alpha1 + successes, prior.alpha2 + failures)
 
 
-def beta_log_pdf(x: np.ndarray, alpha1: np.ndarray, alpha2: np.ndarray) -> np.ndarray:
-    """Elementwise log density of Beta(alpha1, alpha2) at x in (0, 1)."""
-    x = np.asarray(x, dtype=float)
-    return (alpha1 - 1.0) * np.log(x) + (alpha2 - 1.0) * np.log1p(-x) \
-        - betaln(alpha1, alpha2)
-
-
 def clipped_logistic_means(fm: FeatureMap, x: np.ndarray,
                            theta: np.ndarray) -> np.ndarray:
     """logistic(Phi_i theta) for every arm, clamped away from {0, 1}."""
@@ -120,35 +113,6 @@ def logistic_beta_shapes(phi_rows: np.ndarray, theta: np.ndarray,
     mu the clipped logistic mean of each row; unchecked."""
     means = np.clip(expit(phi_rows @ theta), MEAN_CLIP, 1.0 - MEAN_CLIP)
     return means / psi, (1.0 - means) / psi
-
-
-def log_posterior_theta(theta: np.ndarray, cfg: HierarchyConfig,
-                        fm: FeatureMap, h: History,
-                        latent_r: dict[int, np.ndarray],
-                        metadata_lookup=None) -> float:
-    """log P(theta, latent arm means) up to the evidence: the normalized
-    Gaussian log prior plus the Beta log density of every latent arm mean of
-    every task in latent_r.
-
-    Conditioned on the latent means the Bernoulli likelihood does not touch
-    theta, so h enters only through the set of tasks carrying latent values;
-    the argument is accepted for signature symmetry with the Gaussian layer.
-    """
-    cfg.require_bernoulli()
-    theta = np.asarray(theta, dtype=float)
-    lookup = resolve_metadata(fm, metadata_lookup)
-    diff = theta - cfg.mu_theta
-    lower = np.linalg.cholesky(cfg.sigma_theta)
-    white = np.linalg.solve(lower, diff)
-    logp = -0.5 * float(white @ white) \
-        - 0.5 * cfg.dim * np.log(2.0 * np.pi) \
-        - float(np.sum(np.log(np.diag(lower))))
-    for tid, r in latent_r.items():
-        means = clipped_logistic_means(fm, np.asarray(lookup(tid), dtype=float),
-                                       theta)
-        a1, a2 = means / cfg.psi, (1.0 - means) / cfg.psi
-        logp += float(np.sum(beta_log_pdf(np.asarray(r, dtype=float), a1, a2)))
-    return logp
 
 
 def log_marginal_counts(theta: np.ndarray, cfg: HierarchyConfig,

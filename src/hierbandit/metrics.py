@@ -12,11 +12,18 @@ Two aggregation views:
   per_task_sequential:   index = task position (1-based); per seed the sum
                          of the task's instantaneous regret over its rounds.
 Curves report the across-seed mean and standard error at each index.
+
+The ledger holds one block of numpy columns per (algorithm, seed) run.
+Curves and per-seed totals aggregate one algorithm's rows in insertion order
+(np.add.at into a seed x index matrix, a boolean-mask sum per seed), the one
+path for whole runs and for the partial or shuffled ledgers add builds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -36,70 +43,74 @@ class RegretLedger:
     """Columnar store of every interaction of every (algorithm, seed) run.
 
     Columns: algorithm, seed, task_id, round (1-based within task), arm,
-    reward, inst_regret.  Rows are kept in insertion order, which for runs
+    reward, inst_regret.  The store is a list of blocks, one per run: the
+    run's algorithm and seed and one numpy array per remaining column.
+    extend_run appends one block; add buffers single rows and, on the next
+    read, folds each stretch of consecutive rows with the same (algorithm,
+    seed) into one block.  Rows are kept in insertion order, which for runs
     appended via extend_run is the schedule order.
     """
 
     COLUMNS = ("algorithm", "seed", "task_id", "round", "arm", "reward",
                "inst_regret")
+    _DTYPES = (np.int64, np.int64, np.int64, float, float)
 
     def __init__(self):
-        self._algorithm: list[str] = []
-        self._seed: list[int] = []
-        self._task_id: list[int] = []
-        self._round: list[int] = []
-        self._arm: list[int] = []
-        self._reward: list[float] = []
-        self._inst_regret: list[float] = []
+        self._blocks: list[tuple[str, int, tuple[np.ndarray, ...]]] = []
+        self._pending: list[tuple] = []
 
     def __len__(self) -> int:
-        return len(self._algorithm)
+        return sum(cols[0].shape[0] for _, _, cols in self._read())
 
     def add(self, algorithm: str, seed: int, task_id: int, round_within: int,
             arm: int, reward: float, inst_regret: float) -> None:
-        self._algorithm.append(algorithm)
-        self._seed.append(int(seed))
-        self._task_id.append(int(task_id))
-        self._round.append(int(round_within))
-        self._arm.append(int(arm))
-        self._reward.append(float(reward))
-        self._inst_regret.append(float(inst_regret))
+        self._pending.append((algorithm, seed, task_id, round_within, arm,
+                              reward, inst_regret))
 
     def extend_run(self, algorithm: str, seed: int, task_ids, rounds, arms,
                    rewards, inst_regrets) -> None:
-        n = len(task_ids)
-        if not (len(rounds) == len(arms) == len(rewards) == len(inst_regrets) == n):
+        self._read()  # rows buffered by add keep their place before this run
+        self._append(algorithm, seed,
+                     (task_ids, rounds, arms, rewards, inst_regrets))
+
+    def _append(self, algorithm: str, seed: int, columns) -> None:
+        cols = tuple(np.asarray(c, dtype=t)
+                     for c, t in zip(columns, self._DTYPES))
+        n = cols[0].shape[0]
+        if any(c.shape != (n,) for c in cols):
             raise ConfigError("ledger run columns must have equal length")
-        self._algorithm.extend([algorithm] * n)
-        self._seed.extend([int(seed)] * n)
-        self._task_id.extend(int(t) for t in task_ids)
-        self._round.extend(int(r) for r in rounds)
-        self._arm.extend(int(a) for a in arms)
-        self._reward.extend(float(r) for r in rewards)
-        self._inst_regret.extend(float(g) for g in inst_regrets)
+        if n:
+            self._blocks.append((algorithm, int(seed), cols))
+
+    def _read(self) -> list[tuple[str, int, tuple[np.ndarray, ...]]]:
+        """The blocks, after folding the rows buffered by add."""
+        if self._pending:
+            pending, self._pending = self._pending, []
+            for (algorithm, seed), rows in groupby(pending, itemgetter(0, 1)):
+                self._append(algorithm, seed, list(zip(*rows))[2:])
+        return self._blocks
 
     def algorithms(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for a in self._algorithm:
-            if a not in seen:
-                seen.append(a)
-        return tuple(seen)
+        return tuple(dict.fromkeys(alg for alg, _, _ in self._read()))
 
-    def columns(self) -> dict[str, np.ndarray]:
-        return {
-            "algorithm": np.array(self._algorithm, dtype=object),
-            "seed": np.array(self._seed, dtype=np.int64),
-            "task_id": np.array(self._task_id, dtype=np.int64),
-            "round": np.array(self._round, dtype=np.int64),
-            "arm": np.array(self._arm, dtype=np.int64),
-            "reward": np.array(self._reward, dtype=float),
-            "inst_regret": np.array(self._inst_regret, dtype=float),
-        }
+    def columns(self, algorithm: str) -> dict[str, np.ndarray]:
+        """seed, task_id, round, arm, reward and inst_regret of one
+        algorithm's rows, in insertion order."""
+        blocks = [(seed, cols) for alg, seed, cols in self._read()
+                  if alg == algorithm]
+        if not blocks:
+            raise ConfigError("no ledger rows for algorithm %r" % algorithm)
+        out = {"seed": np.concatenate([np.full(cols[0].shape[0], seed)
+                                       for seed, cols in blocks])}
+        for j, name in enumerate(self.COLUMNS[2:]):
+            out[name] = np.concatenate([cols[j] for _, cols in blocks])
+        return out
 
     def rows(self):
         """Row tuples in insertion order (CSV writing)."""
-        return zip(self._algorithm, self._seed, self._task_id, self._round,
-                   self._arm, self._reward, self._inst_regret)
+        for algorithm, seed, cols in self._read():
+            yield from zip(repeat(algorithm), repeat(seed),
+                           *(c.tolist() for c in cols))
 
 
 @dataclass(frozen=True)
@@ -121,23 +132,20 @@ def _per_seed_series(ledger: RegretLedger, algorithm: str, view: str
     order, and one column per index point."""
     if view not in VIEWS:
         raise ConfigError("view must be one of %s" % (VIEWS,))
-    cols = ledger.columns()
-    mask = cols["algorithm"] == algorithm
-    if not mask.any():
-        raise ConfigError("no ledger rows for algorithm %r" % algorithm)
-    seeds, rows = np.unique(cols["seed"][mask], return_inverse=True)
+    cols = ledger.columns(algorithm)
+    seeds, rows = np.unique(cols["seed"], return_inverse=True)
     if seeds.shape[0] < 2:
         raise ConfigError(
             "curves need at least 2 seeds, got %d for %r"
             % (seeds.shape[0], algorithm))
     if view == "per_round_concurrent":
-        key = cols["round"][mask]
+        key = cols["round"]
     else:
-        key = cols["task_id"][mask] + 1  # 1-based task position
+        key = cols["task_id"] + 1  # 1-based task position
     index, cols_ix = np.unique(key, return_inverse=True)
     matrix = np.zeros((seeds.shape[0], index.shape[0]))
     counts = np.zeros_like(matrix)
-    np.add.at(matrix, (rows, cols_ix), cols["inst_regret"][mask])
+    np.add.at(matrix, (rows, cols_ix), cols["inst_regret"])
     np.add.at(counts, (rows, cols_ix), 1.0)
     if view == "per_round_concurrent":
         if np.any(counts == 0):
@@ -178,14 +186,9 @@ def multi_task_regret_curve(ledger: RegretLedger, algorithm: str,
 
 def cumulative_regret_by_seed(ledger: RegretLedger, algorithm: str) -> dict[int, float]:
     """Total regret per seed (paired comparisons across algorithms)."""
-    cols = ledger.columns()
-    mask = cols["algorithm"] == algorithm
-    if not mask.any():
-        raise ConfigError("no ledger rows for algorithm %r" % algorithm)
-    out: dict[int, float] = {}
-    for s in sorted(set(cols["seed"][mask].tolist())):
-        out[int(s)] = float(cols["inst_regret"][mask & (cols["seed"] == s)].sum())
-    return out
+    cols = ledger.columns(algorithm)
+    seeds, regret = cols["seed"], cols["inst_regret"]
+    return {int(s): float(regret[seeds == s].sum()) for s in np.unique(seeds)}
 
 
 def paired_t_statistic(diffs: np.ndarray) -> tuple[float, float]:

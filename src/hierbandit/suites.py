@@ -373,9 +373,7 @@ def _tiny_config(**overrides) -> bench.ExperimentConfig:
     return bench.ExperimentConfig.from_dict(base)
 
 
-def _check_oracle_self_mtr() -> CheckResult:
-    config = _tiny_config()
-    ledger = bench.simulate_ledger(config)
+def _check_oracle_self_mtr(ledger: metrics.RegretLedger) -> CheckResult:
     curve = metrics.multi_task_regret_curve(ledger, "oracle-ts",
                                             "per_task_sequential", "oracle-ts")
     peak = float(np.max(np.abs(curve.mean))) if curve.mean.size else 0.0
@@ -383,9 +381,7 @@ def _check_oracle_self_mtr() -> CheckResult:
                    "max |oracle minus itself| = %.3g" % peak)
 
 
-def _check_cumulative_monotone() -> CheckResult:
-    config = _tiny_config()
-    ledger = bench.simulate_ledger(config)
+def _check_cumulative_monotone(ledger: metrics.RegretLedger) -> CheckResult:
     worst = 0.0
     for name in ledger.algorithms():
         for view in ("per_round_concurrent", "per_task_sequential"):
@@ -417,9 +413,8 @@ def _check_replay_determinism() -> CheckResult:
     return _result("replay-determinism", same, detail)
 
 
-def _check_oracle_beats_random() -> CheckResult:
-    config = _tiny_config()
-    ledger = bench.simulate_ledger(config)
+def _check_oracle_beats_random(config: bench.ExperimentConfig,
+                               ledger: metrics.RegretLedger) -> CheckResult:
     oracle_total = np.mean(list(
         metrics.cumulative_regret_by_seed(ledger, "oracle-ts").values()))
     blind = 0.0
@@ -436,8 +431,11 @@ def _check_oracle_beats_random() -> CheckResult:
 
 
 def _regret_suite() -> list[CheckResult]:
-    return [_check_oracle_self_mtr(), _check_cumulative_monotone(),
-            _check_replay_determinism(), _check_oracle_beats_random()]
+    config = _tiny_config()
+    ledger = bench.simulate_ledger(config)
+    return [_check_oracle_self_mtr(ledger), _check_cumulative_monotone(ledger),
+            _check_replay_determinism(),
+            _check_oracle_beats_random(config, ledger)]
 
 
 # ---------------------------------------------------------------------------

@@ -144,13 +144,6 @@ def ridge_posterior_oracle(x_rows, y, prior_mean, prior_cov, noise_var):
     return mean, cov
 
 
-def beta_log_pdf_oracle(x, alpha1, alpha2):
-    """Beta log density via math.lgamma only."""
-    return (math.lgamma(alpha1 + alpha2) - math.lgamma(alpha1)
-            - math.lgamma(alpha2) + (alpha1 - 1.0) * math.log(x)
-            + (alpha2 - 1.0) * math.log1p(-x))
-
-
 def normal_log_pdf_oracle(x, mean, var):
     return -0.5 * (math.log(2.0 * math.pi * var) + (x - mean) ** 2 / var)
 

@@ -1,6 +1,7 @@
 """Experiment config validation, artifact writing, and reproducibility."""
 
 import hashlib
+import json
 import os
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -11,6 +12,7 @@ from hierbandit.agents import Policy
 from hierbandit.bench import (ExperimentConfig, resolve_output_dir,
                               run_experiment, simulate_ledger, simulate_run,
                               write_ledger_csv)
+from hierbandit.cli import main
 from hierbandit.envs import (PopulationSpec, RewardTable, generate_population,
                              make_schedule)
 from hierbandit.errors import ConfigError
@@ -74,6 +76,24 @@ def test_manifest_reproduces_run(tmp_path):
     again = run_experiment(reloaded, str(tmp_path / "second"))
     assert Path(paths["ledger"]).read_bytes() == \
         Path(again["ledger"]).read_bytes()
+
+
+@pytest.mark.parametrize("seeds", [None, 7, [5], [1, 1]],
+                         ids=["missing", "int", "one", "repeated"])
+def test_manifest_seeds_validated(tmp_path, capsys, seeds):
+    manifest = ExperimentConfig.from_dict(
+        _minimal_raw(seeds=[3, 9])).to_manifest_dict()
+    if seeds is None:
+        del manifest["seeds"]
+    else:
+        manifest["seeds"] = seeds
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_file(str(path))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()
+    capsys.readouterr()
 
 
 def test_unknown_keys_fatal(tmp_path):
@@ -192,33 +212,68 @@ def test_ledger_csv_float_format(tmp_path):
     assert line == "alg,0,1,2,0,0.10000000000000001,0.33333333333333331"
 
 
-# ledger.csv sha256 of the five Bernoulli policies on tiny configs, one per
-# schedule; a refactor of the Bernoulli agents or of simulate_run must keep
-# these bytes.  refresh_every is below the task length and the number of
-# tasks, so hier-ts also refreshes mid-task and mid-round.
-_BERNOULLI_LEDGER_SHA256 = {
-    "sequential":
+# sha256 of (ledger.csv, curves.csv, summary.csv) on tiny configs of 5 tasks
+# x 6 rounds, one per reward model and schedule; a refactor of the agents, of
+# simulate_run or of the ledger and its curves must keep these bytes.
+# refresh_every is below the task length and the number of tasks, so the
+# refreshing policies also refresh mid-task and mid-round.
+_TINY_POPULATION = {"n_tasks": 5, "horizon": 6, "n_arms": 3, "dim": 4}
+_BERNOULLI_SHA256 = {
+    "sequential": (
         "7f31388dd9e11e892a367b36c0fd5624d3873100f3ffacdc11e4b60707c949d6",
-    "concurrent":
+        "b421e53663e17bcf31d601035dbbd32857e732b76cae82c7fffd38f93c660c8a",
+        "23e2485d304661e7c721ec9c464734241d37fe7ba42ed444d8176d77b3e268e3"),
+    "concurrent": (
         "05a9cfd2459213adf433c489cb07b852592dfaad79da2ab6dd0977eadb844cf2",
+        "51ce98648d4b657dbdffe3a8547f311a6656ef1abb8c665674830de54a5f6b16",
+        "4cdda95b288bc62ab915091a1c47dc48370e2f1cf86409990a8d8bc46a751d0c"),
+}
+_GAUSSIAN_SHA256 = {
+    "sequential": (
+        "d005bfbd436ecb7a385d09012d016b1852fa5ddfe5d4ea608be98cf4967bc2de",
+        "177e3292b5d7b035102c295be0272345ac40bb945f0cdeb8adaa1bce6a40f248",
+        "a0c2f79caebed3181672ed43c3ce7739e91d451bae30b83e9925f8c8014466bb"),
+    "concurrent": (
+        "46b092e6a29cb94d5fe200602a079a6e938d30a23f6bae9f6fb5b77b9511a40c",
+        "90beb55159ef2ee8ed3083927f119f4209223c94e67af8b8b1a3595e3d0fd0ab",
+        "d62fb1988d506c04a30cba41d9bd96efed7e30da12280b3e0babc6cc639c1087"),
 }
 
 
-@pytest.mark.parametrize("schedule", sorted(_BERNOULLI_LEDGER_SHA256))
+def _artifact_sha256(tmp_path, raw):
+    paths = run_experiment(ExperimentConfig.from_dict(raw), str(tmp_path))
+    return tuple(hashlib.sha256(Path(paths[k]).read_bytes()).hexdigest()
+                 for k in ("ledger", "curves", "summary"))
+
+
+@pytest.mark.parametrize("schedule", sorted(_BERNOULLI_SHA256))
 def test_bernoulli_policies_ledger_bytes_pinned(tmp_path, schedule):
     hier = {"name": "hier-ts",
             "options": {"n_samples": 40, "burn_in": 20, "refresh_every": 4}}
-    config = ExperimentConfig.from_dict({
-        "population": {"n_tasks": 5, "horizon": 6, "n_arms": 3, "dim": 4,
-                       "reward_kind": "bernoulli"},
+    assert _artifact_sha256(tmp_path, {
+        "population": dict(_TINY_POPULATION, reward_kind="bernoulli"),
         "schedule": schedule,
         "algorithms": [hier, "oracle-ts", "individual-ts", "pooled-ts",
                        "meta-ts"],
         "seeds": [3, 4],
-    })
-    paths = run_experiment(config, str(tmp_path))
-    digest = hashlib.sha256(Path(paths["ledger"]).read_bytes()).hexdigest()
-    assert digest == _BERNOULLI_LEDGER_SHA256[schedule]
+    }) == _BERNOULLI_SHA256[schedule]
+
+
+@pytest.mark.parametrize("schedule", sorted(_GAUSSIAN_SHA256))
+def test_gaussian_policies_artifact_bytes_pinned(tmp_path, schedule):
+    algorithms = ["hier-ts",
+                  {"name": "hier-ts-batch", "options": {"refresh_every": 4}},
+                  "oracle-ts", "individual-ts", "pooled-ts", "linear-ts",
+                  "meta-ts"]
+    if schedule == "sequential":
+        algorithms.append("hier-ts-aligned")
+    assert _artifact_sha256(tmp_path, {
+        "population": dict(_TINY_POPULATION),
+        "schedule": schedule,
+        "algorithms": algorithms,
+        "seeds": [3, 4],
+        "emit_mtr": True,
+    }) == _GAUSSIAN_SHA256[schedule]
 
 
 class _RecordingPolicy(Policy):
@@ -267,4 +322,4 @@ def test_simulate_run_hook_order(kind, stream, expected):
         population, RewardTable(population), policy, schedule)
     assert policy.events == expected
     assert list(zip(task_ids, rounds)) == list(schedule.iter_with_rounds())
-    assert arms == [0] * len(schedule)
+    assert arms.tolist() == [0] * len(schedule)

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from hierbandit.bernoulli import (BetaParams, beta_from_mean_precision,
-                                  beta_log_pdf, bblm_prior_for_task,
-                                  clipped_logistic_means, conjugate_update,
-                                  log_marginal_counts, log_posterior_theta,
+                                  bblm_prior_for_task, clipped_logistic_means,
+                                  conjugate_update, log_marginal_counts,
                                   precision_for_variance, sample_theta_counts,
                                   sample_theta_mcmc)
 from hierbandit.core import (FeatureMap, HierarchyConfig, History,
@@ -16,8 +15,8 @@ from hierbandit.core import (FeatureMap, HierarchyConfig, History,
 from hierbandit.envs import PopulationSpec, generate_population, noise_rng
 from hierbandit.errors import ConfigError
 
-from oracles import (beta_log_pdf_oracle, bblm_counts_log_marginal_oracle,
-                     logistic, theta_mcmc_history_oracle)
+from oracles import (bblm_counts_log_marginal_oracle, logistic,
+                     theta_mcmc_history_oracle)
 
 
 def test_mean_precision_round_trip():
@@ -104,16 +103,6 @@ def test_bblm_prior_for_task():
         np.testing.assert_allclose(prior.alpha1, mu / 0.5, atol=1e-12)
 
 
-def test_beta_log_pdf_matches_lgamma_oracle():
-    rng = np.random.default_rng(3)
-    xs = rng.uniform(0.05, 0.95, size=20)
-    a1 = rng.uniform(0.2, 5.0, size=20)
-    a2 = rng.uniform(0.2, 5.0, size=20)
-    got = beta_log_pdf(xs, a1, a2)
-    want = [beta_log_pdf_oracle(x, a, b) for x, a, b in zip(xs, a1, a2)]
-    np.testing.assert_allclose(got, want, atol=1e-10)
-
-
 def _tiny_bblm(d=2, k=1, n_tasks=3, seed=0):
     rng = np.random.default_rng(seed)
     p = k * (d - k)
@@ -122,37 +111,6 @@ def _tiny_bblm(d=2, k=1, n_tasks=3, seed=0):
     cfg = HierarchyConfig(mu_theta=np.full(d, 0.1),
                           sigma_theta=0.5 * np.eye(d), psi=1.0)
     return cfg, fm
-
-
-def test_log_posterior_theta_prior_mode():
-    cfg, fm = _tiny_bblm()
-    val = log_posterior_theta(cfg.mu_theta, cfg, fm, History(), {})
-    want = -0.5 * math.log((2.0 * math.pi) ** cfg.dim
-                           * np.linalg.det(cfg.sigma_theta))
-    np.testing.assert_allclose(val, want, atol=1e-12)
-
-
-def test_log_posterior_theta_single_latent_term():
-    cfg, fm = _tiny_bblm()
-    theta = np.array([0.3, -0.2])
-    latent = {0: np.array([0.6])}
-    with_term = log_posterior_theta(theta, cfg, fm, History(), latent)
-    without = log_posterior_theta(theta, cfg, fm, History(), {})
-    mu = logistic(float(fm.feature(fm.metadata_for(0), 0) @ theta))
-    want = beta_log_pdf_oracle(0.6, mu / cfg.psi, (1.0 - mu) / cfg.psi)
-    np.testing.assert_allclose(with_term - without, want, atol=1e-10)
-
-
-def test_log_posterior_theta_sums_tasks():
-    cfg, fm = _tiny_bblm(n_tasks=3)
-    theta = np.array([0.1, 0.4])
-    latent = {0: np.array([0.5]), 1: np.array([0.25]), 2: np.array([0.9])}
-    total = log_posterior_theta(theta, cfg, fm, History(), latent)
-    parts = log_posterior_theta(theta, cfg, fm, History(), {})
-    for tid, r in latent.items():
-        parts += (log_posterior_theta(theta, cfg, fm, History(), {tid: r})
-                  - log_posterior_theta(theta, cfg, fm, History(), {}))
-    np.testing.assert_allclose(total, parts, atol=1e-10)
 
 
 def test_log_marginal_counts_matches_oracle():

@@ -47,6 +47,67 @@ def test_ledger_resum_matches_cumulative():
                                sum(got.values()))
 
 
+def test_extend_run_rejects_unequal_columns():
+    ledger = RegretLedger()
+    ledger.add("alg", 0, 0, 1, 0, 0.0, 0.5)
+    with pytest.raises(ConfigError):
+        ledger.extend_run("alg", 1, [0, 1], [1, 1], [0], [0.0, 0.0],
+                          [0.1, 0.2])
+    with pytest.raises(ConfigError):
+        ledger.extend_run("alg", 1, [0, 1], [1, 1], [0, 1], [0.0, 0.0],
+                          [0.1, 0.2, 0.3])
+    assert list(ledger.rows()) == [("alg", 0, 0, 1, 0, 0.0, 0.5)]
+
+
+def test_mixed_add_and_extend_run_keep_insertion_order():
+    # Two stretches of ("a", 0) with an ("b", 0) run between them, each
+    # stretch partly from add and partly from extend_run, and a read in the
+    # middle of the second stretch.
+    rng = np.random.default_rng(7)
+
+    def run(algorithm, seed, n):
+        return [(algorithm, seed, int(rng.integers(3)), i + 1,
+                 int(rng.integers(2)), float(rng.standard_normal()),
+                 float(rng.uniform())) for i in range(n)]
+
+    pieces = [("add", run("a", 0, 4)), ("extend", run("a", 0, 3)),
+              ("extend", run("b", 0, 5)), ("add", run("b", 1, 2)),
+              ("add", run("a", 0, 2)), ("read", None),
+              ("add", run("a", 0, 3)), ("extend", run("a", 1, 4)),
+              ("add", run("a", 0, 1))]
+    ledger = RegretLedger()
+    expected = []
+    for how, rows in pieces:
+        if how == "read":
+            assert len(ledger) == len(expected)
+            continue
+        expected += rows
+        if how == "add":
+            for row in rows:
+                ledger.add(*row)
+        else:
+            ledger.extend_run(rows[0][0], rows[0][1],
+                              *[list(c) for c in zip(*rows)][2:])
+    assert list(ledger.rows()) == expected
+    assert len(ledger) == len(expected)
+    assert ledger.algorithms() == ("a", "b")
+    for algorithm in ("a", "b"):
+        want = {}
+        for alg, seed, *_, gap in expected:
+            if alg == algorithm:
+                want.setdefault(seed, []).append(gap)
+        assert cumulative_regret_by_seed(ledger, algorithm) == \
+            {seed: float(np.sum(gaps)) for seed, gaps in sorted(want.items())}
+    row_by_row = RegretLedger()
+    for row in expected:
+        row_by_row.add(*row)
+    for view in ("per_round_concurrent", "per_task_sequential"):
+        got = bayes_regret_curve(ledger, "a", view)
+        ref = bayes_regret_curve(row_by_row, "a", view)
+        np.testing.assert_array_equal(got.mean, ref.mean)
+        np.testing.assert_array_equal(got.se, ref.se)
+
+
 def test_sequential_view_sums_per_task():
     ledger = RegretLedger()
     for seed in (0, 1):
