@@ -3,9 +3,10 @@
 Every matrix inverse in the package goes through a factorized solve.  A
 Cholesky factorization is attempted on the (symmetrized) input first; on
 failure a diagonal jitter of 1e-10 is added and escalated by factors of 10
-up to 1e-6 before raising NumericalError.  Neither sampler jitters:
-sample_mvn falls back to an exact eigendecomposition, and the
-precision-form sampler raises at once on a precision that fails to factor.
+up to 1e-6 before raising NumericalError.  Covariances never jitter: psd_root
+falls back to an exact eigendecomposition (the one PSD rule, shared by every
+validated belief and by sample_mvn), and the precision-form sampler raises
+at once on a precision that fails to factor.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from .errors import NumericalError
 
 JITTER_START = 1e-10
 JITTER_MAX = 1e-6
+# Eigenvalues of a covariance down to -PSD_TOL are rounding and clip to 0.
+PSD_TOL = 1e-10
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
@@ -48,47 +51,55 @@ def chol_solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
     return sla.cho_solve((lower, True), b)
 
 
-def solve_psd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a x = b for symmetric PSD a via jittered Cholesky."""
-    return chol_solve(chol_factor(symmetrize(np.asarray(a, dtype=float))), b)
-
-
-def inv_psd(a: np.ndarray) -> np.ndarray:
-    return solve_psd(a, np.eye(a.shape[0]))
-
-
 def logdet_from_chol(lower: np.ndarray) -> float:
     return 2.0 * float(np.sum(np.log(np.diag(lower))))
 
 
-def sample_mvn(mean: np.ndarray, cov: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One draw from N(mean, cov).
+def psd_root(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cov, root) for a covariance that must be PSD, with root root^T = cov.
 
-    A plain Cholesky handles the well-conditioned case.  A covariance it
-    rejects goes straight to an eigendecomposition, never to a jittered
-    factor: small negative eigenvalues (>= -1e-10) are clipped to zero, so
-    a zero-variance coordinate (and an all-zero covariance) returns the mean
-    exactly, and a covariance further from PSD raises NumericalError.
-    Deterministic given the generator state: every path consumes exactly
-    len(mean) standard normals.
+    The covariance is symmetrized as (C + C^T)/2 and factored by a plain
+    Cholesky; root is then its lower factor.  Only a covariance Cholesky
+    rejects takes an eigendecomposition, never a jittered factor:
+    eigenvalues at or above -PSD_TOL are clipped to zero (the returned cov
+    is rebuilt from the clipped spectrum when any was negative), so a
+    zero-variance coordinate keeps a zero row in root, and a covariance
+    further from PSD raises NumericalError.
     """
-    mean = np.asarray(mean, dtype=float)
-    cov = np.asarray(cov, dtype=float)
-    k = mean.shape[0]
-    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
-        raise NumericalError("non-finite belief passed to sample_mvn")
-    if not cov.any():
-        rng.standard_normal(k)  # keep stream consumption uniform
-        return mean.copy()
-    z = rng.standard_normal(k)
+    cov = symmetrize(np.asarray(cov, dtype=float))
+    if not np.isfinite(cov).all():
+        raise NumericalError("non-finite entries in covariance")
     try:
-        return mean + np.linalg.cholesky(cov) @ z
+        return cov, np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
         pass
-    w, v = np.linalg.eigh(symmetrize(cov))
-    if w[0] < -JITTER_START:
-        raise NumericalError("covariance not PSD within tolerance in sample_mvn")
-    return mean + (v * np.sqrt(np.clip(w, 0.0, None))) @ (v.T @ z)
+    w, v = np.linalg.eigh(cov)
+    if w[0] < -PSD_TOL:
+        raise NumericalError("covariance not PSD within tolerance: "
+                             "eigenvalue %g < %g" % (w[0], -PSD_TOL))
+    if w[0] < 0.0:
+        w = np.clip(w, 0.0, None)
+        cov = symmetrize((v * w) @ v.T)
+    return cov, v * np.sqrt(w)
+
+
+def sample_from_root(mean: np.ndarray, root: np.ndarray,
+                     rng: np.random.Generator) -> np.ndarray:
+    """mean + root z with z ~ N(0, I): one draw from N(mean, root root^T).
+    Consumes exactly len(mean) standard normals."""
+    mean = np.asarray(mean, dtype=float)
+    if not np.all(np.isfinite(mean)):
+        raise NumericalError("non-finite mean in a Gaussian draw")
+    return mean + root @ rng.standard_normal(mean.shape[0])
+
+
+def sample_mvn(mean: np.ndarray, cov: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One draw from N(mean, cov), cov factored by psd_root, so a
+    zero-variance coordinate (and an all-zero covariance) returns the mean
+    exactly.  Deterministic given the generator state: every successful call
+    consumes exactly len(mean) standard normals.
+    """
+    return sample_from_root(mean, psd_root(cov)[1], rng)
 
 
 def sample_mvn_precision(precision: np.ndarray, linear: np.ndarray,

@@ -22,6 +22,7 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 import yaml
@@ -149,7 +150,10 @@ class ExperimentConfig:
                 raise ConfigError("need at least 2 seeds for curve output")
             seeds = tuple(range(seeds_raw))
         elif isinstance(seeds_raw, (list, tuple)):
-            seeds = tuple(int(s) for s in seeds_raw)
+            if not all(isinstance(s, int) and not isinstance(s, bool)
+                       for s in seeds_raw):
+                raise ConfigError("seeds must be an int or a list of ints")
+            seeds = tuple(seeds_raw)
             if len(seeds) < 2:
                 raise ConfigError("need at least 2 seeds for curve output")
             if len(set(seeds)) != len(seeds):
@@ -321,10 +325,7 @@ def _fmt_float(v: float) -> str:
 
 def write_ledger_csv(ledger: RegretLedger, path: str) -> None:
     lines = [",".join(RegretLedger.COLUMNS)]
-    for alg, seed, tid, rnd, arm, reward, gap in ledger.rows():
-        lines.append("%s,%d,%d,%d,%d,%s,%s"
-                     % (alg, seed, tid, rnd, arm, _fmt_float(reward),
-                        _fmt_float(gap)))
+    lines.extend(map("%s,%d,%d,%d,%d,%.17g,%.17g".__mod__, ledger.rows()))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -350,10 +351,9 @@ def compute_curves(ledger: RegretLedger, config: ExperimentConfig
 def write_curves_csv(curves: dict[tuple[str, str], Curve], path: str) -> None:
     lines = ["algorithm,view,index,mean,se"]
     for (name, view), curve in curves.items():
-        for i, m, s in zip(curve.index, curve.mean, curve.se):
-            lines.append("%s,%s,%d,%s,%s"
-                         % (name, view, int(i), _fmt_float(float(m)),
-                            _fmt_float(float(s))))
+        lines.extend(map("%s,%s,%d,%.17g,%.17g".__mod__,
+                         zip(repeat(name), repeat(view), curve.index.tolist(),
+                             curve.mean.tolist(), curve.se.tolist())))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

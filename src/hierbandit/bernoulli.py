@@ -92,11 +92,15 @@ def conjugate_update(prior: BetaParams, successes: float, failures: float) -> Be
     return BetaParams(prior.alpha1 + successes, prior.alpha2 + failures)
 
 
+def clipped_logistic(z: np.ndarray) -> np.ndarray:
+    """logistic(z) clamped into [MEAN_CLIP, 1 - MEAN_CLIP]."""
+    return np.clip(expit(z), MEAN_CLIP, 1.0 - MEAN_CLIP)
+
+
 def clipped_logistic_means(fm: FeatureMap, x: np.ndarray,
                            theta: np.ndarray) -> np.ndarray:
     """logistic(Phi_i theta) for every arm, clamped away from {0, 1}."""
-    phi = fm.task_features(x)
-    return np.clip(expit(phi @ theta), MEAN_CLIP, 1.0 - MEAN_CLIP)
+    return clipped_logistic(fm.task_features(x) @ theta)
 
 
 def bblm_prior_for_task(theta: np.ndarray, fm: FeatureMap, x: np.ndarray,
@@ -111,7 +115,7 @@ def logistic_beta_shapes(phi_rows: np.ndarray, theta: np.ndarray,
                          psi: float) -> tuple[np.ndarray, np.ndarray]:
     """(alpha1, alpha2) = (mu/psi, (1-mu)/psi) over stacked task-arm rows,
     mu the clipped logistic mean of each row; unchecked."""
-    means = np.clip(expit(phi_rows @ theta), MEAN_CLIP, 1.0 - MEAN_CLIP)
+    means = clipped_logistic(phi_rows @ theta)
     return means / psi, (1.0 - means) / psi
 
 

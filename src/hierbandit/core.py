@@ -101,10 +101,6 @@ class History:
     def records(self) -> tuple[InteractionRecord, ...]:
         return tuple(self._records)
 
-    @property
-    def per_task_index(self) -> dict[int, tuple[int, ...]]:
-        return {tid: tuple(ix) for tid, ix in self._per_task.items()}
-
     def task_ids(self) -> tuple[int, ...]:
         return tuple(self._per_task.keys())
 
@@ -194,9 +190,6 @@ class FeatureMap:
             return self._task_metadata[task_id]
         except KeyError:
             raise KeyError("task %r has no registered metadata" % task_id) from None
-
-    def has_task(self, task_id: int) -> bool:
-        return task_id in self._task_metadata
 
     def known_tasks(self) -> tuple[int, ...]:
         return tuple(self._task_metadata.keys())

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
-from scipy.special import expit
 
-from .bernoulli import MEAN_CLIP
+from .bernoulli import clipped_logistic
 from .core import FeatureMap, HierarchyConfig, TaskInstance
 from .errors import ConfigError, ScheduleError
 
@@ -129,9 +128,6 @@ class Population:
     tasks: tuple[TaskInstance, ...]
     feature_map: FeatureMap
 
-    def task(self, task_id: int) -> TaskInstance:
-        return self.tasks[task_id]
-
     @property
     def best_means(self) -> np.ndarray:
         return np.array([t.true_means.max() for t in self.tasks])
@@ -171,7 +167,7 @@ def _generate(spec: PopulationSpec, lam: float) -> Population:
         effects = rng.standard_normal((n, k)) * np.sqrt(spec.sigma1_sq)
         means = centers + effects
     else:
-        probs = np.clip(expit(centers), MEAN_CLIP, 1.0 - MEAN_CLIP)
+        probs = clipped_logistic(centers)
         means = rng.beta(probs / spec.psi, (1.0 - probs) / spec.psi)
     tasks = tuple(TaskInstance(task_id=i, metadata=metadata[i],
                                true_means=means[i]) for i in range(n))

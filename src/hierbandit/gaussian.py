@@ -25,14 +25,14 @@ kernel functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy import linalg as sla
 
 from . import _linalg
-from ._linalg import chol_factor, chol_solve, inv_psd, sample_mvn, symmetrize
+from ._linalg import chol_factor, chol_solve, psd_root, symmetrize
 from .core import (FeatureMap, HierarchyConfig, History, InteractionRecord,
                    resolve_metadata)
 from .errors import ConfigError, NumericalError
@@ -45,74 +45,50 @@ _CORRECTION_SIGN = 1.0
 # GP path is dense-only; refuse histories beyond this size.
 GP_MAX_RECORDS = 5000
 
-_EIG_FLOOR = -1e-10
-
-
-def _validated_cov(cov: np.ndarray, what: str) -> np.ndarray:
-    cov = symmetrize(np.asarray(cov, dtype=float))
-    w, v = np.linalg.eigh(cov)
-    if w[0] < _EIG_FLOOR:
-        raise NumericalError("%s covariance has eigenvalue %g < %g"
-                             % (what, w[0], _EIG_FLOOR))
-    if w[0] < 0.0:
-        cov = (v * np.clip(w, 0.0, None)) @ v.T
-        cov = symmetrize(cov)
-    return cov
-
 
 @dataclass(frozen=True)
 class GaussianBelief:
     """Multivariate normal belief over one task's arm means.
 
-    The covariance is symmetrized as (C + C^T)/2 on construction and tiny
-    negative eigenvalues (>= -1e-10) are clamped to zero; anything below
-    that tolerance raises NumericalError.
+    The covariance is validated and factored once on construction by
+    _linalg.psd_root: symmetrized as (C + C^T)/2, tiny negative eigenvalues
+    (>= -1e-10) clamped to zero, anything below that tolerance a
+    NumericalError.  A mean that is not a vector, or a covariance that is
+    not square of the mean's length, is a ConfigError.  sample reuses the
+    factor.
     """
 
     mean: np.ndarray
     cov: np.ndarray
+    _root: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float)
         if mean.ndim != 1:
-            raise ConfigError("belief mean must be a vector")
-        cov = _validated_cov(self.cov, "belief")
-        if cov.shape != (mean.shape[0], mean.shape[0]):
-            raise ConfigError("belief cov must be K x K")
+            raise ConfigError("%s mean must be a vector" % type(self).__name__)
+        k = mean.shape[0]
+        if np.shape(self.cov) != (k, k):
+            raise ConfigError("%s cov must be %d x %d"
+                              % (type(self).__name__, k, k))
+        cov, root = psd_root(self.cov)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
+        object.__setattr__(self, "_root", root)
 
     @property
     def n_arms(self) -> int:
         return self.mean.shape[0]
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
-        return sample_mvn(self.mean, self.cov, rng)
+        return _linalg.sample_from_root(self.mean, self._root, rng)
 
 
-@dataclass(frozen=True)
-class ThetaPosterior:
+class ThetaPosterior(GaussianBelief):
     """Gaussian posterior (or prior) over the shared coefficients."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        if mean.ndim != 1:
-            raise ConfigError("theta mean must be a vector")
-        cov = _validated_cov(self.cov, "theta")
-        if cov.shape != (mean.shape[0], mean.shape[0]):
-            raise ConfigError("theta cov must be d x d")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
 
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
-
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        return sample_mvn(self.mean, self.cov, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -256,23 +232,16 @@ class KernelWorkspace:
         phi_vinv_phi = Phi^T V^{-1} Phi         (d x d)
         phi_vinv_resid = Phi^T V^{-1} (R - Phi mu_theta)   (d,)
     plus the residual quadratic form and log-determinants needed by the
-    marginal likelihood.  Sigma_theta and the noise/effect covariances can
-    be overridden so empirical-Bayes grids reuse one stacked history.
+    marginal likelihood.  A prebuilt stacked history can be passed in so
+    empirical-Bayes grids reuse one.
     """
 
     def __init__(self, cfg: HierarchyConfig, fm: FeatureMap, h,
                  metadata_lookup=None, *, stacked: _Stacked | None = None,
-                 sigma_delta: np.ndarray | None = None,
-                 sigma_noise: float | None = None,
                  block_strategy: str = "auto"):
-        cfg_delta = sigma_delta if sigma_delta is not None else cfg.sigma_delta
-        cfg_noise = sigma_noise if sigma_noise is not None else cfg.sigma_noise
-        if cfg_delta is None or cfg_noise is None:
-            raise ConfigError("Gaussian model needs sigma_delta and sigma_noise")
+        cfg.require_gaussian()
         self.cfg = cfg
         self.fm = fm
-        self.sigma_delta = np.asarray(cfg_delta, dtype=float)
-        self.sigma_noise = float(cfg_noise)
         self.st = stacked if stacked is not None else _Stacked(fm, h, metadata_lookup)
         st = self.st
         d = fm.dim
@@ -284,7 +253,7 @@ class KernelWorkspace:
         self.logdet_v = 0.0
         for tid in st.task_order():
             idx = np.nonzero(st.tasks == tid)[0]
-            solver = _BlockSolver(self.sigma_delta, self.sigma_noise,
+            solver = _BlockSolver(cfg.sigma_delta, cfg.sigma_noise,
                                   st.actions[idx], block_strategy)
             vinv_phi = solver.apply(st.phi[idx])
             vinv_resid = solver.apply(resid[idx])
@@ -294,20 +263,6 @@ class KernelWorkspace:
             self.logdet_v += solver.logdet
             self._blocks[tid] = (idx, solver, vinv_phi, vinv_resid)
 
-    def core_inverse(self, sigma_theta: np.ndarray | None = None
-                     ) -> tuple[np.ndarray, np.ndarray, float]:
-        """(Sigma_in, Sigma_theta^{-1}, logdet of the core) for the identity
-        (Sigma_theta^{-1} + Phi^T V^{-1} Phi)^{-1}."""
-        s_theta = self.cfg.sigma_theta if sigma_theta is None else sigma_theta
-        lower_t = chol_factor(np.asarray(s_theta, dtype=float))
-        s_theta_inv = chol_solve(lower_t, np.eye(s_theta.shape[0]))
-        core = s_theta_inv + self.phi_vinv_phi
-        lower_c = chol_factor(symmetrize(core))
-        sigma_in = chol_solve(lower_c, np.eye(core.shape[0]))
-        logdet_core = _linalg.logdet_from_chol(lower_t) \
-            + _linalg.logdet_from_chol(lower_c)
-        return symmetrize(sigma_in), s_theta_inv, logdet_core
-
     def task_cross_terms(self, target_task: int, phi_target: np.ndarray
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(M V^{-1} Phi, M V^{-1} resid, M V^{-1} M^T) for the target task.
@@ -316,17 +271,37 @@ class KernelWorkspace:
         1{task(j)=target} Sigma_delta[A_j, a]; only the target task's block
         contributes, so all three products touch one block only.
         """
-        k = self.sigma_delta.shape[0]
+        sigma_delta = self.cfg.sigma_delta
+        k = sigma_delta.shape[0]
         d = self.fm.dim
         entry = self._blocks.get(target_task)
         if entry is None:
             return np.zeros((k, d)), np.zeros(k), np.zeros((k, k))
         idx, solver, vinv_phi, vinv_resid = entry
-        m_cols = self.sigma_delta[:, self.st.actions[idx]]          # K x n_tau
+        m_cols = sigma_delta[:, self.st.actions[idx]]              # K x n_tau
         m_vinv_phi = m_cols @ vinv_phi
         m_vinv_resid = m_cols @ vinv_resid
         m_vinv_m = m_cols @ solver.apply(m_cols.T)
         return m_vinv_phi, m_vinv_resid, m_vinv_m
+
+
+def theta_posterior_stats(cfg: HierarchyConfig, phi_vinv_phi: np.ndarray,
+                          phi_vinv_resid: np.ndarray
+                          ) -> tuple[np.ndarray, np.ndarray, float]:
+    """(mean, cov, logdet_core) of P(theta | H) from the sufficient statistics
+    Phi^T V^{-1} Phi and Phi^T V^{-1} (R - Phi mu_theta):
+        cov  = (Sigma_theta^{-1} + Phi^T V^{-1} Phi)^{-1}
+        mean = mu_theta + cov Phi^T V^{-1} (R - Phi mu_theta)
+        logdet_core = log|Sigma_theta| + log|Sigma_theta^{-1} + Phi^T V^{-1} Phi|.
+    """
+    eye = np.eye(cfg.dim)
+    lower_t = chol_factor(cfg.sigma_theta)
+    lower_c = chol_factor(symmetrize(chol_solve(lower_t, eye) + phi_vinv_phi))
+    cov = symmetrize(chol_solve(lower_c, eye))
+    mean = cfg.mu_theta + cov @ phi_vinv_resid
+    logdet_core = _linalg.logdet_from_chol(lower_t) \
+        + _linalg.logdet_from_chol(lower_c)
+    return mean, cov, logdet_core
 
 
 def posterior_r_woodbury(cfg: HierarchyConfig, fm: FeatureMap, h: History,
@@ -344,7 +319,7 @@ def posterior_r_woodbury(cfg: HierarchyConfig, fm: FeatureMap, h: History,
     if len(h) == 0:
         return _prior_predictive(cfg, phi_t)
     ws = KernelWorkspace(cfg, fm, h, metadata_lookup, block_strategy=block_strategy)
-    sigma_in, _, _ = ws.core_inverse()
+    _, sigma_in, _ = theta_posterior_stats(cfg, ws.phi_vinv_phi, ws.phi_vinv_resid)
     m_vinv_phi, m_vinv_resid, m_vinv_m = ws.task_cross_terms(target_task, phi_t)
 
     ps = phi_t @ cfg.sigma_theta                                   # K x d
@@ -369,9 +344,8 @@ def posterior_theta(cfg: HierarchyConfig, fm: FeatureMap, h: History,
     if len(h) == 0:
         return ThetaPosterior(cfg.mu_theta, cfg.sigma_theta)
     ws = KernelWorkspace(cfg, fm, h, metadata_lookup)
-    sigma_in, _, _ = ws.core_inverse()
-    mean = cfg.mu_theta + sigma_in @ ws.phi_vinv_resid
-    return ThetaPosterior(mean, sigma_in)
+    mean, cov, _ = theta_posterior_stats(cfg, ws.phi_vinv_phi, ws.phi_vinv_resid)
+    return ThetaPosterior(mean, cov)
 
 
 # ---------------------------------------------------------------------------
@@ -539,10 +513,9 @@ class ThetaStatAccumulator:
         self.phi_vinv_resid += ((s1 - n1 * m) / d1 - (s0 - n0 * m) / d0) * phi
 
     def theta_posterior(self) -> ThetaPosterior:
-        core = inv_psd(self.cfg.sigma_theta) + self.phi_vinv_phi
-        sigma_in = inv_psd(symmetrize(core))
-        mean = self.cfg.mu_theta + sigma_in @ self.phi_vinv_resid
-        return ThetaPosterior(mean, sigma_in)
+        mean, cov, _ = theta_posterior_stats(self.cfg, self.phi_vinv_phi,
+                                             self.phi_vinv_resid)
+        return ThetaPosterior(mean, cov)
 
 
 # ---------------------------------------------------------------------------

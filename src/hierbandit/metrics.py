@@ -191,24 +191,6 @@ def cumulative_regret_by_seed(ledger: RegretLedger, algorithm: str) -> dict[int,
     return {int(s): float(regret[seeds == s].sum()) for s in np.unique(seeds)}
 
 
-def paired_t_statistic(diffs: np.ndarray) -> tuple[float, float]:
-    """(t, one-sided p) for H0: mean(diffs) >= 0 vs mean < 0, via the
-    Student t distribution with len(diffs) - 1 degrees of freedom."""
-    from scipy import stats
-
-    diffs = np.asarray(diffs, dtype=float)
-    n = diffs.shape[0]
-    if n < 2:
-        raise ConfigError("paired t-test needs >= 2 differences")
-    sd = diffs.std(ddof=1)
-    if sd == 0.0:
-        t = -np.inf if diffs.mean() < 0 else np.inf
-        return float(t), 0.0 if diffs.mean() < 0 else 1.0
-    t = diffs.mean() / (sd / np.sqrt(n))
-    p = float(stats.t.cdf(t, df=n - 1))
-    return float(t), p
-
-
 def verify_replay(ledger: RegretLedger, population_for_seed, reward_for) -> None:
     """Consistency check: every ledger reward must equal the deterministic
     reward table entry for its (seed, task, round, arm), and every

@@ -22,14 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .bernoulli import MEAN_CLIP, BetaParams, beta_from_mean_precision, \
-    precision_for_variance
+    clipped_logistic, precision_for_variance
 from .core import FeatureMap, HierarchyConfig, History
 from .envs import PopulationSpec, prior_rng
 from .errors import ConfigError
-from .gaussian import KernelWorkspace, _Stacked
+from .gaussian import KernelWorkspace, _Stacked, theta_posterior_stats
 
 N_BERNOULLI_CANDIDATES = 10
 _CANDIDATE_MEAN_RANGE = (0.1, 0.9)
@@ -100,7 +99,7 @@ def _bernoulli_moments(spec: PopulationSpec, true_theta: np.ndarray,
     lin = np.zeros((n_mc, k))
     for a in range(k):
         lin[:, a] = true_theta[a] + metadata[:, a * (d - k):(a + 1) * (d - k)] @ tail
-    probs = np.clip(expit(lin), MEAN_CLIP, 1.0 - MEAN_CLIP)
+    probs = clipped_logistic(lin)
     cond_mean = probs.mean(axis=0)
     # Var(r | theta) over metadata and the Beta draw:
     #   E Var(r | l) + Var E(r | l) = het * E[l(1-l)] + Var(l).
@@ -112,7 +111,7 @@ def _bernoulli_moments(spec: PopulationSpec, true_theta: np.ndarray,
     for a in range(k):
         lin2[:, a] = thetas[:, a] + np.einsum(
             "nj,nj->n", meta2[:, a * (d - k):(a + 1) * (d - k)], thetas[:, k:])
-    probs2 = np.clip(expit(lin2), MEAN_CLIP, 1.0 - MEAN_CLIP)
+    probs2 = clipped_logistic(lin2)
     marg_mean = float(probs2.mean())
     marg_var = float(het * (probs2 * (1.0 - probs2)).mean() + probs2.var())
     return cond_mean, cond_var, marg_mean, marg_var
@@ -199,8 +198,8 @@ def log_marginal_likelihood(sigma_noise: float, sigma_delta: np.ndarray,
     cfg = HierarchyConfig(mu_theta=mu_theta, sigma_theta=sigma_theta,
                           sigma_delta=sigma_delta, sigma_noise=sigma_noise)
     ws = KernelWorkspace(cfg, fm, h, metadata_lookup, stacked=_stacked)
-    sigma_in, _, logdet_core = ws.core_inverse()
     u = ws.phi_vinv_resid
+    _, sigma_in, logdet_core = theta_posterior_stats(cfg, ws.phi_vinv_phi, u)
     quad = ws.resid_vinv_resid - float(u @ sigma_in @ u)
     logdet = ws.logdet_v + logdet_core
     n = ws.st.n

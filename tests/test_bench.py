@@ -78,8 +78,10 @@ def test_manifest_reproduces_run(tmp_path):
         Path(again["ledger"]).read_bytes()
 
 
-@pytest.mark.parametrize("seeds", [None, 7, [5], [1, 1]],
-                         ids=["missing", "int", "one", "repeated"])
+@pytest.mark.parametrize("seeds", [None, 7, [5], [1, 1], ["a", 1], [1.5, 2.7],
+                                   [True, 2]],
+                         ids=["missing", "int", "one", "repeated", "string",
+                              "float", "bool"])
 def test_manifest_seeds_validated(tmp_path, capsys, seeds):
     manifest = ExperimentConfig.from_dict(
         _minimal_raw(seeds=[3, 9])).to_manifest_dict()

@@ -77,7 +77,6 @@ def test_custom_map_shape_checked():
 def test_task_registry():
     fm = FeatureMap.indicator_with_metadata(
         n_arms=2, dim=3, task_metadata={0: np.array([1.0, 2.0])})
-    assert fm.has_task(0) and not fm.has_task(1)
     assert fm.known_tasks() == (0,)
     np.testing.assert_array_equal(fm.metadata_for(0), [1.0, 2.0])
     with pytest.raises(KeyError):
@@ -142,7 +141,6 @@ def test_history_views():
     assert h.task_records(1) == (recs[0], recs[2])
     assert h.task_records(3) == ()
     assert list(h) == recs
-    assert h.per_task_index == {1: (0, 2), 0: (1,)}
 
 
 def test_record_invariants():

@@ -209,6 +209,5 @@ def test_atomic_write(tmp_path):
 def test_population_accessors():
     spec = _spec(seed=10)
     pop = generate_population(spec)
-    assert pop.task(3).task_id == 3
     np.testing.assert_array_equal(
         pop.best_means, [t.true_means.max() for t in pop.tasks])

@@ -551,6 +551,10 @@ def test_belief_validation():
         GaussianBelief(np.zeros(2), np.eye(3))
     with pytest.raises(ConfigError):
         ThetaPosterior(np.zeros((2, 2)), np.eye(2))
+    for cls in (GaussianBelief, ThetaPosterior):
+        for cov in (np.ones((2, 3)), np.ones(2)):
+            with pytest.raises(ConfigError):
+                cls(np.zeros(2), cov)
 
 
 def test_asymmetric_cov_symmetrized():

@@ -9,7 +9,7 @@ from hierbandit.errors import ConfigError
 from hierbandit.metrics import (RegretLedger, bayes_regret_curve,
                                 cumulative_regret_by_seed,
                                 instantaneous_regret, multi_task_regret_curve,
-                                paired_t_statistic, verify_replay)
+                                verify_replay)
 
 
 def _task(means):
@@ -234,18 +234,6 @@ def test_aligned_mtr_nonnegative_in_expectation():
     ledger = simulate_ledger(config)
     curve = multi_task_regret_curve(ledger, "hier-ts-aligned")
     assert float(curve.mean.sum()) >= 0.0
-
-
-def test_paired_t_statistic():
-    diffs = np.array([-0.5, -0.4, -0.6, -0.45])
-    t, p = paired_t_statistic(diffs)
-    want_t = diffs.mean() / (diffs.std(ddof=1) / 2.0)
-    np.testing.assert_allclose(t, want_t)
-    assert 0.0 < p < 0.01
-    t0, p0 = paired_t_statistic(np.array([-1.0, -1.0]))
-    assert t0 == -np.inf and p0 == 0.0
-    with pytest.raises(ConfigError):
-        paired_t_statistic(np.array([0.3]))
 
 
 def test_verify_replay_accepts_honest_and_rejects_tampered():
