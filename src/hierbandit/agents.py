@@ -36,6 +36,13 @@ prior set meta-ts resamples at schedule boundaries.
 
 All agents draw randomness from the single generator handed to them and
 break score ties toward the lowest arm index.
+
+Policies flagged round_independent make no decision in a concurrent round
+that reads another task's update from the same round (hier-ts-batch: until
+its next coefficient refresh).  They also take act_many/update_many over
+arrays of distinct task ids, so a concurrent round is one vectorized step
+that draws, picks and counts exactly as the act/update calls it replaces.
+Each core states its recipe once for an int task id and for an id array.
 """
 
 from __future__ import annotations
@@ -59,11 +66,20 @@ from .priors import DerivedPriors
 _SCORE_OFFSET: float | None = None
 
 
-def _pick(scores: np.ndarray) -> int:
-    """Arm of the highest score; exact ties go to the lowest index."""
+def _pick(scores: np.ndarray) -> np.ndarray:
+    """Arm of the highest score in each row (the last axis); exact ties go
+    to the lowest index."""
     if _SCORE_OFFSET is not None:
-        scores = scores + _SCORE_OFFSET * np.arange(scores.shape[0])
-    return int(np.argmax(scores))
+        scores = scores + _SCORE_OFFSET * np.arange(scores.shape[-1])
+    return scores.argmax(axis=-1)
+
+
+def _require_distinct(task_ids: np.ndarray) -> None:
+    """A batch names each task at most once: a fancy-index += would drop
+    the repeats."""
+    if np.unique(task_ids).shape[0] != task_ids.shape[0]:
+        raise ScheduleError("task ids repeat within one batch: %s"
+                            % np.array2string(task_ids))
 
 
 @dataclass
@@ -108,14 +124,28 @@ class Policy:
     act(task_id) returns an arm; update(...) feeds back the observed reward.
     end_of_round fires after each concurrent round, end_of_task after each
     task completes under a sequential schedule.  Defaults are no-ops.
+
+    A round_independent policy also answers act_many(task_ids), the arms
+    that act would pick for those distinct tasks in order, and
+    update_many(task_ids, arms, rewards), the updates in order.  act_many
+    may decide only a leading run of the ids; the caller updates that run
+    and asks again for the rest.
     """
 
     name: str = "policy"
+    round_independent = False
 
     def act(self, task_id: int) -> int:
         raise NotImplementedError
 
     def update(self, task_id: int, arm: int, reward: float) -> None:
+        raise NotImplementedError
+
+    def act_many(self, task_ids: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def update_many(self, task_ids: np.ndarray, arms: np.ndarray,
+                    rewards: np.ndarray) -> None:
         raise NotImplementedError
 
     def end_of_round(self) -> None:
@@ -139,10 +169,13 @@ class _ConditionalTS(Policy):
     with z one standard normal per arm.  This is the update
     conditional_stats_update does densely, specialized to diagonal
     Sigma_delta, and it consumes the generator as sample_mvn does.  With
-    align set, rounds 1..n_arms of each task first play arm round-1.
+    align set, rounds 1..n_arms of each task first play arm round-1 and draw
+    nothing.  _prior_mean and _conditional_draw take an int task id or an
+    id array (one row per task, drawn in row order).
     """
 
     align = False
+    round_independent = True
 
     def __init__(self, ctx: AgentContext, arm_var: np.ndarray, noise_sq: float):
         self.rng = ctx.rng
@@ -152,7 +185,7 @@ class _ConditionalTS(Policy):
         self.counts = np.zeros((ctx.n_tasks, ctx.n_arms))
         self.sums = np.zeros((ctx.n_tasks, ctx.n_arms))
 
-    def _prior_mean(self, task_id: int) -> np.ndarray:
+    def _prior_mean(self, task_id) -> np.ndarray:
         raise NotImplementedError
 
     def _rounds_played(self, task_id: int) -> int:
@@ -163,14 +196,27 @@ class _ConditionalTS(Policy):
             played = self._rounds_played(task_id)
             if played < self.n_arms:
                 return played
-        return _pick(self._conditional_draw(task_id, self._prior_mean(task_id)))
+        return int(_pick(self._conditional_draw(task_id,
+                                                self._prior_mean(task_id))))
 
-    def _conditional_draw(self, task_id: int, m: np.ndarray) -> np.ndarray:
+    def act_many(self, task_ids: np.ndarray) -> np.ndarray:
+        if not self.align:
+            return _pick(self._conditional_draw(task_ids,
+                                                self._prior_mean(task_ids)))
+        arms = self.counts[task_ids].sum(axis=1).astype(np.int64)
+        drawn = arms >= self.n_arms
+        if drawn.any():
+            task_ids = task_ids[drawn]
+            arms[drawn] = _pick(self._conditional_draw(
+                task_ids, self._prior_mean(task_ids)))
+        return arms
+
+    def _conditional_draw(self, task_id, m: np.ndarray) -> np.ndarray:
         """One draw of the task's arm means given prior mean m."""
         n = self.counts[task_id]
         v = self.arm_var
         d = self.noise_sq + v * n
-        z = self.rng.standard_normal(self.n_arms)
+        z = self.rng.standard_normal(n.shape)
         draw = m + v * (self.sums[task_id] - n * m) / d \
             + np.sqrt(v * self.noise_sq / d) * z
         if not np.isfinite(draw).all():
@@ -180,6 +226,11 @@ class _ConditionalTS(Policy):
     def update(self, task_id: int, arm: int, reward: float) -> None:
         self.counts[task_id, arm] += 1.0
         self.sums[task_id, arm] += reward
+
+    def update_many(self, task_ids: np.ndarray, arms: np.ndarray,
+                    rewards: np.ndarray) -> None:
+        _require_distinct(task_ids)
+        _ConditionalTS.update(self, task_ids, arms, rewards)
 
 
 class HierTS(_ConditionalTS):
@@ -192,6 +243,7 @@ class HierTS(_ConditionalTS):
     """
 
     name = "hier-ts"
+    round_independent = False  # a fresh theta reads every earlier update
 
     def __init__(self, ctx: AgentContext):
         cfg = ctx.cfg
@@ -209,8 +261,9 @@ class HierTS(_ConditionalTS):
     def _current_theta(self) -> np.ndarray:
         return self._theta_draw()
 
-    def _prior_mean(self, task_id: int) -> np.ndarray:
-        return self.acc.features[self.acc.row(task_id)] @ self._current_theta()
+    def _prior_mean(self, task_id) -> np.ndarray:
+        # The accumulator spans every task, so its rows are the task ids.
+        return self.acc.features[task_id] @ self._current_theta()
 
     def update(self, task_id: int, arm: int, reward: float) -> None:
         super().update(task_id, arm, reward)
@@ -222,10 +275,13 @@ class HierTSBatched(HierTS):
 
     refresh_every = m redraws theta after every m interactions; None redraws
     only at schedule boundaries (end of round or end of task).  m = 1 is
-    exactly hier-ts.
+    exactly hier-ts.  act_many decides tasks up to the next redraw, which
+    must see the updates before it; the coefficient records still enter
+    the accumulator one by one, in row order.
     """
 
     name = "hier-ts-batch"
+    round_independent = True
 
     def __init__(self, ctx: AgentContext, refresh_every: int | None = None):
         super().__init__(ctx)
@@ -241,9 +297,26 @@ class HierTSBatched(HierTS):
             self._since_refresh = 0
         return self._cached_theta
 
+    def act_many(self, task_ids: np.ndarray) -> np.ndarray:
+        # A due redraw comes first, as in act, and resets the count read here.
+        self._current_theta()
+        if self.refresh_every is not None:
+            task_ids = task_ids[:self.refresh_every - self._since_refresh]
+        return super().act_many(task_ids)
+
     def update(self, task_id: int, arm: int, reward: float) -> None:
         super().update(task_id, arm, reward)
-        self._since_refresh += 1
+        self._count_interactions(1)
+
+    def update_many(self, task_ids: np.ndarray, arms: np.ndarray,
+                    rewards: np.ndarray) -> None:
+        super().update_many(task_ids, arms, rewards)
+        for record in zip(task_ids.tolist(), arms.tolist(), rewards.tolist()):
+            self.acc.add(*record)
+        self._count_interactions(task_ids.shape[0])
+
+    def _count_interactions(self, k: int) -> None:
+        self._since_refresh += k
         if self.refresh_every is not None \
                 and self._since_refresh >= self.refresh_every:
             self._cached_theta = None
@@ -317,12 +390,16 @@ class OracleTS(_ConditionalTS):
             fm.task_features(fm.metadata_for(i)) @ theta
             for i in range(ctx.n_tasks)])
 
-    def _prior_mean(self, task_id: int) -> np.ndarray:
+    def _prior_mean(self, task_id) -> np.ndarray:
         return self.prior_means[task_id]
 
 
 class _IndependentArmTS(Policy):
-    """Scalar-conjugate TS per arm; subclasses define the belief sharing."""
+    """Scalar-conjugate TS per arm; subclasses define the belief sharing by
+    the number of (count, sum) slots, task t using slot t % n_slots.  _draw
+    takes an int task id or an id array."""
+
+    round_independent = True
 
     def __init__(self, ctx: AgentContext, n_slots: int):
         spec = ctx.population.spec
@@ -330,26 +407,34 @@ class _IndependentArmTS(Policy):
         self.noise_sq = spec.sigma_noise ** 2
         self.prior_mean = ctx.priors.marginal_mean
         self.prior_var = ctx.priors.marginal_variance
+        self.slot_of = np.arange(ctx.n_tasks) % n_slots
         self.counts = np.zeros((n_slots, ctx.n_arms))
         self.sums = np.zeros((n_slots, ctx.n_arms))
 
-    def _slot(self, task_id: int) -> int:
-        raise NotImplementedError
-
-    def act(self, task_id: int) -> int:
-        s = self._slot(task_id)
+    def _draw(self, task_id) -> np.ndarray:
+        s = self.slot_of[task_id]
         n = self.counts[s]
         # Conjugate normal posterior per arm from (count, sum).
         post_var = 1.0 / (1.0 / self.prior_var + n / self.noise_sq)
         post_mean = post_var * (self.prior_mean / self.prior_var
                                 + self.sums[s] / self.noise_sq)
-        draw = post_mean + np.sqrt(post_var) * self.rng.standard_normal(n.shape[0])
-        return _pick(draw)
+        return post_mean + np.sqrt(post_var) * self.rng.standard_normal(n.shape)
+
+    def act(self, task_id: int) -> int:
+        return int(_pick(self._draw(task_id)))
+
+    def act_many(self, task_ids: np.ndarray) -> np.ndarray:
+        return _pick(self._draw(task_ids))
 
     def update(self, task_id: int, arm: int, reward: float) -> None:
-        s = self._slot(task_id)
+        s = self.slot_of[task_id]
         self.counts[s, arm] += 1.0
         self.sums[s, arm] += reward
+
+    def update_many(self, task_ids: np.ndarray, arms: np.ndarray,
+                    rewards: np.ndarray) -> None:
+        _require_distinct(task_ids)
+        _IndependentArmTS.update(self, task_ids, arms, rewards)
 
 
 class IndividualTS(_IndependentArmTS):
@@ -360,20 +445,15 @@ class IndividualTS(_IndependentArmTS):
     def __init__(self, ctx: AgentContext):
         super().__init__(ctx, ctx.n_tasks)
 
-    def _slot(self, task_id: int) -> int:
-        return task_id
-
 
 class PooledTS(_IndependentArmTS):
     """One belief over arm means shared by every task (one size fits all)."""
 
     name = "pooled-ts"
+    round_independent = False  # every task reads the one shared slot
 
     def __init__(self, ctx: AgentContext):
         super().__init__(ctx, 1)
-
-    def _slot(self, task_id: int) -> int:
-        return 0
 
 
 class LinearTS(Policy):
@@ -447,7 +527,7 @@ class MetaTS(_ConditionalTS):
         mean, var = self._hyper_posterior()
         return mean + np.sqrt(var) * self.rng.standard_normal(mean.shape[0])
 
-    def _prior_mean(self, task_id: int) -> np.ndarray:
+    def _prior_mean(self, task_id) -> np.ndarray:
         return self._hyper_sample
 
     def end_of_round(self) -> None:
@@ -478,37 +558,47 @@ def _task_beta_priors(phi: np.ndarray, theta: np.ndarray,
 class _BetaCountTS(Policy):
     """Conjugate Beta-Bernoulli TS on per-slot success and failure counts.
 
-    Subclasses supply only _prior(task_id) -> (alpha1, alpha2), scalars or
-    K-vectors; arm a is drawn from Beta(alpha1_a + wins_a, alpha2_a +
-    losses_a) and a reward >= 0.5 counts as a success.  Every task has its
-    own slot unless n_slots and _slot say otherwise.
+    Subclasses supply only _prior(task_ids) -> (alpha1, alpha2), scalars or
+    arrays that broadcast against the tasks' (K,) or (n, K) counts; arm a is
+    drawn from Beta(alpha1_a + wins_a, alpha2_a + losses_a) and a reward >=
+    0.5 counts as a success.  Every task has its own slot unless n_slots
+    says otherwise; task t then uses slot t % n_slots.
     """
 
     n_slots: int | None = None  # None: one slot per task
+    round_independent = True
 
     def __init__(self, ctx: AgentContext):
         self.rng = ctx.rng
         n_slots = ctx.n_tasks if self.n_slots is None else self.n_slots
+        self.slot_of = np.arange(ctx.n_tasks) % n_slots
         self.wins = np.zeros((n_slots, ctx.n_arms))
         self.losses = np.zeros((n_slots, ctx.n_arms))
 
-    def _prior(self, task_id: int) -> tuple:
+    def _prior(self, task_id) -> tuple:
         raise NotImplementedError
 
-    def _slot(self, task_id: int) -> int:
-        return task_id
+    def _draw(self, task_id) -> np.ndarray:
+        s = self.slot_of[task_id]
+        alpha1, alpha2 = self._prior(task_id)
+        return self.rng.beta(alpha1 + self.wins[s], alpha2 + self.losses[s])
 
     def act(self, task_id: int) -> int:
-        s = self._slot(task_id)
-        alpha1, alpha2 = self._prior(task_id)
-        return _pick(self.rng.beta(alpha1 + self.wins[s], alpha2 + self.losses[s]))
+        return int(_pick(self._draw(task_id)))
+
+    def act_many(self, task_ids: np.ndarray) -> np.ndarray:
+        return _pick(self._draw(task_ids))
 
     def update(self, task_id: int, arm: int, reward: float) -> None:
-        s = self._slot(task_id)
-        if reward >= 0.5:
-            self.wins[s, arm] += 1.0
-        else:
-            self.losses[s, arm] += 1.0
+        s = self.slot_of[task_id]
+        won = reward >= 0.5
+        self.wins[s, arm] += won
+        self.losses[s, arm] += 1.0 - won
+
+    def update_many(self, task_ids: np.ndarray, arms: np.ndarray,
+                    rewards: np.ndarray) -> None:
+        _require_distinct(task_ids)
+        _BetaCountTS.update(self, task_ids, arms, rewards)
 
 
 class IndividualTSBernoulli(_BetaCountTS):
@@ -523,7 +613,7 @@ class IndividualTSBernoulli(_BetaCountTS):
                               % self.name)
         super().__init__(ctx)
 
-    def _prior(self, task_id: int) -> tuple[float, float]:
+    def _prior(self, task_id) -> tuple[float, float]:
         return self.prior.alpha1, self.prior.alpha2
 
 
@@ -532,9 +622,7 @@ class PooledTSBernoulli(IndividualTSBernoulli):
 
     name = "pooled-ts"
     n_slots = 1
-
-    def _slot(self, task_id: int) -> int:
-        return 0
+    round_independent = False  # every task reads the one shared slot
 
 
 class OracleTSBernoulli(_BetaCountTS):
@@ -553,7 +641,7 @@ class OracleTSBernoulli(_BetaCountTS):
     def _set_theta(self, theta: np.ndarray) -> None:
         self.alpha1, self.alpha2 = _task_beta_priors(self._phi, theta, self.psi)
 
-    def _prior(self, task_id: int) -> tuple[np.ndarray, np.ndarray]:
+    def _prior(self, task_id) -> tuple[np.ndarray, np.ndarray]:
         return self.alpha1[task_id], self.alpha2[task_id]
 
 
@@ -568,7 +656,8 @@ class HierTSBernoulli(OracleTSBernoulli):
     each task's Beta prior from it.  MCMC length is configurable to trade
     accuracy for time.  Each refresh's post-burn-in acceptance rate is
     appended to `acceptance_rates` and its sampler warnings to
-    `mcmc_warnings`.
+    `mcmc_warnings`.  Only without `refresh_every` is the agent
+    round_independent; update_many then leaves the unread refresh counter.
     """
 
     name = "hier-ts"
@@ -581,6 +670,7 @@ class HierTSBernoulli(OracleTSBernoulli):
         self.n_samples = n_samples
         self.burn_in = burn_in
         self.refresh_every = refresh_every
+        self.round_independent = refresh_every is None
         self._since_refresh = 0
         self.acceptance_rates: list[float] = []
         self.mcmc_warnings: list[str] = []
@@ -653,7 +743,7 @@ class MetaTSBernoulli(_BetaCountTS):
         probs /= probs.sum()
         self._current = int(self.rng.choice(self.n_candidates, p=probs))
 
-    def _prior(self, task_id: int) -> tuple[np.ndarray, np.ndarray]:
+    def _prior(self, task_id) -> tuple[np.ndarray, np.ndarray]:
         return self.cand_a1[self._current], self.cand_a2[self._current]
 
     def end_of_round(self) -> None:

@@ -32,7 +32,7 @@ from .agents import AgentContext, Policy, make_policy
 from .envs import (InteractionSchedule, Population, PopulationSpec,
                    RewardTable, agent_rng, atomic_write_text,
                    generate_misspecified, generate_population, make_schedule)
-from .errors import ConfigError
+from .errors import ConfigError, ScheduleError
 from .metrics import (ORACLE_NAME, Curve, RegretLedger, bayes_regret_curve,
                       cumulative_regret_by_seed, multi_task_regret_curve)
 from .priors import derive_baseline_priors
@@ -248,9 +248,27 @@ def simulate_run(population: Population, table: RewardTable, policy: Policy,
     (task_ids, rounds, arms, rewards, inst_regrets) in interaction order.
     A concurrent schedule fires end_of_round after the last task of each
     round, a sequential one end_of_task after each task's last round; a
-    custom schedule fires neither."""
+    custom schedule fires neither.  A round_independent policy on a
+    concurrent schedule plays each round in batched steps (_play_rounds),
+    with the same columns and generator state as the act/update loop."""
     steps = np.array(list(schedule.iter_with_rounds()),
                      dtype=np.int64).reshape(-1, 2)
+    task_ids, rounds = steps.T
+    if schedule.kind == "concurrent" and policy.round_independent:
+        shape = (schedule.horizon, schedule.n_tasks)
+        arms, rewards = _play_rounds(table, policy, task_ids.reshape(shape),
+                                     rounds.reshape(shape))
+    else:
+        arms, rewards = _play_steps(table, policy, schedule, steps)
+    means = np.stack([t.true_means for t in population.tasks])
+    gaps = population.best_means[task_ids] - means[task_ids, arms]
+    return task_ids, rounds, arms, rewards, gaps
+
+
+def _play_steps(table: RewardTable, policy: Policy,
+                schedule: InteractionSchedule, steps: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """One act, reward and update per (task, round) step, in order."""
     round_hook = schedule.kind == "concurrent"
     task_hook = schedule.kind == "sequential"
     last_task, horizon = schedule.n_tasks - 1, schedule.horizon
@@ -266,11 +284,34 @@ def simulate_run(population: Population, table: RewardTable, policy: Policy,
             policy.end_of_round()
         elif task_hook and rnd == horizon:
             policy.end_of_task(tid)
-    task_ids, rounds = steps.T
-    arms = np.array(arms, dtype=np.int64)
-    means = np.stack([t.true_means for t in population.tasks])
-    gaps = population.best_means[task_ids] - means[task_ids, arms]
-    return task_ids, rounds, arms, np.array(rewards, dtype=float), gaps
+    return np.array(arms, dtype=np.int64), np.array(rewards, dtype=float)
+
+
+def _play_rounds(table: RewardTable, policy: Policy, task_ids: np.ndarray,
+                 rounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Concurrent rounds (one row of task_ids and rounds each) of a
+    round_independent policy: act_many, rewards and update_many over the
+    round's tasks, repeated on the rest whenever act_many decides only a
+    leading run, then end_of_round."""
+    arms = np.empty(task_ids.shape, dtype=np.int64)
+    rewards = np.empty(task_ids.shape)
+    n_tasks = task_ids.shape[1]
+    for r in range(task_ids.shape[0]):
+        start = 0
+        while start < n_tasks:
+            picked = policy.act_many(task_ids[r, start:])
+            stop = start + picked.shape[0]
+            if stop == start:
+                raise ScheduleError("%s decided no task of round %d"
+                                    % (policy.name, r + 1))
+            tasks = task_ids[r, start:stop]
+            got = table.rewards(tasks, rounds[r, start:stop], picked)
+            policy.update_many(tasks, picked, got)
+            arms[r, start:stop] = picked
+            rewards[r, start:stop] = got
+            start = stop
+        policy.end_of_round()
+    return arms.ravel(), rewards.ravel()
 
 
 def make_population(spec: PopulationSpec) -> Population:

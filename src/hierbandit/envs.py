@@ -213,20 +213,37 @@ class RewardTable:
             self._noise = rng.standard_normal(shape)
         else:
             self._noise = rng.uniform(size=shape)
-        self._population = population
+        self._spec = spec
+        self._means = np.stack([t.true_means for t in population.tasks])
 
     def reward(self, task_id: int, round_within_task: int, arm: int) -> float:
         """Reward for pulling arm at the task's 1-based round."""
-        spec = self._population.spec
+        spec = self._spec
         t = round_within_task - 1
         if not 0 <= t < spec.horizon:
             raise ScheduleError("round %d outside horizon %d"
                                 % (round_within_task, spec.horizon))
-        mean = float(self._population.tasks[task_id].true_means[arm])
+        mean = float(self._means[task_id, arm])
         z = self._noise[task_id, t, arm]
         if spec.reward_kind == "gaussian":
             return mean + spec.sigma_noise * float(z)
         return float(z < mean)
+
+    def rewards(self, task_ids: np.ndarray, round_within_task,
+                arms: np.ndarray) -> np.ndarray:
+        """reward() of every (task, round, arm) element, as one array; the
+        round is an int or an array broadcast against the ids and arms."""
+        spec = self._spec
+        rounds = np.asarray(round_within_task)
+        outside = rounds[(rounds < 1) | (rounds > spec.horizon)]
+        if outside.size:
+            raise ScheduleError("round %d outside horizon %d"
+                                % (outside.flat[0], spec.horizon))
+        mean = self._means[task_ids, arms]
+        z = self._noise[task_ids, rounds - 1, arms]
+        if spec.reward_kind == "gaussian":
+            return mean + spec.sigma_noise * z
+        return (z < mean).astype(float)
 
 
 @dataclass(frozen=True)

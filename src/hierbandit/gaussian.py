@@ -494,9 +494,6 @@ class ThetaStatAccumulator:
         self.phi_vinv_resid = np.zeros(fm.dim)
         self._noise_sq = cfg.sigma_noise ** 2
 
-    def row(self, task_id: int) -> int:
-        return self._index[task_id]
-
     def add(self, task_id: int, arm: int, reward: float) -> None:
         row = self._index[task_id]
         n0 = self.counts[row, arm]

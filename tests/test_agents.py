@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import hierbandit.agents
 from hierbandit.agents import (AgentContext, AlignedHierTS, HierTS,
                                HierTSBatched, IndividualTS, LinearTS, MetaTS,
                                OracleTS, OracleTSBernoulli, PooledTS, _pick,
@@ -42,6 +43,17 @@ def _stub_ctx(cfg, fm, n_tasks, rng, schedule_kind="sequential"):
 def test_pick_ties_to_lowest_index():
     assert _pick(np.array([0.3, 0.7, 0.7])) == 1
     assert _pick(np.array([1.0, 1.0, 1.0])) == 0
+
+
+def test_pick_row_wise_ties_and_offset(monkeypatch):
+    scores = np.array([[0.3, 0.7, 0.7], [1.0, 1.0, 1.0], [2.0, 0.0, 2.0],
+                       [0.0, 1.0, 50.0]])
+    assert _pick(scores).tolist() == [1, 0, 0, 2]
+    monkeypatch.setattr(hierbandit.agents, "_SCORE_OFFSET", -100.0)
+    # the offset -100 * arm applies to every row alike
+    assert _pick(scores).tolist() == [0, 0, 0, 0]
+    rows = np.random.default_rng(0).normal(0.0, 100.0, size=(50, 4))
+    assert _pick(rows).tolist() == [int(_pick(r)) for r in rows]
 
 
 def test_act_degenerate_prior_is_deterministic():
@@ -624,3 +636,36 @@ def test_registry_validation():
         make_policy("oracle-ts", ctx, {"theta": np.zeros(2)})
     agent = make_policy("hier-ts-batch", ctx, {"refresh_every": 5})
     assert agent.refresh_every == 5
+
+
+@pytest.mark.parametrize("kind, name", [
+    ("gaussian", "individual-ts"), ("gaussian", "oracle-ts"),
+    ("gaussian", "meta-ts"), ("gaussian", "hier-ts-batch"),
+    ("bernoulli", "individual-ts"), ("bernoulli", "oracle-ts"),
+    ("bernoulli", "meta-ts"), ("bernoulli", "hier-ts")])
+def test_update_many_rejects_repeated_task_ids(kind, name):
+    spec = PopulationSpec(n_tasks=3, horizon=4, n_arms=2, dim=2,
+                          reward_kind=kind, seed=53)
+    _, ctx = _ctx(spec, seed=54)
+    agent = make_policy(name, ctx)
+    assert agent.round_independent
+    with pytest.raises(ScheduleError, match="repeat"):
+        agent.update_many(np.array([0, 2, 0]), np.array([0, 1, 1]),
+                          np.array([1.0, 0.0, 1.0]))
+    agent.update_many(np.array([0, 2]), np.array([0, 1]), np.array([1.0, 0.0]))
+
+
+def test_stacked_prior_means_equal_per_task_products():
+    # hier-ts-batch forms a segment's prior means as features[ids] @ theta;
+    # the scalar path forms features[id] @ theta task by task.  The two must
+    # agree bit for bit, or the batched round would move the ledger.  The
+    # features here are dense: a population's indicator-and-metadata rows
+    # have so few nonzeros that every summation order agrees on them.
+    rng = np.random.default_rng(55)
+    for _ in range(500):
+        n, k, d = (int(v) for v in rng.integers(1, [40, 12, 30]))
+        features = rng.normal(0.0, rng.uniform(0.1, 10.0), size=(n + 2, k, d))
+        theta = rng.standard_normal(d)
+        ids = np.sort(rng.choice(n + 2, size=n, replace=False))
+        assert np.array_equal(features[ids] @ theta,
+                              np.stack([features[i] @ theta for i in ids]))

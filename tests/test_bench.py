@@ -6,17 +6,20 @@ import os
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from hierbandit.agents import Policy
+from hierbandit.agents import (AgentContext, Policy, PooledTS,
+                               PooledTSBernoulli, make_policy)
 from hierbandit.bench import (ExperimentConfig, resolve_output_dir,
                               run_experiment, simulate_ledger, simulate_run,
                               write_ledger_csv)
 from hierbandit.cli import main
-from hierbandit.envs import (PopulationSpec, RewardTable, generate_population,
-                             make_schedule)
+from hierbandit.envs import (PopulationSpec, RewardTable, agent_rng,
+                             generate_population, make_schedule)
 from hierbandit.errors import ConfigError
 from hierbandit.metrics import RegretLedger
+from hierbandit.priors import derive_baseline_priors
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -325,3 +328,123 @@ def test_simulate_run_hook_order(kind, stream, expected):
     assert policy.events == expected
     assert list(zip(task_ids, rounds)) == list(schedule.iter_with_rounds())
     assert arms.tolist() == [0] * len(schedule)
+
+
+class _BatchRecordingPolicy(_RecordingPolicy):
+    """A round_independent recorder whose act_many decides at most `run`
+    tasks at a time."""
+
+    round_independent = True
+
+    def __init__(self, run):
+        super().__init__()
+        self.run = run
+
+    def act_many(self, task_ids):
+        self.events.append(("act_many", tuple(task_ids.tolist())))
+        return np.zeros(min(self.run, task_ids.shape[0]), dtype=np.int64)
+
+    def update_many(self, task_ids, arms, rewards):
+        self.events.append(("update_many", tuple(task_ids.tolist())))
+
+
+@pytest.mark.parametrize("kind, stream, run, expected", [
+    ("concurrent", None, 3,
+     [("act_many", (0, 1, 2)), ("update_many", (0, 1, 2)), ("end_of_round",)]
+     * 2),
+    ("concurrent", None, 2,
+     [("act_many", (0, 1, 2)), ("update_many", (0, 1)),
+      ("act_many", (2,)), ("update_many", (2,)), ("end_of_round",)] * 2),
+    ("sequential", None, 3,
+     _play(0) + _play(0) + [("end_of_task", 0)]
+     + _play(1) + _play(1) + [("end_of_task", 1)]
+     + _play(2) + _play(2) + [("end_of_task", 2)]),
+    ("custom", [0, 1, 2, 0, 1, 2], 3,
+     _play(0) + _play(1) + _play(2) + _play(0) + _play(1) + _play(2)),
+])
+def test_simulate_run_batched_hook_order(kind, stream, run, expected):
+    # A flagged policy takes batched steps on concurrent schedules only.
+    spec = PopulationSpec(n_tasks=3, horizon=2, n_arms=2, dim=3, seed=5)
+    population = generate_population(spec)
+    schedule = make_schedule(kind, spec.n_tasks, spec.horizon, stream)
+    policy = _BatchRecordingPolicy(run)
+    task_ids, rounds, arms, _, _ = simulate_run(
+        population, RewardTable(population), policy, schedule)
+    assert policy.events == expected
+    assert list(zip(task_ids, rounds)) == list(schedule.iter_with_rounds())
+    assert arms.tolist() == [0] * len(schedule)
+
+
+def _both_paths(kind, name, options, n_tasks, flag=False):
+    """simulate_run of one policy on a concurrent schedule, batched and with
+    the act/update loop forced; each as (columns, generator end state).
+    flag=True flags an unflagged policy for the batched run."""
+    spec = PopulationSpec(n_tasks=n_tasks, horizon=7, n_arms=3, dim=4,
+                          reward_kind=kind, seed=21)
+    population = generate_population(spec)
+    table = RewardTable(population)
+    priors = derive_baseline_priors(spec, population.theta, n_mc=2000)
+    schedule = make_schedule("concurrent", spec.n_tasks, spec.horizon)
+    out = []
+    for batched in (True, False):
+        ctx = AgentContext(population, priors, agent_rng(22, name),
+                           "concurrent")
+        policy = make_policy(name, ctx, options)
+        if batched:
+            assert policy.round_independent != flag
+            policy.round_independent = True
+            policy.act = policy.update = None  # the batched path calls neither
+        else:
+            policy.round_independent = False
+        cols = simulate_run(population, table, policy, schedule)
+        out.append((cols, ctx.rng.bit_generator.state))
+    return out
+
+
+_BERNOULLI_HIER = {"n_samples": 20, "burn_in": 10}
+_FLAGGED = [("gaussian", "individual-ts", {}),
+            ("gaussian", "oracle-ts", {"align": False}),
+            ("gaussian", "oracle-ts", {"align": True}),
+            ("gaussian", "meta-ts", {}),
+            ("gaussian", "hier-ts-batch", {"refresh_every": None})]
+_FLAGGED += [("gaussian", "hier-ts-batch", {"refresh_every": m})
+             for m in (1, 3, 7, "n_tasks+1")]
+_FLAGGED += [("bernoulli", "individual-ts", {}),
+             ("bernoulli", "oracle-ts", {}),
+             ("bernoulli", "meta-ts", {}),
+             ("bernoulli", "hier-ts", _BERNOULLI_HIER)]
+
+
+@pytest.mark.parametrize("n_tasks", [1, 6])
+@pytest.mark.parametrize("kind, name, options", _FLAGGED)
+def test_round_batched_path_matches_act_update_loop(kind, name, options,
+                                                    n_tasks):
+    if options.get("refresh_every") == "n_tasks+1":
+        options = {"refresh_every": n_tasks + 1}
+    (batched, state_b), (looped, state_l) = _both_paths(kind, name, options,
+                                                        n_tasks)
+    for col_b, col_l in zip(batched, looped):
+        assert col_b.dtype == col_l.dtype
+        assert np.array_equal(col_b, col_l)
+    assert state_b == state_l
+
+
+@pytest.mark.parametrize("kind, cls", [("gaussian", PooledTS),
+                                       ("bernoulli", PooledTSBernoulli)])
+def test_wrongly_flagged_pooled_ts_diverges(monkeypatch, kind, cls):
+    # pooled-ts shares one slot across tasks, so a round's decisions read
+    # each other's updates; flagging it must change the columns.
+    monkeypatch.setattr(cls, "round_independent", True)
+    (batched, _), (looped, _) = _both_paths(kind, "pooled-ts", {}, 6)
+    assert not all(np.array_equal(b, l) for b, l in zip(batched, looped))
+
+
+@pytest.mark.parametrize("kind, name, options", [
+    ("gaussian", "hier-ts", {}),
+    ("bernoulli", "hier-ts", dict(_BERNOULLI_HIER, refresh_every=4))])
+def test_wrongly_flagged_hier_ts_diverges(kind, name, options):
+    # Gaussian hier-ts redraws theta from every earlier update, Bernoulli
+    # hier-ts with refresh_every reruns its chain mid-round; neither is
+    # flagged, and flagging either must change the columns.
+    (batched, _), (looped, _) = _both_paths(kind, name, options, 6, flag=True)
+    assert not all(np.array_equal(b, l) for b, l in zip(batched, looped))
