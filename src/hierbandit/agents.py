@@ -30,9 +30,9 @@ They share one core too: a per-task Beta prior, then conjugate Beta-
 Bernoulli TS on the task's success and failure counts.  Only the prior's
 source differs: the marginal Beta (individual-ts, and pooled-ts with one
 count slot for every task), Beta(mu/psi, (1-mu)/psi) with mu =
-logistic(phi^T theta) under the true theta (oracle-ts) or under an MCMC
-theta draw refreshed at schedule boundaries (hier-ts), or the candidate
-prior set meta-ts resamples at schedule boundaries.
+logistic(phi^T theta) under the true theta (oracle-ts) or under the theta
+of a warm MCMC chain advanced at schedule boundaries (hier-ts), or the
+candidate prior set meta-ts resamples at schedule boundaries.
 
 All agents draw randomness from the single generator handed to them and
 break score ties toward the lowest arm index.
@@ -54,7 +54,8 @@ import numpy as np
 from scipy.special import betaln
 
 from ._linalg import sample_mvn_precision
-from .bernoulli import logistic_beta_shapes, sample_theta_counts
+from .bernoulli import (ThetaSampler, acceptance_warnings,
+                        logistic_beta_shapes)
 from .core import FeatureMap, HierarchyConfig
 from .envs import Population
 from .errors import ConfigError, NumericalError, ScheduleError
@@ -72,6 +73,19 @@ def _pick(scores: np.ndarray) -> np.ndarray:
     if _SCORE_OFFSET is not None:
         scores = scores + _SCORE_OFFSET * np.arange(scores.shape[-1])
     return scores.argmax(axis=-1)
+
+
+def _check_count(name: str, value, least: int, allow_none: bool = False):
+    """value if it is an integer (not a bool) >= least, or None when
+    allow_none; ConfigError otherwise."""
+    if value is None and allow_none:
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or value < least:
+        raise ConfigError("%s must be an integer >= %d%s, got %r"
+                          % (name, least, " or None" if allow_none else "",
+                             value))
+    return value
 
 
 def _require_distinct(task_ids: np.ndarray) -> None:
@@ -276,8 +290,8 @@ class HierTSBatched(HierTS):
     refresh_every = m redraws theta after every m interactions; None redraws
     only at schedule boundaries (end of round or end of task).  m = 1 is
     exactly hier-ts.  act_many decides tasks up to the next redraw, which
-    must see the updates before it; the coefficient records still enter
-    the accumulator one by one, in row order.
+    must see the updates before it; the coefficient records enter the
+    accumulator in row order, as add_many sums them.
     """
 
     name = "hier-ts-batch"
@@ -285,9 +299,8 @@ class HierTSBatched(HierTS):
 
     def __init__(self, ctx: AgentContext, refresh_every: int | None = None):
         super().__init__(ctx)
-        if refresh_every is not None and refresh_every < 1:
-            raise ConfigError("refresh_every must be >= 1 or None")
-        self.refresh_every = refresh_every
+        self.refresh_every = _check_count("refresh_every", refresh_every, 1,
+                                          allow_none=True)
         self._since_refresh = 0
         self._cached_theta: np.ndarray | None = None
 
@@ -311,8 +324,7 @@ class HierTSBatched(HierTS):
     def update_many(self, task_ids: np.ndarray, arms: np.ndarray,
                     rewards: np.ndarray) -> None:
         super().update_many(task_ids, arms, rewards)
-        for record in zip(task_ids.tolist(), arms.tolist(), rewards.tolist()):
-            self.acc.add(*record)
+        self.acc.add_many(task_ids, arms, rewards)
         self._count_interactions(task_ids.shape[0])
 
     def _count_interactions(self, k: int) -> None:
@@ -650,26 +662,28 @@ class HierTSBernoulli(OracleTSBernoulli):
     of theta in place of the true one.
 
     The first theta is a draw from its prior.  At every schedule boundary
-    (and after `refresh_every` interactions, if set) the agent reruns the
-    Metropolis-within-Gibbs sampler on the per-slot counts of every task
-    pulled so far, keeps one random post-burn-in draw of theta, and rebuilds
-    each task's Beta prior from it.  MCMC length is configurable to trade
-    accuracy for time.  Each refresh's post-burn-in acceptance rate is
-    appended to `acceptance_rates` and its sampler warnings to
-    `mcmc_warnings`.  Only without `refresh_every` is the agent
-    round_independent; update_many then leaves the unread refresh counter.
+    (and after `refresh_every` interactions, if set) the agent advances one
+    persistent Metropolis-within-Gibbs chain on the per-slot counts of every
+    task pulled so far and rebuilds each task's Beta prior from the chain's
+    final theta.  The first refresh starts the chain cold at mu_theta with
+    `burn_in` sweeps; every refresh then runs `sweeps` more from wherever
+    the chain stands, its proposal scale still adapting with a shrinking
+    gain.  Each refresh's acceptance rate over those `sweeps` is appended to
+    `acceptance_rates` and its sampler warnings to `mcmc_warnings`.  Only
+    without `refresh_every` is the agent round_independent; update_many
+    then leaves the unread refresh counter.
     """
 
     name = "hier-ts"
 
-    def __init__(self, ctx: AgentContext, n_samples: int = 400,
-                 burn_in: int = 200, refresh_every: int | None = None):
+    def __init__(self, ctx: AgentContext, burn_in: int = 200,
+                 sweeps: int = 20, refresh_every: int | None = None):
         cfg = ctx.cfg
-        cfg.require_bernoulli()
-        self.cfg = cfg
-        self.n_samples = n_samples
-        self.burn_in = burn_in
-        self.refresh_every = refresh_every
+        self.chain = ThetaSampler(cfg)
+        self.burn_in = _check_count("burn_in", burn_in, 0)
+        self.sweeps = _check_count("sweeps", sweeps, 1)
+        self.refresh_every = _check_count("refresh_every", refresh_every, 1,
+                                          allow_none=True)
         self.round_independent = refresh_every is None
         self._since_refresh = 0
         self.acceptance_rates: list[float] = []
@@ -683,14 +697,14 @@ class HierTSBernoulli(OracleTSBernoulli):
         tasks = np.flatnonzero((self.wins + self.losses).any(axis=1))
         if tasks.size == 0:
             tasks = np.arange(self._phi.shape[0])
-        chain = sample_theta_counts(
-            self.cfg, self._phi[tasks].reshape(-1, self._phi.shape[2]),
-            self.wins[tasks].ravel(), self.losses[tasks].ravel(), self.rng,
-            n_samples=self.n_samples, burn_in=self.burn_in)
-        self.acceptance_rates.append(chain.acceptance_rate)
-        self.mcmc_warnings.extend(chain.warnings)
-        pick = int(self.rng.integers(chain.samples.shape[0]))
-        self._set_theta(chain.samples[pick])
+        data = (self._phi[tasks].reshape(-1, self._phi.shape[2]),
+                self.wins[tasks].ravel(), self.losses[tasks].ravel(), self.rng)
+        if self.chain.n_sweeps == 0:
+            self.chain.run(*data, self.burn_in)
+        rate = self.chain.run(*data, self.sweeps) / float(self.sweeps)
+        self.acceptance_rates.append(rate)
+        self.mcmc_warnings.extend(acceptance_warnings(rate))
+        self._set_theta(self.chain.theta)
         self._since_refresh = 0
 
     def update(self, task_id: int, arm: int, reward: float) -> None:
@@ -779,7 +793,7 @@ _BERNOULLI_FACTORIES: dict[str, Callable[..., Policy]] = {
 _ALLOWED_OPTIONS: dict[tuple[str, str], frozenset[str]] = {
     ("gaussian", "hier-ts-batch"): frozenset({"refresh_every"}),
     ("gaussian", "oracle-ts"): frozenset({"align"}),
-    ("bernoulli", "hier-ts"): frozenset({"n_samples", "burn_in", "refresh_every"}),
+    ("bernoulli", "hier-ts"): frozenset({"burn_in", "sweeps", "refresh_every"}),
 }
 
 

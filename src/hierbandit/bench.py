@@ -251,30 +251,28 @@ def simulate_run(population: Population, table: RewardTable, policy: Policy,
     custom schedule fires neither.  A round_independent policy on a
     concurrent schedule plays each round in batched steps (_play_rounds),
     with the same columns and generator state as the act/update loop."""
-    steps = np.array(list(schedule.iter_with_rounds()),
-                     dtype=np.int64).reshape(-1, 2)
-    task_ids, rounds = steps.T
+    task_ids, rounds = schedule.columns()
     if schedule.kind == "concurrent" and policy.round_independent:
         shape = (schedule.horizon, schedule.n_tasks)
         arms, rewards = _play_rounds(table, policy, task_ids.reshape(shape),
                                      rounds.reshape(shape))
     else:
-        arms, rewards = _play_steps(table, policy, schedule, steps)
+        arms, rewards = _play_steps(table, policy, schedule, task_ids, rounds)
     means = np.stack([t.true_means for t in population.tasks])
     gaps = population.best_means[task_ids] - means[task_ids, arms]
     return task_ids, rounds, arms, rewards, gaps
 
 
 def _play_steps(table: RewardTable, policy: Policy,
-                schedule: InteractionSchedule, steps: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray]:
+                schedule: InteractionSchedule, task_ids: np.ndarray,
+                rounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One act, reward and update per (task, round) step, in order."""
     round_hook = schedule.kind == "concurrent"
     task_hook = schedule.kind == "sequential"
     last_task, horizon = schedule.n_tasks - 1, schedule.horizon
     arms: list[int] = []
     rewards: list[float] = []
-    for tid, rnd in steps.tolist():
+    for tid, rnd in zip(task_ids.tolist(), rounds.tolist()):
         arm = policy.act(tid)
         reward = table.reward(tid, rnd, arm)
         policy.update(tid, arm, reward)

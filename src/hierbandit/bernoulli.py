@@ -14,13 +14,14 @@ Beta parameterization: for mean mu and precision psi > 0,
 so larger psi means more cross-task heterogeneity around the logistic mean.
 
 The arm-mean posterior given theta is conjugate (Beta-Bernoulli).  The
-coefficient posterior is not; sample_theta_counts runs Metropolis-within-Gibbs
-on per-slot success and failure counts, alternating an exact vectorized
+coefficient posterior is not; ThetaSampler runs Metropolis-within-Gibbs on
+per-slot success and failure counts, alternating an exact vectorized
 resample of the latent arm means with a random-walk Metropolis move on theta
-against the latent-conditional target.  Each sweep computes the current
-state's terms once: a state's Beta shapes and log prior are computed when it
-is proposed and reused until a proposal replaces it.  Bernoulli hier-ts runs
-it on the counts it keeps; sample_theta_mcmc is the History adapter.
+against the latent-conditional target.  Its state (theta, the adapted
+proposal scale, the sweep count) persists between runs, so Bernoulli hier-ts
+keeps one warm chain across refreshes while its counts grow.
+sample_theta_counts is the same chain started cold from mu_theta, and
+sample_theta_mcmc its History adapter.
 """
 
 from __future__ import annotations
@@ -199,19 +200,11 @@ def sample_theta_counts(cfg: HierarchyConfig, phi_rows: np.ndarray,
     task-arm slots: row j of phi_rows is a slot's feature vector and
     successes[j], failures[j] its Bernoulli counts.
 
-    Each sweep (1) resamples every latent arm mean exactly from its conjugate
-    Beta(alpha1 + s, alpha2 + f) given the current theta, all slots in one
-    vectorized draw, and (2) proposes a Gaussian random-walk step on theta
-    accepted against the latent-conditional target.  A theta state's terms
-    (its Beta shapes, betaln of them and its log prior) are computed once,
-    when the state is proposed, and reused until another proposal is
-    accepted; the latent logs are shared by the current and candidate
-    targets.  Each sweep draws one beta(n_slots), one standard_normal(d) and
-    one uniform(), in that order.  The proposal scale adapts on the log
-    scale during burn-in only (stochastic approximation toward 30%
-    acceptance); the reported acceptance rate covers the post-burn-in phase.
+    A cold ThetaSampler: burn_in sweeps from mu_theta with the proposal
+    scale adapting, then n_samples kept sweeps at the scale burn-in left;
+    the reported acceptance rate covers the kept sweeps.
     """
-    cfg.require_bernoulli()
+    chain = ThetaSampler(cfg, initial_step)
     if n_samples < 1 or burn_in < 0:
         raise ConfigError("need n_samples >= 1 and burn_in >= 0")
     d = cfg.dim
@@ -222,55 +215,102 @@ def sample_theta_counts(cfg: HierarchyConfig, phi_rows: np.ndarray,
             "need phi_rows of shape (n_slots, %d) with n_slots >= 1 and "
             "successes, failures of length n_slots; got %s, %s, %s"
             % (d, np.shape(phi_rows), np.shape(successes), np.shape(failures)))
-    psi = cfg.psi
-    mu = cfg.mu_theta
-    # L^{-1} once per call: a log prior through it differs from a per-state
-    # triangular solve only in rounding, which could flip an accept only if
-    # log(u) fell within that rounding of the log ratio
-    whiten = np.linalg.inv(np.linalg.cholesky(cfg.sigma_theta))
-
-    def terms(t: np.ndarray) -> tuple:
-        """(t, posterior shapes of the latent draw, alpha - 1 of both shapes,
-        betaln of the shapes, log prior up to a constant)."""
-        a1, a2 = logistic_beta_shapes(phi_rows, t, psi)
-        white = whiten @ (t - mu)
-        return (t, a1 + successes, a2 + failures, a1 - 1.0, a2 - 1.0,
-                betaln(a1, a2), -0.5 * float(white @ white))
-
-    def log_target(state: tuple, log_x: np.ndarray,
-                   log_1mx: np.ndarray) -> float:
-        """Log prior plus the Beta log density of the latent means."""
-        _, _, _, c1, c2, lbeta, lprior = state
-        return lprior + float((c1 * log_x + c2 * log_1mx - lbeta).sum())
-
-    state = terms(mu.copy())
-    log_step = np.log(initial_step)
-    total = burn_in + n_samples
+    chain.run(phi_rows, successes, failures, rng, burn_in)
     samples = np.zeros((n_samples, d))
-    accepted_post = 0
-    for sweep in range(total):
-        theta, post1, post2 = state[:3]
-        latent = np.clip(rng.beta(post1, post2), MEAN_CLIP, 1.0 - MEAN_CLIP)
-        log_x = np.log(latent)
-        log_1mx = np.log1p(-latent)
-        step = np.exp(log_step)
-        cand = terms(theta + step * rng.standard_normal(d))
-        accept = np.log(rng.uniform()) < log_target(cand, log_x, log_1mx) \
-            - log_target(state, log_x, log_1mx)
-        if accept:
-            state = cand
-        if sweep < burn_in:
-            gamma = (sweep + 1.0) ** -0.6
-            log_step += gamma * ((1.0 if accept else 0.0) - ACCEPTANCE_TARGET)
-        else:
-            accepted_post += int(accept)
-            samples[sweep - burn_in] = state[0]
-
-    rate = accepted_post / float(n_samples)
-    warnings: list[str] = []
-    if not ACCEPTANCE_WINDOW[0] <= rate <= ACCEPTANCE_WINDOW[1]:
-        warnings.append(
-            "post-burn-in acceptance rate %.3f outside [%.2f, %.2f]; "
-            "treat the chain as suspect" % (rate, *ACCEPTANCE_WINDOW))
+    rate = chain.run(phi_rows, successes, failures, rng, n_samples,
+                     adapt=False, samples=samples) / float(n_samples)
     return ThetaChain(samples=samples, acceptance_rate=rate,
-                      step_scale=float(np.exp(log_step)), warnings=warnings)
+                      step_scale=float(np.exp(chain.log_step)),
+                      warnings=acceptance_warnings(rate))
+
+
+def acceptance_warnings(rate: float) -> list[str]:
+    """One warning when a post-burn-in acceptance rate leaves
+    ACCEPTANCE_WINDOW, none otherwise."""
+    if ACCEPTANCE_WINDOW[0] <= rate <= ACCEPTANCE_WINDOW[1]:
+        return []
+    return ["post-burn-in acceptance rate %.3f outside [%.2f, %.2f]; "
+            "treat the chain as suspect" % (rate, *ACCEPTANCE_WINDOW)]
+
+
+class ThetaSampler:
+    """A Metropolis-within-Gibbs chain on theta whose state persists between
+    runs: theta (from mu_theta), the log proposal scale (from
+    log(initial_step)) and the number of sweeps run so far.
+
+    Each sweep (1) resamples every latent arm mean exactly from its conjugate
+    Beta(alpha1 + s, alpha2 + f) given the current theta, all slots in one
+    vectorized draw, and (2) proposes a Gaussian random-walk step on theta
+    accepted against the latent-conditional target.  A theta state's terms
+    (its Beta shapes, betaln of them and its log prior) are computed once,
+    when the state is proposed, and reused until another proposal is
+    accepted; the latent logs are shared by the current and candidate
+    targets.  Each sweep draws one beta(n_slots), one standard_normal(d) and
+    one uniform draw, in that order.  An adapting sweep moves the log scale
+    toward 30% acceptance by Robbins-Monro with gain (n_sweeps + 1)^-0.6,
+    so the gain keeps shrinking across runs.
+    """
+
+    def __init__(self, cfg: HierarchyConfig, initial_step: float = 0.25):
+        cfg.require_bernoulli()
+        if not (np.isfinite(initial_step) and initial_step > 0):
+            raise ConfigError("initial_step must be finite and > 0, got %r"
+                              % (initial_step,))
+        self.cfg = cfg
+        self.theta = cfg.mu_theta.copy()
+        self.log_step = np.log(initial_step)
+        self.n_sweeps = 0
+        # L^{-1} once: a log prior through it differs from a per-state
+        # triangular solve only in rounding, which could flip an accept only
+        # if log(u) fell within that rounding of the log ratio
+        self._whiten = np.linalg.inv(np.linalg.cholesky(cfg.sigma_theta))
+
+    def run(self, phi_rows: np.ndarray, successes: np.ndarray,
+            failures: np.ndarray, rng: np.random.Generator, n: int,
+            adapt: bool = True, samples: np.ndarray | None = None) -> int:
+        """n sweeps on the given counts from the current state; row i of
+        samples, if given, receives theta after sweep i.  Returns the number
+        of accepted proposals."""
+        psi, mu, whiten = self.cfg.psi, self.cfg.mu_theta, self._whiten
+        d = mu.shape[0]
+
+        def terms(t: np.ndarray) -> tuple:
+            """(t, posterior shapes of the latent draw, alpha - 1 of both
+            shapes, betaln of the shapes, log prior up to a constant)."""
+            a1, a2 = logistic_beta_shapes(phi_rows, t, psi)
+            white = whiten @ (t - mu)
+            return (t, a1 + successes, a2 + failures, a1 - 1.0, a2 - 1.0,
+                    betaln(a1, a2), -0.5 * float(white @ white))
+
+        def log_target(state: tuple, log_x: np.ndarray,
+                       log_1mx: np.ndarray) -> float:
+            """Log prior plus the Beta log density of the latent means."""
+            _, _, _, c1, c2, lbeta, lprior = state
+            return lprior + float((c1 * log_x + c2 * log_1mx - lbeta).sum())
+
+        state = terms(self.theta)
+        log_step = self.log_step
+        accepted = 0
+        for i in range(n):
+            theta, post1, post2 = state[:3]
+            latent = np.clip(rng.beta(post1, post2), MEAN_CLIP,
+                             1.0 - MEAN_CLIP)
+            log_x = np.log(latent)
+            log_1mx = np.log1p(-latent)
+            step = np.exp(log_step)
+            cand = terms(theta + step * rng.standard_normal(d))
+            # rng.random() is rng.uniform() bit for bit, with less overhead
+            accept = np.log(rng.random()) < log_target(cand, log_x, log_1mx) \
+                - log_target(state, log_x, log_1mx)
+            if accept:
+                state = cand
+            accepted += int(accept)
+            if adapt:
+                gamma = (self.n_sweeps + i + 1.0) ** -0.6
+                log_step += gamma * ((1.0 if accept else 0.0)
+                                     - ACCEPTANCE_TARGET)
+            if samples is not None:
+                samples[i] = state[0]
+        self.theta, self.log_step = state[0], log_step
+        self.n_sweeps += n
+        return accepted

@@ -271,6 +271,18 @@ class InteractionSchedule:
             counter[tid] += 1
             yield tid, counter[tid]
 
+    def columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """iter_with_rounds as two int64 columns (task_ids, rounds): an
+        occurrence's round is one plus its rank among its task's
+        occurrences, read off a stable argsort of the stream."""
+        task_ids = np.array(self.stream, dtype=np.int64)
+        order = np.argsort(task_ids, kind="stable")
+        grouped = task_ids[order]
+        rounds = np.empty_like(task_ids)
+        rounds[order] = np.arange(1, grouped.size + 1) \
+            - np.searchsorted(grouped, grouped)
+        return task_ids, rounds
+
 
 def make_schedule(kind: str, n_tasks: int, horizon: int,
                   stream: Iterable[int] | None = None) -> InteractionSchedule:

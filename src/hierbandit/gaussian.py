@@ -509,6 +509,33 @@ class ThetaStatAccumulator:
         self.phi_vinv_phi += (n1 / d1 - n0 / d0) * np.outer(phi, phi)
         self.phi_vinv_resid += ((s1 - n1 * m) / d1 - (s0 - n0 * m) / d0) * phi
 
+    def add_many(self, task_ids: np.ndarray, arms: np.ndarray,
+                 rewards: np.ndarray) -> None:
+        """add() row by row for rows of distinct tasks, bit for bit: each
+        row's rank-one terms are formed element-wise as add() forms them and
+        summed onto the statistics in row order by one sequential cumsum."""
+        rows = np.array([self._index[t] for t in task_ids.tolist()],
+                        dtype=np.int64)
+        if np.unique(rows).size != rows.size:
+            raise ConfigError("add_many needs distinct task ids")
+        n0 = self.counts[rows, arms]
+        s0 = self.sums[rows, arms]
+        n1, s1 = n0 + 1.0, s0 + rewards
+        self.counts[rows, arms] = n1
+        self.sums[rows, arms] = s1
+        v = self._effect_var[arms]
+        m = self.prior_arm_means[rows, arms]
+        d0 = self._noise_sq + v * n0
+        d1 = self._noise_sq + v * n1
+        phi = self.features[rows, arms]
+        outer = (n1 / d1 - n0 / d0)[:, None, None] \
+            * (phi[:, :, None] * phi[:, None, :])
+        resid = ((s1 - n1 * m) / d1 - (s0 - n0 * m) / d0)[:, None] * phi
+        self.phi_vinv_phi[...] = np.cumsum(
+            np.concatenate([self.phi_vinv_phi[None], outer]), axis=0)[-1]
+        self.phi_vinv_resid[...] = np.cumsum(
+            np.concatenate([self.phi_vinv_resid[None], resid]), axis=0)[-1]
+
     def theta_posterior(self) -> ThetaPosterior:
         mean, cov, _ = theta_posterior_stats(self.cfg, self.phi_vinv_phi,
                                              self.phi_vinv_resid)

@@ -4,7 +4,7 @@ Four suites, each a list of named checks returning pass/fail plus detail:
 
     posterior   dense vs blocked route agreement, prior predictive,
                 information monotonicity, fast-path identity
-    conjugacy   Beta and Gaussian conjugate updates against hand algebra
+    conjugacy   conjugate updates vs hand algebra, agents' cores vs updates
     mcmc        coefficient sampler against the prior and a quadrature oracle
     regret      harness sanity: oracle self-difference, monotone cumulative
                 regret, deterministic replay, oracle beats blind play
@@ -19,10 +19,11 @@ the corresponding suite fail by name.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from . import bench, gaussian, metrics
+from . import agents, bench, gaussian, metrics
 from .bernoulli import (BetaParams, beta_from_mean_precision, conjugate_update,
                         precision_for_variance, sample_theta_mcmc)
 from .core import FeatureMap, HierarchyConfig, History, InteractionRecord
@@ -188,20 +189,20 @@ def _check_beta_round_trip() -> CheckResult:
                    "max parameterization error = %.3g" % worst)
 
 
-def _check_beta_counts_commute() -> CheckResult:
-    # Dyadic priors so repeated unit increments stay exact in floats.
-    prior = BetaParams(0.5, 1.5)
-    batch = conjugate_update(prior, 3, 2)
-    seq = prior
-    for outcome in (1, 0, 1, 1, 0):
-        seq = conjugate_update(seq, outcome, 1 - outcome)
-    reordered = prior
-    for outcome in (0, 1, 1, 0, 1):
-        reordered = conjugate_update(reordered, outcome, 1 - outcome)
-    exact = (batch == seq == reordered)
-    return _result("beta-counts-commute", exact,
-                   "batch %s, sequential %s, reordered %s"
-                   % (batch, seq, reordered))
+def _check_beta_count_ts() -> CheckResult:
+    # The Bernoulli agents' count core against conjugate_update, exactly.
+    prior = seq = BetaParams(0.5, 1.5)
+    core = agents._BetaCountTS(SimpleNamespace(rng=None, n_tasks=2, n_arms=2))
+    for y in (1.0, 0.0, 0.5, 1.0, 0.2):
+        core.update(1, 0, y)
+        seq = conjugate_update(seq, y >= 0.5, y < 0.5)
+    core.update_many(np.array([0, 1]), np.array([1, 0]), np.array([0.0, 1.0]))
+    got = (prior.alpha1 + core.wins[1, 0], prior.alpha2 + core.losses[1, 0])
+    seq = conjugate_update(seq, 1, 0)
+    exact = BetaParams(*got) == seq == conjugate_update(prior, 4, 2) \
+        and core.losses[0, 1] == 1.0
+    return _result("beta-count-ts-counts", exact, "core Beta(%g, %g), "
+                   "conjugate Beta(%g, %g)" % (*got, seq.alpha1, seq.alpha2))
 
 
 def _check_gaussian_scalar_oracle() -> CheckResult:
@@ -220,35 +221,34 @@ def _check_gaussian_scalar_oracle() -> CheckResult:
                    "max |update chain - hand formula| = %.3g" % err)
 
 
-def _check_gaussian_sequential_batch() -> CheckResult:
+def _check_conditional_ts_moments() -> CheckResult:
+    # The Gaussian agents' closed-form draw is affine in its normals: z = 0
+    # gives its mean and z = 1 its mean plus its per-arm sd.
     rng = np.random.default_rng(21)
     worst = 0.0
     for _ in range(10):
-        k = int(rng.integers(1, 4))
-        b = rng.standard_normal((k, k))
-        cov = b @ b.T / k + 0.2 * np.eye(k)
+        k = int(rng.integers(1, 5))
+        var, noise = rng.uniform(0.05, 1.0, k), float(rng.uniform(0.3, 1.2))
         mean = rng.standard_normal(k)
-        noise = float(rng.uniform(0.3, 1.2))
-        belief = gaussian.GaussianBelief(mean, cov)
-        counts = np.zeros(k)
-        sums = np.zeros(k)
-        for _ in range(int(rng.integers(1, 8))):
-            arm = int(rng.integers(k))
-            y = float(rng.standard_normal())
-            belief = gaussian.gaussian_obs_update(belief, arm, y, noise)
-            counts[arm] += 1
-            sums[arm] += y
-        bmean, bcov = gaussian.conditional_stats_update(mean, cov, noise,
-                                                        counts, sums)
-        worst = max(worst, float(np.max(np.abs(belief.mean - bmean))),
-                    float(np.max(np.abs(belief.cov - bcov))))
-    return _result("gaussian-sequential-batch", worst < 1e-10,
-                   "max |one-by-one - batched| = %.3g" % worst)
+        core = agents._ConditionalTS(SimpleNamespace(
+            n_arms=k, n_tasks=1, rng=SimpleNamespace()), var, noise ** 2)
+        core.counts[0] = rng.integers(0, 8, k)
+        core.sums[0] = core.counts[0] * (mean + rng.standard_normal(k))
+        draws = []
+        for normals in (np.zeros, np.ones):
+            core.rng.standard_normal = normals
+            draws.append(core._conditional_draw(0, mean))
+        bmean, bcov = gaussian.conditional_stats_update(
+            mean, np.diag(var), noise, core.counts[0], core.sums[0])
+        worst = max(worst, np.max(np.abs(draws[0] - bmean)),
+                    np.max(np.abs(np.diag(draws[1] - draws[0]) ** 2 - bcov)))
+    return _result("conditional-ts-moments", worst < 1e-10,
+                   "max |draw moment - dense update| = %.3g" % worst)
 
 
 def _conjugacy_suite() -> list[CheckResult]:
-    return [_check_beta_round_trip(), _check_beta_counts_commute(),
-            _check_gaussian_scalar_oracle(), _check_gaussian_sequential_batch()]
+    return [_check_beta_round_trip(), _check_beta_count_ts(),
+            _check_gaussian_scalar_oracle(), _check_conditional_ts_moments()]
 
 
 # ---------------------------------------------------------------------------

@@ -219,14 +219,22 @@ def indicator_feature_oracle(x, arm, n_arms, dim):
 
 def theta_mcmc_history_oracle(mu_theta, sigma_theta, psi, fm, records, rng,
                               n_samples, burn_in, initial_step=0.25,
-                              mean_clip=1e-6, acceptance_target=0.3):
+                              mean_clip=1e-6, acceptance_target=0.3,
+                              start=None, log_step=None, sweep_offset=0,
+                              adapt_kept=False):
     """Frozen copy of the History-based Metropolis-within-Gibbs loop.
 
     Tasks are those carrying records, in sorted id order (all registered
     tasks of fm when there are none); slot counts follow reward >= 0.5.
     Every sweep recomputes the Beta shapes of both states and solves the
     prior factor twice, exactly as the sampler did before it ran on counts.
-    Returns (samples, acceptance_rate, step_scale).
+
+    The chain starts at theta = start (default mu_theta) with log proposal
+    scale log_step (default log(initial_step)).  The first burn_in sweeps
+    adapt the scale, sweep j (0-based) with gain (sweep_offset + j + 1)^-0.6;
+    the n_samples kept sweeps after them adapt only when adapt_kept is set.
+    Returns (samples, acceptance rate of the kept sweeps, final proposal
+    scale, final log proposal scale).
     """
     mu_theta = np.asarray(mu_theta, dtype=float)
     records = list(records)
@@ -262,8 +270,10 @@ def theta_mcmc_history_oracle(mu_theta, sigma_theta, psi, fm, records, rng,
             - betaln(a1, a2)
         return -0.5 * float(white @ white) + float(np.sum(dens))
 
-    theta = mu_theta.copy()
-    log_step = np.log(initial_step)
+    theta = mu_theta.copy() if start is None \
+        else np.asarray(start, dtype=float).copy()
+    if log_step is None:
+        log_step = np.log(initial_step)
     samples = np.zeros((n_samples, d))
     accepted_post = 0
     for sweep in range(burn_in + n_samples):
@@ -276,10 +286,11 @@ def theta_mcmc_history_oracle(mu_theta, sigma_theta, psi, fm, records, rng,
         accept = np.log(rng.uniform()) < candidate - current
         if accept:
             theta = proposal
-        if sweep < burn_in:
-            gamma = (sweep + 1.0) ** -0.6
+        if sweep < burn_in or adapt_kept:
+            gamma = (sweep_offset + sweep + 1.0) ** -0.6
             log_step += gamma * ((1.0 if accept else 0.0) - acceptance_target)
-        else:
+        if sweep >= burn_in:
             accepted_post += int(accept)
             samples[sweep - burn_in] = theta
-    return samples, accepted_post / float(n_samples), float(np.exp(log_step))
+    return (samples, accepted_post / float(n_samples),
+            float(np.exp(log_step)), log_step)

@@ -11,7 +11,7 @@ from hierbandit.agents import (AgentContext, AlignedHierTS, HierTS,
                                HierTSBatched, IndividualTS, LinearTS, MetaTS,
                                OracleTS, OracleTSBernoulli, PooledTS, _pick,
                                algorithm_names, make_policy)
-from hierbandit.bernoulli import bblm_prior_for_task, sample_theta_counts
+from hierbandit.bernoulli import bblm_prior_for_task
 from hierbandit.core import (FeatureMap, HierarchyConfig, History,
                              InteractionRecord)
 from hierbandit.envs import PopulationSpec, generate_population
@@ -21,7 +21,9 @@ from hierbandit.gaussian import (ThetaStatAccumulator,
                                  conditional_stats_update, posterior_r_naive)
 from hierbandit.priors import derive_baseline_priors
 
-from oracles import scalar_conjugate_oracle, theta_mcmc_history_oracle
+from oracles import (bblm_counts_log_marginal_oracle,
+                     quadrature_density_oracle, scalar_conjugate_oracle,
+                     theta_mcmc_history_oracle, tv_distance_from_samples)
 
 
 def _ctx(spec, seed=0, schedule_kind="concurrent"):
@@ -170,7 +172,7 @@ def test_batched_bernoulli_beta_mechanism():
     spec = PopulationSpec(n_tasks=2, horizon=4, n_arms=3, dim=3,
                           reward_kind="bernoulli", psi=1.0, seed=15)
     _, ctx = _ctx(spec, seed=16)
-    agent = make_policy("hier-ts", ctx, {"n_samples": 4, "burn_in": 2})
+    agent = make_policy("hier-ts", ctx, {"sweeps": 4, "burn_in": 2})
     agent.update(0, 1, 1.0)
     agent.update(0, 1, 0.0)
     agent.update(0, 2, 1.0)
@@ -182,13 +184,16 @@ def test_batched_bernoulli_beta_mechanism():
 
 
 class _HistoryHierTSBernoulli:
-    """Bernoulli hier-ts as it ran on a History: the frozen History-based
-    sampler at every task end and Beta priors rebuilt arm by arm."""
+    """Bernoulli hier-ts as it runs on a History: one warm chain advanced by
+    the frozen History-based sampler at every task end (burn_in sweeps from
+    mu_theta the first time, then sweeps adapting sweeps from the carried
+    theta, log step and sweep count) and Beta priors rebuilt arm by arm."""
 
-    def __init__(self, ctx, n_samples, burn_in):
+    def __init__(self, ctx, burn_in, sweeps):
         self.cfg, self.fm, self.rng = ctx.cfg, ctx.fm, ctx.rng
         self.psi = ctx.population.spec.psi
-        self.n_samples, self.burn_in = n_samples, burn_in
+        self.burn_in, self.sweeps = burn_in, sweeps
+        self.chain = (None, None, 0)  # theta, log step, sweeps so far
         self.history = History()
         self.wins = np.zeros((ctx.n_tasks, ctx.n_arms))
         self.losses = np.zeros((ctx.n_tasks, ctx.n_arms))
@@ -219,10 +224,21 @@ class _HistoryHierTSBernoulli:
         self.history.append(InteractionRecord(task_id, arm, reward, rnd))
 
     def end_of_task(self, task_id):
-        samples, _, _ = theta_mcmc_history_oracle(
-            self.cfg.mu_theta, self.cfg.sigma_theta, self.cfg.psi, self.fm,
-            self.history, self.rng, self.n_samples, self.burn_in)
-        self._set_theta(samples[int(self.rng.integers(samples.shape[0]))])
+        _warm_oracle_refresh(self, self.rng)
+        self._set_theta(self.chain[0])
+
+
+def _warm_oracle_refresh(ref, rng):
+    """One warm refresh of ref.chain by the History oracle on ref.history;
+    returns the acceptance rate of its `sweeps` sweeps."""
+    theta, log_step, done = ref.chain
+    burn_in = ref.burn_in if done == 0 else 0
+    samples, rate, _, log_step = theta_mcmc_history_oracle(
+        ref.cfg.mu_theta, ref.cfg.sigma_theta, ref.cfg.psi, ref.fm,
+        ref.history, rng, n_samples=ref.sweeps, burn_in=burn_in, start=theta,
+        log_step=log_step, sweep_offset=done, adapt_kept=True)
+    ref.chain = (samples[-1], log_step, done + burn_in + ref.sweeps)
+    return rate
 
 
 def _play_sequential(agent, pop, horizon, seed):
@@ -244,42 +260,104 @@ def test_bernoulli_hier_ts_matches_history_sampler_agent():
                           reward_kind="bernoulli", psi=0.8, seed=61)
     pop, ctx = _ctx(spec, seed=62, schedule_kind="sequential")
     _, ref_ctx = _ctx(spec, seed=62, schedule_kind="sequential")
-    agent = make_policy("hier-ts", ctx, {"n_samples": 120, "burn_in": 60})
-    ref = _HistoryHierTSBernoulli(ref_ctx, n_samples=120, burn_in=60)
+    agent = make_policy("hier-ts", ctx, {"sweeps": 30, "burn_in": 60})
+    ref = _HistoryHierTSBernoulli(ref_ctx, burn_in=60, sweeps=30)
     assert _play_sequential(agent, pop, 8, 63) \
         == _play_sequential(ref, pop, 8, 63)
     assert agent.rng.bit_generator.state == ref.rng.bit_generator.state
     np.testing.assert_array_equal(agent.alpha1, ref.alpha1)
     np.testing.assert_array_equal(agent.alpha2, ref.alpha2)
+    np.testing.assert_array_equal(agent.chain.theta, ref.chain[0])
+    assert agent.chain.log_step == ref.chain[1]
+    assert agent.chain.n_sweeps == ref.chain[2] == 60 + 6 * 30
 
 
 def test_bernoulli_hier_ts_records_chain_diagnostics():
     spec = PopulationSpec(n_tasks=4, horizon=5, n_arms=3, dim=4,
                           reward_kind="bernoulli", seed=64)
     pop, ctx = _ctx(spec, seed=65, schedule_kind="sequential")
-    agent = make_policy("hier-ts", ctx, {"n_samples": 6, "burn_in": 0})
-    fm = ctx.fm
+    agent = make_policy("hier-ts", ctx, {"sweeps": 2, "burn_in": 0})
+    ref = SimpleNamespace(cfg=ctx.cfg, fm=ctx.fm, history=History(),
+                          burn_in=0, sweeps=2, chain=(None, None, 0))
     rates, warnings = [], []
     for task in pop.tasks:
-        for _ in range(spec.horizon):
+        for rnd in range(1, spec.horizon + 1):
             arm = agent.act(task.task_id)
             agent.update(task.task_id, arm, float(arm == 0))
-        pulled = range(task.task_id + 1)
+            ref.history.append(InteractionRecord(task.task_id, arm,
+                                                 float(arm == 0), rnd))
         probe = np.random.default_rng()
         probe.bit_generator.state = agent.rng.bit_generator.state
-        chain = sample_theta_counts(
-            ctx.cfg,
-            np.concatenate([fm.task_features(fm.metadata_for(t))
-                            for t in pulled]),
-            agent.wins[:task.task_id + 1].ravel(),
-            agent.losses[:task.task_id + 1].ravel(), probe,
-            n_samples=6, burn_in=0)
-        rates.append(chain.acceptance_rate)
-        warnings.extend(chain.warnings)
+        rate = _warm_oracle_refresh(ref, probe)
+        rates.append(rate)
+        if not 0.05 <= rate <= 0.95:
+            warnings.append("post-burn-in acceptance rate %.3f outside "
+                            "[0.05, 0.95]; treat the chain as suspect" % rate)
         agent.end_of_task(task.task_id)
+        assert agent.rng.bit_generator.state == probe.bit_generator.state
     assert agent.acceptance_rates == rates
     assert agent.mcmc_warnings == warnings
     assert warnings, "the short chains should trip the acceptance window"
+    assert len(warnings) < len(rates)
+
+
+@pytest.mark.parametrize("options", [
+    {"burn_in": -5}, {"burn_in": True}, {"burn_in": 2.0},
+    {"sweeps": 0}, {"sweeps": False}, {"sweeps": 20.0},
+    {"refresh_every": 0}, {"refresh_every": True}, {"refresh_every": 4.5},
+    {"n_samples": 400}])
+def test_bernoulli_hier_ts_rejects_bad_chain_options(options):
+    # Caught when the agent is built, not inside its first refresh.
+    spec = PopulationSpec(n_tasks=2, horizon=3, n_arms=2, dim=2,
+                          reward_kind="bernoulli", seed=56)
+    _, ctx = _ctx(spec, seed=57)
+    with pytest.raises(ConfigError):
+        make_policy("hier-ts", ctx, options)
+
+
+def _warm_chain_draws(n_replicates, seed):
+    """Criterion 04's d=1 instance (six tasks, one arm, eight pulls each,
+    theta = 0.6) fed to default Bernoulli hier-ts agents one task per
+    refresh.  Returns the per-task counts and the chain's theta after each
+    refresh, (n_replicates, n_tasks), one independent agent per row."""
+    spec = PopulationSpec(n_tasks=6, horizon=8, n_arms=1, dim=1,
+                          reward_kind="bernoulli", psi=1.0, seed=seed)
+    pop = generate_population(spec)
+    rng = np.random.default_rng(404)
+    mu = 1.0 / (1.0 + np.exp(-0.6))
+    counts = []
+    for _ in range(spec.n_tasks):
+        r = rng.beta(mu / spec.psi, (1.0 - mu) / spec.psi)
+        wins = float((rng.random(spec.horizon) < r).sum())
+        counts.append((wins, spec.horizon - wins))
+    draws = np.zeros((n_replicates, spec.n_tasks))
+    for rep in range(n_replicates):
+        agent = make_policy("hier-ts", AgentContext(
+            pop, None, np.random.default_rng([seed, rep]), "sequential"))
+        for tid, (wins, losses) in enumerate(counts):
+            agent.wins[tid, 0], agent.losses[tid, 0] = wins, losses
+            agent.end_of_task(tid)
+            draws[rep, tid] = agent.chain.theta[0]
+    return counts, draws
+
+
+def test_bernoulli_hier_ts_warm_chain_tracks_posterior():
+    # The warm chain's theta after each refresh, across independent agents,
+    # must follow the quadrature posterior of the counts seen so far (the
+    # i.i.d. noise floor of this TV at 2,000 draws is about 0.02).
+    counts, draws = _warm_chain_draws(2000, seed=406)
+    grid = np.linspace(-4.0, 4.0, 1201)
+    for last in range(len(counts)):
+        seen = counts[:last + 1]
+
+        def log_density(point):
+            return -0.5 * point ** 2 + bblm_counts_log_marginal_oracle(
+                np.array([point]), [np.ones(1)] * len(seen),
+                [s for s, _ in seen], [f for _, f in seen], 1.0)
+
+        density = quadrature_density_oracle(grid, log_density)
+        tv = tv_distance_from_samples(draws[:, last], grid, density)
+        assert tv < 0.05, "refresh %d: TV %.4f" % (last, tv)
 
 
 def test_bernoulli_beta_priors_match_per_arm_rebuild():

@@ -223,15 +223,27 @@ def test_ledger_csv_float_format(tmp_path):
 # refresh_every is below the task length and the number of tasks, so the
 # refreshing policies also refresh mid-task and mid-round.
 _TINY_POPULATION = {"n_tasks": 5, "horizon": 6, "n_arms": 3, "dim": 4}
+# Bernoulli hier-ts alone (emit_mtr off, its warm chain re-pinned these
+# bytes), and the other four Bernoulli policies together.
+_BERNOULLI_HIER_SHA256 = {
+    "sequential": (
+        "89f3a23a5ddd924719c5f7964485d85f23fa16790dc05273da6014c3667c004f",
+        "926d290b58bb173c981f804bb755750c06a37de9729eb87977471ecd92282ed6",
+        "893b01c1210062d4e173bb0d4f4b0e751131c5a77be76aafc0e73f20ae3b9f7f"),
+    "concurrent": (
+        "5438a217c6c47415a5b202e3325b4a2f41e5597df8985c0702998992426a6824",
+        "1ba104e94dd8d667e7e29d1c0f8948083e55984af41c370d019592496b245919",
+        "f302b4fd568bd0ba3cfc98a8497f0e25dcf07ae87e53491167de389e42e05837"),
+}
 _BERNOULLI_SHA256 = {
     "sequential": (
-        "7f31388dd9e11e892a367b36c0fd5624d3873100f3ffacdc11e4b60707c949d6",
-        "b421e53663e17bcf31d601035dbbd32857e732b76cae82c7fffd38f93c660c8a",
-        "23e2485d304661e7c721ec9c464734241d37fe7ba42ed444d8176d77b3e268e3"),
+        "d591928fcb190627b7c643001256c659212e62ec4e93da4ee487e894473f395c",
+        "17878b65c4048e6fd6be40194387b9403cfa0423595c69cb0b92dd1b36f49be9",
+        "b1d8934bd645b641caa39851a9fee361a273f5fb34dc816534f2e404e5bc6462"),
     "concurrent": (
-        "05a9cfd2459213adf433c489cb07b852592dfaad79da2ab6dd0977eadb844cf2",
-        "51ce98648d4b657dbdffe3a8547f311a6656ef1abb8c665674830de54a5f6b16",
-        "4cdda95b288bc62ab915091a1c47dc48370e2f1cf86409990a8d8bc46a751d0c"),
+        "ff7b0369295e7c716beda7144b42a26ac32646f18eab75e8a309fa9e764fd9ef",
+        "1935eb72ada4dab620829e68efa9278ef57f579dfa3b90ac47c7f34fbad2484b",
+        "f152a4f6ed700e18741205e0e061114eaa3e4278664ef060f1e5c0babbbb2cdf"),
 }
 _GAUSSIAN_SHA256 = {
     "sequential": (
@@ -251,17 +263,30 @@ def _artifact_sha256(tmp_path, raw):
                  for k in ("ledger", "curves", "summary"))
 
 
-@pytest.mark.parametrize("schedule", sorted(_BERNOULLI_SHA256))
-def test_bernoulli_policies_ledger_bytes_pinned(tmp_path, schedule):
-    hier = {"name": "hier-ts",
-            "options": {"n_samples": 40, "burn_in": 20, "refresh_every": 4}}
-    assert _artifact_sha256(tmp_path, {
+def _bernoulli_artifact_sha256(tmp_path, schedule, algorithms, **extra):
+    return _artifact_sha256(tmp_path, dict({
         "population": dict(_TINY_POPULATION, reward_kind="bernoulli"),
         "schedule": schedule,
-        "algorithms": [hier, "oracle-ts", "individual-ts", "pooled-ts",
-                       "meta-ts"],
+        "algorithms": algorithms,
         "seeds": [3, 4],
-    }) == _BERNOULLI_SHA256[schedule]
+    }, **extra))
+
+
+@pytest.mark.parametrize("schedule", sorted(_BERNOULLI_SHA256))
+def test_bernoulli_policies_ledger_bytes_pinned(tmp_path, schedule):
+    assert _bernoulli_artifact_sha256(
+        tmp_path, schedule,
+        ["oracle-ts", "individual-ts", "pooled-ts", "meta-ts"]) \
+        == _BERNOULLI_SHA256[schedule]
+
+
+@pytest.mark.parametrize("schedule", sorted(_BERNOULLI_HIER_SHA256))
+def test_bernoulli_hier_ts_ledger_bytes_pinned(tmp_path, schedule):
+    hier = {"name": "hier-ts",
+            "options": {"sweeps": 10, "burn_in": 20, "refresh_every": 4}}
+    assert _bernoulli_artifact_sha256(tmp_path, schedule, [hier],
+                                      emit_mtr=False) \
+        == _BERNOULLI_HIER_SHA256[schedule]
 
 
 @pytest.mark.parametrize("schedule", sorted(_GAUSSIAN_SHA256))
@@ -401,7 +426,7 @@ def _both_paths(kind, name, options, n_tasks, flag=False):
     return out
 
 
-_BERNOULLI_HIER = {"n_samples": 20, "burn_in": 10}
+_BERNOULLI_HIER = {"sweeps": 20, "burn_in": 10}
 _FLAGGED = [("gaussian", "individual-ts", {}),
             ("gaussian", "oracle-ts", {"align": False}),
             ("gaussian", "oracle-ts", {"align": True}),

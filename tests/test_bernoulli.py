@@ -226,7 +226,7 @@ def test_mcmc_counts_kernel_matches_history_reference(n_tasks, k, d, pulled,
     rng, ref_rng = np.random.default_rng(77), np.random.default_rng(77)
     chain = sample_theta_mcmc(cfg, fm, h, rng, n_samples=150,
                               burn_in=burn_in)
-    samples, rate, step = theta_mcmc_history_oracle(
+    samples, rate, step, _ = theta_mcmc_history_oracle(
         cfg.mu_theta, cfg.sigma_theta, cfg.psi, fm, h, ref_rng,
         n_samples=150, burn_in=burn_in)
     np.testing.assert_array_equal(chain.samples, samples)
@@ -249,3 +249,15 @@ def test_sample_theta_counts_rejects_bad_shapes():
     with pytest.raises(ConfigError):
         sample_theta_counts(cfg, phi_rows, np.zeros(4), np.zeros(4), rng,
                             n_samples=0)
+
+
+@pytest.mark.parametrize("step", [0.0, -1.0, float("nan"), float("inf")])
+def test_sample_theta_counts_rejects_bad_initial_step(step):
+    # 0 froze the chain at mu_theta, the others gave a NaN or infinite
+    # scale; each showed only as an acceptance warning.
+    cfg, fm, _ = _random_bblm_history(1, 2, 2, 3, [0], 3)
+    phi_rows = np.concatenate([fm.task_features(fm.metadata_for(t))
+                               for t in range(2)])
+    with pytest.raises(ConfigError, match="initial_step"):
+        sample_theta_counts(cfg, phi_rows, np.ones(4), np.ones(4),
+                            np.random.default_rng(0), initial_step=step)

@@ -122,6 +122,19 @@ def test_schedule_concurrent():
     assert list(sched.iter_with_rounds()) == [(0, 1), (1, 1), (0, 2), (1, 2)]
 
 
+@pytest.mark.parametrize("kind", ["sequential", "concurrent", "custom"])
+def test_schedule_columns_equal_iter_with_rounds(kind):
+    rng = np.random.default_rng(17)
+    for n_tasks, horizon in ((1, 1), (1, 5), (4, 1), (7, 9), (30, 12)):
+        stream = rng.permutation(np.repeat(np.arange(n_tasks), horizon)) \
+            if kind == "custom" else None
+        sched = make_schedule(kind, n_tasks, horizon, stream)
+        task_ids, rounds = sched.columns()
+        assert task_ids.dtype == rounds.dtype == np.int64
+        assert list(zip(task_ids.tolist(), rounds.tolist())) \
+            == list(sched.iter_with_rounds())
+
+
 def test_schedule_custom():
     sched = make_schedule("custom", n_tasks=2, horizon=2, stream=[0, 1, 1, 0])
     assert list(sched.iter_with_rounds()) == [(0, 1), (1, 1), (1, 2), (0, 2)]

@@ -499,6 +499,34 @@ def test_theta_accumulator_order_invariant():
                                atol=1e-10)
 
 
+def test_theta_accumulator_add_many_equals_row_by_row_add():
+    # add_many must give add()'s bits: its per-row terms are formed the same
+    # way and summed in row order, never pairwise.
+    rng = np.random.default_rng(81)
+    for trial in range(40):
+        n_tasks, k = int(rng.integers(1, 30)), int(rng.integers(1, 9))
+        spec = PopulationSpec(n_tasks=n_tasks, horizon=4, n_arms=k,
+                              dim=k + int(rng.integers(0, 12)),
+                              sigma_noise=float(rng.uniform(0.3, 2.0)),
+                              sigma1_sq=float(rng.uniform(0.05, 1.0)),
+                              seed=trial)
+        pop = generate_population(spec)
+        cfg, fm = spec.hierarchy_config(), pop.feature_map
+        one = ThetaStatAccumulator(cfg, fm, range(n_tasks))
+        many = ThetaStatAccumulator(cfg, fm, range(n_tasks))
+        for _ in range(int(rng.integers(1, 6))):
+            ids = rng.permutation(n_tasks)[:int(rng.integers(1, n_tasks + 1))]
+            arms = rng.integers(0, k, size=ids.size)
+            rewards = rng.normal(0.0, rng.uniform(0.1, 5.0), size=ids.size)
+            for record in zip(ids.tolist(), arms.tolist(), rewards.tolist()):
+                one.add(*record)
+            many.add_many(ids, arms, rewards)
+            for name in ("phi_vinv_phi", "phi_vinv_resid", "counts", "sums"):
+                assert np.array_equal(getattr(one, name), getattr(many, name))
+    with pytest.raises(ConfigError):
+        many.add_many(np.array([0, 0]), np.array([0, 0]), np.ones(2))
+
+
 def test_theta_accumulator_rejects_dense_effects():
     cfg = HierarchyConfig(mu_theta=np.zeros(2), sigma_theta=np.eye(2),
                           sigma_delta=np.array([[1.0, 0.3], [0.3, 1.0]]),
