@@ -27,7 +27,7 @@ two-level variance times I), drawn in closed form.
 
 Bernoulli mirrors: hier-ts, oracle-ts, individual-ts, pooled-ts, meta-ts.
 They share one core too: a per-task Beta prior, then conjugate Beta-
-Bernoulli TS on the task's success and failure counts.  Only the prior's
+Bernoulli TS on the task's pull counts and success sums.  Only the prior's
 source differs: the marginal Beta (individual-ts, and pooled-ts with one
 count slot for every task), Beta(mu/psi, (1-mu)/psi) with mu =
 logistic(phi^T theta) under the true theta (oracle-ts) or under the theta
@@ -42,7 +42,10 @@ that reads another task's update from the same round (hier-ts-batch: until
 its next coefficient refresh).  They also take act_many/update_many over
 arrays of distinct task ids, so a concurrent round is one vectorized step
 that draws, picks and counts exactly as the act/update calls it replaces.
-Each core states its recipe once for an int task id and for an id array.
+The three cores (Gaussian conditional, Gaussian independent-arm, Beta)
+share one count store, _CountTS, and differ only in their draw, stated once
+for an int task id and an id array.  Policies that act at schedule
+boundaries override one hook, _at_boundary.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ from scipy.special import betaln
 from ._linalg import sample_mvn_precision
 from .bernoulli import (ThetaSampler, acceptance_warnings,
                         logistic_beta_shapes)
-from .core import FeatureMap, HierarchyConfig
+from .core import FeatureMap, HierarchyConfig, check_count, check_flag
 from .envs import Population
 from .errors import ConfigError, NumericalError, ScheduleError
 from .gaussian import ThetaStatAccumulator, diagonal_effect_variances
@@ -73,27 +76,6 @@ def _pick(scores: np.ndarray) -> np.ndarray:
     if _SCORE_OFFSET is not None:
         scores = scores + _SCORE_OFFSET * np.arange(scores.shape[-1])
     return scores.argmax(axis=-1)
-
-
-def _check_count(name: str, value, least: int, allow_none: bool = False):
-    """value if it is an integer (not a bool) >= least, or None when
-    allow_none; ConfigError otherwise."""
-    if value is None and allow_none:
-        return value
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
-            or value < least:
-        raise ConfigError("%s must be an integer >= %d%s, got %r"
-                          % (name, least, " or None" if allow_none else "",
-                             value))
-    return value
-
-
-def _require_distinct(task_ids: np.ndarray) -> None:
-    """A batch names each task at most once: a fancy-index += would drop
-    the repeats."""
-    if np.unique(task_ids).shape[0] != task_ids.shape[0]:
-        raise ScheduleError("task ids repeat within one batch: %s"
-                            % np.array2string(task_ids))
 
 
 @dataclass
@@ -137,7 +119,8 @@ class Policy:
 
     act(task_id) returns an arm; update(...) feeds back the observed reward.
     end_of_round fires after each concurrent round, end_of_task after each
-    task completes under a sequential schedule.  Defaults are no-ops.
+    task completes under a sequential schedule; both call _at_boundary, a
+    no-op by default.
 
     A round_independent policy also answers act_many(task_ids), the arms
     that act would pick for those distinct tasks in order, and
@@ -163,17 +146,73 @@ class Policy:
         raise NotImplementedError
 
     def end_of_round(self) -> None:
-        pass
+        self._at_boundary()
 
     def end_of_task(self, task_id: int) -> None:
-        pass
+        self._at_boundary()
+
+    def _at_boundary(self) -> None:
+        """What a policy does at every schedule boundary; a no-op here."""
+
+
+class _CountTS(Policy):
+    """Conjugate TS on per-slot pull counts and reward sums.
+
+    Task t keeps its statistics in slot t % n_slots (n_slots None: one slot
+    per task): counts[s, a] pulls of arm a and sums[s, a] the total of
+    _observed(reward) over them.  Subclasses supply only _draw(task_id), one
+    posterior draw of the arm means for an int task id or an id array (one
+    row per task, drawn in row order); act plays its argmax.
+    """
+
+    n_slots: int | None = None
+    round_independent = True
+
+    def __init__(self, ctx: AgentContext):
+        self.rng = ctx.rng
+        n_slots = ctx.n_tasks if self.n_slots is None else self.n_slots
+        self.slot_of = np.arange(ctx.n_tasks) % n_slots
+        self.counts = np.zeros((n_slots, ctx.n_arms))
+        self.sums = np.zeros((n_slots, ctx.n_arms))
+
+    def _stats(self, task_id) -> tuple[np.ndarray, np.ndarray]:
+        """(counts, sums) of the task's slot."""
+        s = self.slot_of[task_id]
+        return self.counts[s], self.sums[s]
+
+    def _draw(self, task_id) -> np.ndarray:
+        raise NotImplementedError
+
+    @staticmethod
+    def _observed(reward):
+        return reward
+
+    def act(self, task_id: int) -> int:
+        return int(_pick(self._draw(task_id)))
+
+    def act_many(self, task_ids: np.ndarray) -> np.ndarray:
+        return _pick(self._draw(task_ids))
+
+    def update(self, task_id: int, arm: int, reward: float) -> None:
+        s = self.slot_of[task_id]
+        self.counts[s, arm] += 1.0
+        self.sums[s, arm] += self._observed(reward)
+
+    def update_many(self, task_ids: np.ndarray, arms: np.ndarray,
+                    rewards: np.ndarray) -> None:
+        # A batch names each task at most once: a fancy-index += would drop
+        # the repeats.
+        if np.unique(task_ids).shape[0] != task_ids.shape[0]:
+            raise ScheduleError("task ids repeat within one batch: %s"
+                                % np.array2string(task_ids))
+        _CountTS.update(self, task_ids, arms, rewards)
 
 
 # ---------------------------------------------------------------------------
 # Gaussian hierarchy
 # ---------------------------------------------------------------------------
 
-class _ConditionalTS(Policy):
+class _ConditionalTS(_CountTS):
     """Conjugate per-arm TS around a per-task prior mean.
 
     Subclasses supply only _prior_mean(task_id).  Given that mean m, arm a's
@@ -189,62 +228,48 @@ class _ConditionalTS(Policy):
     """
 
     align = False
-    round_independent = True
 
     def __init__(self, ctx: AgentContext, arm_var: np.ndarray, noise_sq: float):
-        self.rng = ctx.rng
+        super().__init__(ctx)
         self.n_arms = ctx.n_arms
         self.arm_var = arm_var
         self.noise_sq = noise_sq
-        self.counts = np.zeros((ctx.n_tasks, ctx.n_arms))
-        self.sums = np.zeros((ctx.n_tasks, ctx.n_arms))
 
     def _prior_mean(self, task_id) -> np.ndarray:
         raise NotImplementedError
 
-    def _rounds_played(self, task_id: int) -> int:
-        return int(self.counts[task_id].sum())
+    def _rounds_played(self, task_id):
+        return self._stats(task_id)[0].sum(axis=-1).astype(np.int64)
 
     def act(self, task_id: int) -> int:
         if self.align:
-            played = self._rounds_played(task_id)
+            played = int(self._rounds_played(task_id))
             if played < self.n_arms:
                 return played
-        return int(_pick(self._conditional_draw(task_id,
-                                                self._prior_mean(task_id))))
+        return super().act(task_id)
 
     def act_many(self, task_ids: np.ndarray) -> np.ndarray:
         if not self.align:
-            return _pick(self._conditional_draw(task_ids,
-                                                self._prior_mean(task_ids)))
-        arms = self.counts[task_ids].sum(axis=1).astype(np.int64)
+            return super().act_many(task_ids)
+        arms = self._rounds_played(task_ids)
         drawn = arms >= self.n_arms
         if drawn.any():
-            task_ids = task_ids[drawn]
-            arms[drawn] = _pick(self._conditional_draw(
-                task_ids, self._prior_mean(task_ids)))
+            arms[drawn] = super().act_many(task_ids[drawn])
         return arms
+
+    def _draw(self, task_id) -> np.ndarray:
+        return self._conditional_draw(task_id, self._prior_mean(task_id))
 
     def _conditional_draw(self, task_id, m: np.ndarray) -> np.ndarray:
         """One draw of the task's arm means given prior mean m."""
-        n = self.counts[task_id]
+        n, sums = self._stats(task_id)
         v = self.arm_var
         d = self.noise_sq + v * n
         z = self.rng.standard_normal(n.shape)
-        draw = m + v * (self.sums[task_id] - n * m) / d \
-            + np.sqrt(v * self.noise_sq / d) * z
+        draw = m + v * (sums - n * m) / d + np.sqrt(v * self.noise_sq / d) * z
         if not np.isfinite(draw).all():
             raise NumericalError("non-finite arm-mean draw in %s" % self.name)
         return draw
-
-    def update(self, task_id: int, arm: int, reward: float) -> None:
-        self.counts[task_id, arm] += 1.0
-        self.sums[task_id, arm] += reward
-
-    def update_many(self, task_ids: np.ndarray, arms: np.ndarray,
-                    rewards: np.ndarray) -> None:
-        _require_distinct(task_ids)
-        _ConditionalTS.update(self, task_ids, arms, rewards)
 
 
 class HierTS(_ConditionalTS):
@@ -299,8 +324,8 @@ class HierTSBatched(HierTS):
 
     def __init__(self, ctx: AgentContext, refresh_every: int | None = None):
         super().__init__(ctx)
-        self.refresh_every = _check_count("refresh_every", refresh_every, 1,
-                                          allow_none=True)
+        self.refresh_every = check_count("refresh_every", refresh_every, 1,
+                                         allow_none=True)
         self._since_refresh = 0
         self._cached_theta: np.ndarray | None = None
 
@@ -333,11 +358,7 @@ class HierTSBatched(HierTS):
                 and self._since_refresh >= self.refresh_every:
             self._cached_theta = None
 
-    def end_of_round(self) -> None:
-        if self.refresh_every is None:
-            self._cached_theta = None
-
-    def end_of_task(self, task_id: int) -> None:
+    def _at_boundary(self) -> None:
         if self.refresh_every is None:
             self._cached_theta = None
 
@@ -371,7 +392,7 @@ class AlignedHierTS(HierTS):
     def update(self, task_id: int, arm: int, reward: float) -> None:
         # Own counts only: the accumulator holds alignment records of
         # finished tasks, released at end_of_task.
-        _ConditionalTS.update(self, task_id, arm, reward)
+        _CountTS.update(self, task_id, arm, reward)
         if self._rounds_played(task_id) <= self.n_arms:
             self._pending.setdefault(task_id, []).append((arm, reward))
 
@@ -395,58 +416,31 @@ class OracleTS(_ConditionalTS):
         cfg = ctx.cfg
         cfg.require_gaussian()
         super().__init__(ctx, diagonal_effect_variances(cfg), cfg.sigma_noise ** 2)
-        self.align = align
+        self.align = check_flag("align", align)
         theta = ctx.population.theta if theta is None else np.asarray(theta, float)
-        fm = ctx.fm
-        self.prior_means = np.stack([
-            fm.task_features(fm.metadata_for(i)) @ theta
-            for i in range(ctx.n_tasks)])
+        self.prior_means = ctx.stacked_features() @ theta
 
     def _prior_mean(self, task_id) -> np.ndarray:
         return self.prior_means[task_id]
 
 
-class _IndependentArmTS(Policy):
-    """Scalar-conjugate TS per arm; subclasses define the belief sharing by
-    the number of (count, sum) slots, task t using slot t % n_slots.  _draw
-    takes an int task id or an id array."""
+class _IndependentArmTS(_CountTS):
+    """Scalar-conjugate TS per arm from the marginal per-arm prior; the
+    subclasses differ only in n_slots."""
 
-    round_independent = True
-
-    def __init__(self, ctx: AgentContext, n_slots: int):
-        spec = ctx.population.spec
-        self.rng = ctx.rng
-        self.noise_sq = spec.sigma_noise ** 2
+    def __init__(self, ctx: AgentContext):
+        super().__init__(ctx)
+        self.noise_sq = ctx.population.spec.sigma_noise ** 2
         self.prior_mean = ctx.priors.marginal_mean
         self.prior_var = ctx.priors.marginal_variance
-        self.slot_of = np.arange(ctx.n_tasks) % n_slots
-        self.counts = np.zeros((n_slots, ctx.n_arms))
-        self.sums = np.zeros((n_slots, ctx.n_arms))
 
     def _draw(self, task_id) -> np.ndarray:
-        s = self.slot_of[task_id]
-        n = self.counts[s]
+        n, sums = self._stats(task_id)
         # Conjugate normal posterior per arm from (count, sum).
         post_var = 1.0 / (1.0 / self.prior_var + n / self.noise_sq)
         post_mean = post_var * (self.prior_mean / self.prior_var
-                                + self.sums[s] / self.noise_sq)
+                                + sums / self.noise_sq)
         return post_mean + np.sqrt(post_var) * self.rng.standard_normal(n.shape)
-
-    def act(self, task_id: int) -> int:
-        return int(_pick(self._draw(task_id)))
-
-    def act_many(self, task_ids: np.ndarray) -> np.ndarray:
-        return _pick(self._draw(task_ids))
-
-    def update(self, task_id: int, arm: int, reward: float) -> None:
-        s = self.slot_of[task_id]
-        self.counts[s, arm] += 1.0
-        self.sums[s, arm] += reward
-
-    def update_many(self, task_ids: np.ndarray, arms: np.ndarray,
-                    rewards: np.ndarray) -> None:
-        _require_distinct(task_ids)
-        _IndependentArmTS.update(self, task_ids, arms, rewards)
 
 
 class IndividualTS(_IndependentArmTS):
@@ -454,18 +448,13 @@ class IndividualTS(_IndependentArmTS):
 
     name = "individual-ts"
 
-    def __init__(self, ctx: AgentContext):
-        super().__init__(ctx, ctx.n_tasks)
-
 
 class PooledTS(_IndependentArmTS):
     """One belief over arm means shared by every task (one size fits all)."""
 
     name = "pooled-ts"
+    n_slots = 1
     round_independent = False  # every task reads the one shared slot
-
-    def __init__(self, ctx: AgentContext):
-        super().__init__(ctx, 1)
 
 
 class LinearTS(Policy):
@@ -542,10 +531,7 @@ class MetaTS(_ConditionalTS):
     def _prior_mean(self, task_id) -> np.ndarray:
         return self._hyper_sample
 
-    def end_of_round(self) -> None:
-        self._hyper_sample = self._draw_hyper()
-
-    def end_of_task(self, task_id: int) -> None:
+    def _at_boundary(self) -> None:
         self._hyper_sample = self._draw_hyper()
 
 
@@ -567,50 +553,26 @@ def _task_beta_priors(phi: np.ndarray, theta: np.ndarray,
     return alpha1.reshape(n, k), alpha2.reshape(n, k)
 
 
-class _BetaCountTS(Policy):
-    """Conjugate Beta-Bernoulli TS on per-slot success and failure counts.
+class _BetaCountTS(_CountTS):
+    """Conjugate Beta-Bernoulli TS on per-slot pull counts n and success
+    sums S, a reward >= 0.5 counting as a success.
 
     Subclasses supply only _prior(task_ids) -> (alpha1, alpha2), scalars or
     arrays that broadcast against the tasks' (K,) or (n, K) counts; arm a is
-    drawn from Beta(alpha1_a + wins_a, alpha2_a + losses_a) and a reward >=
-    0.5 counts as a success.  Every task has its own slot unless n_slots
-    says otherwise; task t then uses slot t % n_slots.
+    drawn from Beta(alpha1_a + S_a, alpha2_a + n_a - S_a).
     """
-
-    n_slots: int | None = None  # None: one slot per task
-    round_independent = True
-
-    def __init__(self, ctx: AgentContext):
-        self.rng = ctx.rng
-        n_slots = ctx.n_tasks if self.n_slots is None else self.n_slots
-        self.slot_of = np.arange(ctx.n_tasks) % n_slots
-        self.wins = np.zeros((n_slots, ctx.n_arms))
-        self.losses = np.zeros((n_slots, ctx.n_arms))
 
     def _prior(self, task_id) -> tuple:
         raise NotImplementedError
 
+    @staticmethod
+    def _observed(reward):
+        return reward >= 0.5
+
     def _draw(self, task_id) -> np.ndarray:
-        s = self.slot_of[task_id]
+        n, successes = self._stats(task_id)
         alpha1, alpha2 = self._prior(task_id)
-        return self.rng.beta(alpha1 + self.wins[s], alpha2 + self.losses[s])
-
-    def act(self, task_id: int) -> int:
-        return int(_pick(self._draw(task_id)))
-
-    def act_many(self, task_ids: np.ndarray) -> np.ndarray:
-        return _pick(self._draw(task_ids))
-
-    def update(self, task_id: int, arm: int, reward: float) -> None:
-        s = self.slot_of[task_id]
-        won = reward >= 0.5
-        self.wins[s, arm] += won
-        self.losses[s, arm] += 1.0 - won
-
-    def update_many(self, task_ids: np.ndarray, arms: np.ndarray,
-                    rewards: np.ndarray) -> None:
-        _require_distinct(task_ids)
-        _BetaCountTS.update(self, task_ids, arms, rewards)
+        return self.rng.beta(alpha1 + successes, alpha2 + (n - successes))
 
 
 class IndividualTSBernoulli(_BetaCountTS):
@@ -680,10 +642,10 @@ class HierTSBernoulli(OracleTSBernoulli):
                  sweeps: int = 20, refresh_every: int | None = None):
         cfg = ctx.cfg
         self.chain = ThetaSampler(cfg)
-        self.burn_in = _check_count("burn_in", burn_in, 0)
-        self.sweeps = _check_count("sweeps", sweeps, 1)
-        self.refresh_every = _check_count("refresh_every", refresh_every, 1,
-                                          allow_none=True)
+        self.burn_in = check_count("burn_in", burn_in, 0)
+        self.sweeps = check_count("sweeps", sweeps, 1)
+        self.refresh_every = check_count("refresh_every", refresh_every, 1,
+                                         allow_none=True)
         self.round_independent = refresh_every is None
         self._since_refresh = 0
         self.acceptance_rates: list[float] = []
@@ -694,11 +656,12 @@ class HierTSBernoulli(OracleTSBernoulli):
 
     def _refresh(self) -> None:
         # the tasks pulled so far, in id order; with none, every task
-        tasks = np.flatnonzero((self.wins + self.losses).any(axis=1))
+        tasks = np.flatnonzero(self.counts.any(axis=1))
         if tasks.size == 0:
             tasks = np.arange(self._phi.shape[0])
-        data = (self._phi[tasks].reshape(-1, self._phi.shape[2]),
-                self.wins[tasks].ravel(), self.losses[tasks].ravel(), self.rng)
+        successes = self.sums[tasks].ravel()
+        data = (self._phi[tasks].reshape(-1, self._phi.shape[2]), successes,
+                self.counts[tasks].ravel() - successes, self.rng)
         if self.chain.n_sweeps == 0:
             self.chain.run(*data, self.burn_in)
         rate = self.chain.run(*data, self.sweeps) / float(self.sweeps)
@@ -714,10 +677,7 @@ class HierTSBernoulli(OracleTSBernoulli):
                 and self._since_refresh >= self.refresh_every:
             self._refresh()
 
-    def end_of_round(self) -> None:
-        self._refresh()
-
-    def end_of_task(self, task_id: int) -> None:
+    def _at_boundary(self) -> None:
         self._refresh()
 
 
@@ -744,14 +704,15 @@ class MetaTSBernoulli(_BetaCountTS):
 
     def _log_weights(self) -> np.ndarray:
         w = np.zeros(self.n_candidates)
+        failures = self.counts - self.sums
         for c in range(self.n_candidates):
             a1 = self.cand_a1[c][None, :]
             a2 = self.cand_a2[c][None, :]
-            w[c] = float(np.sum(betaln(a1 + self.wins, a2 + self.losses)
+            w[c] = float(np.sum(betaln(a1 + self.sums, a2 + failures)
                                 - betaln(a1, a2)))
         return w
 
-    def _resample(self) -> None:
+    def _at_boundary(self) -> None:
         logw = self._log_weights()
         probs = np.exp(logw - logw.max())
         probs /= probs.sum()
@@ -759,12 +720,6 @@ class MetaTSBernoulli(_BetaCountTS):
 
     def _prior(self, task_id) -> tuple[np.ndarray, np.ndarray]:
         return self.cand_a1[self._current], self.cand_a2[self._current]
-
-    def end_of_round(self) -> None:
-        self._resample()
-
-    def end_of_task(self, task_id: int) -> None:
-        self._resample()
 
 
 # ---------------------------------------------------------------------------

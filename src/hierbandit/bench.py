@@ -29,6 +29,7 @@ import yaml
 
 from ._version import __version__
 from .agents import AgentContext, Policy, make_policy
+from .core import check_count, check_flag
 from .envs import (InteractionSchedule, Population, PopulationSpec,
                    RewardTable, agent_rng, atomic_write_text,
                    generate_misspecified, generate_population, make_schedule)
@@ -150,10 +151,7 @@ class ExperimentConfig:
                 raise ConfigError("need at least 2 seeds for curve output")
             seeds = tuple(range(seeds_raw))
         elif isinstance(seeds_raw, (list, tuple)):
-            if not all(isinstance(s, int) and not isinstance(s, bool)
-                       for s in seeds_raw):
-                raise ConfigError("seeds must be an int or a list of ints")
-            seeds = tuple(seeds_raw)
+            seeds = tuple(int(check_count("seed", s, 0)) for s in seeds_raw)
             if len(seeds) < 2:
                 raise ConfigError("need at least 2 seeds for curve output")
             if len(set(seeds)) != len(seeds):
@@ -161,12 +159,9 @@ class ExperimentConfig:
         else:
             raise ConfigError("seeds must be an int or a list of ints")
 
-        parallelism = raw.get("parallelism", 1)
-        if not isinstance(parallelism, int) or parallelism < 1:
-            raise ConfigError("parallelism must be a positive int")
-
-        emit_mtr = bool(raw.get("emit_mtr", True))
-        plots = bool(raw.get("plots", False))
+        parallelism = check_count("parallelism", raw.get("parallelism", 1), 1)
+        emit_mtr = check_flag("emit_mtr", raw.get("emit_mtr", True))
+        plots = check_flag("plots", raw.get("plots", False))
         output_dir = raw.get("output_dir")
         if output_dir is not None and not isinstance(output_dir, str):
             raise ConfigError("output_dir must be a string")

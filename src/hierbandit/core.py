@@ -30,6 +30,26 @@ def _readonly(a, dtype=float) -> np.ndarray:
     return out
 
 
+def check_count(name: str, value, least: int, allow_none: bool = False):
+    """value if it is an integer (not a bool; numpy integers too) >= least,
+    or None when allow_none; ConfigError otherwise."""
+    if value is None and allow_none:
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or value < least:
+        raise ConfigError("%s must be an integer >= %d%s, got %r"
+                          % (name, least, " or None" if allow_none else "",
+                             value))
+    return value
+
+
+def check_flag(name: str, value) -> bool:
+    """value if it is a bool (numpy bools too); ConfigError otherwise."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ConfigError("%s must be true or false, got %r" % (name, value))
+    return bool(value)
+
+
 def _check_psd(name: str, mat: np.ndarray, require_nonsingular: bool = False) -> None:
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ConfigError("%s must be square, got shape %s" % (name, (mat.shape,)))
@@ -164,26 +184,30 @@ class FeatureMap:
         return cls("custom", n_arms, dim, p, fn=fn, task_metadata=task_metadata)
 
     def feature(self, x: np.ndarray, arm: int) -> np.ndarray:
+        """phi(x, arm): row arm of task_features(x)."""
+        return self.task_features(x)[self.check_arm(arm)]
+
+    def check_arm(self, arm: int) -> int:
+        if not 0 <= arm < self.n_arms:
+            raise ConfigError("arm %d out of range [0, %d)" % (arm, self.n_arms))
+        return arm
+
+    def task_features(self, x: np.ndarray) -> np.ndarray:
+        """(n_arms, dim) matrix whose row a is phi(x, a)."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.p,):
             raise ConfigError("metadata length %d, expected p=%d" % (x.size, self.p))
-        if not 0 <= arm < self.n_arms:
-            raise ConfigError("arm %d out of range [0, %d)" % (arm, self.n_arms))
+        k = self.n_arms
         if self.kind == "indicator_metadata":
-            out = np.zeros(self.dim)
-            out[arm] = 1.0
-            block = self.dim - self.n_arms
-            if block:
-                out[self.n_arms:] = x[arm * block:(arm + 1) * block]
+            out = np.eye(k, self.dim)
+            out[:, k:] = x.reshape(k, self.dim - k)
             return out
-        out = np.asarray(self._fn(x, arm), dtype=float)
-        if out.shape != (self.dim,):
-            raise ConfigError("custom feature map returned length %d, expected d=%d"
-                              % (out.size, self.dim))
-        return out
-
-    def task_features(self, x: np.ndarray) -> np.ndarray:
-        return np.stack([self.feature(x, a) for a in range(self.n_arms)])
+        rows = [np.asarray(self._fn(x, a), dtype=float) for a in range(k)]
+        for out in rows:
+            if out.shape != (self.dim,):
+                raise ConfigError("custom feature map returned length %d, "
+                                  "expected d=%d" % (out.size, self.dim))
+        return np.stack(rows)
 
     def metadata_for(self, task_id: int) -> np.ndarray:
         try:

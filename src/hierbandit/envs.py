@@ -22,7 +22,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .bernoulli import clipped_logistic
-from .core import FeatureMap, HierarchyConfig, TaskInstance
+from .core import FeatureMap, HierarchyConfig, TaskInstance, check_count
 from .errors import ConfigError, ScheduleError
 
 SCHEDULE_KINDS = ("sequential", "concurrent", "custom")
@@ -77,10 +77,9 @@ class PopulationSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_tasks < 1 or self.horizon < 1:
-            raise ConfigError("n_tasks and horizon must be >= 1")
-        if self.n_arms < 1:
-            raise ConfigError("n_arms must be >= 1")
+        for name in ("n_tasks", "horizon", "n_arms", "dim"):
+            check_count(name, getattr(self, name), 1)
+        check_count("seed", self.seed, 0)
         if self.dim < self.n_arms:
             raise ConfigError("dim must be >= n_arms (indicator block)")
         if self.reward_kind not in REWARD_KINDS:

@@ -107,13 +107,12 @@ class _Stacked:
         self.rewards = np.zeros(n)
         self.tasks = np.zeros(n, dtype=np.int64)
         self.actions = np.zeros(n, dtype=np.int64)
-        cache: dict[int, np.ndarray] = {}
+        cache: dict[int, np.ndarray] = {}  # task id -> its feature matrix
         for j, rec in enumerate(records):
-            x = cache.get(rec.task_id)
-            if x is None:
-                x = np.asarray(lookup(rec.task_id), dtype=float)
-                cache[rec.task_id] = x
-            self.phi[j] = fm.feature(x, rec.action)
+            mat = cache.get(rec.task_id)
+            if mat is None:
+                mat = cache[rec.task_id] = fm.task_features(lookup(rec.task_id))
+            self.phi[j] = mat[fm.check_arm(rec.action)]
             self.rewards[j] = rec.reward
             self.tasks[j] = rec.task_id
             self.actions[j] = rec.action
@@ -175,23 +174,18 @@ class _BlockSolver:
     diagonal Sigma_delta the block is, after grouping rows by arm, a
     rank-one perturbation per group:
         (sigma^2 I + v 1 1^T)^{-1} = I/sigma^2 - v/(sigma^2 (sigma^2 + n v)) 1 1^T,
-    which the "rank_one" strategy applies group by group.  The "dense"
-    strategy factors the block directly.
+    applied group by group.  Any other Sigma_delta has its block factored
+    densely.
     """
 
     def __init__(self, sigma_delta: np.ndarray, sigma_noise: float,
-                 actions: np.ndarray, strategy: str = "auto"):
+                 actions: np.ndarray):
         self.actions = actions
         self.n = actions.shape[0]
         off = sigma_delta - np.diag(np.diag(sigma_delta))
-        diagonal = not np.any(off)
-        if strategy == "auto":
-            strategy = "rank_one" if diagonal else "dense"
-        if strategy == "rank_one" and not diagonal:
-            raise ConfigError("rank_one block solver needs diagonal Sigma_delta")
-        self.strategy = strategy
+        self.dense = bool(np.any(off))
         self.s2 = sigma_noise ** 2
-        if strategy == "dense":
+        if self.dense:
             block = sigma_delta[np.ix_(actions, actions)] \
                 + self.s2 * np.eye(self.n)
             self._lower = chol_factor(block)
@@ -208,7 +202,7 @@ class _BlockSolver:
 
     def apply(self, b: np.ndarray) -> np.ndarray:
         """V^{-1} b for b of shape (n,) or (n, m)."""
-        if self.strategy == "dense":
+        if self.dense:
             return chol_solve(self._lower, b)
         out = b / self.s2
         for idx, v in self._groups:
@@ -237,8 +231,7 @@ class KernelWorkspace:
     """
 
     def __init__(self, cfg: HierarchyConfig, fm: FeatureMap, h,
-                 metadata_lookup=None, *, stacked: _Stacked | None = None,
-                 block_strategy: str = "auto"):
+                 metadata_lookup=None, *, stacked: _Stacked | None = None):
         cfg.require_gaussian()
         self.cfg = cfg
         self.fm = fm
@@ -254,7 +247,7 @@ class KernelWorkspace:
         for tid in st.task_order():
             idx = np.nonzero(st.tasks == tid)[0]
             solver = _BlockSolver(cfg.sigma_delta, cfg.sigma_noise,
-                                  st.actions[idx], block_strategy)
+                                  st.actions[idx])
             vinv_phi = solver.apply(st.phi[idx])
             vinv_resid = solver.apply(resid[idx])
             self.phi_vinv_phi += st.phi[idx].T @ vinv_phi
@@ -306,19 +299,16 @@ def theta_posterior_stats(cfg: HierarchyConfig, phi_vinv_phi: np.ndarray,
 
 def posterior_r_woodbury(cfg: HierarchyConfig, fm: FeatureMap, h: History,
                          target_task: int, target_x: np.ndarray,
-                         metadata_lookup=None,
-                         block_strategy: str = "auto") -> GaussianBelief:
+                         metadata_lookup=None) -> GaussianBelief:
     """Exact P(r_target | H) via per-task blocks and the Woodbury identity.
 
     Identical contract to posterior_r_naive; never forms an n x n matrix.
-    block_strategy "dense" forces dense per-task factorizations even when the
-    rank-one diagonal shortcut applies (numerical cross-check lever).
     """
     cfg.require_gaussian()
     phi_t = fm.task_features(target_x)
     if len(h) == 0:
         return _prior_predictive(cfg, phi_t)
-    ws = KernelWorkspace(cfg, fm, h, metadata_lookup, block_strategy=block_strategy)
+    ws = KernelWorkspace(cfg, fm, h, metadata_lookup)
     _, sigma_in, _ = theta_posterior_stats(cfg, ws.phi_vinv_phi, ws.phi_vinv_resid)
     m_vinv_phi, m_vinv_resid, m_vinv_m = ws.task_cross_terms(target_task, phi_t)
 
@@ -478,8 +468,6 @@ class ThetaStatAccumulator:
     def __init__(self, cfg: HierarchyConfig, fm: FeatureMap, task_ids: Sequence[int]):
         cfg.require_gaussian()
         self._effect_var = diagonal_effect_variances(cfg)
-        self.cfg = cfg
-        self.fm = fm
         self._index = {int(t): k for k, t in enumerate(task_ids)}
         n_tasks = len(self._index)
         k = fm.n_arms
@@ -535,11 +523,6 @@ class ThetaStatAccumulator:
             np.concatenate([self.phi_vinv_phi[None], outer]), axis=0)[-1]
         self.phi_vinv_resid[...] = np.cumsum(
             np.concatenate([self.phi_vinv_resid[None], resid]), axis=0)[-1]
-
-    def theta_posterior(self) -> ThetaPosterior:
-        mean, cov, _ = theta_posterior_stats(self.cfg, self.phi_vinv_phi,
-                                             self.phi_vinv_resid)
-        return ThetaPosterior(mean, cov)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ kernel factorization, and fit_variance_components maximizes it over a grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +40,6 @@ class DerivedPriors:
 
     marginal_mean / marginal_variance: per-arm moments of r_{i,a} with theta
     and the task effect integrated out (Gaussian populations).
-    conditional_variance: Var(r_{i,a} | theta) = sigma1_sq.
     linear_noise_variance: reward variance around the best linear predictor,
     sigma1_sq + sigma_noise^2.
     two_level_task_variance: variance of a task's arm mean around the per-arm
@@ -51,17 +50,15 @@ class DerivedPriors:
     bernoulli_marginal: moment-matched Beta prior over arm means.
     bernoulli_candidates: candidate per-arm Beta priors for the two-level
     Bernoulli agent; candidate 0 is derived from the realized theta, the rest
-    scatter their means uniformly.  candidate_log_weights start uniform.
+    scatter their means uniformly.
     """
 
     marginal_mean: float
     marginal_variance: float
-    conditional_variance: float
     linear_noise_variance: float
     two_level_task_variance: float
     bernoulli_marginal: BetaParams | None = None
     bernoulli_candidates: tuple[tuple[BetaParams, ...], ...] = ()
-    candidate_log_weights: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
 def marginal_arm_variance(spec: PopulationSpec) -> float:
@@ -129,7 +126,6 @@ def derive_baseline_priors(spec: PopulationSpec, true_theta: np.ndarray,
         return DerivedPriors(
             marginal_mean=0.0,
             marginal_variance=marginal_arm_variance(spec),
-            conditional_variance=spec.sigma1_sq,
             linear_noise_variance=spec.sigma1_sq + spec.sigma_noise ** 2,
             two_level_task_variance=two_level_task_variance(spec, true_theta))
 
@@ -159,12 +155,10 @@ def derive_baseline_priors(spec: PopulationSpec, true_theta: np.ndarray,
     return DerivedPriors(
         marginal_mean=marg_mean,
         marginal_variance=marg_var,
-        conditional_variance=float(cond_var.mean()),
         linear_noise_variance=float("nan"),
         two_level_task_variance=float("nan"),
         bernoulli_marginal=marginal,
-        bernoulli_candidates=tuple(candidates),
-        candidate_log_weights=np.zeros(N_BERNOULLI_CANDIDATES))
+        bernoulli_candidates=tuple(candidates))
 
 
 # ---------------------------------------------------------------------------

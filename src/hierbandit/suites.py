@@ -197,10 +197,11 @@ def _check_beta_count_ts() -> CheckResult:
         core.update(1, 0, y)
         seq = conjugate_update(seq, y >= 0.5, y < 0.5)
     core.update_many(np.array([0, 1]), np.array([1, 0]), np.array([0.0, 1.0]))
-    got = (prior.alpha1 + core.wins[1, 0], prior.alpha2 + core.losses[1, 0])
+    got = (prior.alpha1 + core.sums[1, 0],
+           prior.alpha2 + (core.counts[1, 0] - core.sums[1, 0]))
     seq = conjugate_update(seq, 1, 0)
     exact = BetaParams(*got) == seq == conjugate_update(prior, 4, 2) \
-        and core.losses[0, 1] == 1.0
+        and (core.counts[0, 1], core.sums[0, 1]) == (1.0, 0.0)
     return _result("beta-count-ts-counts", exact, "core Beta(%g, %g), "
                    "conjugate Beta(%g, %g)" % (*got, seq.alpha1, seq.alpha2))
 

@@ -1,4 +1,4 @@
-"""Minimal SVG line plots: regret curves with standard-error bands.
+"""Minimal SVG line plots of regret curves.
 
 Self-contained on purpose; the benchmark writes diagnostic plots next to its
 CSV outputs without pulling in a plotting stack.  Output is plain SVG 1.1
@@ -24,12 +24,11 @@ PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
 
 @dataclass(frozen=True)
 class Series:
-    """One plotted line: x, y, optional symmetric band half-width."""
+    """One plotted line."""
 
     label: str
     x: np.ndarray
     y: np.ndarray
-    band: np.ndarray | None = None
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
@@ -60,17 +59,9 @@ def _fmt(v: float) -> str:
 
 def write_line_plot(path: str, series: list[Series], *, title: str,
                     x_label: str, y_label: str) -> None:
-    """Write the series to an SVG file with axes, ticks, legend, and an
-    optional shaded +-band per series."""
+    """Write the series to an SVG file with axes, ticks and a legend."""
     xs = np.concatenate([np.asarray(s.x, dtype=float) for s in series])
-    ys = []
-    for s in series:
-        y = np.asarray(s.y, dtype=float)
-        ys.append(y)
-        if s.band is not None:
-            b = np.asarray(s.band, dtype=float)
-            ys.extend([y - b, y + b])
-    yall = np.concatenate(ys)
+    yall = np.concatenate([np.asarray(s.y, dtype=float) for s in series])
     x_lo, x_hi = float(xs.min()), float(xs.max())
     y_lo, y_hi = float(yall.min()), float(yall.max())
     if x_hi == x_lo:
@@ -127,13 +118,6 @@ def write_line_plot(path: str, series: list[Series], *, title: str,
         color = PALETTE[j % len(PALETTE)]
         x = np.asarray(s.x, dtype=float)
         y = np.asarray(s.y, dtype=float)
-        if s.band is not None:
-            b = np.asarray(s.band, dtype=float)
-            upper = [(px(xv), py(yv + bv)) for xv, yv, bv in zip(x, y, b)]
-            lower = [(px(xv), py(yv - bv)) for xv, yv, bv in zip(x, y, b)]
-            pts = " ".join("%.2f,%.2f" % p for p in upper + lower[::-1])
-            parts.append('<polygon points="%s" fill="%s" fill-opacity="0.15" '
-                         'stroke="none"/>' % (pts, color))
         pts = " ".join("%.2f,%.2f" % (px(xv), py(yv)) for xv, yv in zip(x, y))
         parts.append('<polyline points="%s" fill="none" stroke="%s" '
                      'stroke-width="1.8"/>' % (pts, color))

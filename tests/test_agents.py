@@ -178,8 +178,9 @@ def test_batched_bernoulli_beta_mechanism():
     agent.update(0, 2, 1.0)
     probe = np.random.default_rng(0)
     probe.bit_generator.state = agent.rng.bit_generator.state
-    want = _pick(probe.beta(agent.alpha1[0] + agent.wins[0],
-                            agent.alpha2[0] + agent.losses[0]))
+    want = _pick(probe.beta(agent.alpha1[0] + agent.sums[0],
+                            agent.alpha2[0]
+                            + (agent.counts[0] - agent.sums[0])))
     assert agent.act(0) == want
 
 
@@ -335,7 +336,7 @@ def _warm_chain_draws(n_replicates, seed):
         agent = make_policy("hier-ts", AgentContext(
             pop, None, np.random.default_rng([seed, rep]), "sequential"))
         for tid, (wins, losses) in enumerate(counts):
-            agent.wins[tid, 0], agent.losses[tid, 0] = wins, losses
+            agent.counts[tid, 0], agent.sums[tid, 0] = wins + losses, wins
             agent.end_of_task(tid)
             draws[rep, tid] = agent.chain.theta[0]
     return counts, draws
@@ -613,8 +614,8 @@ def test_meta_bernoulli_candidate_weights():
             for a in range(2):
                 a1 = agent.cand_a1[c, a]
                 a2 = agent.cand_a2[c, a]
-                want += lbeta(a1 + agent.wins[i, a], a2 + agent.losses[i, a]) \
-                    - lbeta(a1, a2)
+                n, wins = agent.counts[i, a], agent.sums[i, a]
+                want += lbeta(a1 + wins, a2 + (n - wins)) - lbeta(a1, a2)
         np.testing.assert_allclose(got[c], want, atol=1e-10)
 
 
@@ -731,6 +732,85 @@ def test_update_many_rejects_repeated_task_ids(kind, name):
         agent.update_many(np.array([0, 2, 0]), np.array([0, 1, 1]),
                           np.array([1.0, 0.0, 1.0]))
     agent.update_many(np.array([0, 2]), np.array([0, 1]), np.array([1.0, 0.0]))
+
+
+_COUNT_TS = [("gaussian", name) for name in (
+    "hier-ts", "hier-ts-batch", "hier-ts-aligned", "oracle-ts",
+    "individual-ts", "pooled-ts", "meta-ts")]
+_COUNT_TS += [("bernoulli", name) for name in (
+    "hier-ts", "oracle-ts", "individual-ts", "pooled-ts", "meta-ts")]
+
+
+@pytest.mark.parametrize("kind, name", _COUNT_TS)
+def test_count_core_tallies_pulls_and_sums(kind, name):
+    # Every count-TS policy keeps per-slot pull counts and reward sums (for
+    # Bernoulli rewards, successes: a reward >= 0.5), whether the rewards
+    # come one by one through update or in batches of distinct slots
+    # through update_many.
+    spec = PopulationSpec(n_tasks=3, horizon=4, n_arms=2, dim=2,
+                          reward_kind=kind, seed=58)
+    values = [0.2, 0.5, 1.0] if kind == "bernoulli" else [0.7, -1.3, 2.25]
+    rng = np.random.default_rng(59)
+    rows = [(tid, int(rng.integers(2)), values[(3 * rnd + tid) % 3])
+            for rnd in range(4) for tid in range(3)]
+    n_slots = 1 if name == "pooled-ts" else spec.n_tasks
+    want_counts = np.zeros((n_slots, 2))
+    want_sums = np.zeros((n_slots, 2))
+    for tid, arm, reward in rows:
+        want_counts[tid % n_slots, arm] += 1.0
+        want_sums[tid % n_slots, arm] += \
+            float(reward >= 0.5) if kind == "bernoulli" else reward
+    one_by_one = make_policy(name, _ctx(spec, 60, "sequential")[1])
+    for row in rows:
+        one_by_one.update(*row)
+    batched = make_policy(name, _ctx(spec, 60, "sequential")[1])
+    batches = [[rows[0]]]
+    for row in rows[1:]:
+        if row[0] % n_slots in {r[0] % n_slots for r in batches[-1]}:
+            batches.append([])
+        batches[-1].append(row)
+    for batch in batches:
+        tids, arms, rewards = (np.array(col) for col in zip(*batch))
+        batched.update_many(tids, arms, rewards.astype(float))
+    for agent in (one_by_one, batched):
+        np.testing.assert_array_equal(agent.counts, want_counts)
+        np.testing.assert_array_equal(agent.sums, want_sums)
+
+
+@pytest.mark.parametrize("kind, name", [
+    ("gaussian", "hier-ts-batch"), ("gaussian", "meta-ts"),
+    ("bernoulli", "hier-ts"), ("bernoulli", "meta-ts")])
+def test_boundary_policies_treat_both_hooks_alike(kind, name):
+    # end_of_round and end_of_task are the same schedule boundary to a
+    # policy: the generator and the next draws must not tell them apart.
+    spec = PopulationSpec(n_tasks=3, horizon=4, n_arms=2, dim=2,
+                          reward_kind=kind, seed=61)
+    options = {"sweeps": 2, "burn_in": 3} \
+        if (kind, name) == ("bernoulli", "hier-ts") else {}
+    by_round, by_task = (make_policy(name, _ctx(spec, 62)[1], options)
+                         for _ in range(2))
+    rewards = [1.0, 0.0, 1.0] if kind == "bernoulli" else [0.4, -1.1, 0.9]
+    ids = np.arange(spec.n_tasks)
+    for _ in range(3):
+        for agent in (by_round, by_task):
+            for tid in ids.tolist():
+                agent.update(tid, agent.act(tid), rewards[tid])
+        by_round.end_of_round()
+        by_task.end_of_task(int(ids[-1]))
+        assert by_round.rng.bit_generator.state \
+            == by_task.rng.bit_generator.state
+        np.testing.assert_array_equal(by_round._draw(ids), by_task._draw(ids))
+        assert by_round.rng.bit_generator.state \
+            == by_task.rng.bit_generator.state
+
+
+@pytest.mark.parametrize("align", ["false", 0, None])
+def test_oracle_ts_align_must_be_bool(align):
+    spec = PopulationSpec(n_tasks=2, horizon=4, n_arms=2, dim=2, seed=63)
+    _, ctx = _ctx(spec, seed=64, schedule_kind="sequential")
+    with pytest.raises(ConfigError):
+        make_policy("oracle-ts", ctx, {"align": align})
+    assert make_policy("oracle-ts", ctx, {"align": np.bool_(True)}).align
 
 
 def test_stacked_prior_means_equal_per_task_products():

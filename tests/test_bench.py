@@ -82,9 +82,9 @@ def test_manifest_reproduces_run(tmp_path):
 
 
 @pytest.mark.parametrize("seeds", [None, 7, [5], [1, 1], ["a", 1], [1.5, 2.7],
-                                   [True, 2]],
+                                   [True, 2], [-1, 2]],
                          ids=["missing", "int", "one", "repeated", "string",
-                              "float", "bool"])
+                              "float", "bool", "negative"])
 def test_manifest_seeds_validated(tmp_path, capsys, seeds):
     manifest = ExperimentConfig.from_dict(
         _minimal_raw(seeds=[3, 9])).to_manifest_dict()
@@ -96,6 +96,31 @@ def test_manifest_seeds_validated(tmp_path, capsys, seeds):
     path.write_text(json.dumps(manifest))
     with pytest.raises(ConfigError):
         ExperimentConfig.from_file(str(path))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()
+    capsys.readouterr()
+
+
+def _population(**overrides):
+    return dict({"n_tasks": 4, "horizon": 8, "n_arms": 2, "dim": 3},
+                **overrides)
+
+
+@pytest.mark.parametrize("overrides", [
+    {"emit_mtr": "false"}, {"plots": "no"}, {"parallelism": True},
+    {"population": _population(n_tasks=2.5)},
+    {"population": _population(horizon=True)},
+    {"population": _population(n_arms=2.0)},
+    {"population": _population(dim=3.0)}],
+    ids=["emit_mtr-string", "plots-string", "parallelism-bool",
+         "n_tasks-float", "horizon-bool", "n_arms-float", "dim-float"])
+def test_config_flag_and_integer_types_validated(tmp_path, capsys,
+                                                 overrides):
+    raw = _minimal_raw(**overrides)
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict(raw)
+    path = tmp_path / "config.yaml"
+    path.write_text(json.dumps(raw))
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
     assert not (tmp_path / "out").exists()
     capsys.readouterr()

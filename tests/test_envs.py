@@ -36,6 +36,20 @@ def test_spec_validation():
     assert _spec(sigma1_sq=0.0).sigma1_sq == 0.0
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n_tasks", 2.5), ("horizon", True), ("n_arms", 2.0), ("dim", 3.0),
+    ("seed", 1.5), ("seed", True), ("seed", -1)])
+def test_spec_integer_fields_validated(field, value):
+    with pytest.raises(ConfigError):
+        _spec(**{field: value})
+
+
+def test_spec_accepts_numpy_integers():
+    spec = _spec(n_tasks=np.int64(3), horizon=np.int32(2), n_arms=np.int64(2),
+                 dim=np.int64(3), seed=np.uint8(7))
+    assert len(generate_population(spec).tasks) == 3
+
+
 def test_spec_derived_quantities():
     spec = _spec(n_tasks=3, n_arms=2, dim=5)
     assert spec.p == 2 * 3

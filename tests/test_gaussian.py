@@ -99,29 +99,34 @@ def test_woodbury_matches_naive_randomized():
         np.testing.assert_allclose(bw.cov, bn.cov, atol=1e-9)
 
 
-def test_block_strategies_agree():
+def test_block_solver_matches_dense_solve():
+    # The rank-one per-arm groups a diagonal Sigma_delta selects, against a
+    # direct dense solve and log-determinant of each task's V block.
     rng = np.random.default_rng(17)
+    rhs_rng = np.random.default_rng(18)
     hits = 0
     for _ in range(30):
         cfg, fm, h, tid, x = random_instance(rng, diag_prob=1.0)
         if len(h) == 0:
             continue
         hits += 1
-        ba = posterior_r_woodbury(cfg, fm, h, tid, x, block_strategy="rank_one")
-        bd = posterior_r_woodbury(cfg, fm, h, tid, x, block_strategy="dense")
-        np.testing.assert_allclose(ba.mean, bd.mean, atol=1e-10)
-        np.testing.assert_allclose(ba.cov, bd.cov, atol=1e-10)
+        for task in sorted({rec.task_id for rec in h}):
+            actions = np.array([rec.action for rec in h
+                                if rec.task_id == task])
+            solver = gaussian._BlockSolver(cfg.sigma_delta, cfg.sigma_noise,
+                                           actions)
+            assert not solver.dense
+            block = cfg.sigma_delta[np.ix_(actions, actions)] \
+                + cfg.sigma_noise ** 2 * np.eye(actions.size)
+            for rhs in (rhs_rng.standard_normal(actions.size),
+                        rhs_rng.standard_normal((actions.size, 3))):
+                np.testing.assert_allclose(solver.apply(rhs),
+                                           np.linalg.solve(block, rhs),
+                                           atol=1e-10)
+            np.testing.assert_allclose(solver.logdet,
+                                       np.linalg.slogdet(block)[1],
+                                       atol=1e-10)
     assert hits >= 10
-
-
-def test_rank_one_strategy_rejected_for_dense_effects():
-    rng = np.random.default_rng(19)
-    while True:
-        cfg, fm, h, tid, x = random_instance(rng, diag_prob=0.0)
-        if len(h) > 0 and cfg.n_arms > 1:
-            break
-    with pytest.raises(ConfigError):
-        posterior_r_woodbury(cfg, fm, h, tid, x, block_strategy="rank_one")
 
 
 def test_woodbury_empty_history_is_prior_predictive():
@@ -403,10 +408,11 @@ def test_theta_accumulator_matches_batch_posterior():
         acc = ThetaStatAccumulator(cfg, fm, fm.known_tasks())
         for rec in h:
             acc.add(rec.task_id, rec.action, rec.reward)
-        tp_inc = acc.theta_posterior()
+        mean, cov, _ = gaussian.theta_posterior_stats(
+            cfg, acc.phi_vinv_phi, acc.phi_vinv_resid)
         tp_batch = posterior_theta(cfg, fm, h)
-        np.testing.assert_allclose(tp_inc.mean, tp_batch.mean, atol=1e-9)
-        np.testing.assert_allclose(tp_inc.cov, tp_batch.cov, atol=1e-9)
+        np.testing.assert_allclose(mean, tp_batch.mean, atol=1e-9)
+        np.testing.assert_allclose(cov, tp_batch.cov, atol=1e-9)
 
 
 def test_theta_accumulator_full_scale_drift():
@@ -435,10 +441,11 @@ def test_theta_accumulator_full_scale_drift():
 
     assert rel(acc.phi_vinv_phi, ws.phi_vinv_phi) <= 1e-9
     assert rel(acc.phi_vinv_resid, ws.phi_vinv_resid) <= 1e-9
-    tp_inc = acc.theta_posterior()
+    mean, cov, _ = gaussian.theta_posterior_stats(cfg, acc.phi_vinv_phi,
+                                                  acc.phi_vinv_resid)
     tp_batch = posterior_theta(cfg, fm, h)
-    assert rel(tp_inc.mean, tp_batch.mean) <= 1e-9
-    assert rel(tp_inc.cov, tp_batch.cov) <= 1e-9
+    assert rel(mean, tp_batch.mean) <= 1e-9
+    assert rel(cov, tp_batch.cov) <= 1e-9
 
 
 def test_precision_sampler_matches_cholesky_solve():

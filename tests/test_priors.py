@@ -54,7 +54,6 @@ def test_derive_gaussian_priors():
     assert pri.marginal_mean == 0.0
     np.testing.assert_allclose(pri.marginal_variance,
                                marginal_arm_variance(spec))
-    np.testing.assert_allclose(pri.conditional_variance, 0.5)
     np.testing.assert_allclose(pri.linear_noise_variance, 0.5 + 2.25)
     np.testing.assert_allclose(pri.two_level_task_variance,
                                0.5 + 0.09 + 0.16)
@@ -67,16 +66,14 @@ def test_derive_bernoulli_priors_zero_theta():
     spec = PopulationSpec(n_tasks=2, horizon=2, n_arms=2, dim=2,
                           reward_kind="bernoulli", psi=0.5, seed=3)
     pri = derive_baseline_priors(spec, np.zeros(2), n_mc=50_000)
-    # logistic(0) = 1/2 exactly, so the conditional variance collapses to
-    # the Beta heteroscedastic part (psi/(1+psi)) * 1/4.
+    # logistic(0) = 1/2 exactly, so each arm's conditional variance collapses
+    # to the Beta heteroscedastic part (psi/(1+psi)) * 1/4.
     het = 0.5 / 1.5
-    np.testing.assert_allclose(pri.conditional_variance, het * 0.25,
-                               rtol=1e-6)
     truth = pri.bernoulli_candidates[0]
     for prior in truth:
         np.testing.assert_allclose(prior.mean, 0.5, atol=1e-3)
+        np.testing.assert_allclose(prior.variance, het * 0.25, rtol=1e-6)
     assert len(pri.bernoulli_candidates) == 10
-    np.testing.assert_array_equal(pri.candidate_log_weights, np.zeros(10))
     # candidate means stay inside the documented range
     for arms in pri.bernoulli_candidates[1:]:
         for prior in arms:
