@@ -51,6 +51,7 @@ boundaries override one hook, _at_boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -126,11 +127,14 @@ class Policy:
     that act would pick for those distinct tasks in order, and
     update_many(task_ids, arms, rewards), the updates in order.  act_many
     may decide only a leading run of the ids; the caller updates that run
-    and asks again for the rest.
+    and asks again for the rest.  Both raise ScheduleError on a policy
+    that is not round_independent.  A sequential_only policy runs on
+    sequential schedules only (check_algorithm enforces it).
     """
 
     name: str = "policy"
     round_independent = False
+    sequential_only = False
 
     def act(self, task_id: int) -> int:
         raise NotImplementedError
@@ -139,11 +143,18 @@ class Policy:
         raise NotImplementedError
 
     def act_many(self, task_ids: np.ndarray) -> np.ndarray:
+        self._require_round_independent()
         raise NotImplementedError
 
     def update_many(self, task_ids: np.ndarray, arms: np.ndarray,
                     rewards: np.ndarray) -> None:
+        self._require_round_independent()
         raise NotImplementedError
+
+    def _require_round_independent(self) -> None:
+        if not self.round_independent:
+            raise ScheduleError("%s is not round_independent and takes no "
+                                "batched call" % self.name)
 
     def end_of_round(self) -> None:
         self._at_boundary()
@@ -191,6 +202,7 @@ class _CountTS(Policy):
         return int(_pick(self._draw(task_id)))
 
     def act_many(self, task_ids: np.ndarray) -> np.ndarray:
+        self._require_round_independent()
         return _pick(self._draw(task_ids))
 
     def update(self, task_id: int, arm: int, reward: float) -> None:
@@ -200,11 +212,13 @@ class _CountTS(Policy):
 
     def update_many(self, task_ids: np.ndarray, arms: np.ndarray,
                     rewards: np.ndarray) -> None:
-        # A batch names each task at most once: a fancy-index += would drop
+        self._require_round_independent()
+        # A batch names each slot at most once: a fancy-index += would drop
         # the repeats.
-        if np.unique(task_ids).shape[0] != task_ids.shape[0]:
-            raise ScheduleError("task ids repeat within one batch: %s"
-                                % np.array2string(task_ids))
+        slots = self.slot_of[task_ids]
+        if np.unique(slots).shape[0] != slots.shape[0]:
+            raise ScheduleError("count slots repeat within one batch: task "
+                                "ids %s" % np.array2string(task_ids))
         _CountTS.update(self, task_ids, arms, rewards)
 
 
@@ -253,8 +267,7 @@ class _ConditionalTS(_CountTS):
             return super().act_many(task_ids)
         arms = self._rounds_played(task_ids)
         drawn = arms >= self.n_arms
-        if drawn.any():
-            arms[drawn] = super().act_many(task_ids[drawn])
+        arms[drawn] = super().act_many(task_ids[drawn])
         return arms
 
     def _draw(self, task_id) -> np.ndarray:
@@ -324,8 +337,7 @@ class HierTSBatched(HierTS):
 
     def __init__(self, ctx: AgentContext, refresh_every: int | None = None):
         super().__init__(ctx)
-        self.refresh_every = check_count("refresh_every", refresh_every, 1,
-                                         allow_none=True)
+        self.refresh_every = refresh_every
         self._since_refresh = 0
         self._cached_theta: np.ndarray | None = None
 
@@ -376,10 +388,9 @@ class AlignedHierTS(HierTS):
 
     name = "hier-ts-aligned"
     align = True
+    sequential_only = True
 
     def __init__(self, ctx: AgentContext):
-        if ctx.schedule_kind != "sequential":
-            raise ScheduleError("hier-ts-aligned requires a sequential schedule")
         super().__init__(ctx)
         self._pending: dict[int, list[tuple[int, float]]] = {}
         self._fixed_prior_mean: dict[int, np.ndarray] = {}
@@ -416,7 +427,7 @@ class OracleTS(_ConditionalTS):
         cfg = ctx.cfg
         cfg.require_gaussian()
         super().__init__(ctx, diagonal_effect_variances(cfg), cfg.sigma_noise ** 2)
-        self.align = check_flag("align", align)
+        self.align = align
         theta = ctx.population.theta if theta is None else np.asarray(theta, float)
         self.prior_means = ctx.stacked_features() @ theta
 
@@ -632,8 +643,7 @@ class HierTSBernoulli(OracleTSBernoulli):
     the chain stands, its proposal scale still adapting with a shrinking
     gain.  Each refresh's acceptance rate over those `sweeps` is appended to
     `acceptance_rates` and its sampler warnings to `mcmc_warnings`.  Only
-    without `refresh_every` is the agent round_independent; update_many
-    then leaves the unread refresh counter.
+    without `refresh_every` is the agent round_independent.
     """
 
     name = "hier-ts"
@@ -642,10 +652,9 @@ class HierTSBernoulli(OracleTSBernoulli):
                  sweeps: int = 20, refresh_every: int | None = None):
         cfg = ctx.cfg
         self.chain = ThetaSampler(cfg)
-        self.burn_in = check_count("burn_in", burn_in, 0)
-        self.sweeps = check_count("sweeps", sweeps, 1)
-        self.refresh_every = check_count("refresh_every", refresh_every, 1,
-                                         allow_none=True)
+        self.burn_in = burn_in
+        self.sweeps = sweeps
+        self.refresh_every = refresh_every
         self.round_independent = refresh_every is None
         self._since_refresh = 0
         self.acceptance_rates: list[float] = []
@@ -745,33 +754,53 @@ _BERNOULLI_FACTORIES: dict[str, Callable[..., Policy]] = {
     "meta-ts": MetaTSBernoulli,
 }
 
-_ALLOWED_OPTIONS: dict[tuple[str, str], frozenset[str]] = {
-    ("gaussian", "hier-ts-batch"): frozenset({"refresh_every"}),
-    ("gaussian", "oracle-ts"): frozenset({"align"}),
-    ("bernoulli", "hier-ts"): frozenset({"burn_in", "sweeps", "refresh_every"}),
+_REFRESH_EVERY = partial(check_count, "refresh_every", least=1, allow_none=True)
+# (reward kind, name) -> {option: the rule that checks its value}
+_ALLOWED_OPTIONS: dict[tuple[str, str], dict[str, Callable]] = {
+    ("gaussian", "hier-ts-batch"): {"refresh_every": _REFRESH_EVERY},
+    ("gaussian", "oracle-ts"): {"align": partial(check_flag, "align")},
+    ("bernoulli", "hier-ts"): {"burn_in": partial(check_count, "burn_in", least=0),
+                               "sweeps": partial(check_count, "sweeps", least=1),
+                               "refresh_every": _REFRESH_EVERY},
 }
 
 
+def _registry(reward_kind: str) -> dict[str, Callable[..., Policy]]:
+    return _GAUSSIAN_FACTORIES if reward_kind == "gaussian" \
+        else _BERNOULLI_FACTORIES
+
+
 def algorithm_names(reward_kind: str) -> tuple[str, ...]:
-    table = _GAUSSIAN_FACTORIES if reward_kind == "gaussian" else _BERNOULLI_FACTORIES
-    return tuple(sorted(table))
+    return tuple(sorted(_registry(reward_kind)))
 
 
-def make_policy(name: str, ctx: AgentContext,
-                options: dict | None = None) -> Policy:
-    """Instantiate a policy by registry name; unknown names or option keys
-    are fatal."""
-    kind = ctx.population.spec.reward_kind
-    table = _GAUSSIAN_FACTORIES if kind == "gaussian" else _BERNOULLI_FACTORIES
+def check_algorithm(kind: str, name: str, options: dict | None,
+                    schedule_kind: str) -> dict:
+    """The options of algorithm name on kind rewards, each value passed
+    through its rule in _ALLOWED_OPTIONS.  An unknown name, option or value
+    is a ConfigError, a sequential_only policy on another schedule a
+    ScheduleError."""
+    table = _registry(kind)
     if name not in table:
         raise ConfigError(
             "unknown algorithm %r for %s rewards; known: %s"
             % (name, kind, ", ".join(sorted(table))))
+    checks = _ALLOWED_OPTIONS.get((kind, name), {})
     options = dict(options or {})
-    allowed = _ALLOWED_OPTIONS.get((kind, name), frozenset())
-    unknown = set(options) - set(allowed)
+    unknown = set(options) - set(checks)
     if unknown:
         raise ConfigError(
             "algorithm %r does not accept options %s (allowed: %s)"
-            % (name, sorted(unknown), sorted(allowed) or "none"))
-    return table[name](ctx, **options)
+            % (name, sorted(unknown), sorted(checks) or "none"))
+    if table[name].sequential_only and schedule_kind != "sequential":
+        raise ScheduleError("%s requires a sequential schedule" % name)
+    return {key: checks[key](value) for key, value in options.items()}
+
+
+def make_policy(name: str, ctx: AgentContext,
+                options: dict | None = None) -> Policy:
+    """Instantiate a policy by registry name, its options checked by
+    check_algorithm."""
+    kind = ctx.population.spec.reward_kind
+    options = check_algorithm(kind, name, options, ctx.schedule_kind)
+    return _registry(kind)[name](ctx, **options)

@@ -28,7 +28,7 @@ import numpy as np
 import yaml
 
 from ._version import __version__
-from .agents import AgentContext, Policy, make_policy
+from .agents import AgentContext, Policy, check_algorithm, make_policy
 from .core import check_count, check_flag
 from .envs import (InteractionSchedule, Population, PopulationSpec,
                    RewardTable, agent_rng, atomic_write_text,
@@ -126,7 +126,7 @@ class ExperimentConfig:
         pop = _require_mapping(raw["population"], "population section")
         _check_keys(pop, _POPULATION_KEYS, "population section")
         try:
-            PopulationSpec(seed=0, **pop)
+            reward_kind = PopulationSpec(seed=0, **pop).reward_kind
         except TypeError as exc:
             raise ConfigError("bad population section: %s" % exc) from None
 
@@ -142,6 +142,8 @@ class ExperimentConfig:
         names = [a.name for a in algorithms]
         if len(set(names)) != len(names):
             raise ConfigError("algorithm names must be unique; got %s" % names)
+        for a in algorithms:
+            check_algorithm(reward_kind, a.name, a.options_dict(), kind)
 
         seeds_raw = raw["seeds"]
         if isinstance(seeds_raw, bool):

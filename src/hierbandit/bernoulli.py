@@ -27,11 +27,12 @@ sample_theta_mcmc its History adapter.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 from scipy.special import betaln, expit
 
-from .core import FeatureMap, HierarchyConfig, History, resolve_metadata
+from .core import FeatureMap, HierarchyConfig, History
 from .errors import ConfigError
 
 # Logistic means are clamped into [MEAN_CLIP, 1 - MEAN_CLIP] so extreme
@@ -151,10 +152,28 @@ class ThetaChain:
         return self.samples.std(axis=0, ddof=1)
 
 
+def outcome_counts(h: History, task_ids: Sequence[int], n_arms: int
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """(successes, failures), each (len(task_ids), n_arms): the records of
+    task task_ids[j] tallied per arm in row j, a reward >= 0.5 a success.
+    Every task in h must be listed; an arm >= n_arms is a ConfigError."""
+    tasks, actions, rewards = h.columns()
+    if actions.size and actions.max() >= n_arms:
+        raise ConfigError("arm %d out of range [0, %d)" % (actions.max(), n_arms))
+    row = {tid: j for j, tid in enumerate(task_ids)}
+    slots = np.array([row[t] for t in tasks.tolist()], dtype=np.int64) \
+        * n_arms + actions
+    won = rewards >= 0.5
+    size = len(task_ids) * n_arms
+    successes = np.bincount(slots[won], minlength=size).astype(float)
+    failures = np.bincount(slots[~won], minlength=size).astype(float)
+    return successes.reshape(-1, n_arms), failures.reshape(-1, n_arms)
+
+
 def sample_theta_mcmc(cfg: HierarchyConfig, fm: FeatureMap, h: History,
                       rng: np.random.Generator, n_samples: int = 2000,
-                      burn_in: int = 1000, initial_step: float = 0.25,
-                      metadata_lookup=None) -> ThetaChain:
+                      burn_in: int = 1000,
+                      initial_step: float = 0.25) -> ThetaChain:
     """Metropolis-within-Gibbs chain for P(theta | H) under the Beta-logistic
     model: stacks the history into per-slot counts and runs
     sample_theta_counts on them.
@@ -166,29 +185,16 @@ def sample_theta_mcmc(cfg: HierarchyConfig, fm: FeatureMap, h: History,
     its reward is >= 0.5.
     """
     cfg.require_bernoulli()
-    lookup = resolve_metadata(fm, metadata_lookup)
-    k = fm.n_arms
-    task_ids = sorted({rec.task_id for rec in h}) if len(h) else []
-    if not task_ids:
-        task_ids = sorted(fm.known_tasks())
+    task_ids = sorted(h.task_ids()) or sorted(fm.known_tasks())
     if not task_ids:
         raise ConfigError("no tasks to condition on: history and feature-map "
                           "registry are both empty")
-    row_of = {tid: j for j, tid in enumerate(task_ids)}
-    phi_rows = np.concatenate([
-        fm.task_features(np.asarray(lookup(tid), dtype=float))
-        for tid in task_ids])
-    successes = np.zeros(len(task_ids) * k)
-    failures = np.zeros(len(task_ids) * k)
-    for rec in h:
-        slot = row_of[rec.task_id] * k + rec.action
-        if rec.reward >= 0.5:
-            successes[slot] += 1.0
-        else:
-            failures[slot] += 1.0
-    return sample_theta_counts(cfg, phi_rows, successes, failures, rng,
-                               n_samples=n_samples, burn_in=burn_in,
-                               initial_step=initial_step)
+    phi_rows = np.concatenate([fm.task_features(fm.metadata_for(tid))
+                               for tid in task_ids])
+    successes, failures = outcome_counts(h, task_ids, fm.n_arms)
+    return sample_theta_counts(cfg, phi_rows, successes.ravel(),
+                               failures.ravel(), rng, n_samples=n_samples,
+                               burn_in=burn_in, initial_step=initial_step)
 
 
 def sample_theta_counts(cfg: HierarchyConfig, phi_rows: np.ndarray,

@@ -127,6 +127,15 @@ class History:
     def task_records(self, task_id: int) -> tuple[InteractionRecord, ...]:
         return tuple(self._records[j] for j in self._per_task.get(task_id, ()))
 
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(task_ids int64, actions int64, rewards float), one entry per
+        record in record order: the one walk over the records that the
+        posterior code reads."""
+        recs = self._records
+        return (np.array([r.task_id for r in recs], dtype=np.int64),
+                np.array([r.action for r in recs], dtype=np.int64),
+                np.array([r.reward for r in recs], dtype=float))
+
     def __len__(self) -> int:
         return len(self._records)
 
@@ -144,9 +153,9 @@ class FeatureMap:
     environment see identical features.  The "custom" kind wraps a user
     callable phi(x, a).
 
-    The map also carries an optional task registry (task_id -> metadata) so
-    posterior code can resolve features for history rows without re-plumbing
-    the population through every call.
+    The map also carries an optional task registry (task_id -> metadata);
+    the posterior code resolves the features of every history row through
+    it (metadata_for), so a history's tasks must be registered.
     """
 
     def __init__(self, kind: str, n_arms: int, dim: int, p: int,
@@ -267,12 +276,3 @@ class HierarchyConfig:
     def require_bernoulli(self) -> None:
         if self.psi is None:
             raise ConfigError("Bernoulli model needs psi")
-
-
-def resolve_metadata(fm: FeatureMap, metadata_lookup=None) -> Callable[[int], np.ndarray]:
-    """Normalize a metadata lookup: mapping, callable, or the map's registry."""
-    if metadata_lookup is None:
-        return fm.metadata_for
-    if callable(metadata_lookup):
-        return metadata_lookup
-    return lambda tid: metadata_lookup[tid]

@@ -33,8 +33,7 @@ from scipy import linalg as sla
 
 from . import _linalg
 from ._linalg import chol_factor, chol_solve, psd_root, symmetrize
-from .core import (FeatureMap, HierarchyConfig, History, InteractionRecord,
-                   resolve_metadata)
+from .core import FeatureMap, HierarchyConfig, History
 from .errors import ConfigError, NumericalError
 
 # Fault-injection hook for the validate suite: multiplies the Woodbury
@@ -96,34 +95,20 @@ class ThetaPosterior(GaussianBelief):
 # ---------------------------------------------------------------------------
 
 class _Stacked:
-    """Arrays extracted from a history: features, rewards, tasks, actions."""
+    """A history's columns (tasks, actions, rewards) plus each row's feature
+    vector phi, the rows' metadata resolved through the feature map's
+    registry.  task_order lists the tasks by first appearance."""
 
-    def __init__(self, fm: FeatureMap, h, metadata_lookup=None):
-        lookup = resolve_metadata(fm, metadata_lookup)
-        records = list(h)
-        n = len(records)
-        self.n = n
-        self.phi = np.zeros((n, fm.dim))
-        self.rewards = np.zeros(n)
-        self.tasks = np.zeros(n, dtype=np.int64)
-        self.actions = np.zeros(n, dtype=np.int64)
-        cache: dict[int, np.ndarray] = {}  # task id -> its feature matrix
-        for j, rec in enumerate(records):
-            mat = cache.get(rec.task_id)
-            if mat is None:
-                mat = cache[rec.task_id] = fm.task_features(lookup(rec.task_id))
-            self.phi[j] = mat[fm.check_arm(rec.action)]
-            self.rewards[j] = rec.reward
-            self.tasks[j] = rec.task_id
-            self.actions[j] = rec.action
-
-    def task_order(self) -> list[int]:
-        seen: list[int] = []
-        for t in self.tasks:
-            t = int(t)
-            if t not in seen:
-                seen.append(t)
-        return seen
+    def __init__(self, fm: FeatureMap, h: History):
+        self.tasks, self.actions, self.rewards = h.columns()
+        self.task_order = list(h.task_ids())
+        bad = self.actions[self.actions >= fm.n_arms]
+        if bad.size:
+            fm.check_arm(int(bad[0]))
+        ids, rows = np.unique(self.tasks, return_inverse=True)
+        mats = [fm.task_features(fm.metadata_for(t)) for t in ids.tolist()]
+        self.phi = np.stack(mats)[rows, self.actions] if mats \
+            else np.zeros((0, fm.dim))
 
 
 def _prior_predictive(cfg: HierarchyConfig, phi_target: np.ndarray) -> GaussianBelief:
@@ -133,8 +118,7 @@ def _prior_predictive(cfg: HierarchyConfig, phi_target: np.ndarray) -> GaussianB
 
 
 def posterior_r_naive(cfg: HierarchyConfig, fm: FeatureMap, h: History,
-                      target_task: int, target_x: np.ndarray,
-                      metadata_lookup=None) -> GaussianBelief:
+                      target_task: int, target_x: np.ndarray) -> GaussianBelief:
     """Exact P(r_target | H) via one dense factorization of the n x n kernel.
 
     With an empty history this is the prior predictive
@@ -144,7 +128,7 @@ def posterior_r_naive(cfg: HierarchyConfig, fm: FeatureMap, h: History,
     phi_t = fm.task_features(target_x)
     if len(h) == 0:
         return _prior_predictive(cfg, phi_t)
-    st = _Stacked(fm, h, metadata_lookup)
+    st = _Stacked(fm, h)
     same = st.tasks[:, None] == st.tasks[None, :]
     kernel = st.phi @ cfg.sigma_theta @ st.phi.T \
         + cfg.sigma_delta[np.ix_(st.actions, st.actions)] * same
@@ -180,25 +164,23 @@ class _BlockSolver:
 
     def __init__(self, sigma_delta: np.ndarray, sigma_noise: float,
                  actions: np.ndarray):
-        self.actions = actions
-        self.n = actions.shape[0]
         off = sigma_delta - np.diag(np.diag(sigma_delta))
         self.dense = bool(np.any(off))
         self.s2 = sigma_noise ** 2
         if self.dense:
             block = sigma_delta[np.ix_(actions, actions)] \
-                + self.s2 * np.eye(self.n)
+                + self.s2 * np.eye(actions.shape[0])
             self._lower = chol_factor(block)
-            self._logdet = _linalg.logdet_from_chol(self._lower)
+            self.logdet = _linalg.logdet_from_chol(self._lower)
         else:
             self._groups = []
-            self._logdet = 0.0
+            self.logdet = 0.0
             for a in np.unique(actions):
                 idx = np.nonzero(actions == a)[0]
                 v = float(sigma_delta[a, a])
                 m = idx.shape[0]
                 self._groups.append((idx, v))
-                self._logdet += (m - 1) * np.log(self.s2) + np.log(self.s2 + m * v)
+                self.logdet += (m - 1) * np.log(self.s2) + np.log(self.s2 + m * v)
 
     def apply(self, b: np.ndarray) -> np.ndarray:
         """V^{-1} b for b of shape (n,) or (n, m)."""
@@ -213,10 +195,6 @@ class _BlockSolver:
             out[idx] -= (v / (self.s2 * (self.s2 + m * v))) * colsum
         return out
 
-    @property
-    def logdet(self) -> float:
-        return self._logdet
-
 
 class KernelWorkspace:
     """Blocked intermediates of the Woodbury route for one (cfg, history).
@@ -227,15 +205,15 @@ class KernelWorkspace:
         phi_vinv_resid = Phi^T V^{-1} (R - Phi mu_theta)   (d,)
     plus the residual quadratic form and log-determinants needed by the
     marginal likelihood.  A prebuilt stacked history can be passed in so
-    empirical-Bayes grids reuse one.
+    empirical-Bayes grids reuse one.  The blocks are summed in task_order.
     """
 
-    def __init__(self, cfg: HierarchyConfig, fm: FeatureMap, h,
-                 metadata_lookup=None, *, stacked: _Stacked | None = None):
+    def __init__(self, cfg: HierarchyConfig, fm: FeatureMap, h: History, *,
+                 stacked: _Stacked | None = None):
         cfg.require_gaussian()
         self.cfg = cfg
         self.fm = fm
-        self.st = stacked if stacked is not None else _Stacked(fm, h, metadata_lookup)
+        self.st = stacked if stacked is not None else _Stacked(fm, h)
         st = self.st
         d = fm.dim
         resid = st.rewards - st.phi @ cfg.mu_theta
@@ -244,7 +222,7 @@ class KernelWorkspace:
         self.phi_vinv_resid = np.zeros(d)
         self.resid_vinv_resid = 0.0
         self.logdet_v = 0.0
-        for tid in st.task_order():
+        for tid in st.task_order:
             idx = np.nonzero(st.tasks == tid)[0]
             solver = _BlockSolver(cfg.sigma_delta, cfg.sigma_noise,
                                   st.actions[idx])
@@ -256,7 +234,7 @@ class KernelWorkspace:
             self.logdet_v += solver.logdet
             self._blocks[tid] = (idx, solver, vinv_phi, vinv_resid)
 
-    def task_cross_terms(self, target_task: int, phi_target: np.ndarray
+    def task_cross_terms(self, target_task: int
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(M V^{-1} Phi, M V^{-1} resid, M V^{-1} M^T) for the target task.
 
@@ -298,8 +276,7 @@ def theta_posterior_stats(cfg: HierarchyConfig, phi_vinv_phi: np.ndarray,
 
 
 def posterior_r_woodbury(cfg: HierarchyConfig, fm: FeatureMap, h: History,
-                         target_task: int, target_x: np.ndarray,
-                         metadata_lookup=None) -> GaussianBelief:
+                         target_task: int, target_x: np.ndarray) -> GaussianBelief:
     """Exact P(r_target | H) via per-task blocks and the Woodbury identity.
 
     Identical contract to posterior_r_naive; never forms an n x n matrix.
@@ -308,9 +285,9 @@ def posterior_r_woodbury(cfg: HierarchyConfig, fm: FeatureMap, h: History,
     phi_t = fm.task_features(target_x)
     if len(h) == 0:
         return _prior_predictive(cfg, phi_t)
-    ws = KernelWorkspace(cfg, fm, h, metadata_lookup)
+    ws = KernelWorkspace(cfg, fm, h)
     _, sigma_in, _ = theta_posterior_stats(cfg, ws.phi_vinv_phi, ws.phi_vinv_resid)
-    m_vinv_phi, m_vinv_resid, m_vinv_m = ws.task_cross_terms(target_task, phi_t)
+    m_vinv_phi, m_vinv_resid, m_vinv_m = ws.task_cross_terms(target_task)
 
     ps = phi_t @ cfg.sigma_theta                                   # K x d
     gain = ps @ ws.phi_vinv_phi + m_vinv_phi                       # K x d
@@ -323,8 +300,8 @@ def posterior_r_woodbury(cfg: HierarchyConfig, fm: FeatureMap, h: History,
     return GaussianBelief(mean, cov)
 
 
-def posterior_theta(cfg: HierarchyConfig, fm: FeatureMap, h: History,
-                    metadata_lookup=None) -> ThetaPosterior:
+def posterior_theta(cfg: HierarchyConfig, fm: FeatureMap,
+                    h: History) -> ThetaPosterior:
     """P(theta | H) = N(mu_theta + Sigma_tilde Phi^T V^{-1} (R - Phi mu_theta),
     Sigma_tilde) with Sigma_tilde = (Phi^T V^{-1} Phi + Sigma_theta^{-1})^{-1}.
 
@@ -333,7 +310,7 @@ def posterior_theta(cfg: HierarchyConfig, fm: FeatureMap, h: History,
     cfg.require_gaussian()
     if len(h) == 0:
         return ThetaPosterior(cfg.mu_theta, cfg.sigma_theta)
-    ws = KernelWorkspace(cfg, fm, h, metadata_lookup)
+    ws = KernelWorkspace(cfg, fm, h)
     mean, cov, _ = theta_posterior_stats(cfg, ws.phi_vinv_phi, ws.phi_vinv_resid)
     return ThetaPosterior(mean, cov)
 
@@ -342,13 +319,13 @@ def posterior_theta(cfg: HierarchyConfig, fm: FeatureMap, h: History,
 # single-task conditionals given theta
 # ---------------------------------------------------------------------------
 
-def _arm_stats(records: Sequence[InteractionRecord], n_arms: int
-               ) -> tuple[np.ndarray, np.ndarray]:
+def _arm_stats(h: History, n_arms: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-arm pull counts and reward sums of h, summed in record order."""
+    _, actions, rewards = h.columns()
     counts = np.zeros(n_arms)
     sums = np.zeros(n_arms)
-    for rec in records:
-        counts[rec.action] += 1
-        sums[rec.action] += rec.reward
+    np.add.at(counts, actions, 1.0)
+    np.add.at(sums, actions, rewards)
     return counts, sums
 
 
@@ -393,7 +370,7 @@ def conditional_r_given_theta(cfg: HierarchyConfig, fm: FeatureMap,
     if theta_sample.shape != (cfg.dim,):
         raise ConfigError("theta_sample must have length d=%d" % cfg.dim)
     phi_t = fm.task_features(target_x)
-    counts, sums = _arm_stats(list(h_i), fm.n_arms)
+    counts, sums = _arm_stats(History(h_i), fm.n_arms)
     mean, cov = conditional_stats_update(phi_t @ theta_sample, cfg.sigma_delta,
                                          cfg.sigma_noise, counts, sums)
     return GaussianBelief(mean, cov)
@@ -568,10 +545,9 @@ def posterior_r_gp(gp: GPConfig, h: History, target_task: int,
 
     Kernel over observations O = (x, a, i), O' = (x', a', i'):
         kernel(O, O') = kernel_a(x, x') 1{a = a'} + Sigma_delta[a, a'] 1{i = i'}.
-    metadata_lookup resolves task_id -> x for history rows (defaults to the
-    registry of the feature map are not available here, so a mapping or
-    callable is required whenever h is nonempty).  Dense-only, capped at
-    5000 records.
+    metadata_lookup, a mapping or a callable, resolves task_id -> x for
+    history rows; a GPConfig has no feature map whose registry could, so it
+    is required whenever h is nonempty.  Dense-only, capped at 5000 records.
     """
     target_x = np.asarray(target_x, dtype=float)
     k = gp.n_arms
@@ -579,8 +555,7 @@ def posterior_r_gp(gp: GPConfig, h: History, target_task: int,
     k_t = np.diag([gp.kernel_fns[a](target_x, target_x) for a in range(k)])
     if len(h) == 0:
         return GaussianBelief(mu_t, k_t + gp.sigma_delta)
-    records = list(h)
-    n = len(records)
+    n = len(h)
     if n > GP_MAX_RECORDS:
         raise ConfigError(
             "GP posterior is dense-only and capped at %d records (got %d)"
@@ -589,10 +564,8 @@ def posterior_r_gp(gp: GPConfig, h: History, target_task: int,
         raise ConfigError("posterior_r_gp needs metadata_lookup for history rows")
     lookup = metadata_lookup if callable(metadata_lookup) \
         else (lambda tid: metadata_lookup[tid])
-    xs = [np.asarray(lookup(rec.task_id), dtype=float) for rec in records]
-    actions = np.array([rec.action for rec in records])
-    tasks = np.array([rec.task_id for rec in records])
-    rewards = np.array([rec.reward for rec in records])
+    tasks, actions, rewards = h.columns()
+    xs = [np.asarray(lookup(t), dtype=float) for t in tasks.tolist()]
 
     kern = np.zeros((n, n))
     for l in range(n):

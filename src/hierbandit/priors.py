@@ -167,8 +167,7 @@ def derive_baseline_priors(spec: PopulationSpec, true_theta: np.ndarray,
 
 def log_marginal_likelihood(sigma_noise: float, sigma_delta: np.ndarray,
                             fm: FeatureMap, h: History,
-                            mu_theta: np.ndarray, sigma_theta: np.ndarray,
-                            metadata_lookup=None, *,
+                            mu_theta: np.ndarray, sigma_theta: np.ndarray, *,
                             _stacked: _Stacked | None = None) -> float:
     """log P(R | sigma_noise, sigma_delta) with theta and the task effects
     integrated out:
@@ -191,13 +190,12 @@ def log_marginal_likelihood(sigma_noise: float, sigma_delta: np.ndarray,
         raise ConfigError("marginal likelihood needs at least one record")
     cfg = HierarchyConfig(mu_theta=mu_theta, sigma_theta=sigma_theta,
                           sigma_delta=sigma_delta, sigma_noise=sigma_noise)
-    ws = KernelWorkspace(cfg, fm, h, metadata_lookup, stacked=_stacked)
+    ws = KernelWorkspace(cfg, fm, h, stacked=_stacked)
     u = ws.phi_vinv_resid
     _, sigma_in, logdet_core = theta_posterior_stats(cfg, ws.phi_vinv_phi, u)
     quad = ws.resid_vinv_resid - float(u @ sigma_in @ u)
     logdet = ws.logdet_v + logdet_core
-    n = ws.st.n
-    return -0.5 * (quad + logdet + n * np.log(2.0 * np.pi))
+    return -0.5 * (quad + logdet + len(h) * np.log(2.0 * np.pi))
 
 
 @dataclass(frozen=True)
@@ -223,21 +221,21 @@ def _better(cand: tuple[float, float, float], best: tuple[float, float, float]
 
 def fit_variance_components(fm: FeatureMap, h: History,
                             sigma_noise_grid, sigma1_sq_grid,
-                            mu_theta: np.ndarray, sigma_theta: np.ndarray,
-                            metadata_lookup=None) -> VarianceFit:
+                            mu_theta: np.ndarray,
+                            sigma_theta: np.ndarray) -> VarianceFit:
     """Maximize the marginal likelihood over the grid of
     (sigma_noise, sigma1_sq) pairs; sigma_delta = sigma1_sq I.  Ties resolve
     to the smaller sigma1_sq, then the smaller sigma_noise.  The stacked
     history is built once and shared across grid points."""
     k = fm.n_arms
-    stacked = _Stacked(fm, h, metadata_lookup)
+    stacked = _Stacked(fm, h)
     best: tuple[float, float, float] | None = None
     table = []
     for s1 in sigma1_sq_grid:
         for sn in sigma_noise_grid:
             score = log_marginal_likelihood(
                 float(sn), float(s1) * np.eye(k), fm, h, mu_theta, sigma_theta,
-                metadata_lookup, _stacked=stacked)
+                _stacked=stacked)
             cand = (score, float(s1), float(sn))
             table.append((float(sn), float(s1), score))
             if best is None or _better(cand, best):

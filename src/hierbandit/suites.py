@@ -25,6 +25,7 @@ import numpy as np
 
 from . import agents, bench, gaussian, metrics
 from .bernoulli import (BetaParams, beta_from_mean_precision, conjugate_update,
+                        log_marginal_counts, outcome_counts,
                         precision_for_variance, sample_theta_mcmc)
 from .core import FeatureMap, HierarchyConfig, History, InteractionRecord
 from .envs import RewardTable
@@ -120,10 +121,9 @@ def _check_monotone_information() -> CheckResult:
     worst = -np.inf
     for _ in range(10):
         cfg, fm, h, target, x = _random_instance(rng)
-        records = list(h)
         prefix = History()
         prev = gaussian.posterior_r_naive(cfg, fm, prefix, target, x)
-        for rec in records:
+        for rec in h:
             prefix.append(rec)
             cur = gaussian.posterior_r_naive(cfg, fm, prefix, target, x)
             growth = float(np.max(np.linalg.eigvalsh(cur.cov - prev.cov)))
@@ -154,11 +154,8 @@ def _check_theta_marginal_identity() -> CheckResult:
         cfg, fm, h, target, x = _random_instance(rng)
         direct = gaussian.posterior_r_naive(cfg, fm, h, target, x)
         tp = gaussian.posterior_theta(cfg, fm, h)
-        counts = np.zeros(fm.n_arms)
-        sums = np.zeros(fm.n_arms)
-        for rec in h.task_records(target):
-            counts[rec.action] += 1
-            sums[rec.action] += rec.reward
+        counts, sums = gaussian._arm_stats(History(h.task_records(target)),
+                                           fm.n_arms)
         fast = gaussian.marginal_task_belief(cfg, fm, tp, x, counts, sums)
         worst = max(worst,
                     float(np.max(np.abs(direct.mean - fast.mean))),
@@ -296,23 +293,15 @@ def quadrature_theta_posterior(cfg: HierarchyConfig, fm: FeatureMap,
                                h: History, grid: np.ndarray) -> np.ndarray:
     """Normalized 1-d posterior density of theta on the grid, latent arm
     means integrated out in closed form (Beta-Binomial marginal per task)."""
-    from .bernoulli import log_marginal_counts
-
     if cfg.dim != 1:
         raise ConfigError("quadrature oracle is 1-dimensional only")
-    counts: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for rec in h:
-        s, f = counts.setdefault(
-            rec.task_id, (np.zeros(fm.n_arms), np.zeros(fm.n_arms)))
-        if rec.reward >= 0.5:
-            s[rec.action] += 1
-        else:
-            f[rec.action] += 1
+    task_ids = h.task_ids()
+    successes, failures = outcome_counts(h, task_ids, fm.n_arms)
     scale = float(cfg.sigma_theta[0, 0])
     logp = -0.5 * (grid - float(cfg.mu_theta[0])) ** 2 / scale
     for j, th in enumerate(grid):
         theta = np.array([th])
-        for tid, (s, f) in counts.items():
+        for tid, s, f in zip(task_ids, successes, failures):
             logp[j] += log_marginal_counts(theta, cfg, fm,
                                            fm.metadata_for(tid), s, f)
     logp -= logp.max()

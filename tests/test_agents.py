@@ -763,18 +763,44 @@ def test_count_core_tallies_pulls_and_sums(kind, name):
     one_by_one = make_policy(name, _ctx(spec, 60, "sequential")[1])
     for row in rows:
         one_by_one.update(*row)
-    batched = make_policy(name, _ctx(spec, 60, "sequential")[1])
-    batches = [[rows[0]]]
-    for row in rows[1:]:
-        if row[0] % n_slots in {r[0] % n_slots for r in batches[-1]}:
-            batches.append([])
-        batches[-1].append(row)
-    for batch in batches:
-        tids, arms, rewards = (np.array(col) for col in zip(*batch))
-        batched.update_many(tids, arms, rewards.astype(float))
-    for agent in (one_by_one, batched):
+    agents = [one_by_one]
+    if one_by_one.round_independent:
+        batched = make_policy(name, _ctx(spec, 60, "sequential")[1])
+        batches = [[rows[0]]]
+        for row in rows[1:]:
+            if row[0] % n_slots in {r[0] % n_slots for r in batches[-1]}:
+                batches.append([])
+            batches[-1].append(row)
+        for batch in batches:
+            tids, arms, rewards = (np.array(col) for col in zip(*batch))
+            batched.update_many(tids, arms, rewards.astype(float))
+        agents.append(batched)
+    for agent in agents:
         np.testing.assert_array_equal(agent.counts, want_counts)
         np.testing.assert_array_equal(agent.sums, want_sums)
+
+
+@pytest.mark.parametrize("kind, name, options", [
+    ("gaussian", "hier-ts", {}), ("gaussian", "hier-ts-aligned", {}),
+    ("gaussian", "pooled-ts", {}), ("gaussian", "linear-ts", {}),
+    ("bernoulli", "pooled-ts", {}),
+    ("bernoulli", "hier-ts", {"refresh_every": 2})])
+def test_batched_calls_refuse_unflagged_policies(kind, name, options):
+    # A policy whose decisions in a round read that round's updates would
+    # be left stale by a batched call (Gaussian hier-ts: its coefficient
+    # accumulator), so neither batched call may touch it.
+    spec = PopulationSpec(n_tasks=3, horizon=4, n_arms=2, dim=2,
+                          reward_kind=kind, seed=65)
+    agent = make_policy(name, _ctx(spec, 66, "sequential")[1], options)
+    assert not agent.round_independent
+    state = agent.rng.bit_generator.state
+    ids = np.array([0, 1])
+    with pytest.raises(ScheduleError, match="not round_independent"):
+        agent.act_many(ids)
+    with pytest.raises(ScheduleError, match="not round_independent"):
+        agent.update_many(ids, np.array([0, 1]), np.array([1.0, 0.0]))
+    assert agent.rng.bit_generator.state == state
+    assert not getattr(agent, "counts", np.zeros(1)).any()
 
 
 @pytest.mark.parametrize("kind, name", [

@@ -17,7 +17,7 @@ from hierbandit.bench import (ExperimentConfig, resolve_output_dir,
 from hierbandit.cli import main
 from hierbandit.envs import (PopulationSpec, RewardTable, agent_rng,
                              generate_population, make_schedule)
-from hierbandit.errors import ConfigError
+from hierbandit.errors import ConfigError, ScheduleError
 from hierbandit.metrics import RegretLedger
 from hierbandit.priors import derive_baseline_priors
 
@@ -118,6 +118,27 @@ def test_config_flag_and_integer_types_validated(tmp_path, capsys,
                                                  overrides):
     raw = _minimal_raw(**overrides)
     with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict(raw)
+    path = tmp_path / "config.yaml"
+    path.write_text(json.dumps(raw))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("overrides, error", [
+    ({"schedule": "sequential", "algorithms": [
+        "individual-ts", {"name": "oracle-ts", "options": {"align": "false"}}]},
+     ConfigError),
+    ({"population": _population(reward_kind="bernoulli"),
+      "algorithms": ["individual-ts", "linear-ts"]}, ConfigError),
+    ({"algorithms": ["individual-ts", "hier-ts-aligned"]}, ScheduleError)],
+    ids=["oracle-align-string", "bernoulli-linear-ts", "aligned-concurrent"])
+def test_algorithms_checked_when_config_is_read(tmp_path, capsys, overrides,
+                                                error):
+    # Refused before any pair is simulated or any directory is made.
+    raw = _minimal_raw(**overrides)
+    with pytest.raises(error):
         ExperimentConfig.from_dict(raw)
     path = tmp_path / "config.yaml"
     path.write_text(json.dumps(raw))
@@ -483,10 +504,11 @@ def test_round_batched_path_matches_act_update_loop(kind, name, options,
                                        ("bernoulli", PooledTSBernoulli)])
 def test_wrongly_flagged_pooled_ts_diverges(monkeypatch, kind, cls):
     # pooled-ts shares one slot across tasks, so a round's decisions read
-    # each other's updates; flagging it must change the columns.
+    # each other's updates; flagged, its batched update must refuse the
+    # round rather than drop all but one update per arm.
     monkeypatch.setattr(cls, "round_independent", True)
-    (batched, _), (looped, _) = _both_paths(kind, "pooled-ts", {}, 6)
-    assert not all(np.array_equal(b, l) for b, l in zip(batched, looped))
+    with pytest.raises(ScheduleError, match="slots repeat"):
+        _both_paths(kind, "pooled-ts", {}, 6)
 
 
 @pytest.mark.parametrize("kind, name, options", [

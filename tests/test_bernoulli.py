@@ -194,6 +194,18 @@ def test_mcmc_needs_some_task():
                           n_samples=0)
 
 
+def test_mcmc_rejects_out_of_range_arm():
+    # Arm 2 of task 0 must not be counted as a pull of task 1's arm 0.
+    cfg = HierarchyConfig(mu_theta=np.zeros(2), sigma_theta=np.eye(2),
+                          psi=1.0)
+    fm = FeatureMap.indicator_with_metadata(
+        n_arms=2, dim=2, task_metadata={0: np.zeros(0), 1: np.zeros(0)})
+    h = History([InteractionRecord(0, 2, 1.0, 1),
+                 InteractionRecord(1, 0, 0.0, 1)])
+    with pytest.raises(ConfigError, match="out of range"):
+        sample_theta_mcmc(cfg, fm, h, np.random.default_rng(0))
+
+
 def _random_bblm_history(seed, n_tasks, k, d, pulled_tasks, rounds):
     """Non-diagonal prior, indicator features and a history over the given
     tasks only (the rest of the registry has no pulls)."""

@@ -88,17 +88,18 @@ def test_task_registry():
 
 def test_stack_empty_history():
     fm = FeatureMap.indicator_with_metadata(n_arms=2, dim=3)
-    stacked = _Stacked(fm, History(), metadata_lookup={})
+    stacked = _Stacked(fm, History())
     phi, rewards = stacked.phi, stacked.rewards
     assert phi.shape == (0, 3)
     assert rewards.shape == (0,)
 
 
 def test_stack_single_record():
-    fm = FeatureMap.indicator_with_metadata(n_arms=2, dim=2)
+    fm = FeatureMap.indicator_with_metadata(n_arms=2, dim=2,
+                                            task_metadata={0: np.zeros(0)})
     h = History([InteractionRecord(task_id=0, action=1, reward=0.5,
                                    round_within_task=1)])
-    stacked = _Stacked(fm, h, metadata_lookup={0: np.zeros(0)})
+    stacked = _Stacked(fm, h)
     phi, rewards = stacked.phi, stacked.rewards
     np.testing.assert_array_equal(phi, [[0.0, 1.0]])
     np.testing.assert_array_equal(rewards, [0.5])
@@ -122,12 +123,29 @@ def test_stack_preserves_record_order():
         assert rewards[j] == rec.reward
 
 
-def test_stack_accepts_callable_lookup():
-    fm = FeatureMap.indicator_with_metadata(n_arms=2, dim=3)
-    h = History([InteractionRecord(5, 0, 1.0, 1)])
-    x = np.array([0.7, -0.4])
-    phi = _Stacked(fm, h, metadata_lookup=lambda tid: x).phi
-    np.testing.assert_array_equal(phi, [[1.0, 0.0, 0.7]])
+def test_stack_rejects_out_of_range_arm_and_unregistered_task():
+    fm = FeatureMap.indicator_with_metadata(
+        n_arms=2, dim=3, task_metadata={0: np.array([0.7, -0.4])})
+    ok = InteractionRecord(0, 1, 1.0, 1)
+    with pytest.raises(ConfigError, match="out of range"):
+        _Stacked(fm, History([ok, InteractionRecord(0, 2, 1.0, 2)]))
+    with pytest.raises(KeyError, match="no registered metadata"):
+        _Stacked(fm, History([ok, InteractionRecord(5, 0, 1.0, 1)]))
+
+
+def test_history_columns():
+    tasks, actions, rewards = History().columns()
+    for col, dtype in ((tasks, np.int64), (actions, np.int64),
+                       (rewards, np.float64)):
+        assert col.shape == (0,) and col.dtype == dtype
+    recs = [InteractionRecord(3, 1, 0.25, 1), InteractionRecord(0, 0, -1.5, 1),
+            InteractionRecord(3, 2, 1, 2)]
+    tasks, actions, rewards = History(recs).columns()
+    assert (tasks.dtype, actions.dtype, rewards.dtype) \
+        == (np.int64, np.int64, np.float64)
+    assert tasks.tolist() == [3, 0, 3]
+    assert actions.tolist() == [1, 0, 2]
+    assert rewards.tolist() == [0.25, -1.5, 1.0]
 
 
 def test_history_views():

@@ -38,10 +38,10 @@ def test_prior_predictive_identity_map():
 def test_scalar_worked_example():
     cfg = HierarchyConfig(mu_theta=np.zeros(1), sigma_theta=np.eye(1),
                           sigma_delta=np.eye(1), sigma_noise=1.0)
-    fm = FeatureMap.custom(n_arms=1, dim=1, p=0, fn=lambda x, a: np.ones(1))
+    fm = FeatureMap.custom(n_arms=1, dim=1, p=0, fn=lambda x, a: np.ones(1),
+                           task_metadata={0: np.zeros(0)})
     h = History([InteractionRecord(0, 0, 2.0, 1)])
-    b = posterior_r_naive(cfg, fm, h, 0, np.zeros(0),
-                          metadata_lookup={0: np.zeros(0)})
+    b = posterior_r_naive(cfg, fm, h, 0, np.zeros(0))
     # prior var of r is sigma_theta + sigma_delta = 2, noise 1:
     # mean = 2/(2+1) * R = 4/3, cov = 2 - 4/3 = 2/3.
     np.testing.assert_allclose(b.mean, [4.0 / 3.0], rtol=0, atol=1e-12)
@@ -153,9 +153,10 @@ def test_theta_posterior_empty_history():
 
 def test_theta_posterior_ridge_limit():
     rng = np.random.default_rng(23)
-    fm = FeatureMap.custom(n_arms=1, dim=1, p=1,
-                           fn=lambda x, a: np.array([x[0]]))
     metadata = {t: rng.standard_normal(1) for t in range(6)}
+    fm = FeatureMap.custom(n_arms=1, dim=1, p=1,
+                           fn=lambda x, a: np.array([x[0]]),
+                           task_metadata=metadata)
     cfg = HierarchyConfig(mu_theta=np.array([0.2]),
                           sigma_theta=np.array([[1.5]]),
                           sigma_delta=np.array([[1e-12]]), sigma_noise=0.7)
@@ -166,7 +167,7 @@ def test_theta_posterior_ridge_limit():
         h.append(InteractionRecord(t, 0, y, 1))
         rows.append([metadata[t][0]])
         ys.append(y)
-    tp = posterior_theta(cfg, fm, h, metadata_lookup=metadata)
+    tp = posterior_theta(cfg, fm, h)
     mean, cov = ridge_posterior_oracle(rows, ys, cfg.mu_theta,
                                        cfg.sigma_theta, cfg.sigma_noise ** 2)
     np.testing.assert_allclose(tp.mean, mean, atol=1e-6)
@@ -284,13 +285,14 @@ def test_gp_linear_kernel_matches_lmm():
                           sigma_theta=np.diag(rng.uniform(0.2, 1.5, size=k)),
                           sigma_delta=np.diag(rng.uniform(0.1, 0.8, size=k)),
                           sigma_noise=0.7)
-    fm = FeatureMap.indicator_with_metadata(n_arms=k, dim=k)
+    lookup = {t: np.zeros(0) for t in range(4)}
+    fm = FeatureMap.indicator_with_metadata(n_arms=k, dim=k,
+                                            task_metadata=lookup)
     h = History()
     for t in range(12):
         h.append(InteractionRecord(int(rng.integers(0, 4)),
                                    int(rng.integers(0, k)),
                                    float(rng.standard_normal()), t + 1))
-    lookup = {t: np.zeros(0) for t in range(4)}
 
     def mean_fn(a):
         return lambda xx: float(fm.feature(xx, a) @ cfg.mu_theta)
@@ -303,8 +305,7 @@ def test_gp_linear_kernel_matches_lmm():
                   kernel_fns=[kern_fn(a) for a in range(k)],
                   sigma_delta=cfg.sigma_delta, sigma_noise=cfg.sigma_noise)
     bg = posterior_r_gp(gp, h, 0, np.zeros(0), metadata_lookup=lookup)
-    bn = posterior_r_naive(cfg, fm, h, 0, np.zeros(0),
-                           metadata_lookup=lookup)
+    bn = posterior_r_naive(cfg, fm, h, 0, np.zeros(0))
     np.testing.assert_allclose(bg.mean, bn.mean, atol=1e-9)
     np.testing.assert_allclose(bg.cov, bn.cov, atol=1e-9)
 
