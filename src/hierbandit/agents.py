@@ -37,19 +37,22 @@ candidate prior set meta-ts resamples at schedule boundaries.
 All agents draw randomness from the single generator handed to them and
 break score ties toward the lowest arm index.
 
-Policies flagged round_independent make no decision in a concurrent round
-that reads another task's update from the same round (hier-ts-batch: until
-its next coefficient refresh).  They also take act_many/update_many over
-arrays of distinct task ids, so a concurrent round is one vectorized step
-that draws, picks and counts exactly as the act/update calls it replaces.
-The three cores (Gaussian conditional, Gaussian independent-arm, Beta)
-share one count store, _CountTS, and differ only in their draw, stated once
-for an int task id and an id array.  Policies that act at schedule
+The simulation loop hands a policy one schedule segment at a time (a
+concurrent round, a sequential task or a whole custom stream) through
+play, whose base version is act, reward and update per interaction;
+overrides return the same arms, rewards and generator state.  The three
+cores (Gaussian conditional, Gaussian independent-arm, Beta) share one count
+store, _CountTS, and differ only in their draw, stated once for an int task
+id and an id array.  _CountTS plays a segment of distinct count slots as one
+vectorized step (hier-ts-batch: split at each coefficient redraw); Gaussian
+hier-ts and Bernoulli hier-ts with refresh_every keep the base loop, and
+Gaussian pooled-ts runs a scalar kernel.  Policies that act at schedule
 boundaries override one hook, _at_boundary.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -61,7 +64,7 @@ from ._linalg import sample_mvn_precision
 from .bernoulli import (ThetaSampler, acceptance_warnings,
                         logistic_beta_shapes)
 from .core import FeatureMap, HierarchyConfig, check_count, check_flag
-from .envs import Population
+from .envs import Population, RewardTable
 from .errors import ConfigError, NumericalError, ScheduleError
 from .gaussian import ThetaStatAccumulator, diagonal_effect_variances
 from .priors import DerivedPriors
@@ -119,21 +122,18 @@ class Policy:
     """Interface the simulation loop drives.
 
     act(task_id) returns an arm; update(...) feeds back the observed reward.
-    end_of_round fires after each concurrent round, end_of_task after each
-    task completes under a sequential schedule; both call _at_boundary, a
-    no-op by default.
-
-    A round_independent policy also answers act_many(task_ids), the arms
-    that act would pick for those distinct tasks in order, and
-    update_many(task_ids, arms, rewards), the updates in order.  act_many
-    may decide only a leading run of the ids; the caller updates that run
-    and asks again for the rest.  Both raise ScheduleError on a policy
-    that is not round_independent.  A sequential_only policy runs on
-    sequential schedules only (check_algorithm enforces it).
+    play(table, task_ids, rounds) plays one schedule segment, the
+    interactions (task_ids[j], rounds[j]) in order against a RewardTable,
+    and returns their (arms int64, rewards float).  _CountTS, HierTSBatched
+    and PooledTS override it; HierTS, and HierTSBernoulli with
+    refresh_every, keep this loop.  end_of_round fires after each
+    concurrent round, end_of_task after each task completes under a
+    sequential schedule; both call _at_boundary, a no-op by default.  A
+    sequential_only policy runs on sequential schedules only
+    (check_algorithm enforces it).
     """
 
     name: str = "policy"
-    round_independent = False
     sequential_only = False
 
     def act(self, task_id: int) -> int:
@@ -142,19 +142,19 @@ class Policy:
     def update(self, task_id: int, arm: int, reward: float) -> None:
         raise NotImplementedError
 
-    def act_many(self, task_ids: np.ndarray) -> np.ndarray:
-        self._require_round_independent()
-        raise NotImplementedError
-
-    def update_many(self, task_ids: np.ndarray, arms: np.ndarray,
-                    rewards: np.ndarray) -> None:
-        self._require_round_independent()
-        raise NotImplementedError
-
-    def _require_round_independent(self) -> None:
-        if not self.round_independent:
-            raise ScheduleError("%s is not round_independent and takes no "
-                                "batched call" % self.name)
+    def play(self, table: RewardTable, task_ids: np.ndarray,
+             rounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """act, reward and update per interaction: the reference that every
+        override must match in arms, rewards and generator state."""
+        arms: list[int] = []
+        rewards: list[float] = []
+        for tid, rnd in zip(task_ids.tolist(), rounds.tolist()):
+            arm = self.act(tid)
+            reward = table.reward(tid, rnd, arm)
+            self.update(tid, arm, reward)
+            arms.append(arm)
+            rewards.append(reward)
+        return np.array(arms, dtype=np.int64), np.array(rewards, dtype=float)
 
     def end_of_round(self) -> None:
         self._at_boundary()
@@ -173,11 +173,12 @@ class _CountTS(Policy):
     per task): counts[s, a] pulls of arm a and sums[s, a] the total of
     _observed(reward) over them.  Subclasses supply only _draw(task_id), one
     posterior draw of the arm means for an int task id or an id array (one
-    row per task, drawn in row order); act plays its argmax.
+    row per task, drawn in row order); act plays its argmax.  play takes a
+    segment whose tasks keep distinct slots in one vectorized step
+    (_play_batch), and any other segment through the base loop.
     """
 
     n_slots: int | None = None
-    round_independent = True
 
     def __init__(self, ctx: AgentContext):
         self.rng = ctx.rng
@@ -201,8 +202,7 @@ class _CountTS(Policy):
     def act(self, task_id: int) -> int:
         return int(_pick(self._draw(task_id)))
 
-    def act_many(self, task_ids: np.ndarray) -> np.ndarray:
-        self._require_round_independent()
+    def _act_batch(self, task_ids: np.ndarray) -> np.ndarray:
         return _pick(self._draw(task_ids))
 
     def update(self, task_id: int, arm: int, reward: float) -> None:
@@ -210,16 +210,22 @@ class _CountTS(Policy):
         self.counts[s, arm] += 1.0
         self.sums[s, arm] += self._observed(reward)
 
-    def update_many(self, task_ids: np.ndarray, arms: np.ndarray,
-                    rewards: np.ndarray) -> None:
-        self._require_round_independent()
-        # A batch names each slot at most once: a fancy-index += would drop
-        # the repeats.
-        slots = self.slot_of[task_ids]
-        if np.unique(slots).shape[0] != slots.shape[0]:
-            raise ScheduleError("count slots repeat within one batch: task "
-                                "ids %s" % np.array2string(task_ids))
+    def play(self, table: RewardTable, task_ids: np.ndarray,
+             rounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # A segment that names a slot twice reads its own updates (and a
+        # fancy-index += would drop the repeats): it takes the base loop.
+        if np.bincount(self.slot_of[task_ids]).max() > 1:
+            return super().play(table, task_ids, rounds)
+        return self._play_batch(table, task_ids, rounds)
+
+    def _play_batch(self, table: RewardTable, task_ids: np.ndarray,
+                    rounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The segment's draws in row order, then its counts: the act and
+        update calls of the loop, for tasks of distinct slots."""
+        arms = self._act_batch(task_ids)
+        rewards = table.rewards(task_ids, rounds, arms)
         _CountTS.update(self, task_ids, arms, rewards)
+        return arms, rewards
 
 
 # ---------------------------------------------------------------------------
@@ -262,12 +268,12 @@ class _ConditionalTS(_CountTS):
                 return played
         return super().act(task_id)
 
-    def act_many(self, task_ids: np.ndarray) -> np.ndarray:
+    def _act_batch(self, task_ids: np.ndarray) -> np.ndarray:
         if not self.align:
-            return super().act_many(task_ids)
+            return super()._act_batch(task_ids)
         arms = self._rounds_played(task_ids)
         drawn = arms >= self.n_arms
-        arms[drawn] = super().act_many(task_ids[drawn])
+        arms[drawn] = super()._act_batch(task_ids[drawn])
         return arms
 
     def _draw(self, task_id) -> np.ndarray:
@@ -295,7 +301,7 @@ class HierTS(_ConditionalTS):
     """
 
     name = "hier-ts"
-    round_independent = False  # a fresh theta reads every earlier update
+    play = Policy.play  # a fresh theta reads every earlier update
 
     def __init__(self, ctx: AgentContext):
         cfg = ctx.cfg
@@ -327,13 +333,14 @@ class HierTSBatched(HierTS):
 
     refresh_every = m redraws theta after every m interactions; None redraws
     only at schedule boundaries (end of round or end of task).  m = 1 is
-    exactly hier-ts.  act_many decides tasks up to the next redraw, which
-    must see the updates before it; the coefficient records enter the
-    accumulator in row order, as add_many sums them.
+    exactly hier-ts.  Between redraws no decision reads another task's
+    update, so play takes the count core's vectorized step, split at each
+    redraw, which must see the updates before it; the coefficient records
+    enter the accumulator in row order, as add_many sums them.
     """
 
     name = "hier-ts-batch"
-    round_independent = True
+    play = _CountTS.play
 
     def __init__(self, ctx: AgentContext, refresh_every: int | None = None):
         super().__init__(ctx)
@@ -347,22 +354,23 @@ class HierTSBatched(HierTS):
             self._since_refresh = 0
         return self._cached_theta
 
-    def act_many(self, task_ids: np.ndarray) -> np.ndarray:
-        # A due redraw comes first, as in act, and resets the count read here.
-        self._current_theta()
-        if self.refresh_every is not None:
-            task_ids = task_ids[:self.refresh_every - self._since_refresh]
-        return super().act_many(task_ids)
+    def _play_batch(self, table: RewardTable, task_ids: np.ndarray,
+                    rounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        parts = []
+        while task_ids.size:
+            self._current_theta()  # a due redraw comes first, as in act
+            n = task_ids.size if self.refresh_every is None \
+                else self.refresh_every - self._since_refresh
+            arms, rewards = super()._play_batch(table, task_ids[:n], rounds[:n])
+            self.acc.add_many(task_ids[:n], arms, rewards)
+            self._count_interactions(arms.shape[0])
+            parts.append((arms, rewards))
+            task_ids, rounds = task_ids[n:], rounds[n:]
+        return tuple(np.concatenate(col) for col in zip(*parts))
 
     def update(self, task_id: int, arm: int, reward: float) -> None:
         super().update(task_id, arm, reward)
         self._count_interactions(1)
-
-    def update_many(self, task_ids: np.ndarray, arms: np.ndarray,
-                    rewards: np.ndarray) -> None:
-        super().update_many(task_ids, arms, rewards)
-        self.acc.add_many(task_ids, arms, rewards)
-        self._count_interactions(task_ids.shape[0])
 
     def _count_interactions(self, k: int) -> None:
         self._since_refresh += k
@@ -465,7 +473,44 @@ class PooledTS(_IndependentArmTS):
 
     name = "pooled-ts"
     n_slots = 1
-    round_independent = False  # every task reads the one shared slot
+
+    def play(self, table: RewardTable, task_ids: np.ndarray,
+             rounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # Every step reads the one shared slot, so the steps run in order,
+        # on Python floats.  One standard_normal((n, K)) call is the stream
+        # of n standard_normal(K) calls; only the pulled arm's posterior
+        # changes, recomputed in _draw's operation order; a strict > scan
+        # keeps argmax's lowest-index ties.
+        k = self.counts.shape[1]
+        normals = self.rng.standard_normal((task_ids.shape[0], k)).tolist()
+        payoff_rows = table.arm_rewards(task_ids, rounds)
+        counts, sums = self.counts[0].tolist(), self.sums[0].tolist()
+        prior_mean, prior_var = float(self.prior_mean), float(self.prior_var)
+        inv_prior, prior_term = 1.0 / prior_var, prior_mean / prior_var
+        noise_sq = float(self.noise_sq)
+        post_mean, post_sd = [], []
+        for n, s in zip(counts, sums):
+            post_var = 1.0 / (inv_prior + n / noise_sq)
+            post_mean.append(post_var * (prior_term + s / noise_sq))
+            post_sd.append(math.sqrt(post_var))
+        offset = [0.0 if _SCORE_OFFSET is None else _SCORE_OFFSET * a
+                  for a in range(k)]
+        arms: list[int] = []
+        for z, payoff in zip(normals, payoff_rows.tolist()):
+            arm, best = 0, post_mean[0] + post_sd[0] * z[0] + offset[0]
+            for a in range(1, k):
+                score = post_mean[a] + post_sd[a] * z[a] + offset[a]
+                if score > best:
+                    arm, best = a, score
+            arms.append(arm)
+            counts[arm] += 1.0
+            sums[arm] += payoff[arm]
+            post_var = 1.0 / (inv_prior + counts[arm] / noise_sq)
+            post_mean[arm] = post_var * (prior_term + sums[arm] / noise_sq)
+            post_sd[arm] = math.sqrt(post_var)
+        self.counts[0], self.sums[0] = counts, sums
+        arms_col = np.array(arms, dtype=np.int64)
+        return arms_col, payoff_rows[np.arange(arms_col.shape[0]), arms_col]
 
 
 class LinearTS(Policy):
@@ -607,7 +652,6 @@ class PooledTSBernoulli(IndividualTSBernoulli):
 
     name = "pooled-ts"
     n_slots = 1
-    round_independent = False  # every task reads the one shared slot
 
 
 class OracleTSBernoulli(_BetaCountTS):
@@ -642,8 +686,9 @@ class HierTSBernoulli(OracleTSBernoulli):
     `burn_in` sweeps; every refresh then runs `sweeps` more from wherever
     the chain stands, its proposal scale still adapting with a shrinking
     gain.  Each refresh's acceptance rate over those `sweeps` is appended to
-    `acceptance_rates` and its sampler warnings to `mcmc_warnings`.  Only
-    without `refresh_every` is the agent round_independent.
+    `acceptance_rates` and its sampler warnings to `mcmc_warnings`.  With
+    `refresh_every` a refresh can fall inside a segment, so play takes the
+    base loop.
     """
 
     name = "hier-ts"
@@ -655,7 +700,6 @@ class HierTSBernoulli(OracleTSBernoulli):
         self.burn_in = burn_in
         self.sweeps = sweeps
         self.refresh_every = refresh_every
-        self.round_independent = refresh_every is None
         self._since_refresh = 0
         self.acceptance_rates: list[float] = []
         self.mcmc_warnings: list[str] = []
@@ -678,6 +722,12 @@ class HierTSBernoulli(OracleTSBernoulli):
         self.mcmc_warnings.extend(acceptance_warnings(rate))
         self._set_theta(self.chain.theta)
         self._since_refresh = 0
+
+    def play(self, table: RewardTable, task_ids: np.ndarray,
+             rounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if self.refresh_every is not None:
+            return Policy.play(self, table, task_ids, rounds)
+        return super().play(table, task_ids, rounds)
 
     def update(self, task_id: int, arm: int, reward: float) -> None:
         super().update(task_id, arm, reward)

@@ -33,10 +33,10 @@ from .core import check_count, check_flag
 from .envs import (InteractionSchedule, Population, PopulationSpec,
                    RewardTable, agent_rng, atomic_write_text,
                    generate_misspecified, generate_population, make_schedule)
-from .errors import ConfigError, ScheduleError
+from .errors import ConfigError
 from .metrics import (ORACLE_NAME, Curve, RegretLedger, bayes_regret_curve,
                       cumulative_regret_by_seed, multi_task_regret_curve)
-from .priors import derive_baseline_priors
+from .priors import DerivedPriors, derive_baseline_priors
 from .svgplot import Series, write_line_plot
 
 SCHEMA_VERSION = 1
@@ -243,70 +243,27 @@ def simulate_run(population: Population, table: RewardTable, policy: Policy,
                             np.ndarray]:
     """Drive one policy through one schedule; returns the ledger columns
     (task_ids, rounds, arms, rewards, inst_regrets) in interaction order.
-    A concurrent schedule fires end_of_round after the last task of each
-    round, a sequential one end_of_task after each task's last round; a
-    custom schedule fires neither.  A round_independent policy on a
-    concurrent schedule plays each round in batched steps (_play_rounds),
-    with the same columns and generator state as the act/update loop."""
+    policy.play plays the schedule one segment at a time: each round of a
+    concurrent schedule, then end_of_round; each task of a sequential one,
+    then end_of_task; the whole stream of a custom one, with no hook."""
     task_ids, rounds = schedule.columns()
-    if schedule.kind == "concurrent" and policy.round_independent:
-        shape = (schedule.horizon, schedule.n_tasks)
-        arms, rewards = _play_rounds(table, policy, task_ids.reshape(shape),
-                                     rounds.reshape(shape))
+    n = task_ids.shape[0]
+    if schedule.kind == "concurrent":
+        size, hook = schedule.n_tasks, lambda tid: policy.end_of_round()
+    elif schedule.kind == "sequential":
+        size, hook = schedule.horizon, policy.end_of_task
     else:
-        arms, rewards = _play_steps(table, policy, schedule, task_ids, rounds)
+        size, hook = n, lambda tid: None
+    arms = np.empty(n, dtype=np.int64)
+    rewards = np.empty(n)
+    for start in range(0, n, size or 1):
+        stop = start + size
+        arms[start:stop], rewards[start:stop] = policy.play(
+            table, task_ids[start:stop], rounds[start:stop])
+        hook(int(task_ids[stop - 1]))
     means = np.stack([t.true_means for t in population.tasks])
     gaps = population.best_means[task_ids] - means[task_ids, arms]
     return task_ids, rounds, arms, rewards, gaps
-
-
-def _play_steps(table: RewardTable, policy: Policy,
-                schedule: InteractionSchedule, task_ids: np.ndarray,
-                rounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One act, reward and update per (task, round) step, in order."""
-    round_hook = schedule.kind == "concurrent"
-    task_hook = schedule.kind == "sequential"
-    last_task, horizon = schedule.n_tasks - 1, schedule.horizon
-    arms: list[int] = []
-    rewards: list[float] = []
-    for tid, rnd in zip(task_ids.tolist(), rounds.tolist()):
-        arm = policy.act(tid)
-        reward = table.reward(tid, rnd, arm)
-        policy.update(tid, arm, reward)
-        arms.append(arm)
-        rewards.append(reward)
-        if round_hook and tid == last_task:
-            policy.end_of_round()
-        elif task_hook and rnd == horizon:
-            policy.end_of_task(tid)
-    return np.array(arms, dtype=np.int64), np.array(rewards, dtype=float)
-
-
-def _play_rounds(table: RewardTable, policy: Policy, task_ids: np.ndarray,
-                 rounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Concurrent rounds (one row of task_ids and rounds each) of a
-    round_independent policy: act_many, rewards and update_many over the
-    round's tasks, repeated on the rest whenever act_many decides only a
-    leading run, then end_of_round."""
-    arms = np.empty(task_ids.shape, dtype=np.int64)
-    rewards = np.empty(task_ids.shape)
-    n_tasks = task_ids.shape[1]
-    for r in range(task_ids.shape[0]):
-        start = 0
-        while start < n_tasks:
-            picked = policy.act_many(task_ids[r, start:])
-            stop = start + picked.shape[0]
-            if stop == start:
-                raise ScheduleError("%s decided no task of round %d"
-                                    % (policy.name, r + 1))
-            tasks = task_ids[r, start:stop]
-            got = table.rewards(tasks, rounds[r, start:stop], picked)
-            policy.update_many(tasks, picked, got)
-            arms[r, start:stop] = picked
-            rewards[r, start:stop] = got
-            start = stop
-        policy.end_of_round()
-    return arms.ravel(), rewards.ravel()
 
 
 def make_population(spec: PopulationSpec) -> Population:
@@ -315,13 +272,22 @@ def make_population(spec: PopulationSpec) -> Population:
     return generate_population(spec)
 
 
-def run_pair(config: ExperimentConfig, algorithm: AlgorithmSpec, seed: int
-             ) -> tuple[np.ndarray, ...]:
-    """Simulate one (algorithm, seed) pair from scratch (process-safe)."""
+def seed_priors(config: ExperimentConfig, seed: int) -> DerivedPriors:
+    """derive_baseline_priors of the seed's population: a pure function of
+    the seed, shared by every algorithm run on it."""
+    spec = config.spec_for_seed(seed)
+    return derive_baseline_priors(spec, make_population(spec).theta)
+
+
+def run_pair(config: ExperimentConfig, algorithm: AlgorithmSpec, seed: int,
+             priors: DerivedPriors | None = None) -> tuple[np.ndarray, ...]:
+    """Simulate one (algorithm, seed) pair from scratch (process-safe);
+    priors, when given, are seed_priors(config, seed)."""
     spec = config.spec_for_seed(seed)
     population = make_population(spec)
     table = RewardTable(population)
-    priors = derive_baseline_priors(spec, population.theta)
+    if priors is None:
+        priors = derive_baseline_priors(spec, population.theta)
     ctx = AgentContext(population=population, priors=priors,
                        rng=agent_rng(seed, algorithm.name),
                        schedule_kind=config.schedule_kind)
@@ -330,23 +296,26 @@ def run_pair(config: ExperimentConfig, algorithm: AlgorithmSpec, seed: int
     return simulate_run(population, table, policy, schedule)
 
 
-def _run_pair_args(args) -> tuple[np.ndarray, ...]:
-    return run_pair(*args)
-
-
 def simulate_ledger(config: ExperimentConfig) -> RegretLedger:
     """All (algorithm, seed) runs merged into one ledger, deterministically
     ordered by the config's algorithm order then seed order regardless of
-    parallelism."""
-    pairs = [(config, algorithm, seed)
-             for algorithm in config.run_specs() for seed in config.seeds]
-    if config.parallelism > 1 and len(pairs) > 1:
+    parallelism.  Each seed's priors are derived once, then every pair
+    runs on its own (in a process pool when parallelism > 1)."""
+    algorithms, seeds = zip(*[(algorithm, seed)
+                              for algorithm in config.run_specs()
+                              for seed in config.seeds])
+    if config.parallelism > 1 and len(seeds) > 1:
         with ProcessPoolExecutor(max_workers=config.parallelism) as pool:
-            results = list(pool.map(_run_pair_args, pairs))
+            priors = dict(zip(config.seeds, pool.map(
+                seed_priors, repeat(config), config.seeds)))
+            results = list(pool.map(run_pair, repeat(config), algorithms,
+                                    seeds, [priors[s] for s in seeds]))
     else:
-        results = [run_pair(*p) for p in pairs]
+        priors = {seed: seed_priors(config, seed) for seed in config.seeds}
+        results = [run_pair(config, a, s, priors[s])
+                   for a, s in zip(algorithms, seeds)]
     ledger = RegretLedger()
-    for (cfg, algorithm, seed), cols in zip(pairs, results):
+    for algorithm, seed, cols in zip(algorithms, seeds, results):
         ledger.extend_run(algorithm.name, seed, *cols)
     return ledger
 

@@ -320,8 +320,11 @@ def posterior_theta(cfg: HierarchyConfig, fm: FeatureMap,
 # ---------------------------------------------------------------------------
 
 def _arm_stats(h: History, n_arms: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-arm pull counts and reward sums of h, summed in record order."""
+    """Per-arm pull counts and reward sums of h, summed in record order; an
+    arm >= n_arms is a ConfigError."""
     _, actions, rewards = h.columns()
+    if actions.size and actions.max() >= n_arms:
+        raise ConfigError("arm %d out of range [0, %d)" % (actions.max(), n_arms))
     counts = np.zeros(n_arms)
     sums = np.zeros(n_arms)
     np.add.at(counts, actions, 1.0)

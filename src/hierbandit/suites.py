@@ -187,20 +187,34 @@ def _check_beta_round_trip() -> CheckResult:
 
 
 def _check_beta_count_ts() -> CheckResult:
-    # The Bernoulli agents' count core against conjugate_update, exactly.
-    prior = seq = BetaParams(0.5, 1.5)
-    core = agents._BetaCountTS(SimpleNamespace(rng=None, n_tasks=2, n_arms=2))
-    for y in (1.0, 0.0, 0.5, 1.0, 0.2):
-        core.update(1, 0, y)
-        seq = conjugate_update(seq, y >= 0.5, y < 0.5)
-    core.update_many(np.array([0, 1]), np.array([1, 0]), np.array([0.0, 1.0]))
-    got = (prior.alpha1 + core.sums[1, 0],
-           prior.alpha2 + (core.counts[1, 0] - core.sums[1, 0]))
-    seq = conjugate_update(seq, 1, 0)
-    exact = BetaParams(*got) == seq == conjugate_update(prior, 4, 2) \
-        and (core.counts[0, 1], core.sums[0, 1]) == (1.0, 0.0)
+    # The Bernoulli agents' count core against conjugate_update, exactly:
+    # five records one by one through update, then one segment of two
+    # tasks through play (its vectorized step), whose arms the draws pick.
+    prior = BetaParams(0.5, 1.5)
+    core = agents.IndividualTSBernoulli(SimpleNamespace(
+        rng=np.random.default_rng(0), n_tasks=2, n_arms=2,
+        priors=SimpleNamespace(bernoulli_marginal=prior)))
+    records = [(1, 0, y) for y in (1.0, 0.0, 0.5, 1.0, 0.2)]
+    for record in records:
+        core.update(*record)
+    table = SimpleNamespace(rewards=lambda ids, rounds, arms: np.array([0.0, 1.0]))
+    arms, _ = core.play(table, np.array([0, 1]), np.array([1, 6]))
+    records += [(0, int(arms[0]), 0.0), (1, int(arms[1]), 1.0)]
+    cells = [(t, a) for t in range(2) for a in range(2)]
+    want = dict.fromkeys(cells, prior)
+    for t, a, y in records:
+        want[t, a] = conjugate_update(want[t, a], y >= 0.5, y < 0.5)
+    wins = [[y >= 0.5 for t, a, y in records if (t, a) == cell] for cell in cells]
+    at_once = {cell: conjugate_update(prior, sum(w), len(w) - sum(w))
+               for cell, w in zip(cells, wins)}
+    got = {(t, a): BetaParams(prior.alpha1 + core.sums[t, a], prior.alpha2
+                              + (core.counts[t, a] - core.sums[t, a]))
+           for t, a in cells}
+    exact = got == want == at_once and core.counts.sum() == len(records)
     return _result("beta-count-ts-counts", exact, "core Beta(%g, %g), "
-                   "conjugate Beta(%g, %g)" % (*got, seq.alpha1, seq.alpha2))
+                   "conjugate Beta(%g, %g) on task 1 arm 0"
+                   % (got[1, 0].alpha1, got[1, 0].alpha2,
+                      want[1, 0].alpha1, want[1, 0].alpha2))
 
 
 def _check_gaussian_scalar_oracle() -> CheckResult:

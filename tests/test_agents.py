@@ -1,7 +1,7 @@
 """Policy behavior: sampling paths, reductions, schedules, and the registry."""
 
 import math
-from types import SimpleNamespace
+from types import MethodType, SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,12 +9,12 @@ import pytest
 import hierbandit.agents
 from hierbandit.agents import (AgentContext, AlignedHierTS, HierTS,
                                HierTSBatched, IndividualTS, LinearTS, MetaTS,
-                               OracleTS, OracleTSBernoulli, PooledTS, _pick,
-                               algorithm_names, make_policy)
+                               OracleTS, OracleTSBernoulli, Policy, PooledTS,
+                               _pick, algorithm_names, make_policy)
 from hierbandit.bernoulli import bblm_prior_for_task
 from hierbandit.core import (FeatureMap, HierarchyConfig, History,
                              InteractionRecord)
-from hierbandit.envs import PopulationSpec, generate_population
+from hierbandit.envs import PopulationSpec, RewardTable, generate_population
 from hierbandit._linalg import sample_mvn
 from hierbandit.errors import ConfigError, NumericalError, ScheduleError
 from hierbandit.gaussian import (ThetaStatAccumulator,
@@ -717,23 +717,6 @@ def test_registry_validation():
     assert agent.refresh_every == 5
 
 
-@pytest.mark.parametrize("kind, name", [
-    ("gaussian", "individual-ts"), ("gaussian", "oracle-ts"),
-    ("gaussian", "meta-ts"), ("gaussian", "hier-ts-batch"),
-    ("bernoulli", "individual-ts"), ("bernoulli", "oracle-ts"),
-    ("bernoulli", "meta-ts"), ("bernoulli", "hier-ts")])
-def test_update_many_rejects_repeated_task_ids(kind, name):
-    spec = PopulationSpec(n_tasks=3, horizon=4, n_arms=2, dim=2,
-                          reward_kind=kind, seed=53)
-    _, ctx = _ctx(spec, seed=54)
-    agent = make_policy(name, ctx)
-    assert agent.round_independent
-    with pytest.raises(ScheduleError, match="repeat"):
-        agent.update_many(np.array([0, 2, 0]), np.array([0, 1, 1]),
-                          np.array([1.0, 0.0, 1.0]))
-    agent.update_many(np.array([0, 2]), np.array([0, 1]), np.array([1.0, 0.0]))
-
-
 _COUNT_TS = [("gaussian", name) for name in (
     "hier-ts", "hier-ts-batch", "hier-ts-aligned", "oracle-ts",
     "individual-ts", "pooled-ts", "meta-ts")]
@@ -745,37 +728,34 @@ _COUNT_TS += [("bernoulli", name) for name in (
 def test_count_core_tallies_pulls_and_sums(kind, name):
     # Every count-TS policy keeps per-slot pull counts and reward sums (for
     # Bernoulli rewards, successes: a reward >= 0.5), whether the rewards
-    # come one by one through update or in batches of distinct slots
-    # through update_many.
+    # come one by one through update or through play, over segments of
+    # distinct slots and a segment that repeats one (three pulls of two
+    # arms: a vectorized += would drop one).
     spec = PopulationSpec(n_tasks=3, horizon=4, n_arms=2, dim=2,
                           reward_kind=kind, seed=58)
     values = [0.2, 0.5, 1.0] if kind == "bernoulli" else [0.7, -1.3, 2.25]
     rng = np.random.default_rng(59)
     rows = [(tid, int(rng.integers(2)), values[(3 * rnd + tid) % 3])
             for rnd in range(4) for tid in range(3)]
-    n_slots = 1 if name == "pooled-ts" else spec.n_tasks
-    want_counts = np.zeros((n_slots, 2))
-    want_sums = np.zeros((n_slots, 2))
-    for tid, arm, reward in rows:
-        want_counts[tid % n_slots, arm] += 1.0
-        want_sums[tid % n_slots, arm] += \
-            float(reward >= 0.5) if kind == "bernoulli" else reward
     one_by_one = make_policy(name, _ctx(spec, 60, "sequential")[1])
     for row in rows:
         one_by_one.update(*row)
-    agents = [one_by_one]
-    if one_by_one.round_independent:
-        batched = make_policy(name, _ctx(spec, 60, "sequential")[1])
-        batches = [[rows[0]]]
-        for row in rows[1:]:
-            if row[0] % n_slots in {r[0] % n_slots for r in batches[-1]}:
-                batches.append([])
-            batches[-1].append(row)
-        for batch in batches:
-            tids, arms, rewards = (np.array(col) for col in zip(*batch))
-            batched.update_many(tids, arms, rewards.astype(float))
-        agents.append(batched)
-    for agent in agents:
+    pop, ctx = _ctx(spec, 60, "sequential")
+    played = make_policy(name, ctx)
+    table = RewardTable(pop)
+    played_rows = []
+    for tids, rounds in (([0, 1, 2], [1, 1, 1]), ([1, 1, 1], [2, 3, 4]),
+                         ([2, 0], [2, 2])):
+        arms, rewards = played.play(table, np.array(tids), np.array(rounds))
+        played_rows += zip(tids, arms.tolist(), rewards.tolist())
+    n_slots = 1 if name == "pooled-ts" else spec.n_tasks
+    for agent, agent_rows in ((one_by_one, rows), (played, played_rows)):
+        want_counts = np.zeros((n_slots, 2))
+        want_sums = np.zeros((n_slots, 2))
+        for tid, arm, reward in agent_rows:
+            want_counts[tid % n_slots, arm] += 1.0
+            want_sums[tid % n_slots, arm] += \
+                float(reward >= 0.5) if kind == "bernoulli" else reward
         np.testing.assert_array_equal(agent.counts, want_counts)
         np.testing.assert_array_equal(agent.sums, want_sums)
 
@@ -785,22 +765,32 @@ def test_count_core_tallies_pulls_and_sums(kind, name):
     ("gaussian", "pooled-ts", {}), ("gaussian", "linear-ts", {}),
     ("bernoulli", "pooled-ts", {}),
     ("bernoulli", "hier-ts", {"refresh_every": 2})])
-def test_batched_calls_refuse_unflagged_policies(kind, name, options):
+def test_batched_calls_refuse_unflagged_policies(monkeypatch, kind, name,
+                                                 options):
     # A policy whose decisions in a round read that round's updates would
-    # be left stale by a batched call (Gaussian hier-ts: its coefficient
-    # accumulator), so neither batched call may touch it.
+    # be left stale by the count core's vectorized step (Gaussian hier-ts:
+    # its coefficient accumulator), so its play never takes that step, even
+    # on a round of distinct tasks, and matches the base loop.
     spec = PopulationSpec(n_tasks=3, horizon=4, n_arms=2, dim=2,
                           reward_kind=kind, seed=65)
-    agent = make_policy(name, _ctx(spec, 66, "sequential")[1], options)
-    assert not agent.round_independent
-    state = agent.rng.bit_generator.state
-    ids = np.array([0, 1])
-    with pytest.raises(ScheduleError, match="not round_independent"):
-        agent.act_many(ids)
-    with pytest.raises(ScheduleError, match="not round_independent"):
-        agent.update_many(ids, np.array([0, 1]), np.array([1.0, 0.0]))
-    assert agent.rng.bit_generator.state == state
-    assert not getattr(agent, "counts", np.zeros(1)).any()
+    pop = generate_population(spec)
+    table = RewardTable(pop)
+
+    def refuse(*args):
+        raise AssertionError("vectorized step taken")
+
+    monkeypatch.setattr(hierbandit.agents._CountTS, "_play_batch", refuse)
+    runs = []
+    for reference in (False, True):
+        agent = make_policy(name, _ctx(spec, 66, "sequential")[1], options)
+        play = MethodType(Policy.play, agent) if reference else agent.play
+        cols = [col for rnd in (1, 2)
+                for col in play(table, np.array([0, 1, 2]), np.full(3, rnd))]
+        runs.append((cols + [getattr(agent, "counts", np.zeros(0))],
+                     agent.rng.bit_generator.state))
+    (own, state), (looped, state_looped) = runs
+    assert all(np.array_equal(a, b) for a, b in zip(own, looped))
+    assert state == state_looped
 
 
 @pytest.mark.parametrize("kind, name", [

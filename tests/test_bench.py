@@ -5,15 +5,17 @@ import json
 import os
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from types import MethodType, SimpleNamespace
 
 import numpy as np
 import pytest
 
+from hierbandit import agents, bench
 from hierbandit.agents import (AgentContext, Policy, PooledTS,
-                               PooledTSBernoulli, make_policy)
+                               PooledTSBernoulli, _CountTS, make_policy)
 from hierbandit.bench import (ExperimentConfig, resolve_output_dir,
-                              run_experiment, simulate_ledger, simulate_run,
-                              write_ledger_csv)
+                              run_experiment, run_pair, simulate_ledger,
+                              simulate_run, write_ledger_csv)
 from hierbandit.cli import main
 from hierbandit.envs import (PopulationSpec, RewardTable, agent_rng,
                              generate_population, make_schedule)
@@ -243,6 +245,33 @@ def test_parallel_ledger_matches_serial():
         ExperimentConfig.from_dict(_minimal_raw(parallelism=0))
 
 
+def test_priors_derived_once_per_seed(monkeypatch):
+    # simulate_ledger derives each seed's priors once for all its pairs,
+    # serial or in the pool; the ledger equals one whose pairs each derive
+    # their own through run_pair's three-argument form.
+    raw = {"population": {"n_tasks": 3, "horizon": 4, "n_arms": 2, "dim": 2,
+                          "reward_kind": "bernoulli"},
+           "schedule": "sequential", "algorithms": ["individual-ts", "meta-ts"],
+           "seeds": [1, 2]}
+    serial = ExperimentConfig.from_dict(raw)
+    per_pair = RegretLedger()
+    for algorithm in serial.run_specs():
+        for seed in serial.seeds:
+            per_pair.extend_run(algorithm.name, seed,
+                                *run_pair(serial, algorithm, seed))
+    calls = []
+
+    def counted(spec, theta):
+        calls.append(spec.seed)
+        return derive_baseline_priors(spec, theta)
+
+    monkeypatch.setattr(bench, "derive_baseline_priors", counted)
+    assert list(simulate_ledger(serial).rows()) == list(per_pair.rows())
+    assert calls == [1, 2]
+    parallel = ExperimentConfig.from_dict(dict(raw, parallelism=2))
+    assert list(simulate_ledger(parallel).rows()) == list(per_pair.rows())
+
+
 def test_shipped_configs_parse():
     quick = ExperimentConfig.from_file(str(CONFIG_DIR / "quick_gaussian.yaml"))
     assert quick.seeds
@@ -353,7 +382,8 @@ def test_gaussian_policies_artifact_bytes_pinned(tmp_path, schedule):
 
 
 class _RecordingPolicy(Policy):
-    """Plays arm 0 and records every call the simulation loop makes."""
+    """Plays arm 0 through the base play and records every call the
+    simulation loop makes, and every act and update that play makes."""
 
     def __init__(self):
         self.events = []
@@ -364,6 +394,11 @@ class _RecordingPolicy(Policy):
 
     def update(self, task_id, arm, reward):
         self.events.append(("update", task_id))
+
+    def play(self, table, task_ids, rounds):
+        self.events.append(("play", tuple(task_ids.tolist()),
+                            tuple(rounds.tolist())))
+        return super().play(table, task_ids, rounds)
 
     def end_of_round(self):
         self.events.append(("end_of_round",))
@@ -378,18 +413,24 @@ def _play(task_id):
 
 @pytest.mark.parametrize("kind, stream, expected", [
     ("concurrent", None,
-     _play(0) + _play(1) + _play(2) + [("end_of_round",)]
+     [("play", (0, 1, 2), (1, 1, 1))] + _play(0) + _play(1) + _play(2)
+     + [("end_of_round",), ("play", (0, 1, 2), (2, 2, 2))]
      + _play(0) + _play(1) + _play(2) + [("end_of_round",)]),
     ("sequential", None,
-     _play(0) + _play(0) + [("end_of_task", 0)]
-     + _play(1) + _play(1) + [("end_of_task", 1)]
-     + _play(2) + _play(2) + [("end_of_task", 2)]),
+     [("play", (0, 0), (1, 2))] + _play(0) + _play(0) + [("end_of_task", 0)]
+     + [("play", (1, 1), (1, 2))] + _play(1) + _play(1) + [("end_of_task", 1)]
+     + [("play", (2, 2), (1, 2))] + _play(2) + _play(2)
+     + [("end_of_task", 2)]),
     ("custom", [2, 0, 0, 1, 2, 1],
-     _play(2) + _play(0) + _play(0) + _play(1) + _play(2) + _play(1)),
+     [("play", (2, 0, 0, 1, 2, 1), (1, 1, 2, 1, 2, 2))]
+     + _play(2) + _play(0) + _play(0) + _play(1) + _play(2) + _play(1)),
     ("custom", [0, 1, 2, 0, 1, 2],
-     _play(0) + _play(1) + _play(2) + _play(0) + _play(1) + _play(2)),
+     [("play", (0, 1, 2, 0, 1, 2), (1, 1, 1, 2, 2, 2))]
+     + _play(0) + _play(1) + _play(2) + _play(0) + _play(1) + _play(2)),
 ])
 def test_simulate_run_hook_order(kind, stream, expected):
+    # One play per segment (a round, a task, or a whole custom stream),
+    # then the segment's boundary hook; the base play steps through it.
     spec = PopulationSpec(n_tasks=3, horizon=2, n_arms=2, dim=3, seed=5)
     population = generate_population(spec)
     schedule = make_schedule(kind, spec.n_tasks, spec.horizon, stream)
@@ -401,75 +442,45 @@ def test_simulate_run_hook_order(kind, stream, expected):
     assert arms.tolist() == [0] * len(schedule)
 
 
-class _BatchRecordingPolicy(_RecordingPolicy):
-    """A round_independent recorder whose act_many decides at most `run`
-    tasks at a time."""
-
-    round_independent = True
-
-    def __init__(self, run):
-        super().__init__()
-        self.run = run
-
-    def act_many(self, task_ids):
-        self.events.append(("act_many", tuple(task_ids.tolist())))
-        return np.zeros(min(self.run, task_ids.shape[0]), dtype=np.int64)
-
-    def update_many(self, task_ids, arms, rewards):
-        self.events.append(("update_many", tuple(task_ids.tolist())))
-
-
-@pytest.mark.parametrize("kind, stream, run, expected", [
-    ("concurrent", None, 3,
-     [("act_many", (0, 1, 2)), ("update_many", (0, 1, 2)), ("end_of_round",)]
-     * 2),
-    ("concurrent", None, 2,
-     [("act_many", (0, 1, 2)), ("update_many", (0, 1)),
-      ("act_many", (2,)), ("update_many", (2,)), ("end_of_round",)] * 2),
-    ("sequential", None, 3,
-     _play(0) + _play(0) + [("end_of_task", 0)]
-     + _play(1) + _play(1) + [("end_of_task", 1)]
-     + _play(2) + _play(2) + [("end_of_task", 2)]),
-    ("custom", [0, 1, 2, 0, 1, 2], 3,
-     _play(0) + _play(1) + _play(2) + _play(0) + _play(1) + _play(2)),
-])
-def test_simulate_run_batched_hook_order(kind, stream, run, expected):
-    # A flagged policy takes batched steps on concurrent schedules only.
-    spec = PopulationSpec(n_tasks=3, horizon=2, n_arms=2, dim=3, seed=5)
-    population = generate_population(spec)
-    schedule = make_schedule(kind, spec.n_tasks, spec.horizon, stream)
-    policy = _BatchRecordingPolicy(run)
-    task_ids, rounds, arms, _, _ = simulate_run(
-        population, RewardTable(population), policy, schedule)
-    assert policy.events == expected
-    assert list(zip(task_ids, rounds)) == list(schedule.iter_with_rounds())
-    assert arms.tolist() == [0] * len(schedule)
-
-
-def _both_paths(kind, name, options, n_tasks, flag=False):
-    """simulate_run of one policy on a concurrent schedule, batched and with
-    the act/update loop forced; each as (columns, generator end state).
-    flag=True flags an unflagged policy for the batched run."""
+def _both_paths(kind, name, options, n_tasks, schedule="concurrent",
+                play=None, no_steps=False):
+    """simulate_run of one policy through its own play (or the function
+    play, if given) and through the base loop, Policy.play; each as
+    (columns, generator end state).  no_steps=True makes act and update
+    fail on the first path, which must then not step.  A custom schedule
+    plays the tasks in a shuffled order."""
     spec = PopulationSpec(n_tasks=n_tasks, horizon=7, n_arms=3, dim=4,
                           reward_kind=kind, seed=21)
     population = generate_population(spec)
     table = RewardTable(population)
     priors = derive_baseline_priors(spec, population.theta, n_mc=2000)
-    schedule = make_schedule("concurrent", spec.n_tasks, spec.horizon)
+    stream = None
+    if schedule == "custom":
+        stream = np.random.default_rng(23).permutation(
+            np.repeat(np.arange(n_tasks), spec.horizon)).tolist()
+    segments = make_schedule(schedule, spec.n_tasks, spec.horizon, stream)
     out = []
-    for batched in (True, False):
-        ctx = AgentContext(population, priors, agent_rng(22, name),
-                           "concurrent")
+    for reference in (False, True):
+        ctx = AgentContext(population, priors, agent_rng(22, name), schedule)
         policy = make_policy(name, ctx, options)
-        if batched:
-            assert policy.round_independent != flag
-            policy.round_independent = True
-            policy.act = policy.update = None  # the batched path calls neither
+        if reference:
+            policy.play = MethodType(Policy.play, policy)
         else:
-            policy.round_independent = False
-        cols = simulate_run(population, table, policy, schedule)
+            if play is not None:
+                policy.play = MethodType(play, policy)
+            if no_steps:
+                policy.act = policy.update = None
+        cols = simulate_run(population, table, policy, segments)
         out.append((cols, ctx.rng.bit_generator.state))
     return out
+
+
+def _assert_same_run(both):
+    (own, state_own), (looped, state_loop) = both
+    for col_own, col_loop in zip(own, looped):
+        assert col_own.dtype == col_loop.dtype
+        assert np.array_equal(col_own, col_loop)
+    assert state_own == state_loop
 
 
 _BERNOULLI_HIER = {"sweeps": 20, "burn_in": 10}
@@ -490,25 +501,77 @@ _FLAGGED += [("bernoulli", "individual-ts", {}),
 @pytest.mark.parametrize("kind, name, options", _FLAGGED)
 def test_round_batched_path_matches_act_update_loop(kind, name, options,
                                                     n_tasks):
+    # The count core's play takes a concurrent round (distinct slots) as
+    # one vectorized step, never stepping; hier-ts-batch splits it at each
+    # coefficient redraw.
     if options.get("refresh_every") == "n_tasks+1":
         options = {"refresh_every": n_tasks + 1}
-    (batched, state_b), (looped, state_l) = _both_paths(kind, name, options,
-                                                        n_tasks)
-    for col_b, col_l in zip(batched, looped):
-        assert col_b.dtype == col_l.dtype
-        assert np.array_equal(col_b, col_l)
-    assert state_b == state_l
+    _assert_same_run(_both_paths(kind, name, options, n_tasks, no_steps=True))
+
+
+@pytest.mark.parametrize("n_tasks", [1, 6])
+@pytest.mark.parametrize("schedule", ["concurrent", "sequential", "custom"])
+def test_pooled_ts_play_matches_act_update_loop(schedule, n_tasks):
+    # Gaussian pooled-ts plays every segment as its scalar kernel, with the
+    # counts each segment carries in from the segments before it.
+    _assert_same_run(_both_paths("gaussian", "pooled-ts", {}, n_tasks,
+                                 schedule, no_steps=True))
+
+
+def test_pooled_ts_play_matches_act_update_loop_with_score_offset(
+        monkeypatch):
+    # The validate suite's argmax offset reaches the kernel's scan; 0.4
+    # moves the picks toward higher arms.
+    monkeypatch.setattr(agents, "_SCORE_OFFSET", 0.4)
+    both = _both_paths("gaussian", "pooled-ts", {}, 6, no_steps=True)
+    _assert_same_run(both)
+    monkeypatch.setattr(agents, "_SCORE_OFFSET", None)
+    (plain, _), _ = _both_paths("gaussian", "pooled-ts", {}, 6)
+    assert not np.array_equal(plain[2], both[0][0][2])
+
+
+@pytest.mark.parametrize("normals", ["generator", "zeros"])
+def test_pooled_ts_play_continues_from_carried_counts(normals):
+    # One segment played by the kernel on a slot that already holds pulls,
+    # against the loop.  Arms 0 and 1 carry equal statistics, so with every
+    # normal zero their scores tie at the top and the kernel must pick arm
+    # 0, as argmax does.
+    spec = PopulationSpec(n_tasks=4, horizon=5, n_arms=3, dim=4, seed=24)
+    population = generate_population(spec)
+    table = RewardTable(population)
+    priors = derive_baseline_priors(spec, population.theta)
+    runs = []
+    for play in (PooledTS.play, Policy.play):
+        rng = agent_rng(25, "pooled-ts") if normals == "generator" \
+            else SimpleNamespace(standard_normal=np.zeros)
+        policy = make_policy("pooled-ts", AgentContext(
+            population, priors, rng, "concurrent"))
+        for record in [(0, 0, 0.25), (1, 1, 2.0), (2, 2, -1.5), (3, 0, 2.0),
+                       (0, 1, 0.25)]:
+            policy.update(*record)
+        cols = play(policy, table, np.array([2, 0, 3, 1, 2, 0]),
+                    np.array([1, 1, 1, 1, 2, 2]))
+        runs.append([*cols, policy.counts.copy(), policy.sums.copy()])
+        if normals == "generator":
+            runs[-1].append(rng.bit_generator.state)
+    kernel, looped = runs
+    for got, want in zip(kernel[:4], looped[:4]):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert kernel[4:] == looped[4:]
+    if normals == "zeros":
+        assert kernel[0][0] == 0
 
 
 @pytest.mark.parametrize("kind, cls", [("gaussian", PooledTS),
                                        ("bernoulli", PooledTSBernoulli)])
-def test_wrongly_flagged_pooled_ts_diverges(monkeypatch, kind, cls):
+def test_wrongly_flagged_pooled_ts_diverges(kind, cls):
     # pooled-ts shares one slot across tasks, so a round's decisions read
-    # each other's updates; flagged, its batched update must refuse the
-    # round rather than drop all but one update per arm.
-    monkeypatch.setattr(cls, "round_independent", True)
-    with pytest.raises(ScheduleError, match="slots repeat"):
-        _both_paths(kind, "pooled-ts", {}, 6)
+    # each other's updates; forced through the count core's vectorized step
+    # (the slot check skipped), a round would drop all but one update per
+    # arm and change the columns.
+    forced, looped = _both_paths(kind, "pooled-ts", {}, 6,
+                                 play=cls._play_batch)
+    assert not all(np.array_equal(f, l) for f, l in zip(forced[0], looped[0]))
 
 
 @pytest.mark.parametrize("kind, name, options", [
@@ -516,7 +579,8 @@ def test_wrongly_flagged_pooled_ts_diverges(monkeypatch, kind, cls):
     ("bernoulli", "hier-ts", dict(_BERNOULLI_HIER, refresh_every=4))])
 def test_wrongly_flagged_hier_ts_diverges(kind, name, options):
     # Gaussian hier-ts redraws theta from every earlier update, Bernoulli
-    # hier-ts with refresh_every reruns its chain mid-round; neither is
-    # flagged, and flagging either must change the columns.
-    (batched, _), (looped, _) = _both_paths(kind, name, options, 6, flag=True)
-    assert not all(np.array_equal(b, l) for b, l in zip(batched, looped))
+    # hier-ts with refresh_every reruns its chain mid-round; both keep the
+    # base loop, and forcing the count core's play on either must change
+    # the columns.
+    forced, looped = _both_paths(kind, name, options, 6, play=_CountTS.play)
+    assert not all(np.array_equal(f, l) for f, l in zip(forced[0], looped[0]))

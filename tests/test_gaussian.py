@@ -209,6 +209,17 @@ def test_conditional_one_pull_each_arm():
     np.testing.assert_allclose(b.cov, 0.5 * np.eye(k), atol=1e-12)
 
 
+def test_conditional_rejects_out_of_range_arm():
+    # An arm >= n_arms is the same ConfigError as on every other history
+    # path, not an IndexError from the per-arm tally.
+    cfg = HierarchyConfig(mu_theta=np.zeros(2), sigma_theta=np.eye(2),
+                          sigma_delta=np.eye(2), sigma_noise=1.0)
+    fm = FeatureMap.indicator_with_metadata(n_arms=2, dim=2)
+    h_i = [InteractionRecord(0, 1, 0.5, 1), InteractionRecord(0, 2, 1.0, 2)]
+    with pytest.raises(ConfigError, match=r"arm 2 out of range \[0, 2\)"):
+        conditional_r_given_theta(cfg, fm, h_i, np.zeros(2), np.zeros(0))
+
+
 def test_conditional_matches_scalar_oracle_per_arm():
     rng = np.random.default_rng(31)
     k = 2
