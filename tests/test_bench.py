@@ -442,6 +442,64 @@ def test_simulate_run_hook_order(kind, stream, expected):
     assert arms.tolist() == [0] * len(schedule)
 
 
+class _BatchRecordingPolicy(_RecordingPolicy):
+    """A recorder whose play steps through its segment at most `run` tasks
+    at a time (as hier-ts-batch splits its segment at theta redraws); step
+    i plays arm i % 2, so the engine must keep the steps in segment order."""
+
+    def __init__(self, run):
+        super().__init__()
+        self.run = run
+
+    def play(self, table, task_ids, rounds):
+        self.events.append(("play", tuple(task_ids.tolist())))
+        arms = np.empty(task_ids.shape[0], dtype=np.int64)
+        for i, start in enumerate(range(0, task_ids.shape[0], self.run)):
+            step = slice(start, start + self.run)
+            self.events.append(("step", tuple(task_ids[step].tolist())))
+            arms[step] = i % 2
+        return arms, table.rewards(task_ids, rounds, arms)
+
+
+@pytest.mark.parametrize("kind, stream, run, expected", [
+    ("concurrent", None, 3,
+     [("play", (0, 1, 2)), ("step", (0, 1, 2)), ("end_of_round",)] * 2),
+    ("concurrent", None, 2,
+     [("play", (0, 1, 2)), ("step", (0, 1)), ("step", (2,)),
+      ("end_of_round",)] * 2),
+    ("sequential", None, 3,
+     [("play", (0, 0)), ("step", (0, 0)), ("end_of_task", 0),
+      ("play", (1, 1)), ("step", (1, 1)), ("end_of_task", 1),
+      ("play", (2, 2)), ("step", (2, 2)), ("end_of_task", 2)]),
+    ("custom", [0, 1, 2, 0, 1, 2], 3,
+     [("play", (0, 1, 2, 0, 1, 2)), ("step", (0, 1, 2)),
+      ("step", (0, 1, 2))]),
+])
+def test_simulate_run_batched_hook_order(kind, stream, run, expected):
+    # A play that splits its segment into steps is still one play call per
+    # segment, and its arms and rewards land in the ledger in schedule order.
+    spec = PopulationSpec(n_tasks=3, horizon=2, n_arms=2, dim=3, seed=5)
+    population = generate_population(spec)
+    table = RewardTable(population)
+    schedule = make_schedule(kind, spec.n_tasks, spec.horizon, stream)
+    policy = _BatchRecordingPolicy(run)
+    task_ids, rounds, arms, rewards, _ = simulate_run(
+        population, table, policy, schedule)
+    assert policy.events == expected
+    assert list(zip(task_ids, rounds)) == list(schedule.iter_with_rounds())
+    want_arms = []
+    for event in expected:
+        if event[0] == "play":
+            step = 0
+        elif event[0] == "step":
+            want_arms += [step % 2] * len(event[1])
+            step += 1
+    assert arms.tolist() == want_arms
+    assert rewards.tolist() == [
+        table.reward(int(t), int(r), int(a))
+        for t, r, a in zip(task_ids, rounds, arms)]
+
+
 def _both_paths(kind, name, options, n_tasks, schedule="concurrent",
                 play=None, no_steps=False):
     """simulate_run of one policy through its own play (or the function
