@@ -15,12 +15,13 @@ jointly Gaussian with kernel
 
 so every per-task posterior P(r_i | H) is a Gaussian conditional.  Two
 independent routes compute it: a dense route that factors the full n x n
-kernel (posterior_r_naive) and a blocked route that factors only the
-per-task random-effect blocks plus one dim x dim core via the Woodbury
-identity (posterior_r_woodbury).  The coefficient posterior P(theta | H)
-uses the same blocks.  A mixed-effect Gaussian-process generalization
-(posterior_r_gp) replaces the linear fixed effect by per-arm mean and
-kernel functions.
+kernel (posterior_r_naive) and a blocked route that makes one K x K solve
+per task on the (task, arm) pair statistics (count, residual sum, residual
+sum of squares) plus one dim x dim core via the Woodbury identity
+(posterior_r_woodbury, through KernelWorkspace).  The coefficient posterior
+P(theta | H) and the marginal likelihood use the same solves.  A
+mixed-effect Gaussian-process generalization (posterior_r_gp) replaces the
+linear fixed effect by per-arm mean and kernel functions.
 """
 
 from __future__ import annotations
@@ -95,20 +96,33 @@ class ThetaPosterior(GaussianBelief):
 # ---------------------------------------------------------------------------
 
 class _Stacked:
-    """A history's columns (tasks, actions, rewards) plus each row's feature
-    vector phi, the rows' metadata resolved through the feature map's
-    registry.  task_order lists the tasks by first appearance."""
+    """A history's columns (tasks, actions, rewards), its distinct task ids
+    in ascending order with each row's index into them (task_rows), each
+    task's n_arms x dim feature matrix (features, the metadata resolved once
+    through the feature map's registry) and each row's feature vector phi."""
 
     def __init__(self, fm: FeatureMap, h: History):
         self.tasks, self.actions, self.rewards = h.columns()
-        self.task_order = list(h.task_ids())
         bad = self.actions[self.actions >= fm.n_arms]
         if bad.size:
             fm.check_arm(int(bad[0]))
-        ids, rows = np.unique(self.tasks, return_inverse=True)
-        mats = [fm.task_features(fm.metadata_for(t)) for t in ids.tolist()]
-        self.phi = np.stack(mats)[rows, self.actions] if mats \
-            else np.zeros((0, fm.dim))
+        self.task_ids, self.task_rows = np.unique(self.tasks,
+                                                  return_inverse=True)
+        mats = [fm.task_features(fm.metadata_for(t))
+                for t in self.task_ids.tolist()]
+        self.features = np.stack(mats) if mats \
+            else np.zeros((0, fm.n_arms, fm.dim))
+        self.phi = self.features[self.task_rows, self.actions]
+
+
+def _require_model(cfg: HierarchyConfig, fm: FeatureMap) -> None:
+    """ConfigError unless cfg is a Gaussian model whose sigma_delta is
+    n_arms x n_arms for the feature map's n_arms."""
+    cfg.require_gaussian()
+    k = fm.n_arms
+    if cfg.sigma_delta.shape != (k, k):
+        raise ConfigError("sigma_delta is %d x %d; the feature map has %d arms"
+                          % (*cfg.sigma_delta.shape, k))
 
 
 def _prior_predictive(cfg: HierarchyConfig, phi_target: np.ndarray) -> GaussianBelief:
@@ -124,7 +138,7 @@ def posterior_r_naive(cfg: HierarchyConfig, fm: FeatureMap, h: History,
     With an empty history this is the prior predictive
     N(Phi_i mu_theta, Phi_i Sigma_theta Phi_i^T + Sigma_delta).
     """
-    cfg.require_gaussian()
+    _require_model(cfg, fm)
     phi_t = fm.task_features(target_x)
     if len(h) == 0:
         return _prior_predictive(cfg, phi_t)
@@ -148,112 +162,86 @@ def posterior_r_naive(cfg: HierarchyConfig, fm: FeatureMap, h: History,
 
 
 # ---------------------------------------------------------------------------
-# blocked route: per-task V blocks + Woodbury core
+# blocked route: one K x K solve per task on pair statistics + Woodbury core
 # ---------------------------------------------------------------------------
 
-class _BlockSolver:
-    """Applies V_tau^{-1} for one task block V_tau = J_tau + sigma^2 I.
-
-    J_tau has entries Sigma_delta[A_l, A_m] over the task's records.  For a
-    diagonal Sigma_delta the block is, after grouping rows by arm, a
-    rank-one perturbation per group:
-        (sigma^2 I + v 1 1^T)^{-1} = I/sigma^2 - v/(sigma^2 (sigma^2 + n v)) 1 1^T,
-    applied group by group.  Any other Sigma_delta has its block factored
-    densely.
-    """
-
-    def __init__(self, sigma_delta: np.ndarray, sigma_noise: float,
-                 actions: np.ndarray):
-        off = sigma_delta - np.diag(np.diag(sigma_delta))
-        self.dense = bool(np.any(off))
-        self.s2 = sigma_noise ** 2
-        if self.dense:
-            block = sigma_delta[np.ix_(actions, actions)] \
-                + self.s2 * np.eye(actions.shape[0])
-            self._lower = chol_factor(block)
-            self.logdet = _linalg.logdet_from_chol(self._lower)
-        else:
-            self._groups = []
-            self.logdet = 0.0
-            for a in np.unique(actions):
-                idx = np.nonzero(actions == a)[0]
-                v = float(sigma_delta[a, a])
-                m = idx.shape[0]
-                self._groups.append((idx, v))
-                self.logdet += (m - 1) * np.log(self.s2) + np.log(self.s2 + m * v)
-
-    def apply(self, b: np.ndarray) -> np.ndarray:
-        """V^{-1} b for b of shape (n,) or (n, m)."""
-        if self.dense:
-            return chol_solve(self._lower, b)
-        out = b / self.s2
-        for idx, v in self._groups:
-            if v == 0.0:
-                continue
-            m = idx.shape[0]
-            colsum = b[idx].sum(axis=0)
-            out[idx] -= (v / (self.s2 * (self.s2 + m * v))) * colsum
-        return out
-
-
 class KernelWorkspace:
-    """Blocked intermediates of the Woodbury route for one (cfg, history).
+    """Blocked intermediates of the Woodbury route for one (cfg, history):
+    one K x K solve per task on the (task, arm) pair statistics.
 
-    Holds, per task, a factorization of V_tau = J_tau + sigma^2 I and the
-    accumulated core quantities
-        phi_vinv_phi = Phi^T V^{-1} Phi         (d x d)
-        phi_vinv_resid = Phi^T V^{-1} (R - Phi mu_theta)   (d,)
-    plus the residual quadratic form and log-determinants needed by the
-    marginal likelihood.  A prebuilt stacked history can be passed in so
-    empirical-Bayes grids reuse one.  The blocks are summed in task_order.
+    Task tau's block of the effect-plus-noise covariance is
+    V_tau = P Sigma_delta P^T + sigma^2 I, with P the n_tau x K indicator of
+    its rows' arms, and its rows' features are P F_tau for the task's K x d
+    feature matrix F_tau.  So the block enters only through each pair's
+    count n and residual sum s and the residual sum of squares q, with
+    residuals resid = R - Phi mu_theta.  With D = diag(sqrt(n)),
+    t = s / sqrt(n) (0 where n = 0) and B = sigma^2 I + D Sigma_delta D,
+    which is SPD for any PSD Sigma_delta because B >= sigma^2 I:
+        P^T V^{-1} P     = G = D B^{-1} D
+        P^T V^{-1} resid = w = D B^{-1} t
+        resid^T V^{-1} resid = (q - |t|^2) / sigma^2 + t^T B^{-1} t
+        log|V_tau| = (n_tau - K) log sigma^2 + log|B|.
+    Summed over tasks these give the core quantities
+        phi_vinv_phi   = Phi^T V^{-1} Phi   = sum F^T G F     (d x d)
+        phi_vinv_resid = Phi^T V^{-1} resid = sum F^T w       (d,)
+    plus resid_vinv_resid and logdet_v for the marginal likelihood.  Every
+    task's B is factored in one batched Cholesky, with no jitter.  A
+    prebuilt stacked history can be passed in so empirical-Bayes grids
+    reuse one.
     """
 
     def __init__(self, cfg: HierarchyConfig, fm: FeatureMap, h: History, *,
                  stacked: _Stacked | None = None):
-        cfg.require_gaussian()
+        _require_model(cfg, fm)
         self.cfg = cfg
-        self.fm = fm
-        self.st = stacked if stacked is not None else _Stacked(fm, h)
-        st = self.st
-        d = fm.dim
+        st = stacked if stacked is not None else _Stacked(fm, h)
+        n_tasks, k, _ = st.features.shape
+        s2 = cfg.sigma_noise ** 2
         resid = st.rewards - st.phi @ cfg.mu_theta
-        self._blocks: dict[int, tuple[np.ndarray, _BlockSolver, np.ndarray, np.ndarray]] = {}
-        self.phi_vinv_phi = np.zeros((d, d))
-        self.phi_vinv_resid = np.zeros(d)
-        self.resid_vinv_resid = 0.0
-        self.logdet_v = 0.0
-        for tid in st.task_order:
-            idx = np.nonzero(st.tasks == tid)[0]
-            solver = _BlockSolver(cfg.sigma_delta, cfg.sigma_noise,
-                                  st.actions[idx])
-            vinv_phi = solver.apply(st.phi[idx])
-            vinv_resid = solver.apply(resid[idx])
-            self.phi_vinv_phi += st.phi[idx].T @ vinv_phi
-            self.phi_vinv_resid += st.phi[idx].T @ vinv_resid
-            self.resid_vinv_resid += float(resid[idx] @ vinv_resid)
-            self.logdet_v += solver.logdet
-            self._blocks[tid] = (idx, solver, vinv_phi, vinv_resid)
+        cell = st.task_rows * k + st.actions
+        n = np.bincount(cell, minlength=n_tasks * k).reshape(n_tasks, k)
+        s = np.bincount(cell, resid, minlength=n_tasks * k).reshape(n_tasks, k)
+        root_n = np.sqrt(n)
+        t = np.divide(s, root_n, out=np.zeros_like(s), where=n > 0)
+        b = cfg.sigma_delta * (root_n[:, :, None] * root_n[:, None, :])
+        lower = np.linalg.cholesky(b + s2 * np.eye(k))
+        # numpy has no batched triangular solve; the general one on the
+        # factor gives L^{-1}
+        linv = np.linalg.solve(lower, np.eye(k))
+        linv_d = linv * root_n[:, None, :]                         # L^{-1} D
+        linv_t = linv @ t[:, :, None]                              # L^{-1} t
+        self._g = linv_d.mT @ linv_d
+        self._w = (linv_d.mT @ linv_t)[:, :, 0]
+        self._features = st.features
+        self._rows = dict(zip(st.task_ids.tolist(), range(n_tasks)))
+        flat = st.features.reshape(n_tasks * k, -1)
+        self.phi_vinv_phi = flat.T @ (self._g @ st.features).reshape(
+            n_tasks * k, -1)
+        self.phi_vinv_resid = flat.T @ self._w.reshape(-1)
+        self.resid_vinv_resid = float(resid @ resid - np.sum(t * t)) / s2 \
+            + float(np.sum(linv_t * linv_t))
+        log_pivots = np.log(np.diagonal(lower, axis1=1, axis2=2))
+        self.logdet_v = (resid.shape[0] - n_tasks * k) * np.log(s2) \
+            + 2.0 * float(log_pivots.sum())
 
     def task_cross_terms(self, target_task: int
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(M V^{-1} Phi, M V^{-1} resid, M V^{-1} M^T) for the target task.
 
         M is the K x n cross matrix with entries
-        1{task(j)=target} Sigma_delta[A_j, a]; only the target task's block
-        contributes, so all three products touch one block only.
+        1{task(j)=target} Sigma_delta[A_j, a], that is Sigma_delta P^T on
+        the target's rows, so the products are
+        (Sigma_delta G F, Sigma_delta w, Sigma_delta G Sigma_delta) of the
+        target's block, and zero for a task without records.
         """
         sigma_delta = self.cfg.sigma_delta
-        k = sigma_delta.shape[0]
-        d = self.fm.dim
-        entry = self._blocks.get(target_task)
-        if entry is None:
+        k, d = self._features.shape[1:]
+        row = self._rows.get(target_task)
+        if row is None:
             return np.zeros((k, d)), np.zeros(k), np.zeros((k, k))
-        idx, solver, vinv_phi, vinv_resid = entry
-        m_cols = sigma_delta[:, self.st.actions[idx]]              # K x n_tau
-        m_vinv_phi = m_cols @ vinv_phi
-        m_vinv_resid = m_cols @ vinv_resid
-        m_vinv_m = m_cols @ solver.apply(m_cols.T)
-        return m_vinv_phi, m_vinv_resid, m_vinv_m
+        sd_g = sigma_delta @ self._g[row]
+        return (sd_g @ self._features[row], sigma_delta @ self._w[row],
+                sd_g @ sigma_delta)
 
 
 def theta_posterior_stats(cfg: HierarchyConfig, phi_vinv_phi: np.ndarray,
@@ -281,7 +269,7 @@ def posterior_r_woodbury(cfg: HierarchyConfig, fm: FeatureMap, h: History,
 
     Identical contract to posterior_r_naive; never forms an n x n matrix.
     """
-    cfg.require_gaussian()
+    _require_model(cfg, fm)
     phi_t = fm.task_features(target_x)
     if len(h) == 0:
         return _prior_predictive(cfg, phi_t)
@@ -307,7 +295,7 @@ def posterior_theta(cfg: HierarchyConfig, fm: FeatureMap,
 
     Empty history returns the prior (mu_theta, sigma_theta) exactly.
     """
-    cfg.require_gaussian()
+    _require_model(cfg, fm)
     if len(h) == 0:
         return ThetaPosterior(cfg.mu_theta, cfg.sigma_theta)
     ws = KernelWorkspace(cfg, fm, h)
@@ -368,7 +356,7 @@ def conditional_r_given_theta(cfg: HierarchyConfig, fm: FeatureMap,
     """P(r_i | theta, H_i): prior N(Phi_i theta, Sigma_delta) updated by the
     task's own records.  h_i is a per-task history view (History restricted
     to one task, or any iterable of that task's records)."""
-    cfg.require_gaussian()
+    _require_model(cfg, fm)
     theta_sample = np.asarray(theta_sample, dtype=float)
     if theta_sample.shape != (cfg.dim,):
         raise ConfigError("theta_sample must have length d=%d" % cfg.dim)

@@ -14,7 +14,9 @@ fair comparison.  derive_baseline_priors computes, from a population spec
 
 Empirical Bayes: log_marginal_likelihood evaluates the evidence of the
 variance components (sigma_noise, sigma1) on a history through the blocked
-kernel factorization, and fit_variance_components maximizes it over a grid.
+route, one K x K solve per task on pair statistics
+(gaussian.KernelWorkspace), and fit_variance_components maximizes it over a
+grid.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from .bernoulli import MEAN_CLIP, BetaParams, beta_from_mean_precision, \
 from .core import FeatureMap, HierarchyConfig, History
 from .envs import PopulationSpec, prior_rng
 from .errors import ConfigError
-from .gaussian import KernelWorkspace, _Stacked, theta_posterior_stats
+from .gaussian import KernelWorkspace, _require_model, _Stacked, \
+    theta_posterior_stats
 
 N_BERNOULLI_CANDIDATES = 10
 _CANDIDATE_MEAN_RANGE = (0.1, 0.9)
@@ -186,10 +189,11 @@ def log_marginal_likelihood(sigma_noise: float, sigma_delta: np.ndarray,
     sigma_theta = np.asarray(sigma_theta, dtype=float)
     if not sigma_noise > 0:
         raise ConfigError("sigma_noise must be > 0")
-    if len(h) == 0:
-        raise ConfigError("marginal likelihood needs at least one record")
     cfg = HierarchyConfig(mu_theta=mu_theta, sigma_theta=sigma_theta,
                           sigma_delta=sigma_delta, sigma_noise=sigma_noise)
+    _require_model(cfg, fm)
+    if len(h) == 0:
+        raise ConfigError("marginal likelihood needs at least one record")
     ws = KernelWorkspace(cfg, fm, h, stacked=_stacked)
     u = ws.phi_vinv_resid
     _, sigma_in, logdet_core = theta_posterior_stats(cfg, ws.phi_vinv_phi, u)
@@ -240,6 +244,7 @@ def fit_variance_components(fm: FeatureMap, h: History,
             table.append((float(sn), float(s1), score))
             if best is None or _better(cand, best):
                 best = cand
-    assert best is not None
+    if best is None:
+        raise ConfigError("variance-component grids must be nonempty")
     return VarianceFit(sigma_noise=best[2], sigma1_sq=best[1],
                        log_marginal=best[0], table=tuple(table))

@@ -11,6 +11,22 @@ def random_cov(rng, k, scale=1.0):
     return scale * (a @ a.T / k + 0.5 * np.eye(k))
 
 
+EFFECT_KINDS = ("diag", "dense", "rank-one", "zero")
+
+
+def effect_cov(rng, k, kind):
+    """A K x K Sigma_delta of one of EFFECT_KINDS: diagonal, dense and
+    nonsingular, rank one (singular for K >= 2), or all zero."""
+    if kind == "diag":
+        return np.diag(rng.uniform(0.05, 1.0, size=k))
+    if kind == "dense":
+        return random_cov(rng, k, scale=0.6)
+    if kind == "rank-one":
+        v = rng.standard_normal(k)
+        return np.outer(v, v)
+    return np.zeros((k, k))
+
+
 def random_instance(rng, max_tasks=6, max_records_per_task=5, max_arms=3,
                     max_dim=4, diag_prob=0.5):
     """Random small LMM instance: config, feature map, history, target task.
@@ -56,3 +72,16 @@ def oracle_record_list(fm, h):
         phi_row = fm.feature(fm.metadata_for(rec.task_id), rec.action)
         out.append((rec.task_id, phi_row, rec.reward, rec.action))
     return out
+
+
+def dense_effect_rows(cfg, fm, h):
+    """(tasks, actions, phi, resid, V) of h's rows: each row's feature
+    vector, its residual R - phi^T mu_theta, and the dense n x n
+    effect-plus-noise covariance
+    V[l, m] = Sigma_delta[A_l, A_m] 1{task(l) == task(m)} + sigma^2 1{l == m}."""
+    tasks, actions, rewards = h.columns()
+    phi = np.array([row for _, row, _, _ in oracle_record_list(fm, h)])
+    same = tasks[:, None] == tasks[None, :]
+    v = cfg.sigma_delta[np.ix_(actions, actions)] * same \
+        + cfg.sigma_noise ** 2 * np.eye(len(h))
+    return tasks, actions, phi, rewards - phi @ cfg.mu_theta, v

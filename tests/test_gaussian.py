@@ -1,5 +1,7 @@
 """Gaussian posterior tests against independent conditioning oracles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,10 @@ from hierbandit.gaussian import (GaussianBelief, GPConfig, ThetaPosterior,
                                  marginal_task_belief, posterior_r_gp,
                                  posterior_r_naive, posterior_r_woodbury,
                                  posterior_theta)
+from hierbandit.priors import log_marginal_likelihood
 
-from conftest import oracle_record_list, random_cov, random_instance
+from conftest import (EFFECT_KINDS, dense_effect_rows, effect_cov,
+                      oracle_record_list, random_cov, random_instance)
 from oracles import (joint_posterior_oracle, ridge_posterior_oracle,
                      scalar_conjugate_oracle, target_records,
                      theta_posterior_oracle)
@@ -91,42 +95,72 @@ def test_naive_matches_joint_oracle_randomized():
 
 def test_woodbury_matches_naive_randomized():
     rng = np.random.default_rng(13)
-    for _ in range(40):
+    for i in range(60):
         cfg, fm, h, tid, x = random_instance(rng)
+        if i >= 40:
+            kind = ("rank-one", "zero")[i % 2]
+            cfg = replace(cfg, sigma_delta=effect_cov(rng, fm.n_arms, kind))
         bn = posterior_r_naive(cfg, fm, h, tid, x)
         bw = posterior_r_woodbury(cfg, fm, h, tid, x)
         np.testing.assert_allclose(bw.mean, bn.mean, atol=1e-9)
         np.testing.assert_allclose(bw.cov, bn.cov, atol=1e-9)
 
 
-def test_block_solver_matches_dense_solve():
-    # The rank-one per-arm groups a diagonal Sigma_delta selects, against a
-    # direct dense solve and log-determinant of each task's V block.
+@pytest.mark.parametrize("kind", EFFECT_KINDS)
+def test_kernel_workspace_matches_dense_v(kind):
+    # All five workspace outputs against the dense n x n V of the history,
+    # cross terms for a pulled target and for a target without records.
     rng = np.random.default_rng(17)
-    rhs_rng = np.random.default_rng(18)
     hits = 0
     for _ in range(30):
-        cfg, fm, h, tid, x = random_instance(rng, diag_prob=1.0)
+        cfg, fm, h, _, _ = random_instance(rng)
         if len(h) == 0:
             continue
         hits += 1
-        for task in sorted({rec.task_id for rec in h}):
-            actions = np.array([rec.action for rec in h
-                                if rec.task_id == task])
-            solver = gaussian._BlockSolver(cfg.sigma_delta, cfg.sigma_noise,
-                                           actions)
-            assert not solver.dense
-            block = cfg.sigma_delta[np.ix_(actions, actions)] \
-                + cfg.sigma_noise ** 2 * np.eye(actions.size)
-            for rhs in (rhs_rng.standard_normal(actions.size),
-                        rhs_rng.standard_normal((actions.size, 3))):
-                np.testing.assert_allclose(solver.apply(rhs),
-                                           np.linalg.solve(block, rhs),
-                                           atol=1e-10)
-            np.testing.assert_allclose(solver.logdet,
-                                       np.linalg.slogdet(block)[1],
-                                       atol=1e-10)
+        cfg = replace(cfg, sigma_delta=effect_cov(rng, fm.n_arms, kind))
+        tasks, actions, phi, resid, v = dense_effect_rows(cfg, fm, h)
+        vinv_phi = np.linalg.solve(v, phi)
+        vinv_resid = np.linalg.solve(v, resid)
+        ws = gaussian.KernelWorkspace(cfg, fm, h)
+        np.testing.assert_allclose(ws.phi_vinv_phi, phi.T @ vinv_phi,
+                                   atol=1e-10)
+        np.testing.assert_allclose(ws.phi_vinv_resid, phi.T @ vinv_resid,
+                                   atol=1e-10)
+        np.testing.assert_allclose(ws.resid_vinv_resid, resid @ vinv_resid,
+                                   atol=1e-10)
+        np.testing.assert_allclose(ws.logdet_v, np.linalg.slogdet(v)[1],
+                                   atol=1e-10)
+        unpulled = len(fm.known_tasks())
+        for target in (int(tasks[-1]), unpulled):
+            m = cfg.sigma_delta[:, actions] * (tasks == target)
+            want = (m @ vinv_phi, m @ vinv_resid, m @ np.linalg.solve(v, m.T))
+            for got, ref in zip(ws.task_cross_terms(target), want):
+                np.testing.assert_allclose(got, ref, atol=1e-10)
     assert hits >= 10
+
+
+@pytest.mark.parametrize("route", ["naive", "woodbury", "theta",
+                                   "log-marginal", "conditional"])
+@pytest.mark.parametrize("size", [1, 3])
+def test_routes_reject_sigma_delta_of_wrong_size(route, size):
+    fm = FeatureMap.indicator_with_metadata(
+        n_arms=2, dim=2, task_metadata={0: np.zeros(0)})
+    cfg = HierarchyConfig(mu_theta=np.zeros(2), sigma_theta=np.eye(2),
+                          sigma_delta=0.5 * np.eye(size), sigma_noise=1.0)
+    call = {
+        "naive": lambda h: posterior_r_naive(cfg, fm, h, 0, np.zeros(0)),
+        "woodbury": lambda h: posterior_r_woodbury(cfg, fm, h, 0,
+                                                   np.zeros(0)),
+        "theta": lambda h: posterior_theta(cfg, fm, h),
+        "log-marginal": lambda h: log_marginal_likelihood(
+            1.0, cfg.sigma_delta, fm, h, cfg.mu_theta, cfg.sigma_theta),
+        "conditional": lambda h: conditional_r_given_theta(
+            cfg, fm, h, np.zeros(2), np.zeros(0)),
+    }[route]
+    for h in (History(), History([InteractionRecord(0, 1, 0.5, 1)])):
+        with pytest.raises(ConfigError,
+                           match="sigma_delta is %d x %d" % (size, size)):
+            call(h)
 
 
 def test_woodbury_empty_history_is_prior_predictive():

@@ -1,8 +1,10 @@
 """The benchmark in perfbench/ calls the package through public functions
 (set-up of every pair, a traced copy of the simulation loop, run_pair); on
 each run workload's tiny warm-up config those calls must still work and
-agree with run_experiment, so an API change that breaks the benchmark
-fails here rather than as a failed benchmark run."""
+agree with run_experiment, and the posterior-routes query mix must run
+without a failed query with its dense and blocked routes in agreement, so
+an API change that breaks the benchmark fails here rather than as a failed
+benchmark run."""
 
 import sys
 from pathlib import Path
@@ -33,3 +35,15 @@ def test_perfbench_run_workload_calls(tmp_path, workload):
             assert harness.columns_equal(
                 columns[(algorithm.name, seed)],
                 bench.run_pair(config, algorithm, seed))
+
+
+def test_perfbench_posterior_routes_agree():
+    histories = harness.build_histories(0)
+    queries = harness.posterior_queries(histories)
+    keys = [key for key, _ in queries]
+    runs = [harness.run_query(fn) for _, fn in queries]
+    assert sum(failed for _, failed in runs) == 0
+    count, worst = harness.route_disagreements(
+        keys, [result for result, _ in runs])
+    assert count == 0
+    assert worst < workloads.ROUTE_TOLERANCE

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.stats import multivariate_normal
 
 from hierbandit.core import (FeatureMap, History, InteractionRecord)
 from hierbandit.envs import PopulationSpec, generate_population
@@ -10,6 +11,7 @@ from hierbandit.priors import (derive_baseline_priors, fit_variance_components,
                                log_marginal_likelihood, marginal_arm_variance,
                                two_level_task_variance)
 
+from conftest import dense_effect_rows, random_instance
 from oracles import logistic, normal_log_pdf_oracle
 
 
@@ -130,6 +132,26 @@ def test_lml_permutation_invariant():
         np.testing.assert_allclose(got, base, atol=1e-9)
 
 
+def test_lml_matches_dense_kernel_logpdf():
+    # Dense Sigma_delta: the blocked evidence against the log density of
+    # the stacked rewards under the full n x n kernel.
+    rng = np.random.default_rng(41)
+    hits = 0
+    for _ in range(30):
+        cfg, fm, h, _, _ = random_instance(rng, diag_prob=0.0)
+        if len(h) == 0:
+            continue
+        hits += 1
+        _, _, phi, resid, v = dense_effect_rows(cfg, fm, h)
+        want = multivariate_normal.logpdf(
+            resid, mean=np.zeros(len(h)),
+            cov=phi @ cfg.sigma_theta @ phi.T + v)
+        got = log_marginal_likelihood(cfg.sigma_noise, cfg.sigma_delta, fm,
+                                      h, cfg.mu_theta, cfg.sigma_theta)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+    assert hits >= 10
+
+
 def test_lml_prefers_generating_noise_scale():
     spec = PopulationSpec(n_tasks=60, horizon=10, n_arms=2, dim=3,
                           sigma_noise=1.0, sigma1_sq=0.5, seed=6)
@@ -183,3 +205,11 @@ def test_fit_table_covers_grid():
     assert len(fit.table) == 6
     pairs = {(sn, s1) for sn, s1, _ in fit.table}
     assert pairs == {(sn, s1) for sn in (0.5, 1.0) for s1 in (0.1, 0.2, 0.3)}
+
+
+@pytest.mark.parametrize("noise_grid, s1_grid", [([], [0.3]), ([0.7], []),
+                                                 ([], [])])
+def test_fit_rejects_empty_grid(noise_grid, s1_grid):
+    fm, h, mu, st = _single_record_setup()
+    with pytest.raises(ConfigError, match="nonempty"):
+        fit_variance_components(fm, h, noise_grid, s1_grid, mu, st)
