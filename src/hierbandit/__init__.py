@@ -14,7 +14,7 @@ oracle-adjusted regret across task populations.
 from ._version import __version__
 from .agents import AgentContext, Policy, algorithm_names, make_policy
 from .bench import (AlgorithmSpec, ExperimentConfig, run_experiment,
-                    run_pair, simulate_ledger, simulate_run)
+                    run_pair, run_seed, simulate_ledger, simulate_run)
 from .bernoulli import (BetaParams, ThetaChain, beta_from_mean_precision,
                         bblm_prior_for_task, conjugate_update,
                         precision_for_variance, sample_theta_mcmc)
@@ -40,7 +40,7 @@ __all__ = [
     "__version__",
     "AgentContext", "Policy", "algorithm_names", "make_policy",
     "AlgorithmSpec", "ExperimentConfig", "run_experiment", "run_pair",
-    "simulate_ledger", "simulate_run",
+    "run_seed", "simulate_ledger", "simulate_run",
     "BetaParams", "ThetaChain", "beta_from_mean_precision",
     "bblm_prior_for_task", "conjugate_update", "precision_for_variance",
     "sample_theta_mcmc",

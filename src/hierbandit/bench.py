@@ -36,7 +36,7 @@ from .envs import (InteractionSchedule, Population, PopulationSpec,
 from .errors import ConfigError
 from .metrics import (ORACLE_NAME, Curve, RegretLedger, bayes_regret_curve,
                       cumulative_regret_by_seed, multi_task_regret_curve)
-from .priors import DerivedPriors, derive_baseline_priors
+from .priors import derive_baseline_priors
 from .svgplot import Series, write_line_plot
 
 SCHEMA_VERSION = 1
@@ -146,20 +146,15 @@ class ExperimentConfig:
             check_algorithm(reward_kind, a.name, a.options_dict(), kind)
 
         seeds_raw = raw["seeds"]
-        if isinstance(seeds_raw, bool):
+        if isinstance(seeds_raw, int) and not isinstance(seeds_raw, bool):
+            seeds_raw = range(seeds_raw)
+        if not isinstance(seeds_raw, (list, tuple, range)):
             raise ConfigError("seeds must be an int or a list of ints")
-        if isinstance(seeds_raw, int):
-            if seeds_raw < 2:
-                raise ConfigError("need at least 2 seeds for curve output")
-            seeds = tuple(range(seeds_raw))
-        elif isinstance(seeds_raw, (list, tuple)):
-            seeds = tuple(int(check_count("seed", s, 0)) for s in seeds_raw)
-            if len(seeds) < 2:
-                raise ConfigError("need at least 2 seeds for curve output")
-            if len(set(seeds)) != len(seeds):
-                raise ConfigError("seeds must be distinct")
-        else:
-            raise ConfigError("seeds must be an int or a list of ints")
+        seeds = tuple(int(check_count("seed", s, 0)) for s in seeds_raw)
+        if len(seeds) < 2:
+            raise ConfigError("need at least 2 seeds for curve output")
+        if len(set(seeds)) != len(seeds):
+            raise ConfigError("seeds must be distinct")
 
         parallelism = check_count("parallelism", raw.get("parallelism", 1), 1)
         emit_mtr = check_flag("emit_mtr", raw.get("emit_mtr", True))
@@ -261,8 +256,7 @@ def simulate_run(population: Population, table: RewardTable, policy: Policy,
         arms[start:stop], rewards[start:stop] = policy.play(
             table, task_ids[start:stop], rounds[start:stop])
         hook(int(task_ids[stop - 1]))
-    means = np.stack([t.true_means for t in population.tasks])
-    gaps = population.best_means[task_ids] - means[task_ids, arms]
+    gaps = population.best_means[task_ids] - population.means[task_ids, arms]
     return task_ids, rounds, arms, rewards, gaps
 
 
@@ -272,51 +266,47 @@ def make_population(spec: PopulationSpec) -> Population:
     return generate_population(spec)
 
 
-def seed_priors(config: ExperimentConfig, seed: int) -> DerivedPriors:
-    """derive_baseline_priors of the seed's population: a pure function of
-    the seed, shared by every algorithm run on it."""
-    spec = config.spec_for_seed(seed)
-    return derive_baseline_priors(spec, make_population(spec).theta)
-
-
-def run_pair(config: ExperimentConfig, algorithm: AlgorithmSpec, seed: int,
-             priors: DerivedPriors | None = None) -> tuple[np.ndarray, ...]:
-    """Simulate one (algorithm, seed) pair from scratch (process-safe);
-    priors, when given, are seed_priors(config, seed)."""
+def run_seed(config: ExperimentConfig, seed: int,
+             algorithms: tuple[AlgorithmSpec, ...] | None = None
+             ) -> list[tuple[np.ndarray, ...]]:
+    """Build the seed's population, reward table, baseline priors and
+    schedule once, then play each of algorithms (config.run_specs() by
+    default) on them in order (process-safe); returns their columns."""
     spec = config.spec_for_seed(seed)
     population = make_population(spec)
     table = RewardTable(population)
-    if priors is None:
-        priors = derive_baseline_priors(spec, population.theta)
-    ctx = AgentContext(population=population, priors=priors,
-                       rng=agent_rng(seed, algorithm.name),
-                       schedule_kind=config.schedule_kind)
-    policy = make_policy(algorithm.name, ctx, algorithm.options_dict())
+    priors = derive_baseline_priors(spec, population.theta)
     schedule = make_schedule(config.schedule_kind, spec.n_tasks, spec.horizon)
-    return simulate_run(population, table, policy, schedule)
+    runs = []
+    for algorithm in algorithms or config.run_specs():
+        ctx = AgentContext(population=population, priors=priors,
+                           rng=agent_rng(seed, algorithm.name),
+                           schedule_kind=config.schedule_kind)
+        policy = make_policy(algorithm.name, ctx, algorithm.options_dict())
+        runs.append(simulate_run(population, table, policy, schedule))
+    return runs
+
+
+def run_pair(config: ExperimentConfig, algorithm: AlgorithmSpec, seed: int
+             ) -> tuple[np.ndarray, ...]:
+    """Simulate one (algorithm, seed) pair from scratch (process-safe)."""
+    return run_seed(config, seed, (algorithm,))[0]
 
 
 def simulate_ledger(config: ExperimentConfig) -> RegretLedger:
     """All (algorithm, seed) runs merged into one ledger, deterministically
     ordered by the config's algorithm order then seed order regardless of
-    parallelism.  Each seed's priors are derived once, then every pair
-    runs on its own (in a process pool when parallelism > 1)."""
-    algorithms, seeds = zip(*[(algorithm, seed)
-                              for algorithm in config.run_specs()
-                              for seed in config.seeds])
-    if config.parallelism > 1 and len(seeds) > 1:
+    parallelism.  A seed is the unit of work: run_seed, serially or as one
+    task of a process pool when parallelism > 1."""
+    if config.parallelism > 1:
         with ProcessPoolExecutor(max_workers=config.parallelism) as pool:
-            priors = dict(zip(config.seeds, pool.map(
-                seed_priors, repeat(config), config.seeds)))
-            results = list(pool.map(run_pair, repeat(config), algorithms,
-                                    seeds, [priors[s] for s in seeds]))
+            results = list(pool.map(run_seed, repeat(config), config.seeds))
     else:
-        priors = {seed: seed_priors(config, seed) for seed in config.seeds}
-        results = [run_pair(config, a, s, priors[s])
-                   for a, s in zip(algorithms, seeds)]
+        results = [run_seed(config, seed) for seed in config.seeds]
     ledger = RegretLedger()
-    for algorithm, seed, cols in zip(algorithms, seeds, results):
-        ledger.extend_run(algorithm.name, seed, *cols)
+    for algorithm, runs in zip(config.run_specs(), zip(*results)):
+        for seed, cols in zip(config.seeds, runs):
+            ledger.extend_run(algorithm.name, seed, *cols)
     return ledger
 
 

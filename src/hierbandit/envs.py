@@ -120,16 +120,18 @@ class PopulationSpec:
 
 @dataclass(frozen=True)
 class Population:
-    """One sampled population: true coefficients, tasks, feature map."""
+    """One sampled population: read-only true coefficients theta, tasks,
+    feature map, and the tasks' read-only (n_tasks, n_arms) arm means."""
 
     spec: PopulationSpec
     theta: np.ndarray
     tasks: tuple[TaskInstance, ...]
     feature_map: FeatureMap
+    means: np.ndarray
 
     @property
     def best_means(self) -> np.ndarray:
-        return np.array([t.true_means.max() for t in self.tasks])
+        return self.means.max(axis=1)
 
 
 def _draw_task_frames(spec: PopulationSpec, rng: np.random.Generator
@@ -168,11 +170,14 @@ def _generate(spec: PopulationSpec, lam: float) -> Population:
     else:
         probs = clipped_logistic(centers)
         means = rng.beta(probs / spec.psi, (1.0 - probs) / spec.psi)
+    theta.setflags(write=False)
+    means.setflags(write=False)
     tasks = tuple(TaskInstance(task_id=i, metadata=metadata[i],
                                true_means=means[i]) for i in range(n))
     fm = FeatureMap.indicator_with_metadata(
         k, spec.dim, task_metadata={i: metadata[i] for i in range(n)})
-    return Population(spec=spec, theta=theta, tasks=tasks, feature_map=fm)
+    return Population(spec=spec, theta=theta, tasks=tasks, feature_map=fm,
+                      means=means)
 
 
 def generate_population(spec: PopulationSpec) -> Population:
@@ -201,7 +206,7 @@ class RewardTable:
     uniforms (Bernoulli) drawn once from the seed's noise stream; the reward
     any algorithm sees for (task, round, arm) is then a pure function of the
     tuple, so algorithms face identical luck and regret differences are
-    paired.
+    paired.  The noise is read-only, as every algorithm reads one table.
     """
 
     def __init__(self, population: Population):
@@ -212,8 +217,9 @@ class RewardTable:
             self._noise = rng.standard_normal(shape)
         else:
             self._noise = rng.uniform(size=shape)
+        self._noise.setflags(write=False)
         self._spec = spec
-        self._means = np.stack([t.true_means for t in population.tasks])
+        self._means = population.means
 
     def reward(self, task_id: int, round_within_task: int, arm: int) -> float:
         """Reward for pulling arm at the task's 1-based round."""
@@ -302,12 +308,15 @@ def make_schedule(kind: str, n_tasks: int, horizon: int,
     if kind == "custom":
         if stream is None:
             raise ScheduleError("custom schedule needs a task stream")
-        stream = tuple(int(t) for t in stream)
+        stream = tuple(stream)
         counts = np.zeros(n_tasks, dtype=np.int64)
         for tid in stream:
-            if not 0 <= tid < n_tasks:
-                raise ScheduleError("task id %d outside [0, %d)" % (tid, n_tasks))
+            if isinstance(tid, bool) or not isinstance(tid, (int, np.integer)) \
+                    or not 0 <= tid < n_tasks:
+                raise ScheduleError("custom schedule task ids must be integers"
+                                    " in [0, %d), got %r" % (n_tasks, tid))
             counts[tid] += 1
+        stream = tuple(map(int, stream))
         if not np.all(counts == horizon):
             bad = int(np.nonzero(counts != horizon)[0][0])
             raise ScheduleError(

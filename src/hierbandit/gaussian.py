@@ -390,6 +390,7 @@ def marginal_task_belief(cfg: HierarchyConfig, fm: FeatureMap,
     exactly.  This is what the vanilla hierarchical-TS agent samples from;
     it equals the kernel routes to numerical precision.
     """
+    _require_model(cfg, fm)
     phi_t = fm.task_features(target_x)
     pulled = np.nonzero(counts > 0)[0]
     if pulled.size == 0:
@@ -434,7 +435,7 @@ class ThetaStatAccumulator:
     """
 
     def __init__(self, cfg: HierarchyConfig, fm: FeatureMap, task_ids: Sequence[int]):
-        cfg.require_gaussian()
+        _require_model(cfg, fm)
         self._effect_var = diagonal_effect_variances(cfg)
         self._index = {int(t): k for k, t in enumerate(task_ids)}
         n_tasks = len(self._index)

@@ -246,30 +246,45 @@ def test_parallel_ledger_matches_serial():
 
 
 def test_priors_derived_once_per_seed(monkeypatch):
-    # simulate_ledger derives each seed's priors once for all its pairs,
-    # serial or in the pool; the ledger equals one whose pairs each derive
-    # their own through run_pair's three-argument form.
-    raw = {"population": {"n_tasks": 3, "horizon": 4, "n_arms": 2, "dim": 2,
-                          "reward_kind": "bernoulli"},
-           "schedule": "sequential", "algorithms": ["individual-ts", "meta-ts"],
-           "seeds": [1, 2]}
-    serial = ExperimentConfig.from_dict(raw)
-    per_pair = RegretLedger()
-    for algorithm in serial.run_specs():
-        for seed in serial.seeds:
-            per_pair.extend_run(algorithm.name, seed,
-                                *run_pair(serial, algorithm, seed))
+    # simulate_ledger builds each seed's population, reward table, priors
+    # and schedule once for all its algorithms, and its ledger equals one
+    # whose pairs each build their own through run_pair: serially and with
+    # more workers than seeds, for every registered policy of both reward
+    # kinds (the schedule is sequential, so the aligned policies run too).
+    shared = ("make_population", "RewardTable", "derive_baseline_priors",
+              "make_schedule")
     calls = []
 
-    def counted(spec, theta):
-        calls.append(spec.seed)
-        return derive_baseline_priors(spec, theta)
+    def counted(name, build):
+        def wrapper(*args):
+            calls.append(name)
+            return build(*args)
+        return wrapper
 
-    monkeypatch.setattr(bench, "derive_baseline_priors", counted)
-    assert list(simulate_ledger(serial).rows()) == list(per_pair.rows())
-    assert calls == [1, 2]
-    parallel = ExperimentConfig.from_dict(dict(raw, parallelism=2))
-    assert list(simulate_ledger(parallel).rows()) == list(per_pair.rows())
+    for kind in ("gaussian", "bernoulli"):
+        raw = {"population": {"n_tasks": 3, "horizon": 4, "n_arms": 2,
+                              "dim": 2, "reward_kind": kind},
+               "schedule": "sequential",
+               "algorithms": [
+                   {"name": name, "options": {"align": True}}
+                   if (kind, name) == ("gaussian", "oracle-ts") else name
+                   for name in agents.algorithm_names(kind)],
+               "seeds": [1, 2]}
+        serial = ExperimentConfig.from_dict(raw)
+        per_pair = RegretLedger()
+        for algorithm in serial.run_specs():
+            for seed in serial.seeds:
+                per_pair.extend_run(algorithm.name, seed,
+                                    *run_pair(serial, algorithm, seed))
+        calls.clear()
+        with monkeypatch.context() as patch:
+            for name in shared:
+                patch.setattr(bench, name, counted(name, getattr(bench, name)))
+            assert list(simulate_ledger(serial).rows()) == \
+                list(per_pair.rows())
+        assert sorted(calls) == sorted(shared * len(serial.seeds))
+        parallel = ExperimentConfig.from_dict(dict(raw, parallelism=3))
+        assert list(simulate_ledger(parallel).rows()) == list(per_pair.rows())
 
 
 def test_shipped_configs_parse():

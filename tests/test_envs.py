@@ -156,6 +156,9 @@ def test_schedule_custom():
         make_schedule("custom", n_tasks=2, horizon=2, stream=[0, 0, 0, 1])
     with pytest.raises(ScheduleError):
         make_schedule("custom", n_tasks=2, horizon=2, stream=[0, 0, 1, 1, 1])
+    for stream in ([0, 1.7, 1, 0.2], [0, True, 1, False]):
+        with pytest.raises(ScheduleError, match="must be integers"):
+            make_schedule("custom", n_tasks=2, horizon=2, stream=stream)
     with pytest.raises(ScheduleError):
         make_schedule("interleaved", n_tasks=2, horizon=2)
     with pytest.raises(ScheduleError):
@@ -168,6 +171,8 @@ def test_reward_table_pairing():
     table_a = RewardTable(pop)
     table_b = RewardTable(pop)
     assert table_a.reward(1, 2, 0) == table_b.reward(1, 2, 0)
+    with pytest.raises(ValueError, match="read-only"):
+        table_a._noise[1, 1, 0] = 0.0
     with pytest.raises(ScheduleError):
         table_a.reward(0, 0, 0)
     with pytest.raises(ScheduleError):
@@ -257,5 +262,11 @@ def test_atomic_write(tmp_path):
 def test_population_accessors():
     spec = _spec(seed=10)
     pop = generate_population(spec)
+    stacked = np.stack([t.true_means for t in pop.tasks])
+    assert pop.means.shape == stacked.shape
+    assert pop.means.tobytes() == stacked.tobytes()
+    for shared in (pop.means, pop.theta):
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0] = 0.0
     np.testing.assert_array_equal(
         pop.best_means, [t.true_means.max() for t in pop.tasks])

@@ -140,7 +140,8 @@ def test_kernel_workspace_matches_dense_v(kind):
 
 
 @pytest.mark.parametrize("route", ["naive", "woodbury", "theta",
-                                   "log-marginal", "conditional"])
+                                   "log-marginal", "conditional", "marginal",
+                                   "accumulator"])
 @pytest.mark.parametrize("size", [1, 3])
 def test_routes_reject_sigma_delta_of_wrong_size(route, size):
     fm = FeatureMap.indicator_with_metadata(
@@ -156,6 +157,11 @@ def test_routes_reject_sigma_delta_of_wrong_size(route, size):
             1.0, cfg.sigma_delta, fm, h, cfg.mu_theta, cfg.sigma_theta),
         "conditional": lambda h: conditional_r_given_theta(
             cfg, fm, h, np.zeros(2), np.zeros(0)),
+        "marginal": lambda h: marginal_task_belief(
+            cfg, fm, ThetaPosterior(np.zeros(2), np.eye(2)), np.zeros(0),
+            np.array([0.0, len(h)]), np.array([0.0, 0.5 * len(h)])),
+        "accumulator": lambda h: ThetaStatAccumulator(cfg, fm, [0]).add(
+            0, 1, 0.5),
     }[route]
     for h in (History(), History([InteractionRecord(0, 1, 0.5, 1)])):
         with pytest.raises(ConfigError,
