@@ -44,10 +44,12 @@ overrides return the same arms, rewards and generator state.  The three
 cores (Gaussian conditional, Gaussian independent-arm, Beta) share one count
 store, _CountTS, and differ only in their draw, stated once for an int task
 id and an id array.  _CountTS plays a segment of distinct count slots as one
-vectorized step (hier-ts-batch: split at each coefficient redraw); Gaussian
-hier-ts and Bernoulli hier-ts with refresh_every keep the base loop, and
-Gaussian pooled-ts runs a scalar kernel.  Policies that act at schedule
-boundaries override one hook, _at_boundary.
+vectorized step (hier-ts-batch: split at each coefficient redraw); the Beta
+core plays any other segment as a scalar kernel, one rng.beta call per arm,
+up to _SCALAR_BETA_MAX_ARMS arms.  Gaussian hier-ts and Bernoulli hier-ts
+with refresh_every keep the base loop, and Gaussian pooled-ts runs a scalar
+kernel.  Policies that act at schedule boundaries override one hook,
+_at_boundary.
 """
 
 from __future__ import annotations
@@ -80,6 +82,13 @@ def _pick(scores: np.ndarray) -> np.ndarray:
     if _SCORE_OFFSET is not None:
         scores = scores + _SCORE_OFFSET * np.arange(scores.shape[-1])
     return scores.argmax(axis=-1)
+
+
+def _score_offsets(k: int) -> list[float]:
+    """_pick's offset of each of k arms, as Python floats, for the scalar
+    kernels: they add it to every score and keep the first strict maximum."""
+    return [0.0 if _SCORE_OFFSET is None else _SCORE_OFFSET * a
+            for a in range(k)]
 
 
 @dataclass
@@ -124,8 +133,9 @@ class Policy:
     act(task_id) returns an arm; update(...) feeds back the observed reward.
     play(table, task_ids, rounds) plays one schedule segment, the
     interactions (task_ids[j], rounds[j]) in order against a RewardTable,
-    and returns their (arms int64, rewards float).  _CountTS, HierTSBatched
-    and PooledTS override it; HierTS, and HierTSBernoulli with
+    and returns their (arms int64, rewards float).  _CountTS (and, for a
+    segment that repeats a count slot, _BetaCountTS's scalar kernel),
+    HierTSBatched and PooledTS override it; HierTS, and HierTSBernoulli with
     refresh_every, keep this loop.  end_of_round fires after each
     concurrent round, end_of_task after each task completes under a
     sequential schedule; both call _at_boundary, a no-op by default.  A
@@ -175,7 +185,8 @@ class _CountTS(Policy):
     posterior draw of the arm means for an int task id or an id array (one
     row per task, drawn in row order); act plays its argmax.  play takes a
     segment whose tasks keep distinct slots in one vectorized step
-    (_play_batch), and any other segment through the base loop.
+    (_play_batch), and any other segment through _play_steps, the base loop
+    unless a subclass runs it as a kernel.
     """
 
     n_slots: int | None = None
@@ -213,10 +224,15 @@ class _CountTS(Policy):
     def play(self, table: RewardTable, task_ids: np.ndarray,
              rounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # A segment that names a slot twice reads its own updates (and a
-        # fancy-index += would drop the repeats): it takes the base loop.
+        # fancy-index += would drop the repeats): it takes _play_steps.
         if np.bincount(self.slot_of[task_ids]).max() > 1:
-            return super().play(table, task_ids, rounds)
+            return self._play_steps(table, task_ids, rounds)
         return self._play_batch(table, task_ids, rounds)
+
+    def _play_steps(self, table: RewardTable, task_ids: np.ndarray,
+                    rounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A segment that repeats a slot, one step at a time: the base loop."""
+        return Policy.play(self, table, task_ids, rounds)
 
     def _play_batch(self, table: RewardTable, task_ids: np.ndarray,
                     rounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -493,8 +509,7 @@ class PooledTS(_IndependentArmTS):
             post_var = 1.0 / (inv_prior + n / noise_sq)
             post_mean.append(post_var * (prior_term + s / noise_sq))
             post_sd.append(math.sqrt(post_var))
-        offset = [0.0 if _SCORE_OFFSET is None else _SCORE_OFFSET * a
-                  for a in range(k)]
+        offset = _score_offsets(k)
         arms: list[int] = []
         for z, payoff in zip(normals, payoff_rows.tolist()):
             arm, best = 0, post_mean[0] + post_sd[0] * z[0] + offset[0]
@@ -609,13 +624,27 @@ def _task_beta_priors(phi: np.ndarray, theta: np.ndarray,
     return alpha1.reshape(n, k), alpha2.reshape(n, k)
 
 
+# Most arms for which a step of K scalar rng.beta calls beats one K-array
+# Generator.beta call and its argmax, whose fixed cost is its argument
+# checks.  Per step of a 20-round oracle-ts task (2 vCPUs, Python 3.11,
+# numpy 2.4) the scalar kernel took 9.0/11.9/15.3/18.4 us at K = 8/12/16/20
+# and the base loop about 15-16.5 us at every K from 8 to 24.
+_SCALAR_BETA_MAX_ARMS = 16
+
+
 class _BetaCountTS(_CountTS):
     """Conjugate Beta-Bernoulli TS on per-slot pull counts n and success
     sums S, a reward >= 0.5 counting as a success.
 
     Subclasses supply only _prior(task_ids) -> (alpha1, alpha2), scalars or
     arrays that broadcast against the tasks' (K,) or (n, K) counts; arm a is
-    drawn from Beta(alpha1_a + S_a, alpha2_a + n_a - S_a).
+    drawn from Beta(alpha1_a + S_a, alpha2_a + n_a - S_a).  play takes a
+    segment of distinct slots as the count core's vectorized step; any
+    other segment (a sequential task, a pooled-ts round, a custom stream)
+    runs as a scalar kernel, _play_steps, up to _SCALAR_BETA_MAX_ARMS arms
+    and through the base loop above.  The kernel reads each task's prior
+    once per segment, so a policy whose prior moves inside a segment
+    (hier-ts with refresh_every) keeps the base loop.
     """
 
     def _prior(self, task_id) -> tuple:
@@ -629,6 +658,41 @@ class _BetaCountTS(_CountTS):
         n, successes = self._stats(task_id)
         alpha1, alpha2 = self._prior(task_id)
         return self.rng.beta(alpha1 + successes, alpha2 + (n - successes))
+
+    def _play_steps(self, table: RewardTable, task_ids: np.ndarray,
+                    rounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The base loop on Python floats, up to _SCALAR_BETA_MAX_ARMS arms:
+        the touched slots' counts, each task's prior (keyed by task, as
+        tasks may share a slot) and the segment's payoffs are read once;
+        each step draws arm by arm with one scalar rng.beta call in _draw's
+        operation order (the stream of one K-array call) and plays the
+        first of the highest scores, as _pick."""
+        k = self.counts.shape[1]
+        if k > _SCALAR_BETA_MAX_ARMS:
+            return super()._play_steps(table, task_ids, rounds)
+        tids, slots = task_ids.tolist(), self.slot_of[task_ids].tolist()
+        stats = {slot: (self.counts[slot].tolist(), self.sums[slot].tolist())
+                 for slot in set(slots)}
+        priors = {t: [np.full(k, shape).tolist() for shape in self._prior(t)]
+                  for t in set(tids)}
+        offset = _score_offsets(k)
+        payoff_rows = table.arm_rewards(task_ids, rounds)
+        beta = self.rng.beta
+        arms: list[int] = []
+        for tid, slot, payoff in zip(tids, slots, payoff_rows.tolist()):
+            n, successes = stats[slot]
+            alpha1, alpha2 = priors[tid]
+            scores = [beta(a1 + s, a2 + (c - s)) + o for a1, a2, c, s, o
+                      in zip(alpha1, alpha2, n, successes, offset)]
+            arm = scores.index(max(scores))
+            arms.append(arm)
+            n[arm] += 1.0
+            if payoff[arm] >= 0.5:
+                successes[arm] += 1.0
+        for slot, (n, successes) in stats.items():
+            self.counts[slot], self.sums[slot] = n, successes
+        arms_col = np.array(arms, dtype=np.int64)
+        return arms_col, payoff_rows[np.arange(arms_col.shape[0]), arms_col]
 
 
 class IndividualTSBernoulli(_BetaCountTS):

@@ -261,7 +261,8 @@ def simulate_run(population: Population, table: RewardTable, policy: Policy,
 
 
 def make_population(spec: PopulationSpec) -> Population:
-    if spec.reward_kind == "gaussian" and spec.misspec_lambda != 1.0:
+    # PopulationSpec refuses a warp of Bernoulli rewards.
+    if spec.misspec_lambda != 1.0:
         return generate_misspecified(spec)
     return generate_population(spec)
 

@@ -61,7 +61,8 @@ class PopulationSpec:
     coordinate prior variance of theta (default 1/dim).  sigma1_sq is the
     task-effect variance for Gaussian rewards; psi the Beta precision for
     Bernoulli rewards.  misspec_lambda blends the linear mean with a cosine
-    warp (1.0 = exactly linear; see generate_misspecified).
+    warp (1.0 = exactly linear; see generate_misspecified), Gaussian
+    rewards only.
     """
 
     n_tasks: int
@@ -92,6 +93,8 @@ class PopulationSpec:
             raise ConfigError("psi must be > 0")
         if not 0.0 <= self.misspec_lambda <= 1.0:
             raise ConfigError("misspec_lambda must lie in [0, 1]")
+        if self.reward_kind != "gaussian" and self.misspec_lambda != 1.0:
+            raise ConfigError("misspec_lambda applies to gaussian rewards only")
         if self.theta_scale is not None and not self.theta_scale > 0:
             raise ConfigError("theta_scale must be > 0")
 

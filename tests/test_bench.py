@@ -379,6 +379,29 @@ def test_bernoulli_hier_ts_ledger_bytes_pinned(tmp_path, schedule):
         == _BERNOULLI_HIER_SHA256[schedule]
 
 
+# Bernoulli hier-ts without refresh_every on the sequential tiny config: a
+# task's segment repeats its slot, so it takes the count core's scalar
+# kernel at 3 arms and the base loop above _SCALAR_BETA_MAX_ARMS (24 arms).
+_BERNOULLI_HIER_SEGMENT_SHA256 = {
+    3: ("77b4aeb834f136b5cfec1983bb247bc03e6ade8a810e29053f4daa7640bc17de",
+        "a17786f9a2bafcae6e0fb34c7224d099216ae3f39d770ddc675252b83d88fefe",
+        "417f8219f143b6f26b453dac8e1290f8e9427450742bc3914a181a515b9ba976"),
+    24: ("76d7de4b3d66daef082403493f3d7f541d572e74e824e33968745f1e19d1cebb",
+         "f1edabfbffa647c8f22a8e9d84adb33467d8563e651cfbee06a63b62f3dd7e78",
+         "7ba27981ce8187a5fd564817ea71eec7c9964d22cb08e3e05d413661a48bb85b"),
+}
+
+
+@pytest.mark.parametrize("n_arms", sorted(_BERNOULLI_HIER_SEGMENT_SHA256))
+def test_bernoulli_hier_ts_segment_ledger_bytes_pinned(tmp_path, n_arms):
+    hier = {"name": "hier-ts", "options": {"sweeps": 10, "burn_in": 20}}
+    population = dict(_TINY_POPULATION, reward_kind="bernoulli",
+                      n_arms=n_arms, dim=max(_TINY_POPULATION["dim"], n_arms + 1))
+    assert _bernoulli_artifact_sha256(tmp_path, "sequential", [hier],
+                                      emit_mtr=False, population=population) \
+        == _BERNOULLI_HIER_SEGMENT_SHA256[n_arms]
+
+
 @pytest.mark.parametrize("schedule", sorted(_GAUSSIAN_SHA256))
 def test_gaussian_policies_artifact_bytes_pinned(tmp_path, schedule):
     algorithms = ["hier-ts",
@@ -516,14 +539,14 @@ def test_simulate_run_batched_hook_order(kind, stream, run, expected):
 
 
 def _both_paths(kind, name, options, n_tasks, schedule="concurrent",
-                play=None, no_steps=False):
+                play=None, no_steps=False, n_arms=3):
     """simulate_run of one policy through its own play (or the function
     play, if given) and through the base loop, Policy.play; each as
     (columns, generator end state).  no_steps=True makes act and update
     fail on the first path, which must then not step.  A custom schedule
     plays the tasks in a shuffled order."""
-    spec = PopulationSpec(n_tasks=n_tasks, horizon=7, n_arms=3, dim=4,
-                          reward_kind=kind, seed=21)
+    spec = PopulationSpec(n_tasks=n_tasks, horizon=7, n_arms=n_arms,
+                          dim=max(4, n_arms + 1), reward_kind=kind, seed=21)
     population = generate_population(spec)
     table = RewardTable(population)
     priors = derive_baseline_priors(spec, population.theta, n_mc=2000)
@@ -632,6 +655,83 @@ def test_pooled_ts_play_continues_from_carried_counts(normals):
         assert got.dtype == want.dtype and np.array_equal(got, want)
     assert kernel[4:] == looped[4:]
     if normals == "zeros":
+        assert kernel[0][0] == 0
+
+
+_BERNOULLI_COUNT = [("hier-ts", _BERNOULLI_HIER), ("oracle-ts", {}),
+                    ("individual-ts", {}), ("pooled-ts", {}), ("meta-ts", {})]
+
+
+@pytest.mark.parametrize("n_arms", [3, 24])
+@pytest.mark.parametrize("n_tasks", [1, 6])
+@pytest.mark.parametrize("schedule", ["sequential", "custom"])
+@pytest.mark.parametrize("name, options", _BERNOULLI_COUNT)
+def test_bernoulli_segment_kernel_matches_act_update_loop(name, options,
+                                                          schedule, n_tasks,
+                                                          n_arms):
+    # A segment that repeats a slot runs as the Beta count core's scalar
+    # kernel, never stepping, up to _SCALAR_BETA_MAX_ARMS arms; above it the
+    # segment steps through the base loop.
+    scalar = n_arms <= agents._SCALAR_BETA_MAX_ARMS
+    assert scalar == (n_arms == 3)
+    _assert_same_run(_both_paths("bernoulli", name, options, n_tasks, schedule,
+                                 no_steps=scalar, n_arms=n_arms))
+
+
+@pytest.mark.parametrize("n_arms", [3, 24])
+@pytest.mark.parametrize("n_tasks", [1, 6])
+def test_bernoulli_pooled_ts_round_matches_act_update_loop(n_tasks, n_arms):
+    # Every task of a Bernoulli pooled-ts round shares slot 0, so a round of
+    # more than one task runs as the scalar kernel (one task: the
+    # vectorized step).
+    _assert_same_run(_both_paths("bernoulli", "pooled-ts", {}, n_tasks,
+                                 no_steps=n_arms == 3, n_arms=n_arms))
+
+
+@pytest.mark.parametrize("schedule", ["sequential", "concurrent"])
+def test_bernoulli_kernel_matches_act_update_loop_with_score_offset(
+        monkeypatch, schedule):
+    # The validate suite's argmax offset reaches the Beta kernel's scan as
+    # it reaches the Gaussian one; 0.4 moves the picks toward higher arms.
+    name = "individual-ts" if schedule == "sequential" else "pooled-ts"
+    monkeypatch.setattr(agents, "_SCORE_OFFSET", 0.4)
+    both = _both_paths("bernoulli", name, {}, 6, schedule, no_steps=True)
+    _assert_same_run(both)
+    monkeypatch.setattr(agents, "_SCORE_OFFSET", None)
+    (plain, _), _ = _both_paths("bernoulli", name, {}, 6, schedule)
+    assert not np.array_equal(plain[2], both[0][0][2])
+
+
+@pytest.mark.parametrize("draws", ["generator", "means"])
+def test_bernoulli_kernel_continues_from_carried_counts(draws):
+    # One pooled-ts round played by the kernel on a slot that already holds
+    # pulls, against the loop.  Arms 0 and 1 carry equal counts, so when
+    # every draw is its Beta mean their scores tie at the top and the
+    # kernel must pick arm 0, as argmax does.
+    spec = PopulationSpec(n_tasks=4, horizon=5, n_arms=3, dim=4,
+                          reward_kind="bernoulli", seed=24)
+    population = generate_population(spec)
+    table = RewardTable(population)
+    priors = derive_baseline_priors(spec, population.theta, n_mc=2000)
+    runs = []
+    for play in (PooledTSBernoulli.play, Policy.play):
+        rng = agent_rng(25, "pooled-ts") if draws == "generator" \
+            else SimpleNamespace(beta=lambda a, b: a / (a + b))
+        policy = make_policy("pooled-ts", AgentContext(
+            population, priors, rng, "concurrent"))
+        for record in [(0, 0, 1.0), (1, 1, 1.0), (2, 2, 0.0), (3, 0, 0.0),
+                       (0, 1, 0.0)]:
+            policy.update(*record)
+        cols = play(policy, table, np.array([2, 0, 3, 1, 2, 0]),
+                    np.array([1, 1, 1, 1, 2, 2]))
+        runs.append([*cols, policy.counts.copy(), policy.sums.copy()])
+        if draws == "generator":
+            runs[-1].append(rng.bit_generator.state)
+    kernel, looped = runs
+    for got, want in zip(kernel[:4], looped[:4]):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert kernel[4:] == looped[4:]
+    if draws == "means":
         assert kernel[0][0] == 0
 
 

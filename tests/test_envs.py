@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from hierbandit.bench import ExperimentConfig
 from hierbandit.envs import (InteractionSchedule, Population, PopulationSpec,
                              RewardTable, agent_rng, atomic_write_text,
                              generate_misspecified, generate_population,
@@ -124,6 +125,23 @@ def test_misspec_rejects_bernoulli():
     with pytest.raises(ConfigError):
         generate_misspecified(_spec(reward_kind="bernoulli",
                                     misspec_lambda=0.5))
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.3, 0.999])
+def test_bernoulli_spec_refuses_misspec_lambda(lam):
+    # make_population warps Gaussian populations only, so a Bernoulli spec
+    # that asked for a warp would run unwarped under a manifest that says
+    # otherwise; the spec refuses it, and the config reader with it.
+    with pytest.raises(ConfigError, match="misspec_lambda"):
+        _spec(reward_kind="bernoulli", misspec_lambda=lam)
+    raw = {"population": {"n_tasks": 4, "horizon": 8, "n_arms": 2, "dim": 3,
+                          "reward_kind": "bernoulli", "misspec_lambda": lam},
+           "schedule": "concurrent", "algorithms": ["individual-ts"],
+           "seeds": 2}
+    with pytest.raises(ConfigError, match="misspec_lambda"):
+        ExperimentConfig.from_dict(raw)
+    assert _spec(reward_kind="bernoulli", misspec_lambda=1.0).misspec_lambda \
+        == 1.0
 
 
 def test_schedule_sequential():
