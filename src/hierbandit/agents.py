@@ -45,8 +45,8 @@ cores (Gaussian conditional, Gaussian independent-arm, Beta) share one count
 store, _CountTS, and differ only in their draw, stated once for an int task
 id and an id array.  _CountTS plays a segment of distinct count slots as one
 vectorized step (hier-ts-batch: split at each coefficient redraw); the Beta
-core plays any other segment as a scalar kernel, one rng.beta call per arm,
-up to _SCALAR_BETA_MAX_ARMS arms.  Gaussian hier-ts and Bernoulli hier-ts
+core plays any other segment as a scalar kernel, one rng.beta call per
+arm.  Gaussian hier-ts and Bernoulli hier-ts
 with refresh_every keep the base loop, and Gaussian pooled-ts runs a scalar
 kernel.  Policies that act at schedule boundaries override one hook,
 _at_boundary.
@@ -624,14 +624,6 @@ def _task_beta_priors(phi: np.ndarray, theta: np.ndarray,
     return alpha1.reshape(n, k), alpha2.reshape(n, k)
 
 
-# Most arms for which a step of K scalar rng.beta calls beats one K-array
-# Generator.beta call and its argmax, whose fixed cost is its argument
-# checks.  Per step of a 20-round oracle-ts task (2 vCPUs, Python 3.11,
-# numpy 2.4) the scalar kernel took 9.0/11.9/15.3/18.4 us at K = 8/12/16/20
-# and the base loop about 15-16.5 us at every K from 8 to 24.
-_SCALAR_BETA_MAX_ARMS = 16
-
-
 class _BetaCountTS(_CountTS):
     """Conjugate Beta-Bernoulli TS on per-slot pull counts n and success
     sums S, a reward >= 0.5 counting as a success.
@@ -641,8 +633,7 @@ class _BetaCountTS(_CountTS):
     drawn from Beta(alpha1_a + S_a, alpha2_a + n_a - S_a).  play takes a
     segment of distinct slots as the count core's vectorized step; any
     other segment (a sequential task, a pooled-ts round, a custom stream)
-    runs as a scalar kernel, _play_steps, up to _SCALAR_BETA_MAX_ARMS arms
-    and through the base loop above.  The kernel reads each task's prior
+    runs as a scalar kernel, _play_steps.  The kernel reads each task's prior
     once per segment, so a policy whose prior moves inside a segment
     (hier-ts with refresh_every) keeps the base loop.
     """
@@ -661,15 +652,12 @@ class _BetaCountTS(_CountTS):
 
     def _play_steps(self, table: RewardTable, task_ids: np.ndarray,
                     rounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The base loop on Python floats, up to _SCALAR_BETA_MAX_ARMS arms:
-        the touched slots' counts, each task's prior (keyed by task, as
+        """The base loop on Python floats: the touched slots' counts, each task's prior (keyed by task, as
         tasks may share a slot) and the segment's payoffs are read once;
         each step draws arm by arm with one scalar rng.beta call in _draw's
         operation order (the stream of one K-array call) and plays the
         first of the highest scores, as _pick."""
         k = self.counts.shape[1]
-        if k > _SCALAR_BETA_MAX_ARMS:
-            return super()._play_steps(table, task_ids, rounds)
         tids, slots = task_ids.tolist(), self.slot_of[task_ids].tolist()
         stats = {slot: (self.counts[slot].tolist(), self.sums[slot].tolist())
                  for slot in set(slots)}

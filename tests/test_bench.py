@@ -380,8 +380,8 @@ def test_bernoulli_hier_ts_ledger_bytes_pinned(tmp_path, schedule):
 
 
 # Bernoulli hier-ts without refresh_every on the sequential tiny config: a
-# task's segment repeats its slot, so it takes the count core's scalar
-# kernel at 3 arms and the base loop above _SCALAR_BETA_MAX_ARMS (24 arms).
+# task's segment repeats its slot, so it takes the Beta count core's scalar
+# kernel, at 3 arms and at 24.
 _BERNOULLI_HIER_SEGMENT_SHA256 = {
     3: ("77b4aeb834f136b5cfec1983bb247bc03e6ade8a810e29053f4daa7640bc17de",
         "a17786f9a2bafcae6e0fb34c7224d099216ae3f39d770ddc675252b83d88fefe",
@@ -670,12 +670,9 @@ def test_bernoulli_segment_kernel_matches_act_update_loop(name, options,
                                                           schedule, n_tasks,
                                                           n_arms):
     # A segment that repeats a slot runs as the Beta count core's scalar
-    # kernel, never stepping, up to _SCALAR_BETA_MAX_ARMS arms; above it the
-    # segment steps through the base loop.
-    scalar = n_arms <= agents._SCALAR_BETA_MAX_ARMS
-    assert scalar == (n_arms == 3)
+    # kernel, never stepping, at any number of arms.
     _assert_same_run(_both_paths("bernoulli", name, options, n_tasks, schedule,
-                                 no_steps=scalar, n_arms=n_arms))
+                                 no_steps=True, n_arms=n_arms))
 
 
 @pytest.mark.parametrize("n_arms", [3, 24])
@@ -685,7 +682,7 @@ def test_bernoulli_pooled_ts_round_matches_act_update_loop(n_tasks, n_arms):
     # more than one task runs as the scalar kernel (one task: the
     # vectorized step).
     _assert_same_run(_both_paths("bernoulli", "pooled-ts", {}, n_tasks,
-                                 no_steps=n_arms == 3, n_arms=n_arms))
+                                 no_steps=True, n_arms=n_arms))
 
 
 @pytest.mark.parametrize("schedule", ["sequential", "concurrent"])

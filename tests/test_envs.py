@@ -124,7 +124,7 @@ def test_misspec_normalization_constant():
 def test_misspec_rejects_bernoulli():
     with pytest.raises(ConfigError):
         generate_misspecified(_spec(reward_kind="bernoulli",
-                                    misspec_lambda=0.5))
+                                    misspec_lambda=1.0))
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.3, 0.999])
