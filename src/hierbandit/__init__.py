@@ -21,9 +21,8 @@ from .bernoulli import (BetaParams, ThetaChain, beta_from_mean_precision,
 from .core import (FeatureMap, HierarchyConfig, History, InteractionRecord,
                    TaskInstance)
 from .envs import (InteractionSchedule, Population, PopulationSpec,
-                   RewardTable, agent_rng, generate_misspecified,
-                   generate_population, make_schedule, noise_rng,
-                   population_to_csv)
+                   RewardTable, agent_rng, generate_population,
+                   make_schedule, noise_rng, population_to_csv)
 from .errors import ConfigError, NumericalError, ScheduleError
 from .gaussian import (GaussianBelief, GPConfig, ThetaPosterior,
                        conditional_r_given_theta, gaussian_obs_update,
@@ -47,8 +46,8 @@ __all__ = [
     "FeatureMap", "HierarchyConfig", "History", "InteractionRecord",
     "TaskInstance",
     "InteractionSchedule", "Population", "PopulationSpec", "RewardTable",
-    "agent_rng", "generate_misspecified",
-    "generate_population", "make_schedule", "noise_rng", "population_to_csv",
+    "agent_rng", "generate_population", "make_schedule", "noise_rng",
+    "population_to_csv",
     "ConfigError", "NumericalError", "ScheduleError",
     "GaussianBelief", "GPConfig", "ThetaPosterior",
     "conditional_r_given_theta", "gaussian_obs_update",

@@ -43,13 +43,15 @@ play, whose base version is act, reward and update per interaction;
 overrides return the same arms, rewards and generator state.  The three
 cores (Gaussian conditional, Gaussian independent-arm, Beta) share one count
 store, _CountTS, and differ only in their draw, stated once for an int task
-id and an id array.  _CountTS plays a segment of distinct count slots as one
-vectorized step (hier-ts-batch: split at each coefficient redraw); the Beta
-core plays any other segment as a scalar kernel, one rng.beta call per
-arm.  Gaussian hier-ts and Bernoulli hier-ts
-with refresh_every keep the base loop, and Gaussian pooled-ts runs a scalar
-kernel.  Policies that act at schedule boundaries override one hook,
-_at_boundary.
+id and an id array.  A count policy whose prior moves says how in one hook,
+_refresh, which _CountTS fires at every schedule boundary and, with
+refresh_every = m set, after every m interactions (hier-ts-batch with m:
+only then).  _CountTS.play cuts a segment where the next refresh falls,
+then plays each piece of distinct count slots as one vectorized step and
+any other piece through _play_steps, which the Beta core runs as a scalar
+kernel (one rng.beta call per arm).  Gaussian hier-ts, whose every decision
+reads every earlier update, keeps the base loop (and hier-ts-aligned with
+it), and Gaussian pooled-ts runs its own scalar kernel.
 """
 
 from __future__ import annotations
@@ -133,14 +135,13 @@ class Policy:
     act(task_id) returns an arm; update(...) feeds back the observed reward.
     play(table, task_ids, rounds) plays one schedule segment, the
     interactions (task_ids[j], rounds[j]) in order against a RewardTable,
-    and returns their (arms int64, rewards float).  _CountTS (and, for a
-    segment that repeats a count slot, _BetaCountTS's scalar kernel),
-    HierTSBatched and PooledTS override it; HierTS, and HierTSBernoulli with
-    refresh_every, keep this loop.  end_of_round fires after each
-    concurrent round, end_of_task after each task completes under a
-    sequential schedule; both call _at_boundary, a no-op by default.  A
-    sequential_only policy runs on sequential schedules only
-    (check_algorithm enforces it).
+    and returns their (arms int64, rewards float).  This version is the
+    act/update loop; the count core's segment planner (_CountTS.play) and
+    Gaussian pooled-ts's kernel override it, and HierTS and LinearTS keep
+    it.  end_of_round fires after each concurrent round, end_of_task after
+    each task completes under a sequential schedule; both call _at_boundary,
+    a no-op here.  A sequential_only policy runs on sequential schedules
+    only (check_algorithm enforces it).
     """
 
     name: str = "policy"
@@ -183,13 +184,20 @@ class _CountTS(Policy):
     per task): counts[s, a] pulls of arm a and sums[s, a] the total of
     _observed(reward) over them.  Subclasses supply only _draw(task_id), one
     posterior draw of the arm means for an int task id or an id array (one
-    row per task, drawn in row order); act plays its argmax.  play takes a
-    segment whose tasks keep distinct slots in one vectorized step
-    (_play_batch), and any other segment through _play_steps, the base loop
-    unless a subclass runs it as a kernel.
+    row per task, drawn in row order); act plays its argmax.
+
+    A policy whose prior moves overrides _refresh.  _at_boundary fires it at
+    every schedule boundary; with refresh_every = m set, so does the m-th
+    interaction counted since the last refresh or boundary.  update counts
+    one interaction, and the vectorized step and a kernel count their piece
+    once.  play is the one segment planner: it cuts the segment where the
+    next refresh falls, then plays a piece whose tasks keep distinct slots
+    as one vectorized step (_play_batch) and any other piece through
+    _play_steps, the base loop unless a subclass runs it as a kernel.
     """
 
     n_slots: int | None = None
+    refresh_every: int | None = None
 
     def __init__(self, ctx: AgentContext):
         self.rng = ctx.rng
@@ -197,6 +205,7 @@ class _CountTS(Policy):
         self.slot_of = np.arange(ctx.n_tasks) % n_slots
         self.counts = np.zeros((n_slots, ctx.n_arms))
         self.sums = np.zeros((n_slots, ctx.n_arms))
+        self._since_refresh = 0
 
     def _stats(self, task_id) -> tuple[np.ndarray, np.ndarray]:
         """(counts, sums) of the task's slot."""
@@ -220,27 +229,60 @@ class _CountTS(Policy):
         s = self.slot_of[task_id]
         self.counts[s, arm] += 1.0
         self.sums[s, arm] += self._observed(reward)
+        self._count(1)
+
+    def _update_batch(self, task_ids: np.ndarray, arms: np.ndarray,
+                      rewards: np.ndarray) -> None:
+        """update of every row, for tasks of distinct slots (a fancy-index
+        += drops repeats), counted as one piece."""
+        s = self.slot_of[task_ids]
+        self.counts[s, arms] += 1.0
+        self.sums[s, arms] += self._observed(rewards)
+        self._count(task_ids.shape[0])
+
+    def _count(self, n: int) -> None:
+        """Count n interactions; reaching refresh_every (None: never)
+        resets the count and fires _refresh."""
+        if self.refresh_every is not None:
+            self._since_refresh += n
+            if self._since_refresh >= self.refresh_every:
+                self._since_refresh = 0
+                self._refresh()
+
+    def _refresh(self) -> None:
+        """Move the prior; a no-op here."""
+
+    def _at_boundary(self) -> None:
+        self._since_refresh = 0
+        self._refresh()
 
     def play(self, table: RewardTable, task_ids: np.ndarray,
              rounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # A segment that names a slot twice reads its own updates (and a
-        # fancy-index += would drop the repeats): it takes _play_steps.
-        if np.bincount(self.slot_of[task_ids]).max() > 1:
-            return self._play_steps(table, task_ids, rounds)
-        return self._play_batch(table, task_ids, rounds)
+        parts = []
+        while task_ids.size:
+            n = task_ids.size if self.refresh_every is None \
+                else self.refresh_every - self._since_refresh
+            ids, rnds = task_ids[:n], rounds[:n]
+            # A piece that names a slot twice reads its own updates (and a
+            # fancy-index += would drop the repeats): it takes _play_steps.
+            repeats = np.bincount(self.slot_of[ids]).max() > 1
+            step = self._play_steps if repeats else self._play_batch
+            parts.append(step(table, ids, rnds))
+            task_ids, rounds = task_ids[n:], rounds[n:]
+        return tuple(np.concatenate(col) for col in zip(*parts))
 
     def _play_steps(self, table: RewardTable, task_ids: np.ndarray,
                     rounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """A segment that repeats a slot, one step at a time: the base loop."""
+        """A piece that repeats a slot, one step at a time: the base loop."""
         return Policy.play(self, table, task_ids, rounds)
 
     def _play_batch(self, table: RewardTable, task_ids: np.ndarray,
                     rounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The segment's draws in row order, then its counts: the act and
+        """The piece's draws in row order, then its counts: the act and
         update calls of the loop, for tasks of distinct slots."""
         arms = self._act_batch(task_ids)
         rewards = table.rewards(task_ids, rounds, arms)
-        _CountTS.update(self, task_ids, arms, rewards)
+        self._update_batch(task_ids, arms, rewards)
         return arms, rewards
 
 
@@ -340,19 +382,25 @@ class HierTS(_ConditionalTS):
         return self.acc.features[task_id] @ self._current_theta()
 
     def update(self, task_id: int, arm: int, reward: float) -> None:
-        super().update(task_id, arm, reward)
         self.acc.add(task_id, arm, reward)
+        super().update(task_id, arm, reward)
+
+    def _update_batch(self, task_ids: np.ndarray, arms: np.ndarray,
+                      rewards: np.ndarray) -> None:
+        self.acc.add_many(task_ids, arms, rewards)
+        super()._update_batch(task_ids, arms, rewards)
 
 
 class HierTSBatched(HierTS):
     """Hierarchical TS with a stale coefficient draw.
 
-    refresh_every = m redraws theta after every m interactions; None redraws
-    only at schedule boundaries (end of round or end of task).  m = 1 is
-    exactly hier-ts.  Between redraws no decision reads another task's
-    update, so play takes the count core's vectorized step, split at each
-    redraw, which must see the updates before it; the coefficient records
-    enter the accumulator in row order, as add_many sums them.
+    _refresh drops the cached theta, and the next decision redraws it.
+    refresh_every = m refreshes after every m interactions, and schedule
+    boundaries then leave theta alone; None refreshes at schedule boundaries
+    (end of round or end of task) only.  m = 1 is exactly hier-ts.  Between
+    refreshes no decision reads another task's update, so play is the count
+    core's planner; the coefficient records of a vectorized piece enter the
+    accumulator in row order, as add_many sums them.
     """
 
     name = "hier-ts-batch"
@@ -361,42 +409,19 @@ class HierTSBatched(HierTS):
     def __init__(self, ctx: AgentContext, refresh_every: int | None = None):
         super().__init__(ctx)
         self.refresh_every = refresh_every
-        self._since_refresh = 0
         self._cached_theta: np.ndarray | None = None
 
     def _current_theta(self) -> np.ndarray:
         if self._cached_theta is None:
             self._cached_theta = self._theta_draw()
-            self._since_refresh = 0
         return self._cached_theta
 
-    def _play_batch(self, table: RewardTable, task_ids: np.ndarray,
-                    rounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        parts = []
-        while task_ids.size:
-            self._current_theta()  # a due redraw comes first, as in act
-            n = task_ids.size if self.refresh_every is None \
-                else self.refresh_every - self._since_refresh
-            arms, rewards = super()._play_batch(table, task_ids[:n], rounds[:n])
-            self.acc.add_many(task_ids[:n], arms, rewards)
-            self._count_interactions(arms.shape[0])
-            parts.append((arms, rewards))
-            task_ids, rounds = task_ids[n:], rounds[n:]
-        return tuple(np.concatenate(col) for col in zip(*parts))
-
-    def update(self, task_id: int, arm: int, reward: float) -> None:
-        super().update(task_id, arm, reward)
-        self._count_interactions(1)
-
-    def _count_interactions(self, k: int) -> None:
-        self._since_refresh += k
-        if self.refresh_every is not None \
-                and self._since_refresh >= self.refresh_every:
-            self._cached_theta = None
+    def _refresh(self) -> None:
+        self._cached_theta = None
 
     def _at_boundary(self) -> None:
         if self.refresh_every is None:
-            self._cached_theta = None
+            self._refresh()
 
 
 class AlignedHierTS(HierTS):
@@ -602,7 +627,7 @@ class MetaTS(_ConditionalTS):
     def _prior_mean(self, task_id) -> np.ndarray:
         return self._hyper_sample
 
-    def _at_boundary(self) -> None:
+    def _refresh(self) -> None:
         self._hyper_sample = self._draw_hyper()
 
 
@@ -630,12 +655,11 @@ class _BetaCountTS(_CountTS):
 
     Subclasses supply only _prior(task_ids) -> (alpha1, alpha2), scalars or
     arrays that broadcast against the tasks' (K,) or (n, K) counts; arm a is
-    drawn from Beta(alpha1_a + S_a, alpha2_a + n_a - S_a).  play takes a
-    segment of distinct slots as the count core's vectorized step; any
-    other segment (a sequential task, a pooled-ts round, a custom stream)
-    runs as a scalar kernel, _play_steps.  The kernel reads each task's prior
-    once per segment, so a policy whose prior moves inside a segment
-    (hier-ts with refresh_every) keeps the base loop.
+    drawn from Beta(alpha1_a + S_a, alpha2_a + n_a - S_a).  A piece of
+    the count core's planner that repeats a slot (a sequential task, a
+    pooled-ts round, a custom stream) runs as a scalar kernel, _play_steps.
+    The planner cuts pieces at each refresh, so the kernel reads each task's
+    prior once per piece.
     """
 
     def _prior(self, task_id) -> tuple:
@@ -652,11 +676,12 @@ class _BetaCountTS(_CountTS):
 
     def _play_steps(self, table: RewardTable, task_ids: np.ndarray,
                     rounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The base loop on Python floats: the touched slots' counts, each task's prior (keyed by task, as
-        tasks may share a slot) and the segment's payoffs are read once;
-        each step draws arm by arm with one scalar rng.beta call in _draw's
-        operation order (the stream of one K-array call) and plays the
-        first of the highest scores, as _pick."""
+        """The base loop on Python floats: the touched slots' counts, each
+        task's prior (keyed by task, as tasks may share a slot) and the
+        piece's payoffs are read once; each step draws arm by arm with one
+        scalar rng.beta call in _draw's operation order (the stream of one
+        K-array call) and plays the first of the highest scores, as _pick.
+        The piece is counted once, after its counts are written back."""
         k = self.counts.shape[1]
         tids, slots = task_ids.tolist(), self.slot_of[task_ids].tolist()
         stats = {slot: (self.counts[slot].tolist(), self.sums[slot].tolist())
@@ -679,6 +704,7 @@ class _BetaCountTS(_CountTS):
                 successes[arm] += 1.0
         for slot, (n, successes) in stats.items():
             self.counts[slot], self.sums[slot] = n, successes
+        self._count(len(arms))
         arms_col = np.array(arms, dtype=np.int64)
         return arms_col, payoff_rows[np.arange(arms_col.shape[0]), arms_col]
 
@@ -730,17 +756,16 @@ class HierTSBernoulli(OracleTSBernoulli):
     """Hierarchical TS for Bernoulli rewards: oracle-ts under an MCMC draw
     of theta in place of the true one.
 
-    The first theta is a draw from its prior.  At every schedule boundary
-    (and after `refresh_every` interactions, if set) the agent advances one
-    persistent Metropolis-within-Gibbs chain on the per-slot counts of every
-    task pulled so far and rebuilds each task's Beta prior from the chain's
-    final theta.  The first refresh starts the chain cold at mu_theta with
+    The first theta is a draw from its prior.  Each refresh (at every
+    schedule boundary and, with `refresh_every` = m, after every m
+    interactions since the last one) advances one persistent
+    Metropolis-within-Gibbs chain on the per-slot counts of every task
+    pulled so far and rebuilds each task's Beta prior from the chain's final
+    theta.  The first refresh starts the chain cold at mu_theta with
     `burn_in` sweeps; every refresh then runs `sweeps` more from wherever
     the chain stands, its proposal scale still adapting with a shrinking
     gain.  Each refresh's acceptance rate over those `sweeps` is appended to
-    `acceptance_rates` and its sampler warnings to `mcmc_warnings`.  With
-    `refresh_every` a refresh can fall inside a segment, so play takes the
-    base loop.
+    `acceptance_rates` and its sampler warnings to `mcmc_warnings`.
     """
 
     name = "hier-ts"
@@ -752,7 +777,6 @@ class HierTSBernoulli(OracleTSBernoulli):
         self.burn_in = burn_in
         self.sweeps = sweeps
         self.refresh_every = refresh_every
-        self._since_refresh = 0
         self.acceptance_rates: list[float] = []
         self.mcmc_warnings: list[str] = []
         super().__init__(ctx, theta=cfg.mu_theta
@@ -773,23 +797,6 @@ class HierTSBernoulli(OracleTSBernoulli):
         self.acceptance_rates.append(rate)
         self.mcmc_warnings.extend(acceptance_warnings(rate))
         self._set_theta(self.chain.theta)
-        self._since_refresh = 0
-
-    def play(self, table: RewardTable, task_ids: np.ndarray,
-             rounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if self.refresh_every is not None:
-            return Policy.play(self, table, task_ids, rounds)
-        return super().play(table, task_ids, rounds)
-
-    def update(self, task_id: int, arm: int, reward: float) -> None:
-        super().update(task_id, arm, reward)
-        self._since_refresh += 1
-        if self.refresh_every is not None \
-                and self._since_refresh >= self.refresh_every:
-            self._refresh()
-
-    def _at_boundary(self) -> None:
-        self._refresh()
 
 
 class MetaTSBernoulli(_BetaCountTS):
@@ -823,7 +830,7 @@ class MetaTSBernoulli(_BetaCountTS):
                                 - betaln(a1, a2)))
         return w
 
-    def _at_boundary(self) -> None:
+    def _refresh(self) -> None:
         logw = self._log_weights()
         probs = np.exp(logw - logw.max())
         probs /= probs.sum()

@@ -32,7 +32,7 @@ from .agents import AgentContext, Policy, check_algorithm, make_policy
 from .core import check_count, check_flag
 from .envs import (InteractionSchedule, Population, PopulationSpec,
                    RewardTable, agent_rng, atomic_write_text,
-                   generate_misspecified, generate_population, make_schedule)
+                   generate_population, make_schedule)
 from .errors import ConfigError
 from .metrics import (ORACLE_NAME, Curve, RegretLedger, bayes_regret_curve,
                       cumulative_regret_by_seed, multi_task_regret_curve)
@@ -260,11 +260,7 @@ def simulate_run(population: Population, table: RewardTable, policy: Policy,
     return task_ids, rounds, arms, rewards, gaps
 
 
-def make_population(spec: PopulationSpec) -> Population:
-    # PopulationSpec refuses a warp of Bernoulli rewards.
-    if spec.misspec_lambda != 1.0:
-        return generate_misspecified(spec)
-    return generate_population(spec)
+make_population = generate_population  # the name perfbench/ imports
 
 
 def run_seed(config: ExperimentConfig, seed: int,
@@ -274,7 +270,7 @@ def run_seed(config: ExperimentConfig, seed: int,
     schedule once, then play each of algorithms (config.run_specs() by
     default) on them in order (process-safe); returns their columns."""
     spec = config.spec_for_seed(seed)
-    population = make_population(spec)
+    population = generate_population(spec)
     table = RewardTable(population)
     priors = derive_baseline_priors(spec, population.theta)
     schedule = make_schedule(config.schedule_kind, spec.n_tasks, spec.horizon)

@@ -18,9 +18,8 @@ import os
 import sys
 
 from ._version import __version__
-from .bench import ExperimentConfig, make_population, resolve_output_dir, \
-    run_experiment
-from .envs import population_to_csv
+from .bench import ExperimentConfig, resolve_output_dir, run_experiment
+from .envs import generate_population, population_to_csv
 from .errors import ConfigError, NumericalError, ScheduleError
 from .suites import SUITES, run_suites
 
@@ -101,7 +100,7 @@ def _cmd_validate(args) -> int:
 def _cmd_export_population(args) -> int:
     config = ExperimentConfig.from_file(args.config)
     spec = config.spec_for_seed(config.seeds[0])
-    population = make_population(spec)
+    population = generate_population(spec)
     out = args.out
     if out is None:
         out = os.path.join(resolve_output_dir(None, config), "population.csv")

@@ -61,8 +61,8 @@ class PopulationSpec:
     coordinate prior variance of theta (default 1/dim).  sigma1_sq is the
     task-effect variance for Gaussian rewards; psi the Beta precision for
     Bernoulli rewards.  misspec_lambda blends the linear mean with a cosine
-    warp (1.0 = exactly linear; see generate_misspecified), Gaussian
-    rewards only.
+    warp (1.0 = exactly linear; see generate_population), Gaussian rewards
+    only.
     """
 
     n_tasks: int
@@ -139,8 +139,8 @@ class Population:
 
 def _draw_task_frames(spec: PopulationSpec, rng: np.random.Generator
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(theta, metadata (N, p), linear means (N, K)); fixed draw order so
-    the misspecified generator at lambda=1 is bit-identical to the plain one."""
+    """(theta, metadata (N, p), linear means (N, K)); the draw order does
+    not depend on misspec_lambda, so lambda = 1 is the plain population."""
     d, k, n = spec.dim, spec.n_arms, spec.n_tasks
     theta = rng.standard_normal(d) * np.sqrt(spec.scale)
     metadata = rng.standard_normal((n, spec.p))
@@ -162,11 +162,21 @@ def _blend(linear: np.ndarray, lam: float) -> np.ndarray:
     return (1.0 - lam) * np.cos(c * linear) / c + lam * linear
 
 
-def _generate(spec: PopulationSpec, lam: float) -> Population:
+def generate_population(spec: PopulationSpec) -> Population:
+    """Sample a population from the hierarchy exactly as specified.
+
+    Task i's arm centers are the linear means Phi_i theta warped by
+    lam = spec.misspec_lambda (Gaussian rewards only):
+
+        center_{i,a} = (1 - lam) cos(c (Phi_i theta)_a) / c + lam (Phi_i theta)_a
+
+    with c chosen so the largest |linear mean| maps to pi/2; lam = 1 keeps
+    them linear.
+    """
     rng = population_rng(spec.seed)
     theta, metadata, linear = _draw_task_frames(spec, rng)
     n, k = spec.n_tasks, spec.n_arms
-    centers = _blend(linear, lam)
+    centers = _blend(linear, spec.misspec_lambda)
     if spec.reward_kind == "gaussian":
         effects = rng.standard_normal((n, k)) * np.sqrt(spec.sigma1_sq)
         means = centers + effects
@@ -181,25 +191,6 @@ def _generate(spec: PopulationSpec, lam: float) -> Population:
         k, spec.dim, task_metadata={i: metadata[i] for i in range(n)})
     return Population(spec=spec, theta=theta, tasks=tasks, feature_map=fm,
                       means=means)
-
-
-def generate_population(spec: PopulationSpec) -> Population:
-    """Sample a population from the hierarchy exactly as specified."""
-    return _generate(spec, 1.0)
-
-
-def generate_misspecified(spec: PopulationSpec) -> Population:
-    """Sample a population whose mean structure is warped away from linear:
-
-        center_{i,a} = (1 - lam) cos(c (Phi_i theta)_a) / c + lam (Phi_i theta)_a
-
-    with lam = spec.misspec_lambda and c chosen so the largest |linear mean|
-    maps to pi/2.  lam = 1 reproduces generate_population bit for bit.
-    Gaussian rewards only.
-    """
-    if spec.reward_kind != "gaussian":
-        raise ConfigError("misspecified populations support gaussian rewards only")
-    return _generate(spec, spec.misspec_lambda)
 
 
 class RewardTable:

@@ -28,7 +28,7 @@ from .bernoulli import (BetaParams, beta_from_mean_precision, conjugate_update,
                         log_marginal_counts, outcome_counts,
                         precision_for_variance, sample_theta_mcmc)
 from .core import FeatureMap, HierarchyConfig, History, InteractionRecord
-from .envs import RewardTable
+from .envs import RewardTable, generate_population
 from .errors import ConfigError, NumericalError
 
 SUITES = ("posterior", "conjugacy", "mcmc", "regret")
@@ -405,7 +405,7 @@ def _check_replay_determinism() -> CheckResult:
     detail = "two in-process replays %s" % ("match row for row"
                                             if same else "diverge")
     if same:
-        pops = {s: bench.make_population(config.spec_for_seed(s))
+        pops = {s: generate_population(config.spec_for_seed(s))
                 for s in config.seeds}
         tables = {s: RewardTable(pops[s]) for s in config.seeds}
         try:
@@ -423,7 +423,7 @@ def _check_oracle_beats_random(config: bench.ExperimentConfig,
         metrics.cumulative_regret_by_seed(ledger, "oracle-ts").values()))
     blind = 0.0
     for s in config.seeds:
-        pop = bench.make_population(config.spec_for_seed(s))
+        pop = generate_population(config.spec_for_seed(s))
         gaps = pop.best_means[:, None] - pop.means
         blind += float(gaps.mean(axis=1).sum()) * pop.spec.horizon
     blind /= len(config.seeds)

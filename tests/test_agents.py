@@ -763,8 +763,7 @@ def test_count_core_tallies_pulls_and_sums(kind, name):
 @pytest.mark.parametrize("kind, name, options", [
     ("gaussian", "hier-ts", {}), ("gaussian", "hier-ts-aligned", {}),
     ("gaussian", "pooled-ts", {}), ("gaussian", "linear-ts", {}),
-    ("bernoulli", "pooled-ts", {}),
-    ("bernoulli", "hier-ts", {"refresh_every": 2})])
+    ("bernoulli", "pooled-ts", {})])
 def test_batched_calls_refuse_unflagged_policies(monkeypatch, kind, name,
                                                  options):
     # A policy whose decisions in a round read that round's updates would

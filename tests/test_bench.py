@@ -251,7 +251,7 @@ def test_priors_derived_once_per_seed(monkeypatch):
     # whose pairs each build their own through run_pair: serially and with
     # more workers than seeds, for every registered policy of both reward
     # kinds (the schedule is sequential, so the aligned policies run too).
-    shared = ("make_population", "RewardTable", "derive_baseline_priors",
+    shared = ("generate_population", "RewardTable", "derive_baseline_priors",
               "make_schedule")
     calls = []
 
@@ -591,6 +591,8 @@ _FLAGGED += [("bernoulli", "individual-ts", {}),
              ("bernoulli", "oracle-ts", {}),
              ("bernoulli", "meta-ts", {}),
              ("bernoulli", "hier-ts", _BERNOULLI_HIER)]
+_FLAGGED += [("bernoulli", "hier-ts", dict(_BERNOULLI_HIER, refresh_every=m))
+             for m in (1, 3, 7)]
 
 
 @pytest.mark.parametrize("n_tasks", [1, 6])
@@ -598,8 +600,9 @@ _FLAGGED += [("bernoulli", "individual-ts", {}),
 def test_round_batched_path_matches_act_update_loop(kind, name, options,
                                                     n_tasks):
     # The count core's play takes a concurrent round (distinct slots) as
-    # one vectorized step, never stepping; hier-ts-batch splits it at each
-    # coefficient redraw.
+    # one vectorized step, never stepping; with refresh_every it cuts the
+    # round at each refresh (hier-ts-batch: a coefficient redraw, Bernoulli
+    # hier-ts: a chain advance).
     if options.get("refresh_every") == "n_tasks+1":
         options = {"refresh_every": n_tasks + 1}
     _assert_same_run(_both_paths(kind, name, options, n_tasks, no_steps=True))
@@ -660,6 +663,8 @@ def test_pooled_ts_play_continues_from_carried_counts(normals):
 
 _BERNOULLI_COUNT = [("hier-ts", _BERNOULLI_HIER), ("oracle-ts", {}),
                     ("individual-ts", {}), ("pooled-ts", {}), ("meta-ts", {})]
+_BERNOULLI_COUNT += [("hier-ts", dict(_BERNOULLI_HIER, refresh_every=m))
+                     for m in (3, 7)]
 
 
 @pytest.mark.parametrize("n_arms", [3, 24])
@@ -670,7 +675,8 @@ def test_bernoulli_segment_kernel_matches_act_update_loop(name, options,
                                                           schedule, n_tasks,
                                                           n_arms):
     # A segment that repeats a slot runs as the Beta count core's scalar
-    # kernel, never stepping, at any number of arms.
+    # kernel, never stepping, at any number of arms; hier-ts with
+    # refresh_every runs it piece by piece between refreshes.
     _assert_same_run(_both_paths("bernoulli", name, options, n_tasks, schedule,
                                  no_steps=True, n_arms=n_arms))
 
@@ -744,13 +750,60 @@ def test_wrongly_flagged_pooled_ts_diverges(kind, cls):
     assert not all(np.array_equal(f, l) for f, l in zip(forced[0], looped[0]))
 
 
-@pytest.mark.parametrize("kind, name, options", [
-    ("gaussian", "hier-ts", {}),
-    ("bernoulli", "hier-ts", dict(_BERNOULLI_HIER, refresh_every=4))])
-def test_wrongly_flagged_hier_ts_diverges(kind, name, options):
-    # Gaussian hier-ts redraws theta from every earlier update, Bernoulli
-    # hier-ts with refresh_every reruns its chain mid-round; both keep the
-    # base loop, and forcing the count core's play on either must change
-    # the columns.
-    forced, looped = _both_paths(kind, name, options, 6, play=_CountTS.play)
+def test_wrongly_flagged_hier_ts_diverges():
+    # Gaussian hier-ts redraws theta from every earlier update, so it keeps
+    # the base loop; forcing the count core's play on it must change the
+    # columns.
+    forced, looped = _both_paths("gaussian", "hier-ts", {}, 6,
+                                 play=_CountTS.play)
     assert not all(np.array_equal(f, l) for f, l in zip(forced[0], looped[0]))
+
+
+# Policies that keep the base loop, Policy.play, and so have no play-vs-loop
+# case; every other registered policy must have one.
+_LOOP_ONLY = [("gaussian", "hier-ts"), ("gaussian", "hier-ts-aligned"),
+              ("gaussian", "linear-ts")]
+
+
+def test_every_policy_and_option_has_a_play_vs_loop_case():
+    # A new policy, or a new option of one, cannot skip the equivalence
+    # check: it either plays through Policy.play (named in _LOOP_ONLY) or
+    # appears, with each of its options, in _FLAGGED, _BERNOULLI_COUNT or
+    # the Gaussian pooled-ts test.
+    cases = [(kind, name, set(options)) for kind, name, options in _FLAGGED]
+    cases += [("bernoulli", name, set(options))
+              for name, options in _BERNOULLI_COUNT]
+    cases.append(("gaussian", "pooled-ts", set()))
+    for kind in ("gaussian", "bernoulli"):
+        for name in agents.algorithm_names(kind):
+            loop_only = (kind, name) in _LOOP_ONLY
+            own = [opts for k, n, opts in cases if (k, n) == (kind, name)]
+            assert loop_only != bool(own), (kind, name)
+            assert loop_only == (agents._registry(kind)[name].play
+                                 is Policy.play), (kind, name)
+            options = set(agents._ALLOWED_OPTIONS.get((kind, name), {}))
+            assert loop_only or options <= set().union(*own), (kind, name)
+
+
+@pytest.mark.parametrize("schedule, n_tasks, m", [("sequential", 4, 3),
+                                                  ("concurrent", 6, 4)])
+@pytest.mark.parametrize("loop", [False, True])
+def test_bernoulli_hier_ts_refreshes_per_segment(schedule, n_tasks, m, loop):
+    # Bernoulli hier-ts with refresh_every = m advances its chain (one
+    # acceptance rate each) after every m interactions and at every
+    # schedule boundary, which resets the count: floor(length / m) + 1
+    # refreshes per segment, through play and through the base loop alike.
+    segments, length = (n_tasks, 7) if schedule == "sequential" \
+        else (7, n_tasks)
+    spec = PopulationSpec(n_tasks=n_tasks, horizon=7, n_arms=3, dim=4,
+                          reward_kind="bernoulli", seed=26)
+    population = generate_population(spec)
+    priors = derive_baseline_priors(spec, population.theta, n_mc=2000)
+    policy = make_policy("hier-ts", AgentContext(
+        population, priors, agent_rng(27, "hier-ts"), schedule),
+        dict(_BERNOULLI_HIER, refresh_every=m))
+    if loop:
+        policy.play = MethodType(Policy.play, policy)
+    simulate_run(population, RewardTable(population), policy,
+                 make_schedule(schedule, spec.n_tasks, spec.horizon))
+    assert len(policy.acceptance_rates) == segments * (length // m + 1)

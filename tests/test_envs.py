@@ -9,7 +9,7 @@ import pytest
 from hierbandit.bench import ExperimentConfig
 from hierbandit.envs import (InteractionSchedule, Population, PopulationSpec,
                              RewardTable, agent_rng, atomic_write_text,
-                             generate_misspecified, generate_population,
+                             generate_population,
                              make_schedule, noise_rng, population_rng,
                              population_to_csv)
 from hierbandit.errors import ConfigError, ScheduleError
@@ -95,18 +95,30 @@ def test_generator_bernoulli_symmetric_mean():
 
 
 def test_misspec_lambda_one_identical():
+    # The warp draws nothing: theta, metadata and the task effects are the
+    # same draws at every lambda, and lambda = 1 leaves the linear means
+    # plus effects bit for bit.
     spec = _spec(n_tasks=50, misspec_lambda=1.0, seed=3)
-    a = generate_population(spec)
-    b = generate_misspecified(spec)
-    np.testing.assert_array_equal(a.theta, b.theta)
-    for ta, tb in zip(a.tasks, b.tasks):
-        np.testing.assert_array_equal(ta.true_means, tb.true_means)
+    plain = generate_population(spec)
+    warped = generate_population(_spec(n_tasks=50, misspec_lambda=0.5, seed=3))
+    np.testing.assert_array_equal(plain.theta, warped.theta)
+    for ta, tb in zip(plain.tasks, warped.tasks):
         np.testing.assert_array_equal(ta.metadata, tb.metadata)
+    rng = population_rng(spec.seed)  # theta, metadata, then task effects
+    rng.standard_normal(spec.dim)
+    rng.standard_normal((spec.n_tasks, spec.p))
+    effects = rng.standard_normal((spec.n_tasks, spec.n_arms)) \
+        * np.sqrt(spec.sigma1_sq)
+    linear = np.stack([plain.feature_map.task_features(t.metadata)
+                       @ plain.theta for t in plain.tasks])
+    np.testing.assert_array_equal(plain.means, linear + effects)
+    assert not np.array_equal(plain.means, warped.means)
 
 
-def test_misspec_normalization_constant():
-    spec = _spec(n_tasks=200, misspec_lambda=0.0, sigma1_sq=0.0, seed=4)
-    pop = generate_misspecified(spec)
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_misspec_normalization_constant(lam):
+    spec = _spec(n_tasks=200, misspec_lambda=lam, sigma1_sq=0.0, seed=4)
+    pop = generate_population(spec)
     linear_spec = _spec(n_tasks=200, misspec_lambda=1.0, sigma1_sq=0.0, seed=4)
     linear_pop = generate_population(linear_spec)
     linear = np.stack([
@@ -115,21 +127,15 @@ def test_misspec_normalization_constant():
     peak = np.abs(linear).max()
     c = (np.pi / 2.0) / peak
     assert np.abs(c * linear).max() <= np.pi / 2.0 + 1e-12
-    # lambda = 0 means pure warped centers cos(c m)/c
-    warped = np.cos(c * linear) / c
+    # centers (1 - lambda) cos(c m)/c + lambda m; lambda = 0 is pure warp
+    warped = (1.0 - lam) * np.cos(c * linear) / c + lam * linear
     got = np.stack([t.true_means for t in pop.tasks])
     np.testing.assert_allclose(got, warped, atol=1e-12)
 
 
-def test_misspec_rejects_bernoulli():
-    with pytest.raises(ConfigError):
-        generate_misspecified(_spec(reward_kind="bernoulli",
-                                    misspec_lambda=1.0))
-
-
 @pytest.mark.parametrize("lam", [0.0, 0.3, 0.999])
 def test_bernoulli_spec_refuses_misspec_lambda(lam):
-    # make_population warps Gaussian populations only, so a Bernoulli spec
+    # generate_population warps Gaussian populations only, so a Bernoulli spec
     # that asked for a warp would run unwarped under a manifest that says
     # otherwise; the spec refuses it, and the config reader with it.
     with pytest.raises(ConfigError, match="misspec_lambda"):
