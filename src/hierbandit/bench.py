@@ -13,7 +13,8 @@ noise, then writes to the output directory:
                    manifest reproduces ledger.csv byte for byte
     *.svg          regret curves per view (when plots is enabled)
 
-All files are written atomically and contain nothing time- or host-dependent.
+Each file is streamed to a temp file in the output directory and renamed
+into place, and none contains anything time- or host-dependent.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 import yaml
@@ -316,9 +317,12 @@ def _fmt_float(v: float) -> str:
 
 
 def write_ledger_csv(ledger: RegretLedger, path: str) -> None:
-    lines = [",".join(RegretLedger.COLUMNS)]
-    lines.extend(map("%s,%d,%d,%d,%d,%.17g,%.17g".__mod__, ledger.rows()))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """Stream the ledger to path row by row: the header, then each row
+    formatted as it is written, so memory does not grow with the number of
+    runs in the ledger."""
+    atomic_write_text(path, chain(
+        [",".join(RegretLedger.COLUMNS) + "\n"],
+        map("%s,%d,%d,%d,%d,%.17g,%.17g\n".__mod__, ledger.rows())))
 
 
 def compute_curves(ledger: RegretLedger, config: ExperimentConfig
@@ -341,12 +345,12 @@ def compute_curves(ledger: RegretLedger, config: ExperimentConfig
 
 
 def write_curves_csv(curves: dict[tuple[str, str], Curve], path: str) -> None:
-    lines = ["algorithm,view,index,mean,se"]
+    lines = ["algorithm,view,index,mean,se\n"]
     for (name, view), curve in curves.items():
-        lines.extend(map("%s,%s,%d,%.17g,%.17g".__mod__,
+        lines.extend(map("%s,%s,%d,%.17g,%.17g\n".__mod__,
                          zip(repeat(name), repeat(view), curve.index.tolist(),
                              curve.mean.tolist(), curve.se.tolist())))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_text(path, lines)
 
 
 def write_summary_csv(ledger: RegretLedger, config: ExperimentConfig,
@@ -370,12 +374,12 @@ def write_summary_csv(ledger: RegretLedger, config: ExperimentConfig,
             else:
                 cells.append("")
         lines.append(",".join(cells))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_text(path, ["\n".join(lines) + "\n"])
 
 
 def write_manifest(config: ExperimentConfig, path: str) -> None:
     text = json.dumps(config.to_manifest_dict(), indent=2, sort_keys=True)
-    atomic_write_text(path, text + "\n")
+    atomic_write_text(path, [text, "\n"])
 
 
 def _label_for(config: ExperimentConfig, name: str) -> str:

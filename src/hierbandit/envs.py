@@ -347,7 +347,7 @@ def population_to_csv(population: Population, path: str) -> None:
         cells += ["%.17g" % v for v in task.metadata]
         cells += ["%.17g" % v for v in task.true_means]
         lines.append(",".join(cells))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_text(path, ["\n".join(lines) + "\n"])
 
 
 def _csv_cell(value) -> str:
@@ -358,11 +358,19 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write text to path via a temp file in the same directory + rename."""
+def atomic_write_text(path: str, chunks) -> None:
+    """Write text chunks to path through a temp file in the same directory
+    and a rename.  Chunks are written as the iterable yields them.  If
+    anything raises first (a chunk, the disk, an interrupt), the temp file
+    is removed, path keeps its old bytes and the exception propagates."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     tmp = os.path.join(directory, ".%s.tmp.%d" % (os.path.basename(path), os.getpid()))
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise

@@ -107,7 +107,9 @@ class RegretLedger:
         return out
 
     def rows(self):
-        """Row tuples in insertion order (CSV writing)."""
+        """Row tuples in insertion order (CSV writing), converted one block
+        (one run) at a time, so a caller that streams them holds one block's
+        rows as Python objects whatever the number of blocks."""
         for algorithm, seed, cols in self._read():
             yield from zip(repeat(algorithm), repeat(seed),
                            *(c.tolist() for c in cols))

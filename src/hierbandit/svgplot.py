@@ -129,4 +129,4 @@ def write_line_plot(path: str, series: list[Series], *, title: str,
                      'font-size="12">%s</text>' % (lx + 28, ly, escape(s.label)))
 
     parts.append("</svg>")
-    atomic_write_text(path, "\n".join(parts) + "\n")
+    atomic_write_text(path, ["\n".join(parts) + "\n"])

@@ -275,12 +275,29 @@ def test_population_csv_round_trip(tmp_path):
 
 def test_atomic_write(tmp_path):
     target = tmp_path / "sub" / "file.txt"
-    atomic_write_text(str(target), "hello")
+    atomic_write_text(str(target), ["hello"])
     assert target.read_text() == "hello"
-    atomic_write_text(str(target), "replaced")
+    atomic_write_text(str(target), ["re", "placed"])
     assert target.read_text() == "replaced"
     assert not any(p.name.startswith(".") for p in target.parent.iterdir()
                    if p != target)
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_atomic_write_failure_keeps_target_and_removes_temp(tmp_path, error):
+    # A chunk source that fails mid-stream leaves the old bytes in place and
+    # no temp file behind, and the failure reaches the caller.
+    target = tmp_path / "file.txt"
+    atomic_write_text(str(target), ["old\n"])
+
+    def chunks():
+        yield "row 1\n"
+        raise error("mid-stream")
+
+    with pytest.raises(error, match="mid-stream"):
+        atomic_write_text(str(target), chunks())
+    assert target.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["file.txt"]
 
 
 def test_population_accessors():
