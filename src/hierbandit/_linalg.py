@@ -5,8 +5,10 @@ Cholesky factorization is attempted on the (symmetrized) input first; on
 failure a diagonal jitter of 1e-10 is added and escalated by factors of 10
 up to 1e-6 before raising NumericalError.  Covariances never jitter: psd_root
 falls back to an exact eigendecomposition (the one PSD rule, shared by every
-validated belief and by sample_mvn), and the precision-form sampler raises
-at once on a precision that fails to factor.
+validated belief and by sample_mvn), and the precision-form draw
+(precision_draw, shared by sample_mvn_precision and the segment kernels of
+Gaussian hier-ts and linear-ts) raises at once on a precision that fails to
+factor.
 """
 
 from __future__ import annotations
@@ -102,25 +104,29 @@ def sample_mvn(mean: np.ndarray, cov: np.ndarray, rng: np.random.Generator) -> n
     return sample_from_root(mean, psd_root(cov)[1], rng)
 
 
-def sample_mvn_precision(precision: np.ndarray, linear: np.ndarray,
-                         rng: np.random.Generator) -> np.ndarray:
-    """One draw from N(A^{-1} b, A^{-1}) given the precision A and b.
-
-    One Cholesky A = L L^T and two triangular solves,
-        x = L^{-T} (L^{-1} b + z),  z ~ N(0, I),
-    whose mean is A^{-1} b and covariance L^{-T} L^{-1} = A^{-1}.  Only the
-    lower triangle of A is read.  Consumes exactly len(b) standard normals.
-    A precision that is not positive definite is never jittered: it raises
-    NumericalError, as does a non-finite draw.
-    """
+def precision_draw(precision: np.ndarray, linear: np.ndarray,
+                   z: np.ndarray) -> np.ndarray:
+    """x = L^{-T} (L^{-1} b + z) for the Cholesky factor A = L L^T of the
+    precision A: one Cholesky and two triangular solves.  With z ~ N(0, I),
+    x ~ N(A^{-1} b, A^{-1}), as the covariance is L^{-T} L^{-1} = A^{-1}.
+    Only the lower triangle of A is read.  A precision that is not positive
+    definite is never jittered: it raises NumericalError."""
     lower, info = sla.lapack.dpotrf(precision, lower=1)
     if info != 0:
-        raise NumericalError(
-            "precision matrix not positive definite in sample_mvn_precision "
-            "(LAPACK dpotrf info=%d)" % info)
-    z = rng.standard_normal(lower.shape[0])
+        raise NumericalError("precision matrix not positive definite "
+                             "(LAPACK dpotrf info=%d)" % info)
     w, _ = sla.lapack.dtrtrs(lower, linear, lower=1)
     x, _ = sla.lapack.dtrtrs(lower, w + z, lower=1, trans=1)
+    return x
+
+
+def sample_mvn_precision(precision: np.ndarray, linear: np.ndarray,
+                         rng: np.random.Generator) -> np.ndarray:
+    """One draw from N(A^{-1} b, A^{-1}) given the precision A and b, by
+    precision_draw.  Consumes exactly len(b) standard normals.  A precision
+    that fails to factor raises NumericalError, as does a non-finite draw.
+    """
+    x = precision_draw(precision, linear, rng.standard_normal(len(linear)))
     if not np.isfinite(x).all():
         raise NumericalError("non-finite draw in sample_mvn_precision")
     return x

@@ -49,9 +49,11 @@ refresh_every = m set, after every m interactions (hier-ts-batch with m:
 only then).  _CountTS.play cuts a segment where the next refresh falls,
 then plays each piece of distinct count slots as one vectorized step and
 any other piece through _play_steps, which the Beta core runs as a scalar
-kernel (one rng.beta call per arm).  Gaussian hier-ts, whose every decision
-reads every earlier update, keeps the base loop (and hier-ts-aligned with
-it), and Gaussian pooled-ts runs its own scalar kernel.
+kernel (one rng.beta call per arm) and the Gaussian cores as the base loop.
+Gaussian pooled-ts, hier-ts and linear-ts, whose every decision reads every
+earlier update, each play a segment as their own scalar kernel; hier-ts and
+linear-ts draw theta every step by _linalg.precision_draw, the recipe
+sample_mvn_precision uses.  hier-ts-aligned keeps the base loop.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import betaln
 
-from ._linalg import sample_mvn_precision
+from ._linalg import precision_draw, sample_mvn_precision
 from .bernoulli import (ThetaSampler, acceptance_warnings,
                         logistic_beta_shapes)
 from .core import FeatureMap, HierarchyConfig, check_count, check_flag
@@ -137,11 +139,11 @@ class Policy:
     interactions (task_ids[j], rounds[j]) in order against a RewardTable,
     and returns their (arms int64, rewards float).  This version is the
     act/update loop; the count core's segment planner (_CountTS.play) and
-    Gaussian pooled-ts's kernel override it, and HierTS and LinearTS keep
-    it.  end_of_round fires after each concurrent round, end_of_task after
-    each task completes under a sequential schedule; both call _at_boundary,
-    a no-op here.  A sequential_only policy runs on sequential schedules
-    only (check_algorithm enforces it).
+    the kernels of Gaussian pooled-ts, hier-ts and linear-ts override it,
+    and AlignedHierTS keeps it.  end_of_round fires after each concurrent
+    round, end_of_task after each task completes under a sequential
+    schedule; both call _at_boundary, a no-op here.  A sequential_only
+    policy runs on sequential schedules only (check_algorithm enforces it).
     """
 
     name: str = "policy"
@@ -355,11 +357,11 @@ class HierTS(_ConditionalTS):
     Every decision: draw theta from its current posterior (maintained
     incrementally in O(d^2) per record), then draw the task's arm means from
     the conditional given that draw, and play the argmax.  Marginally this
-    samples the exact per-task posterior.
+    samples the exact per-task posterior.  Every decision reads every
+    earlier update, so play runs a segment in order, as a scalar kernel.
     """
 
     name = "hier-ts"
-    play = Policy.play  # a fresh theta reads every earlier update
 
     def __init__(self, ctx: AgentContext):
         cfg = ctx.cfg
@@ -389,6 +391,66 @@ class HierTS(_ConditionalTS):
                       rewards: np.ndarray) -> None:
         self.acc.add_many(task_ids, arms, rewards)
         super()._update_batch(task_ids, arms, rewards)
+
+    def play(self, table: RewardTable, task_ids: np.ndarray,
+             rounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The base loop as one kernel.  One standard_normal((n, d + K))
+        call is the loop's stream: per step d normals for theta, drawn by
+        precision_draw on the running statistics, then K for the arms.  The
+        arm draws run on Python floats in _conditional_draw's operation
+        order from each task's statistics, read once per piece, and the
+        first of the highest scores is played, as _pick.  The pulled record
+        enters both count stores and the accumulator as add forms it, its
+        outer product built in one preallocated buffer.  A non-finite theta
+        or arm draw raises NumericalError once the piece is played."""
+        acc, noise_sq, var = self.acc, self.noise_sq, self.arm_var.tolist()
+        features, phi_vinv_phi, phi_vinv_resid = \
+            acc.features, acc.phi_vinv_phi, acc.phi_vinv_resid
+        n, (k, d) = task_ids.shape[0], features.shape[1:]
+        normals = self.rng.standard_normal((n, d + k))
+        payoff_rows = table.arm_rewards(task_ids, rounds)
+        tasks = np.unique(task_ids)
+        counts = self.counts[tasks]
+        dens = noise_sq + self.arm_var * counts
+        stats = dict(zip(tasks.tolist(), zip(
+            counts.tolist(), self.sums[tasks].tolist(), dens.tolist(),
+            np.sqrt(self.arm_var * noise_sq / dens).tolist(),
+            acc.prior_arm_means[tasks].tolist())))
+        offset = _score_offsets(k)
+        thetas, outer = np.empty((n, d)), np.empty((d, d))
+        arms: list[int] = []
+        scores_played: list[float] = []
+        for j, (tid, z, payoff) in enumerate(zip(
+                task_ids.tolist(), normals[:, d:].tolist(),
+                payoff_rows.tolist())):
+            thetas[j] = theta = self.cfg.mu_theta + precision_draw(
+                self._sigma_theta_inv + phi_vinv_phi, phi_vinv_resid,
+                normals[j, :d])
+            counts, sums, dens, sds, base = stats[tid]
+            scores = [m + v * (s - c * m) / e + sd * x + o
+                      for m, v, s, c, e, sd, x, o
+                      in zip((features[tid] @ theta).tolist(), var, sums,
+                             counts, dens, sds, z, offset)]
+            scores_played.extend(scores)
+            arm = scores.index(max(scores))
+            arms.append(arm)
+            n0, s0, d0, m = counts[arm], sums[arm], dens[arm], base[arm]
+            n1, s1 = n0 + 1.0, s0 + payoff[arm]
+            self.counts[tid, arm], self.sums[tid, arm] = n1, s1
+            acc.counts[tid, arm], acc.sums[tid, arm] = n1, s1
+            counts[arm], sums[arm] = n1, s1
+            dens[arm] = d1 = noise_sq + var[arm] * n1
+            sds[arm] = math.sqrt(var[arm] * noise_sq / d1)
+            phi = features[tid, arm]
+            np.multiply(phi[:, None], phi, out=outer)
+            outer *= n1 / d1 - n0 / d0
+            phi_vinv_phi += outer
+            phi_vinv_resid += ((s1 - n1 * m) / d1 - (s0 - n0 * m) / d0) * phi
+        if not (np.isfinite(thetas).all()
+                and np.isfinite(scores_played).all()):
+            raise NumericalError("non-finite draw in %s" % self.name)
+        arms_col = np.array(arms, dtype=np.int64)
+        return arms_col, payoff_rows[np.arange(n), arms_col]
 
 
 class HierTSBatched(HierTS):
@@ -432,12 +494,13 @@ class AlignedHierTS(HierTS):
     alignment records of the tasks finished before this one, freezes the
     task's prior at N(Phi_i draw, Sigma_delta), and runs plain single-task
     TS on the task's own records from there on.  The first task's draw comes
-    from the pure prior.
+    from the pure prior.  It keeps the base loop.
     """
 
     name = "hier-ts-aligned"
     align = True
     sequential_only = True
+    play = Policy.play
 
     def __init__(self, ctx: AgentContext):
         super().__init__(ctx)
@@ -559,7 +622,8 @@ class LinearTS(Policy):
     Prior theta ~ N(mu_theta, Sigma_theta); likelihood treats rewards as
     theta^T phi plus noise of variance sigma1_sq + sigma_noise^2 (the task
     effect folded into the noise).  Maintains the standard (A, b) normal
-    equations.
+    equations.  Every decision reads every earlier update, so play runs a
+    segment in order, as a scalar kernel.
     """
 
     name = "linear-ts"
@@ -583,6 +647,38 @@ class LinearTS(Policy):
         phi = self.features[task_id, arm]
         self.a_mat += np.outer(phi, phi) / self.noise_var
         self.b_vec += phi * (reward / self.noise_var)
+
+    def play(self, table: RewardTable, task_ids: np.ndarray,
+             rounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The base loop as one kernel: one standard_normal((n, d)) call is
+        the stream of the steps' theta draws, each made by precision_draw on
+        the running (A, b); the first of the highest scores is played, as
+        _pick; the pulled arm's outer product enters A through one
+        preallocated buffer, as update forms it.  A non-finite theta raises
+        NumericalError once the piece is played."""
+        n, (k, d) = task_ids.shape[0], self.features.shape[1:]
+        normals = self.rng.standard_normal((n, d))
+        payoff_rows = table.arm_rewards(task_ids, rounds)
+        offset = _score_offsets(k)
+        thetas, outer = np.empty((n, d)), np.empty((d, d))
+        arms: list[int] = []
+        for j, (tid, payoff) in enumerate(zip(task_ids.tolist(),
+                                              payoff_rows.tolist())):
+            thetas[j] = theta = precision_draw(self.a_mat, self.b_vec,
+                                               normals[j])
+            scores = [s + o for s, o in zip(
+                (self.features[tid] @ theta).tolist(), offset)]
+            arm = scores.index(max(scores))
+            arms.append(arm)
+            phi = self.features[tid, arm]
+            np.multiply(phi[:, None], phi, out=outer)
+            outer /= self.noise_var
+            self.a_mat += outer
+            self.b_vec += phi * (payoff[arm] / self.noise_var)
+        if not np.isfinite(thetas).all():
+            raise NumericalError("non-finite draw in %s" % self.name)
+        arms_col = np.array(arms, dtype=np.int64)
+        return arms_col, payoff_rows[np.arange(n), arms_col]
 
 
 class MetaTS(_ConditionalTS):

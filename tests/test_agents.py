@@ -696,6 +696,43 @@ def test_non_pd_precision_raises_numerical_error():
         linear.act(0)
 
 
+def _break_precision(policy):
+    precision = policy.acc.phi_vinv_phi if isinstance(policy, HierTS) \
+        else policy.a_mat
+    precision -= 1e6 * np.eye(precision.shape[0])
+
+
+def _nan_theta(policy):
+    linear = policy.acc.phi_vinv_resid if isinstance(policy, HierTS) \
+        else policy.b_vec
+    linear[0] = np.nan
+
+
+def _nan_arm_draw(policy):
+    policy.sums[0, 1] = np.nan
+
+
+@pytest.mark.parametrize("cls, breaks, match", [
+    (HierTS, _break_precision, "not positive definite"),
+    (HierTS, _nan_theta, "non-finite"),
+    (HierTS, _nan_arm_draw, "non-finite"),
+    (LinearTS, _break_precision, "not positive definite"),
+    (LinearTS, _nan_theta, "non-finite")])
+@pytest.mark.parametrize("kernel", [False, True])
+def test_precision_kernels_raise_numerical_errors(cls, breaks, match, kernel):
+    # A precision that fails to factor or a statistic that turns a theta or
+    # arm draw non-finite raises NumericalError from the segment kernel as
+    # from the act/update loop: no jitter, no fallback.
+    spec = PopulationSpec(n_tasks=3, horizon=4, n_arms=3, dim=4, seed=75)
+    pop, ctx = _ctx(spec, seed=76)
+    policy = cls(ctx)
+    breaks(policy)
+    play = cls.play if kernel else Policy.play
+    with pytest.raises(NumericalError, match=match):
+        play(policy, RewardTable(pop), np.array([2, 0, 1, 0]),
+             np.array([1, 1, 1, 2]))
+
+
 def test_registry_names():
     assert algorithm_names("gaussian") == (
         "hier-ts", "hier-ts-aligned", "hier-ts-batch", "individual-ts",

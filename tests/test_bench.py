@@ -599,12 +599,15 @@ def test_simulate_run_batched_hook_order(kind, stream, run, expected):
 
 
 def _both_paths(kind, name, options, n_tasks, schedule="concurrent",
-                play=None, no_steps=False, n_arms=3):
+                play=None, no_steps=False, n_arms=3, records=(),
+                stats=lambda policy: ()):
     """simulate_run of one policy through its own play (or the function
     play, if given) and through the base loop, Policy.play; each as
-    (columns, generator end state).  no_steps=True makes act and update
-    fail on the first path, which must then not step.  A custom schedule
-    plays the tasks in a shuffled order."""
+    (columns, generator end state), the arrays stats(policy) returns after
+    the run appended to the columns.  Both policies first take the
+    (task, arm, reward) records through update.  no_steps=True makes act
+    and update fail on the first path, which must then not step.  A custom
+    schedule plays the tasks in a shuffled order."""
     spec = PopulationSpec(n_tasks=n_tasks, horizon=7, n_arms=n_arms,
                           dim=max(4, n_arms + 1), reward_kind=kind, seed=21)
     population = generate_population(spec)
@@ -619,6 +622,8 @@ def _both_paths(kind, name, options, n_tasks, schedule="concurrent",
     for reference in (False, True):
         ctx = AgentContext(population, priors, agent_rng(22, name), schedule)
         policy = make_policy(name, ctx, options)
+        for record in records:
+            policy.update(*record)
         if reference:
             policy.play = MethodType(Policy.play, policy)
         else:
@@ -627,7 +632,7 @@ def _both_paths(kind, name, options, n_tasks, schedule="concurrent",
             if no_steps:
                 policy.act = policy.update = None
         cols = simulate_run(population, table, policy, segments)
-        out.append((cols, ctx.rng.bit_generator.state))
+        out.append(((*cols, *stats(policy)), ctx.rng.bit_generator.state))
     return out
 
 
@@ -721,6 +726,46 @@ def test_pooled_ts_play_continues_from_carried_counts(normals):
         assert kernel[0][0] == 0
 
 
+# The statistics each Gaussian precision-form kernel reads and writes.
+_KERNEL_STATS = {
+    "hier-ts": lambda p: (p.acc.phi_vinv_phi, p.acc.phi_vinv_resid,
+                          p.acc.counts, p.acc.sums, p.counts, p.sums),
+    "linear-ts": lambda p: (p.a_mat, p.b_vec),
+}
+
+
+@pytest.mark.parametrize("carried", [False, True])
+@pytest.mark.parametrize("n_arms", [3, 24])
+@pytest.mark.parametrize("n_tasks", [1, 6])
+@pytest.mark.parametrize("schedule", ["concurrent", "sequential", "custom"])
+@pytest.mark.parametrize("name", sorted(_KERNEL_STATS))
+def test_gaussian_precision_kernel_matches_act_update_loop(
+        name, schedule, n_tasks, n_arms, carried):
+    # hier-ts and linear-ts play every segment as one scalar kernel that
+    # redraws theta from every earlier update; columns, generator state and
+    # the statistics must equal the loop's bit for bit, also when update
+    # calls have filled the statistics before the run.
+    records = [(0, 0, 0.25), (0, 1, 2.0), (n_tasks - 1, 2, -1.5),
+               (0, 0, 1.0)] if carried else ()
+    _assert_same_run(_both_paths("gaussian", name, {}, n_tasks, schedule,
+                                 no_steps=True, n_arms=n_arms,
+                                 records=records, stats=_KERNEL_STATS[name]))
+
+
+@pytest.mark.parametrize("name", sorted(_KERNEL_STATS))
+def test_gaussian_precision_kernel_matches_loop_with_score_offset(
+        monkeypatch, name):
+    # The validate suite's argmax offset reaches both kernels' scans; 0.4
+    # moves the picks toward higher arms.
+    monkeypatch.setattr(agents, "_SCORE_OFFSET", 0.4)
+    both = _both_paths("gaussian", name, {}, 6, no_steps=True,
+                       stats=_KERNEL_STATS[name])
+    _assert_same_run(both)
+    monkeypatch.setattr(agents, "_SCORE_OFFSET", None)
+    (plain, _), _ = _both_paths("gaussian", name, {}, 6)
+    assert not np.array_equal(plain[2], both[0][0][2])
+
+
 _BERNOULLI_COUNT = [("hier-ts", _BERNOULLI_HIER), ("oracle-ts", {}),
                     ("individual-ts", {}), ("pooled-ts", {}), ("meta-ts", {})]
 _BERNOULLI_COUNT += [("hier-ts", dict(_BERNOULLI_HIER, refresh_every=m))
@@ -811,9 +856,9 @@ def test_wrongly_flagged_pooled_ts_diverges(kind, cls):
 
 
 def test_wrongly_flagged_hier_ts_diverges():
-    # Gaussian hier-ts redraws theta from every earlier update, so it keeps
-    # the base loop; forcing the count core's play on it must change the
-    # columns.
+    # Gaussian hier-ts redraws theta from every earlier update, so it plays
+    # each step in order; forcing the count core's play on it must change
+    # the columns.
     forced, looped = _both_paths("gaussian", "hier-ts", {}, 6,
                                  play=_CountTS.play)
     assert not all(np.array_equal(f, l) for f, l in zip(forced[0], looped[0]))
@@ -821,19 +866,19 @@ def test_wrongly_flagged_hier_ts_diverges():
 
 # Policies that keep the base loop, Policy.play, and so have no play-vs-loop
 # case; every other registered policy must have one.
-_LOOP_ONLY = [("gaussian", "hier-ts"), ("gaussian", "hier-ts-aligned"),
-              ("gaussian", "linear-ts")]
+_LOOP_ONLY = [("gaussian", "hier-ts-aligned")]
 
 
 def test_every_policy_and_option_has_a_play_vs_loop_case():
     # A new policy, or a new option of one, cannot skip the equivalence
     # check: it either plays through Policy.play (named in _LOOP_ONLY) or
-    # appears, with each of its options, in _FLAGGED, _BERNOULLI_COUNT or
-    # the Gaussian pooled-ts test.
+    # appears, with each of its options, in _FLAGGED, _BERNOULLI_COUNT, the
+    # Gaussian pooled-ts test or _KERNEL_STATS.
     cases = [(kind, name, set(options)) for kind, name, options in _FLAGGED]
     cases += [("bernoulli", name, set(options))
               for name, options in _BERNOULLI_COUNT]
-    cases.append(("gaussian", "pooled-ts", set()))
+    cases += [("gaussian", name, set())
+              for name in ("pooled-ts", *_KERNEL_STATS)]
     for kind in ("gaussian", "bernoulli"):
         for name in agents.algorithm_names(kind):
             loop_only = (kind, name) in _LOOP_ONLY
