@@ -37,10 +37,13 @@ candidate prior set meta-ts resamples at schedule boundaries.
 All agents draw randomness from the single generator handed to them and
 break score ties toward the lowest arm index.
 
-The simulation loop hands a policy one schedule segment at a time (a
-concurrent round, a sequential task or a whole custom stream) through
-play, whose base version is act, reward and update per interaction;
-overrides return the same arms, rewards and generator state.  The three
+The simulation loop reads a schedule segment's payoff rows (every arm's
+reward at each interaction) from the RewardTable once, hands the segment (a
+concurrent round, a sequential task or a whole custom stream) to play with
+them, and gathers the played rewards itself; no policy reads the table.
+play returns the arms; its base version is act, then update with the
+played arm's payoff, per interaction, and overrides return the same arms
+and generator state.  The three
 cores (Gaussian conditional, Gaussian independent-arm, Beta) share one count
 store, _CountTS, and differ only in their draw, stated once for an int task
 id and an id array.  A count policy whose prior moves says how in one hook,
@@ -70,7 +73,7 @@ from ._linalg import precision_draw, sample_mvn_precision
 from .bernoulli import (ThetaSampler, acceptance_warnings,
                         logistic_beta_shapes)
 from .core import FeatureMap, HierarchyConfig, check_count, check_flag
-from .envs import Population, RewardTable
+from .envs import Population
 from .errors import ConfigError, NumericalError, ScheduleError
 from .gaussian import ThetaStatAccumulator, diagonal_effect_variances
 from .priors import DerivedPriors
@@ -135,12 +138,14 @@ class Policy:
     """Interface the simulation loop drives.
 
     act(task_id) returns an arm; update(...) feeds back the observed reward.
-    play(table, task_ids, rounds) plays one schedule segment, the
-    interactions (task_ids[j], rounds[j]) in order against a RewardTable,
-    and returns their (arms int64, rewards float).  This version is the
-    act/update loop; the count core's segment planner (_CountTS.play) and
-    the kernels of Gaussian pooled-ts, hier-ts and linear-ts override it,
-    and AlignedHierTS keeps it.  end_of_round fires after each concurrent
+    play(task_ids, payoffs) plays one schedule segment, the interactions of
+    task_ids in order, and returns their arms (int64).  payoffs is the
+    segment's (n, K) payoff rows, payoffs[j, a] the reward arm a pays at
+    interaction j; step j reads payoffs[j, a] only for the arm a it plays,
+    and only after choosing it.  This version is the act/update loop; the
+    count core's segment planner (_CountTS.play) and the kernels of
+    Gaussian pooled-ts, hier-ts and linear-ts override it, and
+    AlignedHierTS keeps it.  end_of_round fires after each concurrent
     round, end_of_task after each task completes under a sequential
     schedule; both call _at_boundary, a no-op here.  A sequential_only
     policy runs on sequential schedules only (check_algorithm enforces it).
@@ -155,19 +160,16 @@ class Policy:
     def update(self, task_id: int, arm: int, reward: float) -> None:
         raise NotImplementedError
 
-    def play(self, table: RewardTable, task_ids: np.ndarray,
-             rounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """act, reward and update per interaction: the reference that every
-        override must match in arms, rewards and generator state."""
+    def play(self, task_ids: np.ndarray, payoffs: np.ndarray) -> np.ndarray:
+        """act, then update with the played arm's payoff, per interaction:
+        the reference that every override must match in arms and generator
+        state."""
         arms: list[int] = []
-        rewards: list[float] = []
-        for tid, rnd in zip(task_ids.tolist(), rounds.tolist()):
+        for tid, payoff in zip(task_ids.tolist(), payoffs):
             arm = self.act(tid)
-            reward = table.reward(tid, rnd, arm)
-            self.update(tid, arm, reward)
+            self.update(tid, arm, float(payoff[arm]))
             arms.append(arm)
-            rewards.append(reward)
-        return np.array(arms, dtype=np.int64), np.array(rewards, dtype=float)
+        return np.array(arms, dtype=np.int64)
 
     def end_of_round(self) -> None:
         self._at_boundary()
@@ -192,10 +194,12 @@ class _CountTS(Policy):
     every schedule boundary; with refresh_every = m set, so does the m-th
     interaction counted since the last refresh or boundary.  update counts
     one interaction, and the vectorized step and a kernel count their piece
-    once.  play is the one segment planner: it cuts the segment where the
-    next refresh falls, then plays a piece whose tasks keep distinct slots
-    as one vectorized step (_play_batch) and any other piece through
-    _play_steps, the base loop unless a subclass runs it as a kernel.
+    once.  play is the one segment planner: it cuts the segment and its
+    payoff rows where the next refresh falls, then plays a piece whose
+    tasks keep distinct slots as one vectorized step (_play_batch) and any
+    other piece through _play_steps, the base loop unless a subclass runs
+    it as a kernel; each takes the piece's (task_ids, payoffs) and returns
+    its arms.
     """
 
     n_slots: int | None = None
@@ -258,34 +262,33 @@ class _CountTS(Policy):
         self._since_refresh = 0
         self._refresh()
 
-    def play(self, table: RewardTable, task_ids: np.ndarray,
-             rounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def play(self, task_ids: np.ndarray, payoffs: np.ndarray) -> np.ndarray:
         parts = []
         while task_ids.size:
             n = task_ids.size if self.refresh_every is None \
                 else self.refresh_every - self._since_refresh
-            ids, rnds = task_ids[:n], rounds[:n]
+            ids = task_ids[:n]
             # A piece that names a slot twice reads its own updates (and a
             # fancy-index += would drop the repeats): it takes _play_steps.
             repeats = np.bincount(self.slot_of[ids]).max() > 1
             step = self._play_steps if repeats else self._play_batch
-            parts.append(step(table, ids, rnds))
-            task_ids, rounds = task_ids[n:], rounds[n:]
-        return tuple(np.concatenate(col) for col in zip(*parts))
+            parts.append(step(ids, payoffs[:n]))
+            task_ids, payoffs = task_ids[n:], payoffs[n:]
+        return np.concatenate(parts)
 
-    def _play_steps(self, table: RewardTable, task_ids: np.ndarray,
-                    rounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _play_steps(self, task_ids: np.ndarray,
+                    payoffs: np.ndarray) -> np.ndarray:
         """A piece that repeats a slot, one step at a time: the base loop."""
-        return Policy.play(self, table, task_ids, rounds)
+        return Policy.play(self, task_ids, payoffs)
 
-    def _play_batch(self, table: RewardTable, task_ids: np.ndarray,
-                    rounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _play_batch(self, task_ids: np.ndarray,
+                    payoffs: np.ndarray) -> np.ndarray:
         """The piece's draws in row order, then its counts: the act and
         update calls of the loop, for tasks of distinct slots."""
         arms = self._act_batch(task_ids)
-        rewards = table.rewards(task_ids, rounds, arms)
-        self._update_batch(task_ids, arms, rewards)
-        return arms, rewards
+        self._update_batch(task_ids, arms,
+                           payoffs[np.arange(arms.shape[0]), arms])
+        return arms
 
 
 # ---------------------------------------------------------------------------
@@ -392,23 +395,22 @@ class HierTS(_ConditionalTS):
         self.acc.add_many(task_ids, arms, rewards)
         super()._update_batch(task_ids, arms, rewards)
 
-    def play(self, table: RewardTable, task_ids: np.ndarray,
-             rounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def play(self, task_ids: np.ndarray, payoffs: np.ndarray) -> np.ndarray:
         """The base loop as one kernel.  One standard_normal((n, d + K))
         call is the loop's stream: per step d normals for theta, drawn by
         precision_draw on the running statistics, then K for the arms.  The
         arm draws run on Python floats in _conditional_draw's operation
         order from each task's statistics, read once per piece, and the
-        first of the highest scores is played, as _pick.  The pulled record
-        enters both count stores and the accumulator as add forms it, its
-        outer product built in one preallocated buffer.  A non-finite theta
-        or arm draw raises NumericalError once the piece is played."""
+        first of the highest scores is played, as _pick.  The pulled record,
+        its reward the played arm's payoff, enters both count stores and
+        the accumulator as add forms it, its outer product built in one
+        preallocated buffer.  A non-finite theta or arm draw raises
+        NumericalError once the piece is played."""
         acc, noise_sq, var = self.acc, self.noise_sq, self.arm_var.tolist()
         features, phi_vinv_phi, phi_vinv_resid = \
             acc.features, acc.phi_vinv_phi, acc.phi_vinv_resid
         n, (k, d) = task_ids.shape[0], features.shape[1:]
         normals = self.rng.standard_normal((n, d + k))
-        payoff_rows = table.arm_rewards(task_ids, rounds)
         tasks = np.unique(task_ids)
         counts = self.counts[tasks]
         dens = noise_sq + self.arm_var * counts
@@ -422,7 +424,7 @@ class HierTS(_ConditionalTS):
         scores_played: list[float] = []
         for j, (tid, z, payoff) in enumerate(zip(
                 task_ids.tolist(), normals[:, d:].tolist(),
-                payoff_rows.tolist())):
+                payoffs.tolist())):
             thetas[j] = theta = self.cfg.mu_theta + precision_draw(
                 self._sigma_theta_inv + phi_vinv_phi, phi_vinv_resid,
                 normals[j, :d])
@@ -449,8 +451,7 @@ class HierTS(_ConditionalTS):
         if not (np.isfinite(thetas).all()
                 and np.isfinite(scores_played).all()):
             raise NumericalError("non-finite draw in %s" % self.name)
-        arms_col = np.array(arms, dtype=np.int64)
-        return arms_col, payoff_rows[np.arange(n), arms_col]
+        return np.array(arms, dtype=np.int64)
 
 
 class HierTSBatched(HierTS):
@@ -578,8 +579,7 @@ class PooledTS(_IndependentArmTS):
     name = "pooled-ts"
     n_slots = 1
 
-    def play(self, table: RewardTable, task_ids: np.ndarray,
-             rounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def play(self, task_ids: np.ndarray, payoffs: np.ndarray) -> np.ndarray:
         # Every step reads the one shared slot, so the steps run in order,
         # on Python floats.  One standard_normal((n, K)) call is the stream
         # of n standard_normal(K) calls; only the pulled arm's posterior
@@ -587,7 +587,6 @@ class PooledTS(_IndependentArmTS):
         # keeps argmax's lowest-index ties.
         k = self.counts.shape[1]
         normals = self.rng.standard_normal((task_ids.shape[0], k)).tolist()
-        payoff_rows = table.arm_rewards(task_ids, rounds)
         counts, sums = self.counts[0].tolist(), self.sums[0].tolist()
         prior_mean, prior_var = float(self.prior_mean), float(self.prior_var)
         inv_prior, prior_term = 1.0 / prior_var, prior_mean / prior_var
@@ -599,7 +598,7 @@ class PooledTS(_IndependentArmTS):
             post_sd.append(math.sqrt(post_var))
         offset = _score_offsets(k)
         arms: list[int] = []
-        for z, payoff in zip(normals, payoff_rows.tolist()):
+        for z, payoff in zip(normals, payoffs.tolist()):
             arm, best = 0, post_mean[0] + post_sd[0] * z[0] + offset[0]
             for a in range(1, k):
                 score = post_mean[a] + post_sd[a] * z[a] + offset[a]
@@ -612,8 +611,7 @@ class PooledTS(_IndependentArmTS):
             post_mean[arm] = post_var * (prior_term + sums[arm] / noise_sq)
             post_sd[arm] = math.sqrt(post_var)
         self.counts[0], self.sums[0] = counts, sums
-        arms_col = np.array(arms, dtype=np.int64)
-        return arms_col, payoff_rows[np.arange(arms_col.shape[0]), arms_col]
+        return np.array(arms, dtype=np.int64)
 
 
 class LinearTS(Policy):
@@ -641,29 +639,27 @@ class LinearTS(Policy):
 
     def act(self, task_id: int) -> int:
         theta = sample_mvn_precision(self.a_mat, self.b_vec, self.rng)
-        return _pick(self.features[task_id] @ theta)
+        return int(_pick(self.features[task_id] @ theta))
 
     def update(self, task_id: int, arm: int, reward: float) -> None:
         phi = self.features[task_id, arm]
         self.a_mat += np.outer(phi, phi) / self.noise_var
         self.b_vec += phi * (reward / self.noise_var)
 
-    def play(self, table: RewardTable, task_ids: np.ndarray,
-             rounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def play(self, task_ids: np.ndarray, payoffs: np.ndarray) -> np.ndarray:
         """The base loop as one kernel: one standard_normal((n, d)) call is
         the stream of the steps' theta draws, each made by precision_draw on
         the running (A, b); the first of the highest scores is played, as
         _pick; the pulled arm's outer product enters A through one
-        preallocated buffer, as update forms it.  A non-finite theta raises
-        NumericalError once the piece is played."""
+        preallocated buffer, as update forms it, and its payoff enters b.
+        A non-finite theta raises NumericalError once the piece is played."""
         n, (k, d) = task_ids.shape[0], self.features.shape[1:]
         normals = self.rng.standard_normal((n, d))
-        payoff_rows = table.arm_rewards(task_ids, rounds)
         offset = _score_offsets(k)
         thetas, outer = np.empty((n, d)), np.empty((d, d))
         arms: list[int] = []
         for j, (tid, payoff) in enumerate(zip(task_ids.tolist(),
-                                              payoff_rows.tolist())):
+                                              payoffs.tolist())):
             thetas[j] = theta = precision_draw(self.a_mat, self.b_vec,
                                                normals[j])
             scores = [s + o for s, o in zip(
@@ -677,8 +673,7 @@ class LinearTS(Policy):
             self.b_vec += phi * (payoff[arm] / self.noise_var)
         if not np.isfinite(thetas).all():
             raise NumericalError("non-finite draw in %s" % self.name)
-        arms_col = np.array(arms, dtype=np.int64)
-        return arms_col, payoff_rows[np.arange(n), arms_col]
+        return np.array(arms, dtype=np.int64)
 
 
 class MetaTS(_ConditionalTS):
@@ -770,14 +765,15 @@ class _BetaCountTS(_CountTS):
         alpha1, alpha2 = self._prior(task_id)
         return self.rng.beta(alpha1 + successes, alpha2 + (n - successes))
 
-    def _play_steps(self, table: RewardTable, task_ids: np.ndarray,
-                    rounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The base loop on Python floats: the touched slots' counts, each
-        task's prior (keyed by task, as tasks may share a slot) and the
-        piece's payoffs are read once; each step draws arm by arm with one
-        scalar rng.beta call in _draw's operation order (the stream of one
-        K-array call) and plays the first of the highest scores, as _pick.
-        The piece is counted once, after its counts are written back."""
+    def _play_steps(self, task_ids: np.ndarray,
+                    payoffs: np.ndarray) -> np.ndarray:
+        """The base loop on Python floats: the touched slots' counts and
+        each task's prior (keyed by task, as tasks may share a slot) are
+        read once; each step draws arm by arm with one scalar rng.beta call
+        in _draw's operation order (the stream of one K-array call), plays
+        the first of the highest scores, as _pick, and counts the played
+        arm's payoff.  The piece is counted once, after its counts are
+        written back."""
         k = self.counts.shape[1]
         tids, slots = task_ids.tolist(), self.slot_of[task_ids].tolist()
         stats = {slot: (self.counts[slot].tolist(), self.sums[slot].tolist())
@@ -785,10 +781,9 @@ class _BetaCountTS(_CountTS):
         priors = {t: [np.full(k, shape).tolist() for shape in self._prior(t)]
                   for t in set(tids)}
         offset = _score_offsets(k)
-        payoff_rows = table.arm_rewards(task_ids, rounds)
         beta = self.rng.beta
         arms: list[int] = []
-        for tid, slot, payoff in zip(tids, slots, payoff_rows.tolist()):
+        for tid, slot, payoff in zip(tids, slots, payoffs.tolist()):
             n, successes = stats[slot]
             alpha1, alpha2 = priors[tid]
             scores = [beta(a1 + s, a2 + (c - s)) + o for a1, a2, c, s, o
@@ -801,8 +796,7 @@ class _BetaCountTS(_CountTS):
         for slot, (n, successes) in stats.items():
             self.counts[slot], self.sums[slot] = n, successes
         self._count(len(arms))
-        arms_col = np.array(arms, dtype=np.int64)
-        return arms_col, payoff_rows[np.arange(arms_col.shape[0]), arms_col]
+        return np.array(arms, dtype=np.int64)
 
 
 class IndividualTSBernoulli(_BetaCountTS):

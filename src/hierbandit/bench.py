@@ -241,7 +241,9 @@ def simulate_run(population: Population, table: RewardTable, policy: Policy,
     (task_ids, rounds, arms, rewards, inst_regrets) in interaction order.
     policy.play plays the schedule one segment at a time: each round of a
     concurrent schedule, then end_of_round; each task of a sequential one,
-    then end_of_task; the whole stream of a custom one, with no hook."""
+    then end_of_task; the whole stream of a custom one, with no hook.  The
+    segment's payoff rows are read once, by table.arm_rewards, and each
+    reward is gathered from its row at the arm play returned."""
     task_ids, rounds = schedule.columns()
     n = task_ids.shape[0]
     if schedule.kind == "concurrent":
@@ -254,9 +256,12 @@ def simulate_run(population: Population, table: RewardTable, policy: Policy,
     rewards = np.empty(n)
     for start in range(0, n, size or 1):
         stop = start + size
-        arms[start:stop], rewards[start:stop] = policy.play(
-            table, task_ids[start:stop], rounds[start:stop])
-        hook(int(task_ids[stop - 1]))
+        ids = task_ids[start:stop]
+        payoffs = table.arm_rewards(ids, rounds[start:stop])
+        arms[start:stop] = policy.play(ids, payoffs)
+        rewards[start:stop] = payoffs[np.arange(ids.shape[0]),
+                                      arms[start:stop]]
+        hook(int(ids[-1]))
     gaps = population.best_means[task_ids] - population.means[task_ids, arms]
     return task_ids, rounds, arms, rewards, gaps
 

@@ -228,32 +228,21 @@ class RewardTable:
             return mean + spec.sigma_noise * float(z)
         return float(z < mean)
 
-    def rewards(self, task_ids: np.ndarray, round_within_task,
-                arms: np.ndarray) -> np.ndarray:
-        """reward() of every (task, round, arm) element, as one array; the
-        round is an int or an array broadcast against the ids and arms."""
-        t = self._noise_rows(round_within_task)
-        return self._payoff(self._means[task_ids, arms],
-                            self._noise[task_ids, t, arms])
-
     def arm_rewards(self, task_ids: np.ndarray,
                     round_within_task) -> np.ndarray:
-        """(n, n_arms): reward() of every arm at each (task, round) element;
-        the round is an int or an array broadcast against the ids."""
-        t = self._noise_rows(round_within_task)
-        return self._payoff(self._means[task_ids], self._noise[task_ids, t])
-
-    def _noise_rows(self, round_within_task) -> np.ndarray:
+        """(n, n_arms): reward() of every arm at each (task, round) element,
+        by the same IEEE operations; the round is an int or an array
+        broadcast against the ids.  The simulation loop reads a schedule
+        segment's payoffs through it."""
+        spec = self._spec
         rounds = np.asarray(round_within_task)
-        outside = rounds[(rounds < 1) | (rounds > self._spec.horizon)]
+        outside = rounds[(rounds < 1) | (rounds > spec.horizon)]
         if outside.size:
             raise ScheduleError("round %d outside horizon %d"
-                                % (outside.flat[0], self._spec.horizon))
-        return rounds - 1
-
-    def _payoff(self, mean: np.ndarray, z: np.ndarray) -> np.ndarray:
-        if self._spec.reward_kind == "gaussian":
-            return mean + self._spec.sigma_noise * z
+                                % (outside.flat[0], spec.horizon))
+        mean, z = self._means[task_ids], self._noise[task_ids, rounds - 1]
+        if spec.reward_kind == "gaussian":
+            return mean + spec.sigma_noise * z
         return (z < mean).astype(float)
 
 

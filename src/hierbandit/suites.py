@@ -189,7 +189,8 @@ def _check_beta_round_trip() -> CheckResult:
 def _check_beta_count_ts() -> CheckResult:
     # The Bernoulli agents' count core against conjugate_update, exactly:
     # five records one by one through update, then one segment of two
-    # tasks through play (its vectorized step), whose arms the draws pick.
+    # tasks through play (its vectorized step), whose arms the draws pick
+    # and whose payoff rows pay 0.0 on task 0 and 1.0 on task 1.
     prior = BetaParams(0.5, 1.5)
     core = agents.IndividualTSBernoulli(SimpleNamespace(
         rng=np.random.default_rng(0), n_tasks=2, n_arms=2,
@@ -197,8 +198,7 @@ def _check_beta_count_ts() -> CheckResult:
     records = [(1, 0, y) for y in (1.0, 0.0, 0.5, 1.0, 0.2)]
     for record in records:
         core.update(*record)
-    table = SimpleNamespace(rewards=lambda ids, rounds, arms: np.array([0.0, 1.0]))
-    arms, _ = core.play(table, np.array([0, 1]), np.array([1, 6]))
+    arms = core.play(np.array([0, 1]), np.array([[0.0, 0.0], [1.0, 1.0]]))
     records += [(0, int(arms[0]), 0.0), (1, int(arms[1]), 1.0)]
     cells = [(t, a) for t in range(2) for a in range(2)]
     want = dict.fromkeys(cells, prior)

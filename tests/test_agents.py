@@ -728,9 +728,10 @@ def test_precision_kernels_raise_numerical_errors(cls, breaks, match, kernel):
     policy = cls(ctx)
     breaks(policy)
     play = cls.play if kernel else Policy.play
+    task_ids = np.array([2, 0, 1, 0])
+    payoffs = RewardTable(pop).arm_rewards(task_ids, np.array([1, 1, 1, 2]))
     with pytest.raises(NumericalError, match=match):
-        play(policy, RewardTable(pop), np.array([2, 0, 1, 0]),
-             np.array([1, 1, 1, 2]))
+        play(policy, task_ids, payoffs)
 
 
 def test_registry_names():
@@ -752,6 +753,19 @@ def test_registry_validation():
         make_policy("oracle-ts", ctx, {"theta": np.zeros(2)})
     agent = make_policy("hier-ts-batch", ctx, {"refresh_every": 5})
     assert agent.refresh_every == 5
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "bernoulli"])
+def test_every_policy_act_returns_a_python_int(kind):
+    # Policy.act -> int: every registered policy answers act with a Python
+    # int, not a NumPy integer.
+    spec = PopulationSpec(n_tasks=2, horizon=4, n_arms=3, dim=4,
+                          reward_kind=kind, seed=53)
+    pop, ctx = _ctx(spec, seed=54, schedule_kind="sequential")
+    for name in algorithm_names(kind):
+        policy = make_policy(name, AgentContext(
+            pop, ctx.priors, np.random.default_rng(54), "sequential"))
+        assert type(policy.act(0)) is int, name
 
 
 _COUNT_TS = [("gaussian", name) for name in (
@@ -783,7 +797,9 @@ def test_count_core_tallies_pulls_and_sums(kind, name):
     played_rows = []
     for tids, rounds in (([0, 1, 2], [1, 1, 1]), ([1, 1, 1], [2, 3, 4]),
                          ([2, 0], [2, 2])):
-        arms, rewards = played.play(table, np.array(tids), np.array(rounds))
+        payoffs = table.arm_rewards(np.array(tids), np.array(rounds))
+        arms = played.play(np.array(tids), payoffs)
+        rewards = payoffs[np.arange(len(tids)), arms]
         played_rows += zip(tids, arms.tolist(), rewards.tolist())
     n_slots = 1 if name == "pooled-ts" else spec.n_tasks
     for agent, agent_rows in ((one_by_one, rows), (played, played_rows)):
@@ -820,8 +836,8 @@ def test_batched_calls_refuse_unflagged_policies(monkeypatch, kind, name,
     for reference in (False, True):
         agent = make_policy(name, _ctx(spec, 66, "sequential")[1], options)
         play = MethodType(Policy.play, agent) if reference else agent.play
-        cols = [col for rnd in (1, 2)
-                for col in play(table, np.array([0, 1, 2]), np.full(3, rnd))]
+        ids = np.array([0, 1, 2])
+        cols = [play(ids, table.arm_rewards(ids, rnd)) for rnd in (1, 2)]
         runs.append((cols + [getattr(agent, "counts", np.zeros(0))],
                      agent.rng.bit_generator.state))
     (own, state), (looped, state_looped) = runs

@@ -493,10 +493,9 @@ class _RecordingPolicy(Policy):
     def update(self, task_id, arm, reward):
         self.events.append(("update", task_id))
 
-    def play(self, table, task_ids, rounds):
-        self.events.append(("play", tuple(task_ids.tolist()),
-                            tuple(rounds.tolist())))
-        return super().play(table, task_ids, rounds)
+    def play(self, task_ids, payoffs):
+        self.events.append(("play", tuple(task_ids.tolist())))
+        return super().play(task_ids, payoffs)
 
     def end_of_round(self):
         self.events.append(("end_of_round",))
@@ -511,19 +510,19 @@ def _play(task_id):
 
 @pytest.mark.parametrize("kind, stream, expected", [
     ("concurrent", None,
-     [("play", (0, 1, 2), (1, 1, 1))] + _play(0) + _play(1) + _play(2)
-     + [("end_of_round",), ("play", (0, 1, 2), (2, 2, 2))]
+     [("play", (0, 1, 2))] + _play(0) + _play(1) + _play(2)
+     + [("end_of_round",), ("play", (0, 1, 2))]
      + _play(0) + _play(1) + _play(2) + [("end_of_round",)]),
     ("sequential", None,
-     [("play", (0, 0), (1, 2))] + _play(0) + _play(0) + [("end_of_task", 0)]
-     + [("play", (1, 1), (1, 2))] + _play(1) + _play(1) + [("end_of_task", 1)]
-     + [("play", (2, 2), (1, 2))] + _play(2) + _play(2)
+     [("play", (0, 0))] + _play(0) + _play(0) + [("end_of_task", 0)]
+     + [("play", (1, 1))] + _play(1) + _play(1) + [("end_of_task", 1)]
+     + [("play", (2, 2))] + _play(2) + _play(2)
      + [("end_of_task", 2)]),
     ("custom", [2, 0, 0, 1, 2, 1],
-     [("play", (2, 0, 0, 1, 2, 1), (1, 1, 2, 1, 2, 2))]
+     [("play", (2, 0, 0, 1, 2, 1))]
      + _play(2) + _play(0) + _play(0) + _play(1) + _play(2) + _play(1)),
     ("custom", [0, 1, 2, 0, 1, 2],
-     [("play", (0, 1, 2, 0, 1, 2), (1, 1, 1, 2, 2, 2))]
+     [("play", (0, 1, 2, 0, 1, 2))]
      + _play(0) + _play(1) + _play(2) + _play(0) + _play(1) + _play(2)),
 ])
 def test_simulate_run_hook_order(kind, stream, expected):
@@ -549,14 +548,14 @@ class _BatchRecordingPolicy(_RecordingPolicy):
         super().__init__()
         self.run = run
 
-    def play(self, table, task_ids, rounds):
+    def play(self, task_ids, payoffs):
         self.events.append(("play", tuple(task_ids.tolist())))
         arms = np.empty(task_ids.shape[0], dtype=np.int64)
         for i, start in enumerate(range(0, task_ids.shape[0], self.run)):
             step = slice(start, start + self.run)
             self.events.append(("step", tuple(task_ids[step].tolist())))
             arms[step] = i % 2
-        return arms, table.rewards(task_ids, rounds, arms)
+        return arms
 
 
 @pytest.mark.parametrize("kind, stream, run, expected", [
@@ -575,7 +574,8 @@ class _BatchRecordingPolicy(_RecordingPolicy):
 ])
 def test_simulate_run_batched_hook_order(kind, stream, run, expected):
     # A play that splits its segment into steps is still one play call per
-    # segment, and its arms and rewards land in the ledger in schedule order.
+    # segment; its arms land in the ledger in schedule order, each with the
+    # reward the engine gathers from its own (task, round) payoff row.
     spec = PopulationSpec(n_tasks=3, horizon=2, n_arms=2, dim=3, seed=5)
     population = generate_population(spec)
     table = RewardTable(population)
@@ -600,18 +600,19 @@ def test_simulate_run_batched_hook_order(kind, stream, run, expected):
 
 def _both_paths(kind, name, options, n_tasks, schedule="concurrent",
                 play=None, no_steps=False, n_arms=3, records=(),
-                stats=lambda policy: ()):
+                stats=lambda policy: (), table=RewardTable):
     """simulate_run of one policy through its own play (or the function
     play, if given) and through the base loop, Policy.play; each as
     (columns, generator end state), the arrays stats(policy) returns after
     the run appended to the columns.  Both policies first take the
     (task, arm, reward) records through update.  no_steps=True makes act
     and update fail on the first path, which must then not step.  A custom
-    schedule plays the tasks in a shuffled order."""
+    schedule plays the tasks in a shuffled order.  Both paths read the
+    reward table table(population) builds."""
     spec = PopulationSpec(n_tasks=n_tasks, horizon=7, n_arms=n_arms,
                           dim=max(4, n_arms + 1), reward_kind=kind, seed=21)
     population = generate_population(spec)
-    table = RewardTable(population)
+    table = table(population)
     priors = derive_baseline_priors(spec, population.theta, n_mc=2000)
     stream = None
     if schedule == "custom":
@@ -704,6 +705,8 @@ def test_pooled_ts_play_continues_from_carried_counts(normals):
     population = generate_population(spec)
     table = RewardTable(population)
     priors = derive_baseline_priors(spec, population.theta)
+    task_ids = np.array([2, 0, 3, 1, 2, 0])
+    rounds = np.array([1, 1, 1, 1, 2, 2])
     runs = []
     for play in (PooledTS.play, Policy.play):
         rng = agent_rng(25, "pooled-ts") if normals == "generator" \
@@ -713,15 +716,14 @@ def test_pooled_ts_play_continues_from_carried_counts(normals):
         for record in [(0, 0, 0.25), (1, 1, 2.0), (2, 2, -1.5), (3, 0, 2.0),
                        (0, 1, 0.25)]:
             policy.update(*record)
-        cols = play(policy, table, np.array([2, 0, 3, 1, 2, 0]),
-                    np.array([1, 1, 1, 1, 2, 2]))
-        runs.append([*cols, policy.counts.copy(), policy.sums.copy()])
+        arms = play(policy, task_ids, table.arm_rewards(task_ids, rounds))
+        runs.append([arms, policy.counts.copy(), policy.sums.copy()])
         if normals == "generator":
             runs[-1].append(rng.bit_generator.state)
     kernel, looped = runs
-    for got, want in zip(kernel[:4], looped[:4]):
+    for got, want in zip(kernel[:3], looped[:3]):
         assert got.dtype == want.dtype and np.array_equal(got, want)
-    assert kernel[4:] == looped[4:]
+    assert kernel[3:] == looped[3:]
     if normals == "zeros":
         assert kernel[0][0] == 0
 
@@ -821,6 +823,8 @@ def test_bernoulli_kernel_continues_from_carried_counts(draws):
     population = generate_population(spec)
     table = RewardTable(population)
     priors = derive_baseline_priors(spec, population.theta, n_mc=2000)
+    task_ids = np.array([2, 0, 3, 1, 2, 0])
+    rounds = np.array([1, 1, 1, 1, 2, 2])
     runs = []
     for play in (PooledTSBernoulli.play, Policy.play):
         rng = agent_rng(25, "pooled-ts") if draws == "generator" \
@@ -830,15 +834,14 @@ def test_bernoulli_kernel_continues_from_carried_counts(draws):
         for record in [(0, 0, 1.0), (1, 1, 1.0), (2, 2, 0.0), (3, 0, 0.0),
                        (0, 1, 0.0)]:
             policy.update(*record)
-        cols = play(policy, table, np.array([2, 0, 3, 1, 2, 0]),
-                    np.array([1, 1, 1, 1, 2, 2]))
-        runs.append([*cols, policy.counts.copy(), policy.sums.copy()])
+        arms = play(policy, task_ids, table.arm_rewards(task_ids, rounds))
+        runs.append([arms, policy.counts.copy(), policy.sums.copy()])
         if draws == "generator":
             runs[-1].append(rng.bit_generator.state)
     kernel, looped = runs
-    for got, want in zip(kernel[:4], looped[:4]):
+    for got, want in zip(kernel[:3], looped[:3]):
         assert got.dtype == want.dtype and np.array_equal(got, want)
-    assert kernel[4:] == looped[4:]
+    assert kernel[3:] == looped[3:]
     if draws == "means":
         assert kernel[0][0] == 0
 
@@ -862,6 +865,65 @@ def test_wrongly_flagged_hier_ts_diverges():
     forced, looped = _both_paths("gaussian", "hier-ts", {}, 6,
                                  play=_CountTS.play)
     assert not all(np.array_equal(f, l) for f, l in zip(forced[0], looped[0]))
+
+
+class _PoisonedTable:
+    """A RewardTable whose payoff rows keep the true payoff only at the arm
+    a known run played at that (task, round); every other entry is NaN
+    (Gaussian rewards) or the flipped outcome (Bernoulli rewards)."""
+
+    def __init__(self, population, columns):
+        self.table = RewardTable(population)
+        self.kind = population.spec.reward_kind
+        task_ids, rounds, arms = (col.tolist() for col in columns[:3])
+        self.played = dict(zip(zip(task_ids, rounds), arms))
+
+    def arm_rewards(self, task_ids, rounds):
+        payoffs = self.table.arm_rewards(task_ids, rounds)
+        rounds = np.broadcast_to(rounds, task_ids.shape)
+        played = [self.played[key] for key in zip(task_ids.tolist(),
+                                                   rounds.tolist())]
+        unplayed = np.arange(payoffs.shape[1]) != np.array(played)[:, None]
+        poison = np.nan if self.kind == "gaussian" else 1.0 - payoffs
+        return np.where(unplayed, poison, payoffs)
+
+
+def _all_statistics(policy):
+    """Every count and accumulator array the policy keeps."""
+    acc = getattr(policy, "acc", None)
+    arrays = [getattr(policy, name, None)
+              for name in ("counts", "sums", "a_mat", "b_vec")]
+    if acc is not None:
+        arrays += [acc.phi_vinv_phi, acc.phi_vinv_resid, acc.counts, acc.sums]
+    return tuple(a for a in arrays if a is not None)
+
+
+_POISON_CASES = [(kind, name, options, schedule)
+                 for kind, name, options in _FLAGGED
+                 if options.get("refresh_every") != "n_tasks+1"
+                 for schedule in ("concurrent", "sequential")]
+_POISON_CASES += [(kind, name, {}, schedule)
+                  for kind, name in (("gaussian", "pooled-ts"),
+                                     ("gaussian", "hier-ts"),
+                                     ("gaussian", "linear-ts"),
+                                     ("bernoulli", "pooled-ts"))
+                  for schedule in ("concurrent", "sequential", "custom")]
+_POISON_CASES += [("gaussian", "hier-ts-aligned", {}, "sequential")]
+
+
+@pytest.mark.parametrize("kind, name, options, schedule", _POISON_CASES)
+def test_policies_read_only_the_played_payoff(kind, name, options, schedule):
+    # Step j of play may read payoffs[j, a] only for the arm a it plays, and
+    # only after choosing it.  Replayed on payoff rows whose every other
+    # entry is poisoned, a policy's own play and the base loop must give
+    # the clean run's columns, statistics and generator end state.
+    clean, _ = _both_paths(kind, name, options, 6, schedule,
+                           stats=_all_statistics)
+    poisoned = _both_paths(
+        kind, name, options, 6, schedule, stats=_all_statistics,
+        table=lambda population: _PoisonedTable(population, clean[0]))
+    for path in poisoned:
+        _assert_same_run((path, clean))
 
 
 # Policies that keep the base loop, Policy.play, and so have no play-vs-loop

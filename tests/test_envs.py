@@ -224,24 +224,28 @@ def test_reward_table_bernoulli_support():
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "bernoulli"])
-def test_reward_table_rewards_equal_reward_bitwise(kind):
+def test_reward_table_arm_rewards_equal_reward_bitwise(kind):
+    # The simulation loop reads payoff rows through arm_rewards; every arm
+    # at every (task, round) must equal the scalar reference reward() bit
+    # for bit, or the ledger would move.
     spec = _spec(seed=9, n_tasks=4, horizon=5, n_arms=3, reward_kind=kind)
     table = RewardTable(generate_population(spec))
-    tasks, rounds, arms = (g.ravel() for g in np.meshgrid(
+    tasks, rounds = (g.ravel() for g in np.meshgrid(
         np.arange(spec.n_tasks), np.arange(1, spec.horizon + 1),
-        np.arange(spec.n_arms), indexing="ij"))
-    want = np.array([table.reward(t, r, a)
-                     for t, r, a in zip(tasks.tolist(), rounds.tolist(),
-                                        arms.tolist())])
-    got = table.rewards(tasks, rounds, arms)
-    assert got.dtype == want.dtype
+        indexing="ij"))
+    want = np.array([[table.reward(t, r, a) for a in range(spec.n_arms)]
+                     for t, r in zip(tasks.tolist(), rounds.tolist())])
+    got = table.arm_rewards(tasks, rounds)
+    assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     # one round for a batch of tasks, as a concurrent round asks for it
-    got = table.rewards(np.arange(spec.n_tasks), 3, np.full(spec.n_tasks, 2))
-    assert got.tolist() == [table.reward(t, 3, 2) for t in range(spec.n_tasks)]
+    got = table.arm_rewards(np.arange(spec.n_tasks), 3)
+    assert got.tolist() == [[table.reward(t, 3, a)
+                             for a in range(spec.n_arms)]
+                            for t in range(spec.n_tasks)]
     for bad in (0, spec.horizon + 1, np.array([1, 0, 2, 1])):
         with pytest.raises(ScheduleError, match="outside horizon"):
-            table.rewards(np.arange(spec.n_tasks), bad, np.zeros(4, int))
+            table.arm_rewards(np.arange(spec.n_tasks), bad)
 
 
 def test_rng_streams_disjoint():
