@@ -1,9 +1,10 @@
 """Posterior sampling for the logistic Beta-Bernoulli hierarchy.
 
 The binary-reward model has no conjugate posterior over the shared
-coefficients, so the library samples it with Metropolis-within-Gibbs:
-latent arm means are re-drawn from their conditional Beta distributions
-and the coefficient vector moves by an adapted random walk.  This script
+coefficients, so the library samples it with a collapsed Metropolis chain:
+the arm means are integrated out in closed form (each arm's counts have a
+Beta-Binomial marginal given the coefficients), and the coefficient vector
+moves by an adapted random walk against that marginal.  This script
 generates a population, collects uniformly random pulls, runs the chain,
 and compares the posterior to the truth.
 """

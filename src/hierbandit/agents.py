@@ -67,11 +67,10 @@ from functools import partial
 from typing import Callable
 
 import numpy as np
-from scipy.special import betaln
 
 from ._linalg import precision_draw, sample_mvn_precision
 from .bernoulli import (ThetaSampler, acceptance_warnings,
-                        logistic_beta_shapes)
+                        beta_binomial_log_marginal, logistic_beta_shapes)
 from .core import FeatureMap, HierarchyConfig, check_count, check_flag
 from .envs import Population
 from .errors import ConfigError, NumericalError, ScheduleError
@@ -848,14 +847,15 @@ class HierTSBernoulli(OracleTSBernoulli):
 
     The first theta is a draw from its prior.  Each refresh (at every
     schedule boundary and, with `refresh_every` = m, after every m
-    interactions since the last one) advances one persistent
-    Metropolis-within-Gibbs chain on the per-slot counts of every task
-    pulled so far and rebuilds each task's Beta prior from the chain's final
-    theta.  The first refresh starts the chain cold at mu_theta with
-    `burn_in` sweeps; every refresh then runs `sweeps` more from wherever
-    the chain stands, its proposal scale still adapting with a shrinking
-    gain.  Each refresh's acceptance rate over those `sweeps` is appended to
-    `acceptance_rates` and its sampler warnings to `mcmc_warnings`.
+    interactions since the last one) advances one persistent collapsed
+    Metropolis chain (bernoulli.ThetaSampler: the arm means integrated out,
+    no latent draw) on the per-slot counts of every task pulled so far and
+    rebuilds each task's Beta prior from the chain's final theta.  The first
+    refresh starts the chain cold at mu_theta with `burn_in` sweeps; every
+    refresh then runs `sweeps` more from wherever the chain stands, its
+    proposal scale still adapting with a shrinking gain.  Each refresh's
+    acceptance rate over those `sweeps` is appended to `acceptance_rates`
+    and its sampler warnings to `mcmc_warnings`.
     """
 
     name = "hier-ts"
@@ -916,8 +916,8 @@ class MetaTSBernoulli(_BetaCountTS):
         for c in range(self.n_candidates):
             a1 = self.cand_a1[c][None, :]
             a2 = self.cand_a2[c][None, :]
-            w[c] = float(np.sum(betaln(a1 + self.sums, a2 + failures)
-                                - betaln(a1, a2)))
+            w[c] = float(np.sum(beta_binomial_log_marginal(
+                a1, a2, self.sums, failures)))
         return w
 
     def _refresh(self) -> None:

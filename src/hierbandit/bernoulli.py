@@ -13,20 +13,23 @@ Beta parameterization: for mean mu and precision psi > 0,
     Var = mu (1 - mu) psi / (1 + psi),
 so larger psi means more cross-task heterogeneity around the logistic mean.
 
-The arm-mean posterior given theta is conjugate (Beta-Bernoulli).  The
-coefficient posterior is not; ThetaSampler runs Metropolis-within-Gibbs on
-per-slot success and failure counts, alternating an exact vectorized
-resample of the latent arm means with a random-walk Metropolis move on theta
-against the latent-conditional target.  Its state (theta, the adapted
-proposal scale, the sweep count) persists between runs, so Bernoulli hier-ts
-keeps one warm chain across refreshes while its counts grow.
-sample_theta_counts is the same chain started cold from mu_theta, and
-sample_theta_mcmc its History adapter.
+The arm-mean posterior given theta is conjugate (Beta-Bernoulli), so the
+arm means integrate out: given theta, a slot's success and failure counts
+have the Beta-Binomial marginal B(alpha1 + s, alpha2 + f) / B(alpha1, alpha2)
+(beta_binomial_log_marginal).  The coefficient posterior has no closed form;
+ThetaSampler runs a collapsed random-walk Metropolis chain on theta whose
+target is the log prior plus the sum of those marginals over the slots, so
+it draws no latent arm mean.  Its state (theta, the adapted proposal scale,
+the sweep count) persists between runs, so Bernoulli hier-ts keeps one warm
+chain across refreshes while its counts grow.  sample_theta_counts is the
+same chain started cold from mu_theta, and sample_theta_mcmc its History
+adapter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -121,17 +124,26 @@ def logistic_beta_shapes(phi_rows: np.ndarray, theta: np.ndarray,
     return means / psi, (1.0 - means) / psi
 
 
+def beta_binomial_log_marginal(a1: np.ndarray, a2: np.ndarray,
+                               successes: np.ndarray,
+                               failures: np.ndarray) -> np.ndarray:
+    """Per slot, log B(a1 + s, a2 + f) / B(a1, a2): the log probability of
+    the slot's outcomes, in their order, with its Beta(a1, a2) mean
+    integrated out.  Exactly 0.0 for a slot with no pulls."""
+    return betaln(a1 + successes, a2 + failures) - betaln(a1, a2)
+
+
 def log_marginal_counts(theta: np.ndarray, cfg: HierarchyConfig,
                         fm: FeatureMap, task_x: np.ndarray,
                         successes: np.ndarray, failures: np.ndarray) -> float:
     """log P(counts | theta) for one task with the latent means integrated
     out: a product of Beta-Binomial marginals,
-        B(alpha1 + s_a, alpha2 + f_a) / B(alpha1, alpha2)  per arm.
-    Used by the small-d quadrature oracle and the candidate-reweighting
-    baseline."""
+        B(alpha1 + s_a, alpha2 + f_a) / B(alpha1, alpha2)  per arm,
+    the task's share of ThetaSampler's collapsed likelihood.  Used by the
+    small-d quadrature oracle."""
     means = clipped_logistic_means(fm, task_x, np.asarray(theta, dtype=float))
-    a1, a2 = means / cfg.psi, (1.0 - means) / cfg.psi
-    return float(np.sum(betaln(a1 + successes, a2 + failures) - betaln(a1, a2)))
+    return float(np.sum(beta_binomial_log_marginal(
+        means / cfg.psi, (1.0 - means) / cfg.psi, successes, failures)))
 
 
 @dataclass
@@ -174,15 +186,15 @@ def sample_theta_mcmc(cfg: HierarchyConfig, fm: FeatureMap, h: History,
                       rng: np.random.Generator, n_samples: int = 2000,
                       burn_in: int = 1000,
                       initial_step: float = 0.25) -> ThetaChain:
-    """Metropolis-within-Gibbs chain for P(theta | H) under the Beta-logistic
+    """Collapsed Metropolis chain for P(theta | H) under the Beta-logistic
     model: stacks the history into per-slot counts and runs
     sample_theta_counts on them.
 
     The chain conditions on the tasks that carry records, in sorted id
     order; with an empty history it conditions on every task registered in
-    the feature map, whose latent resample then draws from the pure prior so
-    the chain targets P(theta) exactly.  A record counts as a success when
-    its reward is >= 0.5.
+    the feature map, whose slots all have no pulls and add exactly 0 to the
+    log target, so the chain targets P(theta).  A record counts as a success
+    when its reward is >= 0.5.
     """
     cfg.require_bernoulli()
     task_ids = sorted(h.task_ids()) or sorted(fm.known_tasks())
@@ -202,13 +214,14 @@ def sample_theta_counts(cfg: HierarchyConfig, phi_rows: np.ndarray,
                         rng: np.random.Generator, n_samples: int = 2000,
                         burn_in: int = 1000,
                         initial_step: float = 0.25) -> ThetaChain:
-    """Metropolis-within-Gibbs chain for P(theta | counts) over stacked
+    """Collapsed Metropolis chain for P(theta | counts) over stacked
     task-arm slots: row j of phi_rows is a slot's feature vector and
     successes[j], failures[j] its Bernoulli counts.
 
-    A cold ThetaSampler: burn_in sweeps from mu_theta with the proposal
-    scale adapting, then n_samples kept sweeps at the scale burn-in left;
-    the reported acceptance rate covers the kept sweeps.
+    A cold ThetaSampler, the chain Bernoulli hier-ts runs warm: burn_in
+    sweeps from mu_theta with the proposal scale adapting, then n_samples
+    kept sweeps at the scale burn-in left; the reported acceptance rate
+    covers the kept sweeps.
     """
     chain = ThetaSampler(cfg, initial_step)
     if n_samples < 1 or burn_in < 0:
@@ -240,21 +253,18 @@ def acceptance_warnings(rate: float) -> list[str]:
 
 
 class ThetaSampler:
-    """A Metropolis-within-Gibbs chain on theta whose state persists between
-    runs: theta (from mu_theta), the log proposal scale (from
+    """A collapsed random-walk Metropolis chain on theta whose state persists
+    between runs: theta (from mu_theta), the log proposal scale (from
     log(initial_step)) and the number of sweeps run so far.
 
-    Each sweep (1) resamples every latent arm mean exactly from its conjugate
-    Beta(alpha1 + s, alpha2 + f) given the current theta, all slots in one
-    vectorized draw, and (2) proposes a Gaussian random-walk step on theta
-    accepted against the latent-conditional target.  A theta state's terms
-    (its Beta shapes, betaln of them and its log prior) are computed once,
-    when the state is proposed, and reused until another proposal is
-    accepted; the latent logs are shared by the current and candidate
-    targets.  Each sweep draws one beta(n_slots), one standard_normal(d) and
-    one uniform draw, in that order.  An adapting sweep moves the log scale
-    toward 30% acceptance by Robbins-Monro with gain (n_sweeps + 1)^-0.6,
-    so the gain keeps shrinking across runs.
+    The target is P(theta | counts) with every latent arm mean integrated
+    out (log_target), so a sweep is one Gaussian random-walk proposal on
+    theta and one accept test: it draws one standard_normal(d) and then one
+    uniform, and makes no Beta draw.  A state's target is computed once,
+    when the state is proposed, and kept until another proposal is accepted.
+    An adapting sweep moves the log scale toward 30% acceptance by
+    Robbins-Monro with gain (n_sweeps + 1)^-0.6, so the gain keeps shrinking
+    across runs.
     """
 
     def __init__(self, cfg: HierarchyConfig, initial_step: float = 0.25):
@@ -271,52 +281,42 @@ class ThetaSampler:
         # if log(u) fell within that rounding of the log ratio
         self._whiten = np.linalg.inv(np.linalg.cholesky(cfg.sigma_theta))
 
+    def log_target(self, phi_rows: np.ndarray, successes: np.ndarray,
+                   failures: np.ndarray, theta: np.ndarray) -> float:
+        """log P(theta | counts) up to a constant: the log prior
+        -|L^-1 (theta - mu_theta)|^2 / 2, L the Cholesky factor of
+        Sigma_theta, plus beta_binomial_log_marginal summed over the slots
+        under theta's logistic Beta shapes."""
+        a1, a2 = logistic_beta_shapes(phi_rows, theta, self.cfg.psi)
+        white = self._whiten @ (theta - self.cfg.mu_theta)
+        return -0.5 * float(white @ white) + float(
+            beta_binomial_log_marginal(a1, a2, successes, failures).sum())
+
     def run(self, phi_rows: np.ndarray, successes: np.ndarray,
             failures: np.ndarray, rng: np.random.Generator, n: int,
             adapt: bool = True, samples: np.ndarray | None = None) -> int:
         """n sweeps on the given counts from the current state; row i of
         samples, if given, receives theta after sweep i.  Returns the number
         of accepted proposals."""
-        psi, mu, whiten = self.cfg.psi, self.cfg.mu_theta, self._whiten
-        d = mu.shape[0]
-
-        def terms(t: np.ndarray) -> tuple:
-            """(t, posterior shapes of the latent draw, alpha - 1 of both
-            shapes, betaln of the shapes, log prior up to a constant)."""
-            a1, a2 = logistic_beta_shapes(phi_rows, t, psi)
-            white = whiten @ (t - mu)
-            return (t, a1 + successes, a2 + failures, a1 - 1.0, a2 - 1.0,
-                    betaln(a1, a2), -0.5 * float(white @ white))
-
-        def log_target(state: tuple, log_x: np.ndarray,
-                       log_1mx: np.ndarray) -> float:
-            """Log prior plus the Beta log density of the latent means."""
-            _, _, _, c1, c2, lbeta, lprior = state
-            return lprior + float((c1 * log_x + c2 * log_1mx - lbeta).sum())
-
-        state = terms(self.theta)
-        log_step = self.log_step
+        target = partial(self.log_target, phi_rows, successes, failures)
+        theta, log_step = self.theta, self.log_step
+        current = target(theta)
+        d = theta.shape[0]
         accepted = 0
         for i in range(n):
-            theta, post1, post2 = state[:3]
-            latent = np.clip(rng.beta(post1, post2), MEAN_CLIP,
-                             1.0 - MEAN_CLIP)
-            log_x = np.log(latent)
-            log_1mx = np.log1p(-latent)
-            step = np.exp(log_step)
-            cand = terms(theta + step * rng.standard_normal(d))
+            cand = theta + np.exp(log_step) * rng.standard_normal(d)
+            proposed = target(cand)
             # rng.random() is rng.uniform() bit for bit, with less overhead
-            accept = np.log(rng.random()) < log_target(cand, log_x, log_1mx) \
-                - log_target(state, log_x, log_1mx)
+            accept = np.log(rng.random()) < proposed - current
             if accept:
-                state = cand
-            accepted += int(accept)
+                theta, current = cand, proposed
+                accepted += 1
             if adapt:
                 gamma = (self.n_sweeps + i + 1.0) ** -0.6
                 log_step += gamma * ((1.0 if accept else 0.0)
                                      - ACCEPTANCE_TARGET)
             if samples is not None:
-                samples[i] = state[0]
-        self.theta, self.log_step = state[0], log_step
+                samples[i] = theta
+        self.theta, self.log_step = theta, log_step
         self.n_sweeps += n
         return accepted

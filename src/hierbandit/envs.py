@@ -216,12 +216,18 @@ class RewardTable:
         self._means = population.means
 
     def reward(self, task_id: int, round_within_task: int, arm: int) -> float:
-        """Reward for pulling arm at the task's 1-based round."""
+        """Reward for pulling arm at the task's 1-based round; a task id,
+        round or arm out of range is a ScheduleError."""
         spec = self._spec
         t = round_within_task - 1
         if not 0 <= t < spec.horizon:
             raise ScheduleError("round %d outside horizon %d"
                                 % (round_within_task, spec.horizon))
+        if not 0 <= task_id < spec.n_tasks:
+            raise ScheduleError("task %d outside [0, %d)"
+                                % (task_id, spec.n_tasks))
+        if not 0 <= arm < spec.n_arms:
+            raise ScheduleError("arm %d outside [0, %d)" % (arm, spec.n_arms))
         mean = float(self._means[task_id, arm])
         z = self._noise[task_id, t, arm]
         if spec.reward_kind == "gaussian":
@@ -232,14 +238,20 @@ class RewardTable:
                     round_within_task) -> np.ndarray:
         """(n, n_arms): reward() of every arm at each (task, round) element,
         by the same IEEE operations; the round is an int or an array
-        broadcast against the ids.  The simulation loop reads a schedule
-        segment's payoffs through it."""
+        broadcast against the ids.  A task id or round out of range is a
+        ScheduleError.  The simulation loop reads a schedule segment's
+        payoffs through it."""
         spec = self._spec
         rounds = np.asarray(round_within_task)
         outside = rounds[(rounds < 1) | (rounds > spec.horizon)]
         if outside.size:
             raise ScheduleError("round %d outside horizon %d"
                                 % (outside.flat[0], spec.horizon))
+        task_ids = np.asarray(task_ids)
+        outside = task_ids[(task_ids < 0) | (task_ids >= spec.n_tasks)]
+        if outside.size:
+            raise ScheduleError("task %d outside [0, %d)"
+                                % (outside.flat[0], spec.n_tasks))
         mean, z = self._means[task_ids], self._noise[task_ids, rounds - 1]
         if spec.reward_kind == "gaussian":
             return mean + spec.sigma_noise * z

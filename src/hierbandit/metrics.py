@@ -196,11 +196,16 @@ def cumulative_regret_by_seed(ledger: RegretLedger, algorithm: str) -> dict[int,
 def verify_replay(ledger: RegretLedger, population_for_seed, reward_for) -> None:
     """Consistency check: every ledger reward must equal the deterministic
     reward table entry for its (seed, task, round, arm), and every
-    inst_regret must match the population's true means.  population_for_seed
-    maps seed -> Population, reward_for maps (seed, task, round, arm) ->
-    float."""
+    inst_regret must match the population's true means; a task id or arm
+    outside the population fails too.  population_for_seed maps seed ->
+    Population, reward_for maps (seed, task, round, arm) -> float."""
     for alg, seed, task_id, rnd, arm, reward, gap in ledger.rows():
         pop = population_for_seed(seed)
+        if not (0 <= task_id < len(pop.tasks)
+                and 0 <= arm < len(pop.tasks[task_id].true_means)):
+            raise ConfigError(
+                "ledger task %d, arm %d out of range at (%s, seed %d, "
+                "round %d)" % (task_id, arm, alg, seed, rnd))
         expected = reward_for(seed, task_id, rnd, arm)
         if reward != expected:
             raise ConfigError(

@@ -9,7 +9,6 @@ import from hierbandit.
 import math
 
 import numpy as np
-from scipy.special import betaln, expit
 
 
 def joint_posterior_oracle(mu_theta, sigma_theta, sigma_delta, sigma_noise,
@@ -222,12 +221,16 @@ def theta_mcmc_history_oracle(mu_theta, sigma_theta, psi, fm, records, rng,
                               mean_clip=1e-6, acceptance_target=0.3,
                               start=None, log_step=None, sweep_offset=0,
                               adapt_kept=False):
-    """Frozen copy of the History-based Metropolis-within-Gibbs loop.
+    """Frozen copy of the History-based collapsed Metropolis chain on theta.
 
     Tasks are those carrying records, in sorted id order (all registered
-    tasks of fm when there are none); slot counts follow reward >= 0.5.
-    Every sweep recomputes the Beta shapes of both states and solves the
-    prior factor twice, exactly as the sampler did before it ran on counts.
+    tasks of fm when there are none); slot counts are tallied record by
+    record, a reward >= 0.5 a success.  The log target of a state is its log
+    prior, by np.linalg.solve on the prior's Cholesky factor, plus
+    bblm_counts_log_marginal_oracle of the counts, the latent arm means
+    integrated out.  Every sweep draws standard_normal(d) for the proposal,
+    then one uniform for the accept test, and recomputes the targets of
+    both states.
 
     The chain starts at theta = start (default mu_theta) with log proposal
     scale log_step (default log(initial_step)).  The first burn_in sweeps
@@ -248,8 +251,8 @@ def theta_mcmc_history_oracle(mu_theta, sigma_theta, psi, fm, records, rng,
     for tid, j in row_of.items():
         phi_rows[j * k:(j + 1) * k] = fm.task_features(
             np.asarray(fm.metadata_for(tid), dtype=float))
-    successes = np.zeros(len(task_ids) * k)
-    failures = np.zeros(len(task_ids) * k)
+    successes = [0.0] * (len(task_ids) * k)
+    failures = [0.0] * (len(task_ids) * k)
     for rec in records:
         slot = row_of[rec.task_id] * k + rec.action
         if rec.reward >= 0.5:
@@ -259,16 +262,10 @@ def theta_mcmc_history_oracle(mu_theta, sigma_theta, psi, fm, records, rng,
 
     prior_lower = np.linalg.cholesky(np.asarray(sigma_theta, dtype=float))
 
-    def arm_shapes(t):
-        means = np.clip(expit(phi_rows @ t), mean_clip, 1.0 - mean_clip)
-        return means / psi, (1.0 - means) / psi
-
-    def log_target(t, latent):
+    def log_target(t):
         white = np.linalg.solve(prior_lower, t - mu_theta)
-        a1, a2 = arm_shapes(t)
-        dens = (a1 - 1.0) * np.log(latent) + (a2 - 1.0) * np.log1p(-latent) \
-            - betaln(a1, a2)
-        return -0.5 * float(white @ white) + float(np.sum(dens))
+        return -0.5 * float(white @ white) + bblm_counts_log_marginal_oracle(
+            t, phi_rows, successes, failures, psi, mean_clip)
 
     theta = mu_theta.copy() if start is None \
         else np.asarray(start, dtype=float).copy()
@@ -277,13 +274,9 @@ def theta_mcmc_history_oracle(mu_theta, sigma_theta, psi, fm, records, rng,
     samples = np.zeros((n_samples, d))
     accepted_post = 0
     for sweep in range(burn_in + n_samples):
-        a1, a2 = arm_shapes(theta)
-        latent = rng.beta(a1 + successes, a2 + failures)
-        latent = np.clip(latent, mean_clip, 1.0 - mean_clip)
-        current = log_target(theta, latent)
         proposal = theta + np.exp(log_step) * rng.standard_normal(d)
-        candidate = log_target(proposal, latent)
-        accept = np.log(rng.uniform()) < candidate - current
+        accept = np.log(rng.uniform()) \
+            < log_target(proposal) - log_target(theta)
         if accept:
             theta = proposal
         if sweep < burn_in or adapt_kept:

@@ -373,17 +373,18 @@ def test_ledger_writer_memory_does_not_grow_with_runs(tmp_path):
 # refresh_every is below the task length and the number of tasks, so the
 # refreshing policies also refresh mid-task and mid-round.
 _TINY_POPULATION = {"n_tasks": 5, "horizon": 6, "n_arms": 3, "dim": 4}
-# Bernoulli hier-ts alone (emit_mtr off, its warm chain re-pinned these
-# bytes), and the other four Bernoulli policies together.
+# Bernoulli hier-ts alone (emit_mtr off; its warm chain, and then the
+# collapsed chain, re-pinned these bytes), and the other four Bernoulli
+# policies together.
 _BERNOULLI_HIER_SHA256 = {
     "sequential": (
-        "89f3a23a5ddd924719c5f7964485d85f23fa16790dc05273da6014c3667c004f",
-        "926d290b58bb173c981f804bb755750c06a37de9729eb87977471ecd92282ed6",
-        "893b01c1210062d4e173bb0d4f4b0e751131c5a77be76aafc0e73f20ae3b9f7f"),
+        "36da8e2bd5508674de4a712186a7cbd4d2327a7c2c4c4b6672ed194fbdee3eff",
+        "fd0e515344038f1f4cc7f2103609d8d64d9e2b1666387b683cf8761022b5c39a",
+        "1b75069c30dee62b3b8bf505e25e69ccf36020345e9a5fd5243adc9923553299"),
     "concurrent": (
-        "5438a217c6c47415a5b202e3325b4a2f41e5597df8985c0702998992426a6824",
-        "1ba104e94dd8d667e7e29d1c0f8948083e55984af41c370d019592496b245919",
-        "f302b4fd568bd0ba3cfc98a8497f0e25dcf07ae87e53491167de389e42e05837"),
+        "f54372e3ee7776b93a9a9b570809dfdbd06fc81d0223b7adfba798d8878d024a",
+        "2ff33a2251f7cdaccf5f9fd2d7fcbef090415b805abf47a51811287aa24459e0",
+        "939eb5ec5b84e0af4853f920d4664905a3af11daa0142040db49c28cffd97fd1"),
 }
 _BERNOULLI_SHA256 = {
     "sequential": (
@@ -443,12 +444,12 @@ def test_bernoulli_hier_ts_ledger_bytes_pinned(tmp_path, schedule):
 # task's segment repeats its slot, so it takes the Beta count core's scalar
 # kernel, at 3 arms and at 24.
 _BERNOULLI_HIER_SEGMENT_SHA256 = {
-    3: ("77b4aeb834f136b5cfec1983bb247bc03e6ade8a810e29053f4daa7640bc17de",
-        "a17786f9a2bafcae6e0fb34c7224d099216ae3f39d770ddc675252b83d88fefe",
-        "417f8219f143b6f26b453dac8e1290f8e9427450742bc3914a181a515b9ba976"),
-    24: ("76d7de4b3d66daef082403493f3d7f541d572e74e824e33968745f1e19d1cebb",
-         "f1edabfbffa647c8f22a8e9d84adb33467d8563e651cfbee06a63b62f3dd7e78",
-         "7ba27981ce8187a5fd564817ea71eec7c9964d22cb08e3e05d413661a48bb85b"),
+    3: ("97e714c4609625ae06f56f730392b73565740fd9b450741d6c756c5d72df6ba6",
+        "336102daab93833670b2c3fbbeba663d0c9de3c7da1885e276b28eb60c6c1f1d",
+        "5c1bf2345032f2d7dc30f990293075f98686ae90d334778048c99ac6a499471b"),
+    24: ("236582968ef7284ed49b74021e864d9f97c0415fcacf03dde01ae551ed0164a4",
+         "93ed4c3789fbf12ed31307b3c61266c624c71178dae2491a0c69f29f62829c21",
+         "06c3c41e5dbe7c513290eb69972d0e6de1e6ae7debbe67860761f5e0dab37604"),
 }
 
 

@@ -5,9 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from hierbandit.bernoulli import (BetaParams, beta_from_mean_precision,
+from hierbandit.bernoulli import (BetaParams, ThetaSampler,
+                                  beta_binomial_log_marginal,
+                                  beta_from_mean_precision,
                                   bblm_prior_for_task, clipped_logistic_means,
                                   conjugate_update, log_marginal_counts,
+                                  logistic_beta_shapes, outcome_counts,
                                   precision_for_variance, sample_theta_counts,
                                   sample_theta_mcmc)
 from hierbandit.core import (FeatureMap, HierarchyConfig, History,
@@ -245,6 +248,57 @@ def test_mcmc_counts_kernel_matches_history_reference(n_tasks, k, d, pulled,
     assert chain.acceptance_rate == rate
     assert chain.step_scale == step
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("n_tasks, k, d, pulled, rounds", [
+    (24, 4, 6, range(24), 5),             # the bern-sequential shape
+    (6, 1, 1, [0, 2, 3], 8),              # d = 1, three tasks never pulled
+    (4, 2, 4, [], 0),                     # empty history: the prior
+])
+def test_theta_sampler_target_is_prior_plus_beta_binomial_marginals(
+        n_tasks, k, d, pulled, rounds):
+    # The chain's log target is the whitened log prior plus every task's
+    # log_marginal_counts: the arm means integrated out, not sampled.
+    cfg, fm, h = _random_bblm_history(3 * n_tasks + d, n_tasks, k, d,
+                                      list(pulled), rounds)
+    tasks = list(range(n_tasks))
+    phi_rows = np.concatenate([fm.task_features(fm.metadata_for(t))
+                               for t in tasks])
+    successes, failures = outcome_counts(h, tasks, k)
+    idle = (successes + failures).ravel() == 0
+    assert idle.any() and (len(h) == 0) == idle.all()
+    chain = ThetaSampler(cfg)
+    lower = np.linalg.cholesky(cfg.sigma_theta)
+    rng = np.random.default_rng(d)
+    for _ in range(25):
+        theta = cfg.mu_theta + 2.0 * rng.standard_normal(d)
+        white = np.linalg.solve(lower, theta - cfg.mu_theta)
+        log_prior = -0.5 * float(white @ white)
+        want = log_prior + sum(
+            log_marginal_counts(theta, cfg, fm, fm.metadata_for(t),
+                                successes[t], failures[t]) for t in tasks)
+        got = chain.log_target(phi_rows, successes.ravel(), failures.ravel(),
+                               theta)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+        a1, a2 = logistic_beta_shapes(phi_rows, theta, cfg.psi)
+        terms = beta_binomial_log_marginal(a1, a2, successes.ravel(),
+                                           failures.ravel())
+        assert np.all(terms[idle] == 0.0)
+        assert np.all(terms[~idle] < 0.0)
+        if len(h) == 0:
+            np.testing.assert_allclose(got, log_prior, rtol=0.0, atol=1e-12)
+
+
+def test_sample_theta_mcmc_targets_prior_without_history():
+    # With no records the chain conditions on every registered task, all of
+    # whose slots have no pulls: the same chain as on one all-zero slot.
+    cfg, fm, _ = _random_bblm_history(5, 3, 2, 4, [], 0)
+    chain = sample_theta_mcmc(cfg, fm, History(), np.random.default_rng(12),
+                              n_samples=300, burn_in=40)
+    prior_only = sample_theta_counts(cfg, np.zeros((1, 4)), np.zeros(1),
+                                     np.zeros(1), np.random.default_rng(12),
+                                     n_samples=300, burn_in=40)
+    np.testing.assert_array_equal(chain.samples, prior_only.samples)
 
 
 def test_sample_theta_counts_rejects_bad_shapes():

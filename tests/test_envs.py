@@ -203,6 +203,20 @@ def test_reward_table_pairing():
         table_a.reward(0, spec.horizon + 1, 0)
 
 
+def test_reward_table_rejects_task_and_arm_out_of_range():
+    # NumPy indexing would read task -1 as the last task's row and arm -1
+    # as the last arm.
+    spec = _spec(seed=7, n_tasks=3)
+    table = RewardTable(generate_population(spec))
+    for task_id, arm in ((-1, 0), (spec.n_tasks, 0), (0, -1),
+                         (0, spec.n_arms)):
+        with pytest.raises(ScheduleError, match="outside"):
+            table.reward(task_id, 1, arm)
+    for ids in (np.array([0, -1]), np.array([spec.n_tasks, 1])):
+        with pytest.raises(ScheduleError, match="task .* outside"):
+            table.arm_rewards(ids, 1)
+
+
 def test_reward_table_zero_noise_returns_means():
     spec = _spec(seed=8, sigma_noise=1e-300)
     pop = generate_population(spec)

@@ -271,3 +271,12 @@ def test_verify_replay_accepts_honest_and_rejects_tampered():
         verify_replay(build(tamper_reward=True), lambda s: pop, reward_for)
     with pytest.raises(ConfigError):
         verify_replay(build(tamper_regret=True), lambda s: pop, reward_for)
+    # Rows that agree with what NumPy's wrap-around reads for task -1 and
+    # arm -1, and rows past the end, must fail as out of range.
+    for tid, arm in ((-1, 0), (0, -1), (2, 0), (0, 2)):
+        gap = instantaneous_regret(tasks[tid], arm) if tid < 2 and arm < 2 \
+            else 0.0
+        row = RegretLedger()
+        row.add("alg", 0, tid, 1, arm, 0.0, gap)
+        with pytest.raises(ConfigError, match="out of range"):
+            verify_replay(row, lambda s: pop, lambda *key: 0.0)
