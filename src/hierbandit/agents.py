@@ -56,7 +56,10 @@ kernel (one rng.beta call per arm) and the Gaussian cores as the base loop.
 Gaussian pooled-ts, hier-ts and linear-ts, whose every decision reads every
 earlier update, each play a segment as their own scalar kernel; hier-ts and
 linear-ts draw theta every step by _linalg.precision_draw, the recipe
-sample_mvn_precision uses.  hier-ts-aligned keeps the base loop.
+sample_mvn_precision uses.  hier-ts-aligned keeps the base loop.  Every
+scalar kernel walks its segment's rows through core.iter_rows, so a long
+segment (a whole custom stream) is converted to Python floats ROW_CHUNK
+rows at a time.
 """
 
 from __future__ import annotations
@@ -71,7 +74,8 @@ import numpy as np
 from ._linalg import precision_draw, sample_mvn_precision
 from .bernoulli import (ThetaSampler, acceptance_warnings,
                         beta_binomial_log_marginal, logistic_beta_shapes)
-from .core import FeatureMap, HierarchyConfig, check_count, check_flag
+from .core import (FeatureMap, HierarchyConfig, check_count, check_flag,
+                   iter_rows)
 from .envs import Population
 from .errors import ConfigError, NumericalError, ScheduleError
 from .gaussian import ThetaStatAccumulator, diagonal_effect_variances
@@ -421,9 +425,8 @@ class HierTS(_ConditionalTS):
         thetas, outer = np.empty((n, d)), np.empty((d, d))
         arms: list[int] = []
         scores_played: list[float] = []
-        for j, (tid, z, payoff) in enumerate(zip(
-                task_ids.tolist(), normals[:, d:].tolist(),
-                payoffs.tolist())):
+        for j, (tid, z, payoff) in enumerate(iter_rows(
+                task_ids, normals[:, d:], payoffs)):
             thetas[j] = theta = self.cfg.mu_theta + precision_draw(
                 self._sigma_theta_inv + phi_vinv_phi, phi_vinv_resid,
                 normals[j, :d])
@@ -585,7 +588,7 @@ class PooledTS(_IndependentArmTS):
         # changes, recomputed in _draw's operation order; a strict > scan
         # keeps argmax's lowest-index ties.
         k = self.counts.shape[1]
-        normals = self.rng.standard_normal((task_ids.shape[0], k)).tolist()
+        normals = self.rng.standard_normal((task_ids.shape[0], k))
         counts, sums = self.counts[0].tolist(), self.sums[0].tolist()
         prior_mean, prior_var = float(self.prior_mean), float(self.prior_var)
         inv_prior, prior_term = 1.0 / prior_var, prior_mean / prior_var
@@ -597,7 +600,7 @@ class PooledTS(_IndependentArmTS):
             post_sd.append(math.sqrt(post_var))
         offset = _score_offsets(k)
         arms: list[int] = []
-        for z, payoff in zip(normals, payoffs.tolist()):
+        for z, payoff in iter_rows(normals, payoffs):
             arm, best = 0, post_mean[0] + post_sd[0] * z[0] + offset[0]
             for a in range(1, k):
                 score = post_mean[a] + post_sd[a] * z[a] + offset[a]
@@ -657,8 +660,7 @@ class LinearTS(Policy):
         offset = _score_offsets(k)
         thetas, outer = np.empty((n, d)), np.empty((d, d))
         arms: list[int] = []
-        for j, (tid, payoff) in enumerate(zip(task_ids.tolist(),
-                                              payoffs.tolist())):
+        for j, (tid, payoff) in enumerate(iter_rows(task_ids, payoffs)):
             thetas[j] = theta = precision_draw(self.a_mat, self.b_vec,
                                                normals[j])
             scores = [s + o for s, o in zip(
@@ -774,15 +776,15 @@ class _BetaCountTS(_CountTS):
         arm's payoff.  The piece is counted once, after its counts are
         written back."""
         k = self.counts.shape[1]
-        tids, slots = task_ids.tolist(), self.slot_of[task_ids].tolist()
+        slots = self.slot_of[task_ids]
         stats = {slot: (self.counts[slot].tolist(), self.sums[slot].tolist())
-                 for slot in set(slots)}
+                 for slot in set(slots.tolist())}
         priors = {t: [np.full(k, shape).tolist() for shape in self._prior(t)]
-                  for t in set(tids)}
+                  for t in set(task_ids.tolist())}
         offset = _score_offsets(k)
         beta = self.rng.beta
         arms: list[int] = []
-        for tid, slot, payoff in zip(tids, slots, payoffs.tolist()):
+        for tid, slot, payoff in iter_rows(task_ids, slots, payoffs):
             n, successes = stats[slot]
             alpha1, alpha2 = priors[tid]
             scores = [beta(a1 + s, a2 + (c - s)) + o for a1, a2, c, s, o
@@ -854,11 +856,16 @@ class HierTSBernoulli(OracleTSBernoulli):
     refresh starts the chain cold at mu_theta with `burn_in` sweeps; every
     refresh then runs `sweeps` more from wherever the chain stands, its
     proposal scale still adapting with a shrinking gain.  Each refresh's
-    acceptance rate over those `sweeps` is appended to `acceptance_rates`
-    and its sampler warnings to `mcmc_warnings`.
+    acceptance rate over those `sweeps` is appended to `acceptance_rates`.
+    The sampler's acceptance window is tested on the acceptance pooled over
+    consecutive refreshes until at least `warn_sweeps` sweeps have run (a
+    healthy chain at 0.26 per sweep takes 0 of 20 about once in 480
+    refreshes), and its warnings go to `mcmc_warnings`; a pool still short
+    of `warn_sweeps` when the run ends is not tested.
     """
 
     name = "hier-ts"
+    warn_sweeps = 200
 
     def __init__(self, ctx: AgentContext, burn_in: int = 200,
                  sweeps: int = 20, refresh_every: int | None = None):
@@ -869,6 +876,7 @@ class HierTSBernoulli(OracleTSBernoulli):
         self.refresh_every = refresh_every
         self.acceptance_rates: list[float] = []
         self.mcmc_warnings: list[str] = []
+        self._pool = [0, 0]  # (accepted, sweeps) since the last window test
         super().__init__(ctx, theta=cfg.mu_theta
                          + np.sqrt(np.diag(cfg.sigma_theta))
                          * ctx.rng.standard_normal(cfg.dim))
@@ -883,9 +891,14 @@ class HierTSBernoulli(OracleTSBernoulli):
                 self.counts[tasks].ravel() - successes, self.rng)
         if self.chain.n_sweeps == 0:
             self.chain.run(*data, self.burn_in)
-        rate = self.chain.run(*data, self.sweeps) / float(self.sweeps)
-        self.acceptance_rates.append(rate)
-        self.mcmc_warnings.extend(acceptance_warnings(rate))
+        accepted = self.chain.run(*data, self.sweeps)
+        self.acceptance_rates.append(accepted / float(self.sweeps))
+        pool = self._pool
+        pool[0] += accepted
+        pool[1] += self.sweeps
+        if pool[1] >= self.warn_sweeps:
+            self.mcmc_warnings.extend(acceptance_warnings(pool[0] / pool[1]))
+            self._pool = [0, 0]
         self._set_theta(self.chain.theta)
 
 

@@ -23,11 +23,25 @@ from .errors import ConfigError, NumericalError
 # jitter tolerance for PSD validation of configuration matrices
 _PSD_JITTER = 1e-10
 
+# Rows iter_rows (and the ledger's row writer) convert to Python objects at
+# a time: a long stream, such as a whole custom schedule played as one
+# segment, then never holds all of its rows boxed at once.
+ROW_CHUNK = 4096
+
 
 def _readonly(a, dtype=float) -> np.ndarray:
     out = np.array(a, dtype=dtype)
     out.setflags(write=False)
     return out
+
+
+def iter_rows(*columns: np.ndarray) -> Iterator[tuple]:
+    """zip(*(c.tolist() for c in columns)) over equal-length arrays, each
+    row a tuple of Python scalars or lists, converted ROW_CHUNK rows at a
+    time."""
+    for start in range(0, columns[0].shape[0], ROW_CHUNK):
+        yield from zip(*(c[start:start + ROW_CHUNK].tolist()
+                         for c in columns))
 
 
 def check_count(name: str, value, least: int, allow_none: bool = False):

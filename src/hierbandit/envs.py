@@ -17,6 +17,7 @@ from __future__ import annotations
 import os
 import zlib
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -266,6 +267,9 @@ class InteractionSchedule:
     concurrent: round 1 of every task, then round 2 of every task, ...
     custom: a caller-supplied task_id stream in which every task id in
     [0, n_tasks) appears exactly horizon times.
+
+    columns() builds its two read-only arrays once, so every run of a seed
+    played on one schedule, and each run's ledger block, shares them.
     """
 
     kind: str
@@ -284,15 +288,22 @@ class InteractionSchedule:
             yield tid, counter[tid]
 
     def columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """iter_with_rounds as two int64 columns (task_ids, rounds): an
-        occurrence's round is one plus its rank among its task's
-        occurrences, read off a stable argsort of the stream."""
+        """iter_with_rounds as two read-only int64 columns (task_ids,
+        rounds), the same arrays on every call."""
+        return self._columns
+
+    @cached_property
+    def _columns(self) -> tuple[np.ndarray, np.ndarray]:
+        # an occurrence's round is one plus its rank among its task's
+        # occurrences, read off a stable argsort of the stream
         task_ids = np.array(self.stream, dtype=np.int64)
         order = np.argsort(task_ids, kind="stable")
         grouped = task_ids[order]
         rounds = np.empty_like(task_ids)
         rounds[order] = np.arange(1, grouped.size + 1) \
             - np.searchsorted(grouped, grouped)
+        task_ids.setflags(write=False)
+        rounds.setflags(write=False)
         return task_ids, rounds
 
 

@@ -14,9 +14,13 @@ Two aggregation views:
 Curves report the across-seed mean and standard error at each index.
 
 The ledger holds one block of numpy columns per (algorithm, seed) run.
-Curves and per-seed totals aggregate one algorithm's rows in insertion order
-(np.add.at into a seed x index matrix, a boolean-mask sum per seed), the one
-path for whole runs and for the partial or shuffled ledgers add builds.
+Curves and per-seed totals read one algorithm's rows one seed at a time
+(RegretLedger.seed_runs: a run's block as stored, or the seed's blocks
+joined when its rows span several) and aggregate each seed's rows in
+insertion order: np.add.at over the seed's index cells for a curve, one sum
+for a total.  That is the one path for whole runs and for the partial or
+shuffled ledgers add builds, and it holds one seed's temporaries at a time,
+never a copy of an algorithm's columns.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from operator import itemgetter
 
 import numpy as np
 
+from . import core
 from .core import TaskInstance
 from .errors import ConfigError
 
@@ -48,7 +53,10 @@ class RegretLedger:
     extend_run appends one block; add buffers single rows and, on the next
     read, folds each stretch of consecutive rows with the same (algorithm,
     seed) into one block.  Rows are kept in insertion order, which for runs
-    appended via extend_run is the schedule order.
+    appended via extend_run is the schedule order.  A block keeps the arrays
+    it is given when they already have its dtypes, so the runs of one seed
+    share the schedule's read-only task_id and round columns.  rows()
+    converts at most core.ROW_CHUNK rows to Python objects at a time.
     """
 
     COLUMNS = ("algorithm", "seed", "task_id", "round", "arm", "reward",
@@ -74,7 +82,10 @@ class RegretLedger:
                      (task_ids, rounds, arms, rewards, inst_regrets))
 
     def _append(self, algorithm: str, seed: int, columns) -> None:
-        cols = tuple(np.asarray(c, dtype=t)
+        # astype(copy=False), not asarray(dtype=): an array unpickled from a
+        # worker carries an equal but distinct dtype object, which asarray
+        # copies over
+        cols = tuple(np.asarray(c).astype(t, copy=False)
                      for c, t in zip(columns, self._DTYPES))
         n = cols[0].shape[0]
         if any(c.shape != (n,) for c in cols):
@@ -93,26 +104,30 @@ class RegretLedger:
     def algorithms(self) -> tuple[str, ...]:
         return tuple(dict.fromkeys(alg for alg, _, _ in self._read()))
 
-    def columns(self, algorithm: str) -> dict[str, np.ndarray]:
-        """seed, task_id, round, arm, reward and inst_regret of one
-        algorithm's rows, in insertion order."""
-        blocks = [(seed, cols) for alg, seed, cols in self._read()
-                  if alg == algorithm]
-        if not blocks:
+    def seed_runs(self, algorithm: str):
+        """(seed, (task_id, round, arm, reward, inst_regret)) for each seed
+        of one algorithm's rows, in ascending seed order, the columns in
+        insertion order: the seed's block as stored, or its blocks joined
+        when its rows span several.  Yields one seed at a time."""
+        by_seed: dict[int, list] = {}
+        for alg, seed, cols in self._read():
+            if alg == algorithm:
+                by_seed.setdefault(seed, []).append(cols)
+        if not by_seed:
             raise ConfigError("no ledger rows for algorithm %r" % algorithm)
-        out = {"seed": np.concatenate([np.full(cols[0].shape[0], seed)
-                                       for seed, cols in blocks])}
-        for j, name in enumerate(self.COLUMNS[2:]):
-            out[name] = np.concatenate([cols[j] for _, cols in blocks])
-        return out
+        for seed, blocks in sorted(by_seed.items()):
+            yield seed, (blocks[0] if len(blocks) == 1
+                         else tuple(map(np.concatenate, zip(*blocks))))
 
     def rows(self):
-        """Row tuples in insertion order (CSV writing), converted one block
-        (one run) at a time, so a caller that streams them holds one block's
-        rows as Python objects whatever the number of blocks."""
+        """Row tuples in insertion order (CSV writing), converted at most
+        core.ROW_CHUNK rows at a time, so a caller that streams them holds
+        one chunk's rows as Python objects whatever the number of rows."""
+        step = core.ROW_CHUNK
         for algorithm, seed, cols in self._read():
-            yield from zip(repeat(algorithm), repeat(seed),
-                           *(c.tolist() for c in cols))
+            for start in range(0, cols[0].shape[0], step):
+                yield from zip(repeat(algorithm), repeat(seed),
+                               *(c[start:start + step].tolist() for c in cols))
 
 
 @dataclass(frozen=True)
@@ -131,29 +146,35 @@ class Curve:
 def _per_seed_series(ledger: RegretLedger, algorithm: str, view: str
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(seeds, index, matrix): one matrix row per seed, in ascending seed
-    order, and one column per index point."""
+    order, and one column per index point.  Each seed's cells are summed
+    from 0.0 in insertion order, so a cell holds the same bits however the
+    seed's rows lie in the ledger's blocks."""
     if view not in VIEWS:
         raise ConfigError("view must be one of %s" % (VIEWS,))
-    cols = ledger.columns(algorithm)
-    seeds, rows = np.unique(cols["seed"], return_inverse=True)
-    if seeds.shape[0] < 2:
-        raise ConfigError(
-            "curves need at least 2 seeds, got %d for %r"
-            % (seeds.shape[0], algorithm))
-    if view == "per_round_concurrent":
-        key = cols["round"]
-    else:
-        key = cols["task_id"] + 1  # 1-based task position
-    index, cols_ix = np.unique(key, return_inverse=True)
-    matrix = np.zeros((seeds.shape[0], index.shape[0]))
+    per_round = view == "per_round_concurrent"
+    seeds, cells = [], []
+    for seed, cols in ledger.seed_runs(algorithm):
+        # the round, or the 1-based task position
+        keys, at = np.unique(cols[1] if per_round else cols[0] + 1,
+                             return_inverse=True)
+        sums = np.zeros(keys.shape[0])
+        np.add.at(sums, at, cols[4])
+        seeds.append(seed)
+        cells.append((keys, sums, np.bincount(at, minlength=keys.shape[0])))
+    if len(seeds) < 2:
+        raise ConfigError("curves need at least 2 seeds, got %d for %r"
+                          % (len(seeds), algorithm))
+    index = np.unique(np.concatenate([keys for keys, _, _ in cells]))
+    matrix = np.zeros((len(seeds), index.shape[0]))
     counts = np.zeros_like(matrix)
-    np.add.at(matrix, (rows, cols_ix), cols["inst_regret"])
-    np.add.at(counts, (rows, cols_ix), 1.0)
-    if view == "per_round_concurrent":
+    for row, (keys, sums, n) in enumerate(cells):
+        at = np.searchsorted(index, keys)
+        matrix[row, at], counts[row, at] = sums, n
+    if per_round:
         if np.any(counts == 0):
             raise ConfigError("missing (seed, round) cells for %r" % algorithm)
         matrix = matrix / counts
-    return seeds, index, matrix
+    return np.array(seeds, dtype=np.int64), index, matrix
 
 
 def _summarize(index: np.ndarray, matrix: np.ndarray) -> Curve:
@@ -187,10 +208,10 @@ def multi_task_regret_curve(ledger: RegretLedger, algorithm: str,
 
 
 def cumulative_regret_by_seed(ledger: RegretLedger, algorithm: str) -> dict[int, float]:
-    """Total regret per seed (paired comparisons across algorithms)."""
-    cols = ledger.columns(algorithm)
-    seeds, regret = cols["seed"], cols["inst_regret"]
-    return {int(s): float(regret[seeds == s].sum()) for s in np.unique(seeds)}
+    """Total regret per seed (paired comparisons across algorithms), in
+    ascending seed order."""
+    return {seed: float(cols[4].sum())
+            for seed, cols in ledger.seed_runs(algorithm)}
 
 
 def verify_replay(ledger: RegretLedger, population_for_seed, reward_for) -> None:

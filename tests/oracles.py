@@ -287,3 +287,38 @@ def theta_mcmc_history_oracle(mu_theta, sigma_theta, psi, fm, records, rng,
             samples[sweep - burn_in] = theta
     return (samples, accepted_post / float(n_samples),
             float(np.exp(log_step)), log_step)
+
+
+def ledger_series_oracle(rows, algorithm, view):
+    """(seeds, index, matrix) of one algorithm's ledger rows under a view,
+    by the aggregation that concatenated every column of the algorithm's
+    rows: one np.unique over the seeds and one over the index keys, then
+    np.add.at into the seed x index matrix in insertion order.  rows are
+    (algorithm, seed, task_id, round, arm, reward, inst_regret) tuples in
+    insertion order; view is "per_round_concurrent" (mean over the round's
+    rows) or "per_task_sequential" (sum over the task's rows)."""
+    mine = [row for row in rows if row[0] == algorithm]
+    seed_col = np.array([row[1] for row in mine], dtype=np.int64)
+    task_col = np.array([row[2] for row in mine], dtype=np.int64)
+    round_col = np.array([row[3] for row in mine], dtype=np.int64)
+    regret = np.array([row[6] for row in mine], dtype=float)
+    seeds, seed_ix = np.unique(seed_col, return_inverse=True)
+    key = round_col if view == "per_round_concurrent" else task_col + 1
+    index, key_ix = np.unique(key, return_inverse=True)
+    matrix = np.zeros((seeds.shape[0], index.shape[0]))
+    counts = np.zeros_like(matrix)
+    np.add.at(matrix, (seed_ix, key_ix), regret)
+    np.add.at(counts, (seed_ix, key_ix), 1.0)
+    if view == "per_round_concurrent":
+        matrix = matrix / counts
+    return seeds, index, matrix
+
+
+def seed_totals_oracle(rows, algorithm):
+    """{seed: total inst_regret} of one algorithm's ledger rows, each a
+    boolean-mask sum over the algorithm's concatenated regret column."""
+    mine = [row for row in rows if row[0] == algorithm]
+    seed_col = np.array([row[1] for row in mine], dtype=np.int64)
+    regret = np.array([row[6] for row in mine], dtype=float)
+    return {int(s): float(regret[seed_col == s].sum())
+            for s in np.unique(seed_col)}

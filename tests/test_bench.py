@@ -12,12 +12,12 @@ from types import MethodType, SimpleNamespace
 import numpy as np
 import pytest
 
-from hierbandit import agents, bench
+from hierbandit import agents, bench, core
 from hierbandit.agents import (AgentContext, Policy, PooledTS,
                                PooledTSBernoulli, _CountTS, make_policy)
 from hierbandit.bench import (ExperimentConfig, resolve_output_dir,
-                              run_experiment, run_pair, simulate_ledger,
-                              simulate_run, write_ledger_csv)
+                              run_experiment, run_pair, run_seed,
+                              simulate_ledger, simulate_run, write_ledger_csv)
 from hierbandit.cli import main
 from hierbandit.envs import (PopulationSpec, RewardTable, agent_rng,
                              generate_population, make_schedule)
@@ -349,8 +349,10 @@ def test_streamed_ledger_csv_matches_joined_text(tmp_path):
 def test_ledger_writer_memory_does_not_grow_with_runs(tmp_path):
     # One and two runs of 40k rows (200 tasks x 200 rounds, the largest run
     # of any shipped config or benchmark workload). The streamed writer holds
-    # one run's rows at a time, so both peak at about 3.5 MB; the joined
-    # writer it replaced peaked at 8.9 MB for 40k rows and 17.7 MB for 80k.
+    # one chunk of core.ROW_CHUNK rows as Python objects at a time, so both
+    # peak at about 0.4 MB; converting a whole run at a time peaked at 3.5
+    # MB, and the joined writer before it at 8.9 MB for 40k rows and 17.7 MB
+    # for 80k.
     peaks = []
     for n_runs in (1, 2):
         ledger = RegretLedger()
@@ -363,8 +365,34 @@ def test_ledger_writer_memory_does_not_grow_with_runs(tmp_path):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert max(peaks) < 5_000_000, peaks
-    assert peaks[1] < 1.5 * peaks[0], peaks
+    assert max(peaks) < 1_000_000, peaks
+    assert peaks[1] < 1.2 * peaks[0], peaks
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_seed_runs_share_schedule_columns(parallelism):
+    # Every run of a seed, and so every ledger block of it, holds the
+    # schedule's one task_id and round arrays, also when the seed comes back
+    # from a worker process.
+    config = ExperimentConfig.from_dict(_minimal_raw(
+        algorithms=["individual-ts", "pooled-ts"], seeds=[0, 1],
+        parallelism=parallelism))
+    runs = run_seed(config, 0)
+    assert len(runs) == 3
+    for cols in runs[1:]:
+        assert cols[0] is runs[0][0] and cols[1] is runs[0][1]
+    assert not runs[0][0].flags.writeable and not runs[0][1].flags.writeable
+    ledger = simulate_ledger(config)
+    by_seed = {}
+    for algorithm in ledger.algorithms():
+        for seed, cols in ledger.seed_runs(algorithm):
+            by_seed.setdefault(seed, []).append(cols[:2])
+    assert sorted(by_seed) == [0, 1]
+    for shared in by_seed.values():
+        assert len(shared) == 3
+        for task_ids, rounds in shared[1:]:
+            assert task_ids is shared[0][0] and rounds is shared[0][1]
+    assert by_seed[0][0][0] is not by_seed[1][0][0]
 
 
 # sha256 of (ledger.csv, curves.csv, summary.csv) on tiny configs of 5 tasks
@@ -789,6 +817,49 @@ def test_bernoulli_segment_kernel_matches_act_update_loop(name, options,
                                  no_steps=True, n_arms=n_arms))
 
 
+_SCALAR_KERNELS = [("gaussian", name, {}) for name in ("pooled-ts",
+                                                       *_KERNEL_STATS)]
+_SCALAR_KERNELS += [("bernoulli", name, options)
+                    for name, options in _BERNOULLI_COUNT]
+
+
+@pytest.mark.parametrize("kind, name, options", _SCALAR_KERNELS)
+def test_scalar_kernels_match_loop_across_row_chunks(monkeypatch, kind, name,
+                                                     options):
+    # A custom stream is one segment (42 steps here); with five rows
+    # converted to Python objects at a time, every scalar kernel crosses
+    # eight chunk boundaries and must still equal the loop bit for bit.
+    monkeypatch.setattr(core, "ROW_CHUNK", 5)
+    _assert_same_run(_both_paths(kind, name, options, 6, "custom",
+                                 no_steps=True, stats=_all_statistics))
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "bernoulli"])
+def test_scalar_kernel_memory_on_a_long_custom_stream(kind):
+    # 200 tasks x 200 rounds x 8 arms played as one custom segment by the
+    # pooled-ts kernel.  Converting its rows a chunk at a time, the run
+    # peaks near the base loop's 8.3-9.3 MB (Gaussian 8.7 MB, Bernoulli 8.6
+    # MB); converting the whole segment at once peaked at 29.8 and 17.8 MB.
+    spec = PopulationSpec(n_tasks=200, horizon=200, n_arms=8, dim=15,
+                          reward_kind=kind, seed=5)
+    population = generate_population(spec)
+    table = RewardTable(population)
+    priors = derive_baseline_priors(spec, population.theta, n_mc=2000)
+    stream = np.random.default_rng(6).permutation(
+        np.repeat(np.arange(spec.n_tasks), spec.horizon)).tolist()
+    schedule = make_schedule("custom", spec.n_tasks, spec.horizon, stream)
+    schedule.columns()
+    policy = make_policy("pooled-ts", AgentContext(
+        population, priors, agent_rng(7, "pooled-ts"), "custom"))
+    tracemalloc.start()
+    try:
+        simulate_run(population, table, policy, schedule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000_000, peak
+
+
 @pytest.mark.parametrize("n_arms", [3, 24])
 @pytest.mark.parametrize("n_tasks", [1, 6])
 def test_bernoulli_pooled_ts_round_matches_act_update_loop(n_tasks, n_arms):
@@ -951,6 +1022,50 @@ def test_every_policy_and_option_has_a_play_vs_loop_case():
                                  is Policy.play), (kind, name)
             options = set(agents._ALLOWED_OPTIONS.get((kind, name), {}))
             assert loop_only or options <= set().union(*own), (kind, name)
+
+
+def _bernoulli_hier_ts_run(seed, n_tasks=24, horizon=20, warn_sweeps=None,
+                           chain_run=None):
+    """Bernoulli hier-ts alone on one seed of the bern-sequential
+    population shape (K=4, d=6), as run_seed plays it; returns the policy.
+    warn_sweeps and chain_run, if given, replace the policy's pooling
+    length and its chain's run method."""
+    spec = PopulationSpec(n_tasks=n_tasks, horizon=horizon, n_arms=4, dim=6,
+                          reward_kind="bernoulli", seed=seed)
+    population = generate_population(spec)
+    policy = make_policy("hier-ts", AgentContext(
+        population, derive_baseline_priors(spec, population.theta),
+        agent_rng(seed, "hier-ts"), "sequential"))
+    if warn_sweeps is not None:
+        policy.warn_sweeps = warn_sweeps
+    if chain_run is not None:
+        policy.chain.run = chain_run
+    simulate_run(population, RewardTable(population), policy,
+                 make_schedule("sequential", n_tasks, horizon))
+    return policy
+
+
+def test_bernoulli_hier_ts_pooled_window_is_quiet_on_healthy_chains():
+    # bern-sequential workload seeds 1-10 are experiment seeds 2-21.  Tested
+    # on the acceptance of at least 200 pooled sweeps, no healthy chain
+    # warns; tested per 20-sweep refresh, seed 20's 0-of-20 refresh did.
+    for seed in range(2, 22):
+        assert _bernoulli_hier_ts_run(seed).mcmc_warnings == [], seed
+    noisy = _bernoulli_hier_ts_run(20, warn_sweeps=20)
+    assert min(noisy.acceptance_rates) == 0.0
+    assert len(noisy.mcmc_warnings) == 1
+
+
+def test_bernoulli_hier_ts_pooled_window_flags_a_stuck_chain():
+    # A chain that rejects every proposal warns once per 200 pooled sweeps:
+    # 12 refreshes of 20 sweeps make one pool of 200 and a short one of 40,
+    # which the run's end leaves untested.
+    policy = _bernoulli_hier_ts_run(3, n_tasks=12, horizon=5,
+                                    chain_run=lambda *args: 0)
+    assert policy.acceptance_rates == [0.0] * 12
+    assert policy.mcmc_warnings == [
+        "post-burn-in acceptance rate 0.000 outside [0.05, 0.95]; "
+        "treat the chain as suspect"]
 
 
 @pytest.mark.parametrize("schedule, n_tasks, m", [("sequential", 4, 3),

@@ -173,6 +173,19 @@ def test_schedule_columns_equal_iter_with_rounds(kind):
             == list(sched.iter_with_rounds())
 
 
+@pytest.mark.parametrize("kind", ["sequential", "concurrent", "custom"])
+def test_schedule_columns_are_built_once_read_only(kind):
+    stream = [2, 0, 1, 1, 0, 2] if kind == "custom" else None
+    sched = make_schedule(kind, 3, 2, stream)
+    task_ids, rounds = sched.columns()
+    again = sched.columns()
+    assert again[0] is task_ids and again[1] is rounds
+    for col in (task_ids, rounds):
+        assert not col.flags.writeable
+        with pytest.raises(ValueError):
+            col[0] = 1
+
+
 def test_schedule_custom():
     sched = make_schedule("custom", n_tasks=2, horizon=2, stream=[0, 1, 1, 0])
     assert list(sched.iter_with_rounds()) == [(0, 1), (1, 1), (1, 2), (0, 2)]
