@@ -75,7 +75,7 @@ from ._linalg import precision_draw, sample_mvn_precision
 from .bernoulli import (ThetaSampler, acceptance_warnings,
                         beta_binomial_log_marginal, logistic_beta_shapes)
 from .core import (FeatureMap, HierarchyConfig, check_count, check_flag,
-                   iter_rows)
+                   iter_rows, row_chunks)
 from .envs import Population
 from .errors import ConfigError, NumericalError, ScheduleError
 from .gaussian import ThetaStatAccumulator, diagonal_effect_variances
@@ -399,21 +399,21 @@ class HierTS(_ConditionalTS):
         super()._update_batch(task_ids, arms, rewards)
 
     def play(self, task_ids: np.ndarray, payoffs: np.ndarray) -> np.ndarray:
-        """The base loop as one kernel.  One standard_normal((n, d + K))
-        call is the loop's stream: per step d normals for theta, drawn by
-        precision_draw on the running statistics, then K for the arms.  The
-        arm draws run on Python floats in _conditional_draw's operation
-        order from each task's statistics, read once per piece, and the
-        first of the highest scores is played, as _pick.  The pulled record,
-        its reward the played arm's payoff, enters both count stores and
-        the accumulator as add forms it, its outer product built in one
+        """The base loop as one kernel, run core.ROW_CHUNK steps at a time.
+        One standard_normal((rows, d + K)) call per chunk is the loop's
+        stream: per step d normals for theta, drawn by precision_draw on the
+        running statistics, then K for the arms.  The arm draws run on
+        Python floats in _conditional_draw's operation order from each
+        task's statistics, read once per piece, and the first of the
+        highest scores is played, as _pick.  The pulled record, its reward
+        the played arm's payoff, enters both count stores and the
+        accumulator as add forms it, its outer product built in one
         preallocated buffer.  A non-finite theta or arm draw raises
-        NumericalError once the piece is played."""
+        NumericalError at the end of its chunk."""
         acc, noise_sq, var = self.acc, self.noise_sq, self.arm_var.tolist()
         features, phi_vinv_phi, phi_vinv_resid = \
             acc.features, acc.phi_vinv_phi, acc.phi_vinv_resid
-        n, (k, d) = task_ids.shape[0], features.shape[1:]
-        normals = self.rng.standard_normal((n, d + k))
+        k, d = features.shape[1:]
         tasks = np.unique(task_ids)
         counts = self.counts[tasks]
         dens = noise_sq + self.arm_var * counts
@@ -422,37 +422,41 @@ class HierTS(_ConditionalTS):
             np.sqrt(self.arm_var * noise_sq / dens).tolist(),
             acc.prior_arm_means[tasks].tolist())))
         offset = _score_offsets(k)
-        thetas, outer = np.empty((n, d)), np.empty((d, d))
+        outer = np.empty((d, d))
         arms: list[int] = []
-        scores_played: list[float] = []
-        for j, (tid, z, payoff) in enumerate(iter_rows(
-                task_ids, normals[:, d:], payoffs)):
-            thetas[j] = theta = self.cfg.mu_theta + precision_draw(
-                self._sigma_theta_inv + phi_vinv_phi, phi_vinv_resid,
-                normals[j, :d])
-            counts, sums, dens, sds, base = stats[tid]
-            scores = [m + v * (s - c * m) / e + sd * x + o
-                      for m, v, s, c, e, sd, x, o
-                      in zip((features[tid] @ theta).tolist(), var, sums,
-                             counts, dens, sds, z, offset)]
-            scores_played.extend(scores)
-            arm = scores.index(max(scores))
-            arms.append(arm)
-            n0, s0, d0, m = counts[arm], sums[arm], dens[arm], base[arm]
-            n1, s1 = n0 + 1.0, s0 + payoff[arm]
-            self.counts[tid, arm], self.sums[tid, arm] = n1, s1
-            acc.counts[tid, arm], acc.sums[tid, arm] = n1, s1
-            counts[arm], sums[arm] = n1, s1
-            dens[arm] = d1 = noise_sq + var[arm] * n1
-            sds[arm] = math.sqrt(var[arm] * noise_sq / d1)
-            phi = features[tid, arm]
-            np.multiply(phi[:, None], phi, out=outer)
-            outer *= n1 / d1 - n0 / d0
-            phi_vinv_phi += outer
-            phi_vinv_resid += ((s1 - n1 * m) / d1 - (s0 - n0 * m) / d0) * phi
-        if not (np.isfinite(thetas).all()
-                and np.isfinite(scores_played).all()):
-            raise NumericalError("non-finite draw in %s" % self.name)
+        for ids, rows in row_chunks(task_ids, payoffs):
+            normals = self.rng.standard_normal((ids.shape[0], d + k))
+            thetas = np.empty((ids.shape[0], d))
+            scores_played: list[float] = []
+            for j, (tid, z, payoff) in enumerate(iter_rows(
+                    ids, normals[:, d:], rows)):
+                thetas[j] = theta = self.cfg.mu_theta + precision_draw(
+                    self._sigma_theta_inv + phi_vinv_phi, phi_vinv_resid,
+                    normals[j, :d])
+                counts, sums, dens, sds, base = stats[tid]
+                scores = [m + v * (s - c * m) / e + sd * x + o
+                          for m, v, s, c, e, sd, x, o
+                          in zip((features[tid] @ theta).tolist(), var, sums,
+                                 counts, dens, sds, z, offset)]
+                scores_played.extend(scores)
+                arm = scores.index(max(scores))
+                arms.append(arm)
+                n0, s0, d0, m = counts[arm], sums[arm], dens[arm], base[arm]
+                n1, s1 = n0 + 1.0, s0 + payoff[arm]
+                self.counts[tid, arm], self.sums[tid, arm] = n1, s1
+                acc.counts[tid, arm], acc.sums[tid, arm] = n1, s1
+                counts[arm], sums[arm] = n1, s1
+                dens[arm] = d1 = noise_sq + var[arm] * n1
+                sds[arm] = math.sqrt(var[arm] * noise_sq / d1)
+                phi = features[tid, arm]
+                np.multiply(phi[:, None], phi, out=outer)
+                outer *= n1 / d1 - n0 / d0
+                phi_vinv_phi += outer
+                phi_vinv_resid += ((s1 - n1 * m) / d1
+                                   - (s0 - n0 * m) / d0) * phi
+            if not (np.isfinite(thetas).all()
+                    and np.isfinite(scores_played).all()):
+                raise NumericalError("non-finite draw in %s" % self.name)
         return np.array(arms, dtype=np.int64)
 
 
@@ -649,31 +653,34 @@ class LinearTS(Policy):
         self.b_vec += phi * (reward / self.noise_var)
 
     def play(self, task_ids: np.ndarray, payoffs: np.ndarray) -> np.ndarray:
-        """The base loop as one kernel: one standard_normal((n, d)) call is
-        the stream of the steps' theta draws, each made by precision_draw on
-        the running (A, b); the first of the highest scores is played, as
-        _pick; the pulled arm's outer product enters A through one
-        preallocated buffer, as update forms it, and its payoff enters b.
-        A non-finite theta raises NumericalError once the piece is played."""
-        n, (k, d) = task_ids.shape[0], self.features.shape[1:]
-        normals = self.rng.standard_normal((n, d))
+        """The base loop as one kernel, run core.ROW_CHUNK steps at a time:
+        one standard_normal((rows, d)) call per chunk is the stream of its
+        steps' theta draws, each made by precision_draw on the running
+        (A, b); the first of the highest scores is played, as _pick; the
+        pulled arm's outer product enters A through one preallocated
+        buffer, as update forms it, and its payoff enters b.  A non-finite
+        theta raises NumericalError at the end of its chunk."""
+        k, d = self.features.shape[1:]
         offset = _score_offsets(k)
-        thetas, outer = np.empty((n, d)), np.empty((d, d))
+        outer = np.empty((d, d))
         arms: list[int] = []
-        for j, (tid, payoff) in enumerate(iter_rows(task_ids, payoffs)):
-            thetas[j] = theta = precision_draw(self.a_mat, self.b_vec,
-                                               normals[j])
-            scores = [s + o for s, o in zip(
-                (self.features[tid] @ theta).tolist(), offset)]
-            arm = scores.index(max(scores))
-            arms.append(arm)
-            phi = self.features[tid, arm]
-            np.multiply(phi[:, None], phi, out=outer)
-            outer /= self.noise_var
-            self.a_mat += outer
-            self.b_vec += phi * (payoff[arm] / self.noise_var)
-        if not np.isfinite(thetas).all():
-            raise NumericalError("non-finite draw in %s" % self.name)
+        for ids, rows in row_chunks(task_ids, payoffs):
+            normals = self.rng.standard_normal((ids.shape[0], d))
+            thetas = np.empty((ids.shape[0], d))
+            for j, (tid, payoff) in enumerate(iter_rows(ids, rows)):
+                thetas[j] = theta = precision_draw(self.a_mat, self.b_vec,
+                                                   normals[j])
+                scores = [s + o for s, o in zip(
+                    (self.features[tid] @ theta).tolist(), offset)]
+                arm = scores.index(max(scores))
+                arms.append(arm)
+                phi = self.features[tid, arm]
+                np.multiply(phi[:, None], phi, out=outer)
+                outer /= self.noise_var
+                self.a_mat += outer
+                self.b_vec += phi * (payoff[arm] / self.noise_var)
+            if not np.isfinite(thetas).all():
+                raise NumericalError("non-finite draw in %s" % self.name)
         return np.array(arms, dtype=np.int64)
 
 

@@ -14,16 +14,21 @@ noise, then writes to the output directory:
     *.svg          regret curves per view (when plots is enabled)
 
 Each file is streamed to a temp file in the output directory and renamed
-into place, and none contains anything time- or host-dependent.
+into place, and none contains anything time- or host-dependent.  The run
+streams seed by seed: each seed writes its runs' ledger rows to spill files
+in the output directory, joined into ledger.csv once every seed is done.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import shutil
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, repeat
+from typing import NamedTuple
 
 import numpy as np
 import yaml
@@ -32,11 +37,13 @@ from ._version import __version__
 from .agents import AgentContext, Policy, check_algorithm, make_policy
 from .core import check_count, check_flag
 from .envs import (InteractionSchedule, Population, PopulationSpec,
-                   RewardTable, agent_rng, atomic_write_text,
-                   generate_population, make_schedule)
+                   RewardTable, agent_rng, atomic_file, atomic_write_text,
+                   generate_population, make_schedule, removed_on_exit)
 from .errors import ConfigError
-from .metrics import (ORACLE_NAME, Curve, RegretLedger, bayes_regret_curve,
-                      cumulative_regret_by_seed, multi_task_regret_curve)
+from .metrics import (ORACLE_NAME, VIEWS, Curve, RegretLedger,
+                      cumulative_regret_by_seed, paired_curve,
+                      per_seed_series, run_rows, run_total, seed_cells,
+                      series_from_cells, summarize)
 from .priors import derive_baseline_priors
 from .svgplot import Series, write_line_plot
 
@@ -269,25 +276,32 @@ def simulate_run(population: Population, table: RewardTable, policy: Policy,
 make_population = generate_population  # the name perfbench/ imports
 
 
-def run_seed(config: ExperimentConfig, seed: int,
-             algorithms: tuple[AlgorithmSpec, ...] | None = None
-             ) -> list[tuple[np.ndarray, ...]]:
+def _play_seed(config: ExperimentConfig, seed: int,
+               algorithms: tuple[AlgorithmSpec, ...] | None = None):
     """Build the seed's population, reward table, baseline priors and
     schedule once, then play each of algorithms (config.run_specs() by
-    default) on them in order (process-safe); returns their columns."""
+    default) on them in order, yielding (algorithm, policy, columns) as
+    each run ends."""
     spec = config.spec_for_seed(seed)
     population = generate_population(spec)
     table = RewardTable(population)
     priors = derive_baseline_priors(spec, population.theta)
     schedule = make_schedule(config.schedule_kind, spec.n_tasks, spec.horizon)
-    runs = []
     for algorithm in algorithms or config.run_specs():
         ctx = AgentContext(population=population, priors=priors,
                            rng=agent_rng(seed, algorithm.name),
                            schedule_kind=config.schedule_kind)
         policy = make_policy(algorithm.name, ctx, algorithm.options_dict())
-        runs.append(simulate_run(population, table, policy, schedule))
-    return runs
+        yield algorithm, policy, simulate_run(population, table, policy,
+                                              schedule)
+
+
+def run_seed(config: ExperimentConfig, seed: int,
+             algorithms: tuple[AlgorithmSpec, ...] | None = None
+             ) -> list[tuple[np.ndarray, ...]]:
+    """Play each of algorithms (config.run_specs() by default) on the
+    seed's inputs, built once (process-safe); returns their columns."""
+    return [cols for _, _, cols in _play_seed(config, seed, algorithms)]
 
 
 def run_pair(config: ExperimentConfig, algorithm: AlgorithmSpec, seed: int
@@ -296,16 +310,23 @@ def run_pair(config: ExperimentConfig, algorithm: AlgorithmSpec, seed: int
     return run_seed(config, seed, (algorithm,))[0]
 
 
+def _map_seeds(config: ExperimentConfig, work) -> list:
+    """[work(seed) for seed in config.seeds], serially or as one task per
+    seed of a pool of config.parallelism processes.  If a seed raises in
+    the pool, map cancels the seeds not yet started, and leaving the pool
+    waits for the running ones before the exception propagates."""
+    if config.parallelism == 1:
+        return [work(seed) for seed in config.seeds]
+    with ProcessPoolExecutor(max_workers=config.parallelism) as pool:
+        return list(pool.map(work, config.seeds))
+
+
 def simulate_ledger(config: ExperimentConfig) -> RegretLedger:
     """All (algorithm, seed) runs merged into one ledger, deterministically
     ordered by the config's algorithm order then seed order regardless of
     parallelism.  A seed is the unit of work: run_seed, serially or as one
     task of a process pool when parallelism > 1."""
-    if config.parallelism > 1:
-        with ProcessPoolExecutor(max_workers=config.parallelism) as pool:
-            results = list(pool.map(run_seed, repeat(config), config.seeds))
-    else:
-        results = [run_seed(config, seed) for seed in config.seeds]
+    results = _map_seeds(config, partial(run_seed, config))
     ledger = RegretLedger()
     for algorithm, runs in zip(config.run_specs(), zip(*results)):
         for seed, cols in zip(config.seeds, runs):
@@ -313,9 +334,49 @@ def simulate_ledger(config: ExperimentConfig) -> RegretLedger:
     return ledger
 
 
+class RunResult(NamedTuple):
+    """What a streamed run keeps of one (algorithm, seed) run: its curve
+    cells (view -> metrics.seed_cells), its total regret and its MCMC
+    warnings."""
+
+    cells: dict
+    total: float
+    warnings: tuple[str, ...]
+
+
+def _spill_path(prefix: str, index: int, seed: int) -> str:
+    return "%s.%d.%d" % (prefix, index, seed)
+
+
+def stream_seed(config: ExperimentConfig, spill_prefix: str, seed: int
+                ) -> list[RunResult]:
+    """A seed's unit of work in run_experiment (process-safe).  Each
+    algorithm's run is played, its ledger rows are written to its spill
+    file (_spill_path(spill_prefix, algorithm index, seed)) as the ledger
+    writer formats them, and only its RunResult is kept."""
+    results = []
+    for index, (algorithm, policy, cols) in enumerate(_play_seed(config,
+                                                                 seed)):
+        with open(_spill_path(spill_prefix, index, seed), "w",
+                  encoding="utf-8") as fh:
+            fh.writelines(_ledger_lines(run_rows(algorithm.name, seed, cols)))
+        results.append(RunResult(
+            {view: seed_cells(cols, view) for view in VIEWS}, run_total(cols),
+            tuple(getattr(policy, "mcmc_warnings", ()))))
+    return results
+
+
 # ---------------------------------------------------------------------------
 # artifacts
 # ---------------------------------------------------------------------------
+
+_LEDGER_HEADER = ",".join(RegretLedger.COLUMNS) + "\n"
+
+
+def _ledger_lines(rows):
+    """ledger.csv lines of row tuples, floats in repr-exact %.17g."""
+    return map("%s,%d,%d,%d,%d,%.17g,%.17g\n".__mod__, rows)
+
 
 def _fmt_float(v: float) -> str:
     return "%.17g" % v
@@ -325,28 +386,34 @@ def write_ledger_csv(ledger: RegretLedger, path: str) -> None:
     """Stream the ledger to path row by row: the header, then each row
     formatted as it is written, so memory does not grow with the number of
     runs in the ledger."""
-    atomic_write_text(path, chain(
-        [",".join(RegretLedger.COLUMNS) + "\n"],
-        map("%s,%d,%d,%d,%d,%.17g,%.17g\n".__mod__, ledger.rows())))
+    atomic_write_text(path, chain([_LEDGER_HEADER],
+                                  _ledger_lines(ledger.rows())))
+
+
+def _curves(config: ExperimentConfig, series) -> dict[tuple[str, str], Curve]:
+    """(algorithm, view) -> curve for both base views, plus oracle-adjusted
+    views (prefixed mtr_) when enabled; series(name, view) is the
+    algorithm's (seeds, index, matrix) under the view."""
+    curves: dict[tuple[str, str], Curve] = {}
+    run_names = [a.name for a in config.run_specs()]
+    for name in run_names:
+        for view in VIEWS:
+            curves[(name, view)] = summarize(series(name, view))
+    if config.emit_mtr:
+        for name in run_names:
+            if name == ORACLE_NAME:
+                continue
+            for view in VIEWS:
+                curves[(name, "mtr_" + view)] = paired_curve(
+                    series(name, view), series(ORACLE_NAME, view))
+    return curves
 
 
 def compute_curves(ledger: RegretLedger, config: ExperimentConfig
                    ) -> dict[tuple[str, str], Curve]:
     """(algorithm, view) -> curve for both base views, plus oracle-adjusted
     views (prefixed mtr_) when enabled."""
-    curves: dict[tuple[str, str], Curve] = {}
-    run_names = [a.name for a in config.run_specs()]
-    for name in run_names:
-        for view in ("per_round_concurrent", "per_task_sequential"):
-            curves[(name, view)] = bayes_regret_curve(ledger, name, view)
-    if config.emit_mtr:
-        for name in run_names:
-            if name == ORACLE_NAME:
-                continue
-            for view in ("per_round_concurrent", "per_task_sequential"):
-                curves[(name, "mtr_" + view)] = multi_task_regret_curve(
-                    ledger, name, view, ORACLE_NAME)
-    return curves
+    return _curves(config, partial(per_seed_series, ledger))
 
 
 def write_curves_csv(curves: dict[tuple[str, str], Curve], path: str) -> None:
@@ -358,11 +425,9 @@ def write_curves_csv(curves: dict[tuple[str, str], Curve], path: str) -> None:
     atomic_write_text(path, lines)
 
 
-def write_summary_csv(ledger: RegretLedger, config: ExperimentConfig,
-                      path: str) -> None:
+def _write_summary(config: ExperimentConfig, totals: dict, path: str) -> None:
+    """summary.csv from totals: algorithm name -> {seed: total regret}."""
     run_names = [a.name for a in config.run_specs()]
-    totals = {name: cumulative_regret_by_seed(ledger, name)
-              for name in run_names}
     means = {}
     ses = {}
     for name in run_names:
@@ -380,6 +445,12 @@ def write_summary_csv(ledger: RegretLedger, config: ExperimentConfig,
                 cells.append("")
         lines.append(",".join(cells))
     atomic_write_text(path, ["\n".join(lines) + "\n"])
+
+
+def write_summary_csv(ledger: RegretLedger, config: ExperimentConfig,
+                      path: str) -> None:
+    _write_summary(config, {a.name: cumulative_regret_by_seed(ledger, a.name)
+                            for a in config.run_specs()}, path)
 
 
 def write_manifest(config: ExperimentConfig, path: str) -> None:
@@ -416,25 +487,56 @@ def write_plots(curves: dict[tuple[str, str], Curve],
     return written
 
 
-def run_experiment(config: ExperimentConfig, output_dir: str | None = None
-                   ) -> dict[str, str]:
+def run_experiment(config: ExperimentConfig, output_dir: str | None = None,
+                   on_warnings=None) -> dict[str, str]:
     """Run every (algorithm, seed) pair and write all artifacts; returns a
-    name -> path map of what was written."""
+    name -> path map of what was written.
+
+    Seeds are streamed: each is one stream_seed unit of work, serially or
+    in the process pool, which leaves its runs' ledger rows in spill files
+    in the output directory and returns their curve cells, totals and MCMC
+    warnings.  So memory holds one seed's runs per worker, whatever the
+    number of seeds.  The spills are then joined into ledger.csv in ledger
+    order (algorithms, then config.seeds) and removed; they are removed as
+    well if anything raises, and the old artifacts stay in place.
+    on_warnings(algorithm, seed, messages), when given, is called for each
+    run whose MCMC chain warned, in ledger order."""
     out = resolve_output_dir(output_dir, config)
     os.makedirs(out, exist_ok=True)
-    ledger = simulate_ledger(config)
-    curves = compute_curves(ledger, config)
     paths = {
         "ledger": os.path.join(out, "ledger.csv"),
         "curves": os.path.join(out, "curves.csv"),
         "summary": os.path.join(out, "summary.csv"),
         "manifest": os.path.join(out, "manifest.json"),
     }
-    write_ledger_csv(ledger, paths["ledger"])
+    names = [a.name for a in config.run_specs()]
+    prefix = os.path.join(out, ".ledger.csv.spill.%d" % os.getpid())
+    spills = [_spill_path(prefix, index, seed)
+              for index in range(len(names)) for seed in config.seeds]
+    with removed_on_exit(spills):
+        per_seed = _map_seeds(config, partial(stream_seed, config, prefix))
+        with atomic_file(paths["ledger"], "wb") as fh:
+            fh.write(_LEDGER_HEADER.encode())
+            for spill in spills:
+                with open(spill, "rb") as src:
+                    shutil.copyfileobj(src, fh)
+    runs = {name: dict(zip(config.seeds, results))
+            for name, results in zip(names, zip(*per_seed))}
+    curves = _curves(config, lambda name, view: series_from_cells(
+        {seed: run.cells[view] for seed, run in runs[name].items()},
+        name, view))
     write_curves_csv(curves, paths["curves"])
-    write_summary_csv(ledger, config, paths["summary"])
+    _write_summary(config, {name: {seed: run.total for seed, run
+                                   in by_seed.items()}
+                            for name, by_seed in runs.items()},
+                   paths["summary"])
     write_manifest(config, paths["manifest"])
     if config.plots:
         for p in write_plots(curves, config, out):
             paths[os.path.basename(p)] = p
+    if on_warnings is not None:
+        for name, by_seed in runs.items():
+            for seed, run in by_seed.items():
+                if run.warnings:
+                    on_warnings(name, seed, run.warnings)
     return paths

@@ -7,6 +7,9 @@
 Output directory precedence for run: --out, then the HIERBANDIT_OUT
 environment variable, then the config's output_dir, then ./out.
 
+A run whose Bernoulli hier-ts chain warned prints one stderr line per
+(algorithm, seed); the run still succeeds.
+
 Exit codes: 0 success, 1 usage or configuration error, 2 numerical failure,
 3 validation-suite failure.
 """
@@ -72,9 +75,14 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _print_warnings(algorithm: str, seed: int, messages) -> None:
+    print("hierbandit: warning: %s seed %d: %s"
+          % (algorithm, seed, "; ".join(messages)), file=sys.stderr)
+
+
 def _cmd_run(args) -> int:
     config = ExperimentConfig.from_file(args.config)
-    paths = run_experiment(config, args.out)
+    paths = run_experiment(config, args.out, on_warnings=_print_warnings)
     for name in ("ledger", "curves", "summary", "manifest"):
         print("wrote %s" % paths[name])
     for name, path in paths.items():

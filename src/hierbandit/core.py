@@ -35,13 +35,18 @@ def _readonly(a, dtype=float) -> np.ndarray:
     return out
 
 
+def row_chunks(*columns: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
+    """The columns' slices of at most ROW_CHUNK rows, chunk by chunk."""
+    for start in range(0, columns[0].shape[0], ROW_CHUNK):
+        yield tuple(c[start:start + ROW_CHUNK] for c in columns)
+
+
 def iter_rows(*columns: np.ndarray) -> Iterator[tuple]:
     """zip(*(c.tolist() for c in columns)) over equal-length arrays, each
     row a tuple of Python scalars or lists, converted ROW_CHUNK rows at a
     time."""
-    for start in range(0, columns[0].shape[0], ROW_CHUNK):
-        yield from zip(*(c[start:start + ROW_CHUNK].tolist()
-                         for c in columns))
+    for chunk in row_chunks(*columns):
+        yield from zip(*(c.tolist() for c in chunk))
 
 
 def check_count(name: str, value, least: int, allow_none: bool = False):

@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import os
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -266,7 +268,8 @@ class InteractionSchedule:
     sequential: task 0 for all horizon rounds, then task 1, and so on.
     concurrent: round 1 of every task, then round 2 of every task, ...
     custom: a caller-supplied task_id stream in which every task id in
-    [0, n_tasks) appears exactly horizon times.
+    [0, n_tasks) appears exactly horizon times.  Only a custom schedule
+    keeps its stream; the other two kinds are defined by their sizes.
 
     columns() builds its two read-only arrays once, so every run of a seed
     played on one schedule, and each run's ledger block, shares them.
@@ -275,17 +278,23 @@ class InteractionSchedule:
     kind: str
     n_tasks: int
     horizon: int
-    stream: tuple[int, ...]
+    stream: tuple[int, ...] | None = None
 
     def __len__(self) -> int:
         return self.n_tasks * self.horizon
 
     def iter_with_rounds(self) -> Iterator[tuple[int, int]]:
         """(task_id, round_within_task) pairs, rounds 1-based per task."""
-        counter = [0] * self.n_tasks
-        for tid in self.stream:
-            counter[tid] += 1
-            yield tid, counter[tid]
+        tasks, rounds = range(self.n_tasks), range(1, self.horizon + 1)
+        if self.kind == "sequential":
+            yield from product(tasks, rounds)
+        elif self.kind == "concurrent":
+            yield from ((tid, rnd) for rnd, tid in product(rounds, tasks))
+        else:
+            counter = [0] * self.n_tasks
+            for tid in self.stream:
+                counter[tid] += 1
+                yield tid, counter[tid]
 
     def columns(self) -> tuple[np.ndarray, np.ndarray]:
         """iter_with_rounds as two read-only int64 columns (task_ids,
@@ -294,14 +303,23 @@ class InteractionSchedule:
 
     @cached_property
     def _columns(self) -> tuple[np.ndarray, np.ndarray]:
-        # an occurrence's round is one plus its rank among its task's
-        # occurrences, read off a stable argsort of the stream
-        task_ids = np.array(self.stream, dtype=np.int64)
-        order = np.argsort(task_ids, kind="stable")
-        grouped = task_ids[order]
-        rounds = np.empty_like(task_ids)
-        rounds[order] = np.arange(1, grouped.size + 1) \
-            - np.searchsorted(grouped, grouped)
+        tasks = np.arange(self.n_tasks, dtype=np.int64)
+        rounds = np.arange(1, self.horizon + 1, dtype=np.int64)
+        if self.kind == "sequential":
+            task_ids = np.repeat(tasks, self.horizon)
+            rounds = np.tile(rounds, self.n_tasks)
+        elif self.kind == "concurrent":
+            task_ids = np.tile(tasks, self.horizon)
+            rounds = np.repeat(rounds, self.n_tasks)
+        else:
+            # an occurrence's round is one plus its rank among its task's
+            # occurrences, read off a stable argsort of the stream
+            task_ids = np.array(self.stream, dtype=np.int64)
+            order = np.argsort(task_ids, kind="stable")
+            grouped = task_ids[order]
+            rounds = np.empty_like(task_ids)
+            rounds[order] = np.arange(1, grouped.size + 1) \
+                - np.searchsorted(grouped, grouped)
         task_ids.setflags(write=False)
         rounds.setflags(write=False)
         return task_ids, rounds
@@ -330,10 +348,6 @@ def make_schedule(kind: str, n_tasks: int, horizon: int,
                 "task %d appears %d times" % (horizon, bad, int(counts[bad])))
     elif stream is not None:
         raise ScheduleError("only custom schedules accept a stream")
-    elif kind == "sequential":
-        stream = tuple(tid for tid in range(n_tasks) for _ in range(horizon))
-    else:
-        stream = tuple(tid for _ in range(horizon) for tid in range(n_tasks))
     return InteractionSchedule(kind=kind, n_tasks=n_tasks, horizon=horizon,
                                stream=stream)
 
@@ -370,19 +384,39 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def atomic_write_text(path: str, chunks) -> None:
-    """Write text chunks to path through a temp file in the same directory
-    and a rename.  Chunks are written as the iterable yields them.  If
-    anything raises first (a chunk, the disk, an interrupt), the temp file
-    is removed, path keeps its old bytes and the exception propagates."""
+@contextmanager
+def atomic_file(path: str, mode: str = "w"):
+    """Open a temp file in path's directory for writing and yield it.  When
+    the block returns, the file is renamed onto path.  If anything raises
+    first (a chunk, the disk, an interrupt), the temp file is removed, path
+    keeps its old bytes and the exception propagates."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     tmp = os.path.join(directory, ".%s.tmp.%d" % (os.path.basename(path), os.getpid()))
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def atomic_write_text(path: str, chunks) -> None:
+    """Write text chunks to path through atomic_file, as the iterable
+    yields them."""
+    with atomic_file(path) as fh:
+        fh.writelines(chunks)
+
+
+@contextmanager
+def removed_on_exit(paths):
+    """Yield paths; when the block ends, returned or raised, remove each of
+    them that exists.  Spill files live as long as such a block."""
+    try:
+        yield paths
+    finally:
+        for path in paths:
+            if os.path.exists(path):
+                os.remove(path)

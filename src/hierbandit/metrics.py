@@ -13,14 +13,16 @@ Two aggregation views:
                          of the task's instantaneous regret over its rounds.
 Curves report the across-seed mean and standard error at each index.
 
-The ledger holds one block of numpy columns per (algorithm, seed) run.
-Curves and per-seed totals read one algorithm's rows one seed at a time
-(RegretLedger.seed_runs: a run's block as stored, or the seed's blocks
-joined when its rows span several) and aggregate each seed's rows in
-insertion order: np.add.at over the seed's index cells for a curve, one sum
-for a total.  That is the one path for whole runs and for the partial or
-shuffled ledgers add builds, and it holds one seed's temporaries at a time,
-never a copy of an algorithm's columns.
+A curve is built in two steps.  seed_cells reduces one run's columns to
+its index cells (np.add.at over the cells in row order); series_from_cells
+assembles the cells of an algorithm's seeds, in ascending seed order, into
+the seed x index matrix.  run_total is one run's total regret.  The
+streamed experiment (bench.run_experiment) applies them to each run as it
+is played.  The ledger holds one block of numpy columns per (algorithm,
+seed) run, and its curves and totals apply the same functions to one seed's
+rows at a time (RegretLedger.seed_runs: a run's block as stored, or the
+seed's blocks joined when its rows span several), so whole runs and the
+partial or shuffled ledgers add builds give the same bits.
 """
 
 from __future__ import annotations
@@ -123,11 +125,17 @@ class RegretLedger:
         """Row tuples in insertion order (CSV writing), converted at most
         core.ROW_CHUNK rows at a time, so a caller that streams them holds
         one chunk's rows as Python objects whatever the number of rows."""
-        step = core.ROW_CHUNK
         for algorithm, seed, cols in self._read():
-            for start in range(0, cols[0].shape[0], step):
-                yield from zip(repeat(algorithm), repeat(seed),
-                               *(c[start:start + step].tolist() for c in cols))
+            yield from run_rows(algorithm, seed, cols)
+
+
+def run_rows(algorithm: str, seed: int, cols):
+    """Row tuples (algorithm, seed, task_id, round, arm, reward,
+    inst_regret) of one run's columns, converted at most core.ROW_CHUNK rows
+    at a time."""
+    for chunk in core.row_chunks(*cols):
+        yield from zip(repeat(algorithm), repeat(seed),
+                       *(c.tolist() for c in chunk))
 
 
 @dataclass(frozen=True)
@@ -143,51 +151,78 @@ class Curve:
         return np.cumsum(self.mean)
 
 
-def _per_seed_series(ledger: RegretLedger, algorithm: str, view: str
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(seeds, index, matrix): one matrix row per seed, in ascending seed
-    order, and one column per index point.  Each seed's cells are summed
-    from 0.0 in insertion order, so a cell holds the same bits however the
-    seed's rows lie in the ledger's blocks."""
+def seed_cells(cols, view: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One seed's cells of a view from its run's columns (task_id, round,
+    arm, reward, inst_regret): the index keys, each key's regret summed from
+    0.0 in row order with np.add.at, and each key's row count."""
     if view not in VIEWS:
         raise ConfigError("view must be one of %s" % (VIEWS,))
-    per_round = view == "per_round_concurrent"
-    seeds, cells = [], []
-    for seed, cols in ledger.seed_runs(algorithm):
-        # the round, or the 1-based task position
-        keys, at = np.unique(cols[1] if per_round else cols[0] + 1,
-                             return_inverse=True)
-        sums = np.zeros(keys.shape[0])
-        np.add.at(sums, at, cols[4])
-        seeds.append(seed)
-        cells.append((keys, sums, np.bincount(at, minlength=keys.shape[0])))
-    if len(seeds) < 2:
+    # the round, or the 1-based task position
+    keys, at = np.unique(cols[1] if view == VIEWS[0] else cols[0] + 1,
+                         return_inverse=True)
+    sums = np.zeros(keys.shape[0])
+    np.add.at(sums, at, cols[4])
+    return keys, sums, np.bincount(at, minlength=keys.shape[0])
+
+
+def series_from_cells(cells: dict, algorithm: str, view: str
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(seeds, index, matrix) from seed -> seed_cells: one matrix row per
+    seed, in ascending seed order, and one column per index point."""
+    if len(cells) < 2:
         raise ConfigError("curves need at least 2 seeds, got %d for %r"
-                          % (len(seeds), algorithm))
-    index = np.unique(np.concatenate([keys for keys, _, _ in cells]))
+                          % (len(cells), algorithm))
+    seeds = sorted(cells)
+    index = np.unique(np.concatenate([cells[s][0] for s in seeds]))
     matrix = np.zeros((len(seeds), index.shape[0]))
     counts = np.zeros_like(matrix)
-    for row, (keys, sums, n) in enumerate(cells):
+    for row, seed in enumerate(seeds):
+        keys, sums, n = cells[seed]
         at = np.searchsorted(index, keys)
         matrix[row, at], counts[row, at] = sums, n
-    if per_round:
+    if view == VIEWS[0]:
         if np.any(counts == 0):
             raise ConfigError("missing (seed, round) cells for %r" % algorithm)
         matrix = matrix / counts
     return np.array(seeds, dtype=np.int64), index, matrix
 
 
-def _summarize(index: np.ndarray, matrix: np.ndarray) -> Curve:
+def per_seed_series(ledger: RegretLedger, algorithm: str, view: str
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """series_from_cells over the ledger's runs of one algorithm.  Each
+    seed's cells are summed in insertion order, so a cell holds the same
+    bits however the seed's rows lie in the ledger's blocks."""
+    return series_from_cells({seed: seed_cells(cols, view) for seed, cols
+                              in ledger.seed_runs(algorithm)},
+                             algorithm, view)
+
+
+def summarize(series: tuple[np.ndarray, np.ndarray, np.ndarray]) -> Curve:
+    """The across-seed curve of a (seeds, index, matrix) series."""
+    _, index, matrix = series
     n_seeds = matrix.shape[0]
     mean = matrix.mean(axis=0)
     se = matrix.std(axis=0, ddof=1) / np.sqrt(n_seeds)
     return Curve(index=index, mean=mean, se=se, n_seeds=n_seeds)
 
 
+def paired_curve(series: tuple[np.ndarray, np.ndarray, np.ndarray],
+                 oracle: tuple[np.ndarray, np.ndarray, np.ndarray]) -> Curve:
+    """The curve of the per-seed difference between an algorithm's series
+    and the oracle reference's, over the seeds the two have in common."""
+    (seeds_a, idx_a, mat_a), (seeds_o, idx_o, mat_o) = series, oracle
+    if idx_a.shape != idx_o.shape or np.any(idx_a != idx_o):
+        raise ConfigError("algorithm and oracle cover different index sets")
+    common, rows_a, rows_o = np.intersect1d(seeds_a, seeds_o,
+                                            return_indices=True)
+    if common.shape[0] < 2:
+        raise ConfigError("paired curves need >= 2 common seeds")
+    return summarize((common, idx_a, mat_a[rows_a] - mat_o[rows_o]))
+
+
 def bayes_regret_curve(ledger: RegretLedger, algorithm: str, view: str) -> Curve:
     """Across-seed regret curve for one algorithm under the given view."""
-    _, index, matrix = _per_seed_series(ledger, algorithm, view)
-    return _summarize(index, matrix)
+    return summarize(per_seed_series(ledger, algorithm, view))
 
 
 def multi_task_regret_curve(ledger: RegretLedger, algorithm: str,
@@ -196,22 +231,19 @@ def multi_task_regret_curve(ledger: RegretLedger, algorithm: str,
     """Oracle-adjusted regret: the per-seed difference between the
     algorithm's series and the oracle reference's, summarized across the
     seeds the two have in common (paired; shared noise cancels)."""
-    seeds_a, idx_a, mat_a = _per_seed_series(ledger, algorithm, view)
-    seeds_o, idx_o, mat_o = _per_seed_series(ledger, oracle_name, view)
-    if idx_a.shape != idx_o.shape or np.any(idx_a != idx_o):
-        raise ConfigError("algorithm and oracle cover different index sets")
-    common, rows_a, rows_o = np.intersect1d(seeds_a, seeds_o,
-                                            return_indices=True)
-    if common.shape[0] < 2:
-        raise ConfigError("paired curves need >= 2 common seeds")
-    return _summarize(idx_a, mat_a[rows_a] - mat_o[rows_o])
+    return paired_curve(per_seed_series(ledger, algorithm, view),
+                        per_seed_series(ledger, oracle_name, view))
+
+
+def run_total(cols) -> float:
+    """Total regret of one run from its columns."""
+    return float(cols[4].sum())
 
 
 def cumulative_regret_by_seed(ledger: RegretLedger, algorithm: str) -> dict[int, float]:
     """Total regret per seed (paired comparisons across algorithms), in
     ascending seed order."""
-    return {seed: float(cols[4].sum())
-            for seed, cols in ledger.seed_runs(algorithm)}
+    return {seed: run_total(cols) for seed, cols in ledger.seed_runs(algorithm)}
 
 
 def verify_replay(ledger: RegretLedger, population_for_seed, reward_for) -> None:

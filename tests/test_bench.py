@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import time
 import tracemalloc
 import xml.etree.ElementTree as ET
 from itertools import repeat
@@ -12,7 +13,7 @@ from types import MethodType, SimpleNamespace
 import numpy as np
 import pytest
 
-from hierbandit import agents, bench, core
+from hierbandit import agents, bench, bernoulli, core, errors
 from hierbandit.agents import (AgentContext, Policy, PooledTS,
                                PooledTSBernoulli, _CountTS, make_policy)
 from hierbandit.bench import (ExperimentConfig, resolve_output_dir,
@@ -834,12 +835,9 @@ def test_scalar_kernels_match_loop_across_row_chunks(monkeypatch, kind, name,
                                  no_steps=True, stats=_all_statistics))
 
 
-@pytest.mark.parametrize("kind", ["gaussian", "bernoulli"])
-def test_scalar_kernel_memory_on_a_long_custom_stream(kind):
-    # 200 tasks x 200 rounds x 8 arms played as one custom segment by the
-    # pooled-ts kernel.  Converting its rows a chunk at a time, the run
-    # peaks near the base loop's 8.3-9.3 MB (Gaussian 8.7 MB, Bernoulli 8.6
-    # MB); converting the whole segment at once peaked at 29.8 and 17.8 MB.
+def _custom_stream_peak(kind, name):
+    """tracemalloc peak of simulate_run for one policy playing 200 tasks x
+    200 rounds x 8 arms as one custom segment."""
     spec = PopulationSpec(n_tasks=200, horizon=200, n_arms=8, dim=15,
                           reward_kind=kind, seed=5)
     population = generate_population(spec)
@@ -849,15 +847,62 @@ def test_scalar_kernel_memory_on_a_long_custom_stream(kind):
         np.repeat(np.arange(spec.n_tasks), spec.horizon)).tolist()
     schedule = make_schedule("custom", spec.n_tasks, spec.horizon, stream)
     schedule.columns()
-    policy = make_policy("pooled-ts", AgentContext(
-        population, priors, agent_rng(7, "pooled-ts"), "custom"))
+    policy = make_policy(name, AgentContext(
+        population, priors, agent_rng(7, name), "custom"))
     tracemalloc.start()
     try:
         simulate_run(population, table, policy, schedule)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "bernoulli"])
+def test_scalar_kernel_memory_on_a_long_custom_stream(kind):
+    # 200 tasks x 200 rounds x 8 arms played as one custom segment by the
+    # pooled-ts kernel.  Converting its rows a chunk at a time, the run
+    # peaks near the base loop's 8.3-9.3 MB (Gaussian 8.7 MB, Bernoulli 8.6
+    # MB); converting the whole segment at once peaked at 29.8 and 17.8 MB.
+    peak = _custom_stream_peak(kind, "pooled-ts")
     assert peak < 10_000_000, peak
+
+
+@pytest.mark.parametrize("name", ["hier-ts", "linear-ts"])
+def test_precision_kernel_memory_on_a_long_custom_stream(name):
+    # The same stream through the Gaussian precision kernels, which draw
+    # their normals and check their draws one core.ROW_CHUNK chunk at a
+    # time: 8.8 MB (hier-ts) and 8.3 MB (linear-ts) against 8.3 MB for the
+    # base loop.  Keeping every step's theta and scores for one check per
+    # piece peaked at 29.2 and 14.5 MB.
+    peak = _custom_stream_peak("gaussian", name)
+    assert peak < 10_000_000, peak
+
+
+@pytest.mark.parametrize("name", ["hier-ts", "linear-ts"])
+def test_precision_kernel_raises_at_the_end_of_a_later_chunk(monkeypatch,
+                                                             name):
+    # A non-finite theta drawn in the second of four five-step chunks
+    # raises NumericalError when that chunk ends: after ten draws, not at
+    # the end of the 20-step piece.
+    monkeypatch.setattr(core, "ROW_CHUNK", 5)
+    spec = PopulationSpec(n_tasks=4, horizon=5, n_arms=3, dim=4, seed=77)
+    population = generate_population(spec)
+    priors = derive_baseline_priors(spec, population.theta, n_mc=2000)
+    policy = make_policy(name, AgentContext(
+        population, priors, agent_rng(78, name), "custom"))
+    draw, draws = agents.precision_draw, []
+
+    def poisoned(*args):
+        draws.append(draw(*args))
+        return draws[-1] * np.nan if len(draws) == 7 else draws[-1]
+
+    monkeypatch.setattr(agents, "precision_draw", poisoned)
+    task_ids = np.tile(np.arange(spec.n_tasks), spec.horizon)
+    rounds = np.repeat(np.arange(1, spec.horizon + 1), spec.n_tasks)
+    payoffs = RewardTable(population).arm_rewards(task_ids, rounds)
+    with pytest.raises(errors.NumericalError, match="non-finite"):
+        policy.play(task_ids, payoffs)
+    assert len(draws) == 10
 
 
 @pytest.mark.parametrize("n_arms", [3, 24])
@@ -1090,3 +1135,175 @@ def test_bernoulli_hier_ts_refreshes_per_segment(schedule, n_tasks, m, loop):
     simulate_run(population, RewardTable(population), policy,
                  make_schedule(schedule, spec.n_tasks, spec.horizon))
     assert len(policy.acceptance_rates) == segments * (length // m + 1)
+
+
+# ---------------------------------------------------------------------------
+# the streamed run
+# ---------------------------------------------------------------------------
+
+def _reference_artifacts(config, out):
+    """The artifacts of an unstreamed run: the whole ledger simulated, then
+    written, its curves and its summary."""
+    os.makedirs(out)
+    ledger = simulate_ledger(config)
+    paths = {name: os.path.join(out, name + ".csv")
+             for name in ("ledger", "curves", "summary")}
+    write_ledger_csv(ledger, paths["ledger"])
+    bench.write_curves_csv(bench.compute_curves(ledger, config),
+                           paths["curves"])
+    bench.write_summary_csv(ledger, config, paths["summary"])
+    return {name: Path(path).read_bytes() for name, path in paths.items()}
+
+
+def _custom_schedules(monkeypatch):
+    # ExperimentConfig reads only the built-in kinds; every seed's schedule
+    # becomes one fixed permutation of its task visits instead.
+    def custom(kind, n_tasks, horizon):
+        stream = np.random.default_rng(n_tasks * horizon).permutation(
+            np.repeat(np.arange(n_tasks), horizon)).tolist()
+        return make_schedule("custom", n_tasks, horizon, stream)
+    monkeypatch.setattr(bench, "make_schedule", custom)
+
+
+_STREAMED_CASES = {
+    "gaussian-concurrent": ({"population": _TINY_POPULATION,
+                             "schedule": "concurrent",
+                             "algorithms": ["hier-ts", "pooled-ts",
+                                            "linear-ts"],
+                             "seeds": [3, 4, 5], "plots": True}, False),
+    "bernoulli-sequential": ({"population": dict(_TINY_POPULATION,
+                                                 reward_kind="bernoulli"),
+                              "schedule": "sequential",
+                              "algorithms": ["hier-ts", "individual-ts",
+                                             "meta-ts"],
+                              "seeds": [2, 8, 6]}, False),
+    "custom": ({"population": _TINY_POPULATION, "schedule": "concurrent",
+                "algorithms": ["hier-ts", "pooled-ts", "linear-ts"],
+                "seeds": [9, 1, 4]}, True),
+}
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+@pytest.mark.parametrize("case", sorted(_STREAMED_CASES))
+def test_streamed_run_matches_unstreamed_artifacts(tmp_path, monkeypatch,
+                                                   case, parallelism):
+    # Seeds are listed out of order in the non-ascending cases, so the
+    # ledger's seed order (config order) and the curves' (ascending) differ.
+    raw, custom = _STREAMED_CASES[case]
+    if custom:
+        _custom_schedules(monkeypatch)
+    config = ExperimentConfig.from_dict(dict(raw, parallelism=parallelism))
+    paths = run_experiment(config, str(tmp_path / "streamed"))
+    expected = _reference_artifacts(config, str(tmp_path / "reference"))
+    for name, data in expected.items():
+        assert Path(paths[name]).read_bytes() == data, name
+    assert sorted(os.listdir(tmp_path / "streamed")) == sorted(
+        os.path.basename(p) for p in paths.values())
+
+
+def _fail_in_seed(monkeypatch, bad_seed, marks, delay=0.0):
+    # Each seed leaves a mark when its population is built; the bad seed
+    # then raises, the others sleep for delay seconds.
+    build = bench.generate_population
+
+    def generate(spec):
+        (marks / ("started.%d" % spec.seed)).touch()
+        if spec.seed == bad_seed:
+            raise RuntimeError("forced failure in seed %d" % spec.seed)
+        time.sleep(delay)
+        return build(spec)
+    monkeypatch.setattr(bench, "generate_population", generate)
+
+
+def test_streamed_run_failure_keeps_old_artifacts_and_leaves_no_spill(
+        tmp_path, monkeypatch):
+    # A raise in the third seed, after two seeds have written their spill
+    # files, removes every spill and temp file and leaves the previous
+    # run's artifacts as they were.
+    out = tmp_path / "out"
+    marks = tmp_path / "marks"
+    marks.mkdir()
+    config = ExperimentConfig.from_dict(_minimal_raw(seeds=[4, 5, 6, 7]))
+    paths = run_experiment(config, str(out))
+    before = {p: Path(p).read_bytes() for p in paths.values()}
+    _fail_in_seed(monkeypatch, 6, marks)
+    with pytest.raises(RuntimeError, match="seed 6"):
+        run_experiment(config, str(out))
+    assert sorted(os.listdir(marks)) == ["started.4", "started.5",
+                                         "started.6"]
+    assert sorted(os.listdir(out)) == sorted(os.path.basename(p)
+                                             for p in paths.values())
+    assert {p: Path(p).read_bytes() for p in paths.values()} == before
+
+
+def test_pooled_streamed_run_failure_cancels_pending_seeds(tmp_path,
+                                                           monkeypatch):
+    # In the pool, a raise in seed 1 cancels the seeds not yet handed to a
+    # worker, and the running ones finish before the spill files are
+    # removed: none is left behind, even a while after the raise.
+    out = tmp_path / "out"
+    marks = tmp_path / "marks"
+    marks.mkdir()
+    seeds = list(range(12))
+    config = ExperimentConfig.from_dict(_minimal_raw(seeds=seeds,
+                                                     parallelism=2))
+    paths = run_experiment(config, str(out))
+    before = {p: Path(p).read_bytes() for p in paths.values()}
+    _fail_in_seed(monkeypatch, 1, marks, delay=0.3)
+    with pytest.raises(RuntimeError, match="seed 1"):
+        run_experiment(config, str(out))
+    started = os.listdir(marks)
+    assert "started.1" in started and len(started) < len(seeds), started
+    time.sleep(0.5)
+    assert sorted(os.listdir(out)) == sorted(os.path.basename(p)
+                                             for p in paths.values())
+    assert {p: Path(p).read_bytes() for p in paths.values()} == before
+
+
+def test_streamed_run_memory_does_not_grow_with_seeds(tmp_path):
+    # Runs of 40k rows (200 tasks x 200 rounds), at 2 and 6 seeds.  Each
+    # seed's runs leave only their ledger text, in spill files, and their
+    # curve cells and totals, so run_experiment peaks at 6.5 MB at both;
+    # holding every seed's columns until the ledger was written peaked at
+    # 6.8 and 13.2 MB.
+    peaks = []
+    for n_seeds in (2, 6):
+        config = ExperimentConfig.from_dict({
+            "population": {"n_tasks": 200, "horizon": 200, "n_arms": 8,
+                           "dim": 15},
+            "schedule": "concurrent", "algorithms": ["individual-ts"],
+            "seeds": n_seeds, "emit_mtr": False})
+        tracemalloc.start()
+        try:
+            run_experiment(config, str(tmp_path / str(n_seeds)))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.1 * peaks[0], peaks
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_run_prints_mcmc_warnings_of_a_stuck_chain(tmp_path, monkeypatch,
+                                                   capsys, parallelism):
+    # A Bernoulli hier-ts chain that accepts nothing warns once per seed (12
+    # refreshes of 20 sweeps pool 200 sweeps once); hierbandit run prints
+    # one stderr line per (algorithm, seed), exits 0, and writes the
+    # artifacts it writes without the printer.
+    monkeypatch.setattr(bernoulli.ThetaSampler, "run", lambda self, *a: 0)
+    raw = {"population": {"n_tasks": 12, "horizon": 5, "n_arms": 4,
+                          "dim": 6, "reward_kind": "bernoulli"},
+           "schedule": "sequential", "algorithms": ["hier-ts"],
+           "seeds": [5, 3], "parallelism": parallelism}
+    config_path = tmp_path / "config.yaml"
+    config_path.write_text(json.dumps(raw))
+    assert main(["run", str(config_path), "--out", str(tmp_path / "a")]) == 0
+    err = capsys.readouterr().err.splitlines()
+    message = ("post-burn-in acceptance rate 0.000 outside [0.05, 0.95]; "
+               "treat the chain as suspect")
+    assert err == ["hierbandit: warning: hier-ts seed %d: %s" % (seed, message)
+                   for seed in (5, 3)]
+    plain = run_experiment(ExperimentConfig.from_dict(raw),
+                           str(tmp_path / "b"))
+    for name, path in plain.items():
+        assert (tmp_path / "a" / os.path.basename(path)).read_bytes() \
+            == Path(path).read_bytes(), name
