@@ -37,29 +37,27 @@ candidate prior set meta-ts resamples at schedule boundaries.
 All agents draw randomness from the single generator handed to them and
 break score ties toward the lowest arm index.
 
-The simulation loop reads a schedule segment's payoff rows (every arm's
-reward at each interaction) from the RewardTable once, hands the segment (a
-concurrent round, a sequential task or a whole custom stream) to play with
-them, and gathers the played rewards itself; no policy reads the table.
-play returns the arms; its base version is act, then update with the
-played arm's payoff, per interaction, and overrides return the same arms
-and generator state.  The three
-cores (Gaussian conditional, Gaussian independent-arm, Beta) share one count
+The simulation loop cuts each schedule segment (a concurrent round, a
+sequential task or a whole custom stream) into pieces of at most
+core.ROW_CHUNK rows, reads a piece's payoff rows (every arm's reward at each
+interaction) from the RewardTable once, hands the piece to play with them,
+and gathers the played rewards itself; no policy reads the table, and no
+kernel bounds its own rows.  play returns the arms; its base version is
+act, then update with the played arm's payoff, per interaction, and
+overrides return the same arms and generator state.  The three cores
+(Gaussian conditional, Gaussian independent-arm, Beta) share one count
 store, _CountTS, and differ only in their draw, stated once for an int task
 id and an id array.  A count policy whose prior moves says how in one hook,
 _refresh, which _CountTS fires at every schedule boundary and, with
 refresh_every = m set, after every m interactions (hier-ts-batch with m:
-only then).  _CountTS.play cuts a segment where the next refresh falls,
-then plays each piece of distinct count slots as one vectorized step and
-any other piece through _play_steps, which the Beta core runs as a scalar
-kernel (one rng.beta call per arm) and the Gaussian cores as the base loop.
-Gaussian pooled-ts, hier-ts and linear-ts, whose every decision reads every
-earlier update, each play a segment as their own scalar kernel; hier-ts and
-linear-ts draw theta every step by _linalg.precision_draw, the recipe
-sample_mvn_precision uses.  hier-ts-aligned keeps the base loop.  Every
-scalar kernel walks its segment's rows through core.iter_rows, so a long
-segment (a whole custom stream) is converted to Python floats ROW_CHUNK
-rows at a time.
+only then).  _CountTS.play cuts its piece again where the next refresh
+falls, then plays each part of distinct count slots as one vectorized step
+and any other part through _play_steps, which the Beta core runs as a
+scalar kernel (one rng.beta call per arm) and the Gaussian cores as the
+base loop.  Gaussian pooled-ts, hier-ts and linear-ts, whose every decision
+reads every earlier update, each play a piece as their own scalar kernel;
+hier-ts and linear-ts draw theta every step by _linalg.precision_draw, the
+recipe sample_mvn_precision uses.  hier-ts-aligned keeps the base loop.
 """
 
 from __future__ import annotations
@@ -74,8 +72,7 @@ import numpy as np
 from ._linalg import precision_draw, sample_mvn_precision
 from .bernoulli import (ThetaSampler, acceptance_warnings,
                         beta_binomial_log_marginal, logistic_beta_shapes)
-from .core import (FeatureMap, HierarchyConfig, check_count, check_flag,
-                   iter_rows, row_chunks)
+from .core import FeatureMap, HierarchyConfig, check_count, check_flag
 from .envs import Population
 from .errors import ConfigError, NumericalError, ScheduleError
 from .gaussian import ThetaStatAccumulator, diagonal_effect_variances
@@ -141,12 +138,14 @@ class Policy:
     """Interface the simulation loop drives.
 
     act(task_id) returns an arm; update(...) feeds back the observed reward.
-    play(task_ids, payoffs) plays one schedule segment, the interactions of
-    task_ids in order, and returns their arms (int64).  payoffs is the
-    segment's (n, K) payoff rows, payoffs[j, a] the reward arm a pays at
+    play(task_ids, payoffs) plays one piece of a schedule segment, the
+    interactions of task_ids in order, and returns their arms (int64).  A
+    piece has at most core.ROW_CHUNK rows, and consecutive calls with no
+    hook between them continue the same segment.  payoffs is the
+    piece's (n, K) payoff rows, payoffs[j, a] the reward arm a pays at
     interaction j; step j reads payoffs[j, a] only for the arm a it plays,
     and only after choosing it.  This version is the act/update loop; the
-    count core's segment planner (_CountTS.play) and the kernels of
+    count core's planner (_CountTS.play) and the kernels of
     Gaussian pooled-ts, hier-ts and linear-ts override it, and
     AlignedHierTS keeps it.  end_of_round fires after each concurrent
     round, end_of_task after each task completes under a sequential
@@ -197,7 +196,7 @@ class _CountTS(Policy):
     every schedule boundary; with refresh_every = m set, so does the m-th
     interaction counted since the last refresh or boundary.  update counts
     one interaction, and the vectorized step and a kernel count their piece
-    once.  play is the one segment planner: it cuts the segment and its
+    once.  play is the one planner: it cuts the engine's piece and its
     payoff rows where the next refresh falls, then plays a piece whose
     tasks keep distinct slots as one vectorized step (_play_batch) and any
     other piece through _play_steps, the base loop unless a subclass runs
@@ -364,7 +363,7 @@ class HierTS(_ConditionalTS):
     incrementally in O(d^2) per record), then draw the task's arm means from
     the conditional given that draw, and play the argmax.  Marginally this
     samples the exact per-task posterior.  Every decision reads every
-    earlier update, so play runs a segment in order, as a scalar kernel.
+    earlier update, so play runs a piece in order, as a scalar kernel.
     """
 
     name = "hier-ts"
@@ -399,17 +398,16 @@ class HierTS(_ConditionalTS):
         super()._update_batch(task_ids, arms, rewards)
 
     def play(self, task_ids: np.ndarray, payoffs: np.ndarray) -> np.ndarray:
-        """The base loop as one kernel, run core.ROW_CHUNK steps at a time.
-        One standard_normal((rows, d + K)) call per chunk is the loop's
-        stream: per step d normals for theta, drawn by precision_draw on the
-        running statistics, then K for the arms.  The arm draws run on
-        Python floats in _conditional_draw's operation order from each
-        task's statistics, read once per piece, and the first of the
-        highest scores is played, as _pick.  The pulled record, its reward
-        the played arm's payoff, enters both count stores and the
-        accumulator as add forms it, its outer product built in one
-        preallocated buffer.  A non-finite theta or arm draw raises
-        NumericalError at the end of its chunk."""
+        """The base loop as one kernel over the piece.  One
+        standard_normal((n, d + K)) call is the loop's stream: per step d
+        normals for theta, drawn by precision_draw on the running
+        statistics, then K for the arms.  The arm draws run on Python floats
+        in _conditional_draw's operation order from each task's statistics,
+        read once per piece, and the first of the highest scores is played,
+        as _pick.  The pulled record, its reward the played arm's payoff,
+        enters both count stores and the accumulator as add forms it, its
+        outer product built in one preallocated buffer.  A non-finite theta
+        or arm draw raises NumericalError at the end of the piece."""
         acc, noise_sq, var = self.acc, self.noise_sq, self.arm_var.tolist()
         features, phi_vinv_phi, phi_vinv_resid = \
             acc.features, acc.phi_vinv_phi, acc.phi_vinv_resid
@@ -423,40 +421,39 @@ class HierTS(_ConditionalTS):
             acc.prior_arm_means[tasks].tolist())))
         offset = _score_offsets(k)
         outer = np.empty((d, d))
+        normals = self.rng.standard_normal((task_ids.shape[0], d + k))
+        thetas = np.empty((task_ids.shape[0], d))
+        scores_played: list[float] = []
         arms: list[int] = []
-        for ids, rows in row_chunks(task_ids, payoffs):
-            normals = self.rng.standard_normal((ids.shape[0], d + k))
-            thetas = np.empty((ids.shape[0], d))
-            scores_played: list[float] = []
-            for j, (tid, z, payoff) in enumerate(iter_rows(
-                    ids, normals[:, d:], rows)):
-                thetas[j] = theta = self.cfg.mu_theta + precision_draw(
-                    self._sigma_theta_inv + phi_vinv_phi, phi_vinv_resid,
-                    normals[j, :d])
-                counts, sums, dens, sds, base = stats[tid]
-                scores = [m + v * (s - c * m) / e + sd * x + o
-                          for m, v, s, c, e, sd, x, o
-                          in zip((features[tid] @ theta).tolist(), var, sums,
-                                 counts, dens, sds, z, offset)]
-                scores_played.extend(scores)
-                arm = scores.index(max(scores))
-                arms.append(arm)
-                n0, s0, d0, m = counts[arm], sums[arm], dens[arm], base[arm]
-                n1, s1 = n0 + 1.0, s0 + payoff[arm]
-                self.counts[tid, arm], self.sums[tid, arm] = n1, s1
-                acc.counts[tid, arm], acc.sums[tid, arm] = n1, s1
-                counts[arm], sums[arm] = n1, s1
-                dens[arm] = d1 = noise_sq + var[arm] * n1
-                sds[arm] = math.sqrt(var[arm] * noise_sq / d1)
-                phi = features[tid, arm]
-                np.multiply(phi[:, None], phi, out=outer)
-                outer *= n1 / d1 - n0 / d0
-                phi_vinv_phi += outer
-                phi_vinv_resid += ((s1 - n1 * m) / d1
-                                   - (s0 - n0 * m) / d0) * phi
-            if not (np.isfinite(thetas).all()
-                    and np.isfinite(scores_played).all()):
-                raise NumericalError("non-finite draw in %s" % self.name)
+        for j, (tid, z, payoff) in enumerate(zip(
+                task_ids.tolist(), normals[:, d:].tolist(), payoffs.tolist())):
+            thetas[j] = theta = self.cfg.mu_theta + precision_draw(
+                self._sigma_theta_inv + phi_vinv_phi, phi_vinv_resid,
+                normals[j, :d])
+            counts, sums, dens, sds, base = stats[tid]
+            scores = [m + v * (s - c * m) / e + sd * x + o
+                      for m, v, s, c, e, sd, x, o
+                      in zip((features[tid] @ theta).tolist(), var, sums,
+                             counts, dens, sds, z, offset)]
+            scores_played.extend(scores)
+            arm = scores.index(max(scores))
+            arms.append(arm)
+            n0, s0, d0, m = counts[arm], sums[arm], dens[arm], base[arm]
+            n1, s1 = n0 + 1.0, s0 + payoff[arm]
+            self.counts[tid, arm], self.sums[tid, arm] = n1, s1
+            acc.counts[tid, arm], acc.sums[tid, arm] = n1, s1
+            counts[arm], sums[arm] = n1, s1
+            dens[arm] = d1 = noise_sq + var[arm] * n1
+            sds[arm] = math.sqrt(var[arm] * noise_sq / d1)
+            phi = features[tid, arm]
+            np.multiply(phi[:, None], phi, out=outer)
+            outer *= n1 / d1 - n0 / d0
+            phi_vinv_phi += outer
+            phi_vinv_resid += ((s1 - n1 * m) / d1
+                               - (s0 - n0 * m) / d0) * phi
+        if not (np.isfinite(thetas).all()
+                and np.isfinite(scores_played).all()):
+            raise NumericalError("non-finite draw in %s" % self.name)
         return np.array(arms, dtype=np.int64)
 
 
@@ -604,7 +601,7 @@ class PooledTS(_IndependentArmTS):
             post_sd.append(math.sqrt(post_var))
         offset = _score_offsets(k)
         arms: list[int] = []
-        for z, payoff in iter_rows(normals, payoffs):
+        for z, payoff in zip(normals.tolist(), payoffs.tolist()):
             arm, best = 0, post_mean[0] + post_sd[0] * z[0] + offset[0]
             for a in range(1, k):
                 score = post_mean[a] + post_sd[a] * z[a] + offset[a]
@@ -627,7 +624,7 @@ class LinearTS(Policy):
     theta^T phi plus noise of variance sigma1_sq + sigma_noise^2 (the task
     effect folded into the noise).  Maintains the standard (A, b) normal
     equations.  Every decision reads every earlier update, so play runs a
-    segment in order, as a scalar kernel.
+    piece in order, as a scalar kernel.
     """
 
     name = "linear-ts"
@@ -653,34 +650,34 @@ class LinearTS(Policy):
         self.b_vec += phi * (reward / self.noise_var)
 
     def play(self, task_ids: np.ndarray, payoffs: np.ndarray) -> np.ndarray:
-        """The base loop as one kernel, run core.ROW_CHUNK steps at a time:
-        one standard_normal((rows, d)) call per chunk is the stream of its
-        steps' theta draws, each made by precision_draw on the running
-        (A, b); the first of the highest scores is played, as _pick; the
-        pulled arm's outer product enters A through one preallocated
-        buffer, as update forms it, and its payoff enters b.  A non-finite
-        theta raises NumericalError at the end of its chunk."""
+        """The base loop as one kernel over the piece: one
+        standard_normal((n, d)) call is the stream of its steps' theta
+        draws, each made by precision_draw on the running (A, b); the first
+        of the highest scores is played, as _pick; the pulled arm's outer
+        product enters A through one preallocated buffer, as update forms
+        it, and its payoff enters b.  A non-finite theta raises
+        NumericalError at the end of the piece."""
         k, d = self.features.shape[1:]
         offset = _score_offsets(k)
         outer = np.empty((d, d))
+        normals = self.rng.standard_normal((task_ids.shape[0], d))
+        thetas = np.empty((task_ids.shape[0], d))
         arms: list[int] = []
-        for ids, rows in row_chunks(task_ids, payoffs):
-            normals = self.rng.standard_normal((ids.shape[0], d))
-            thetas = np.empty((ids.shape[0], d))
-            for j, (tid, payoff) in enumerate(iter_rows(ids, rows)):
-                thetas[j] = theta = precision_draw(self.a_mat, self.b_vec,
-                                                   normals[j])
-                scores = [s + o for s, o in zip(
-                    (self.features[tid] @ theta).tolist(), offset)]
-                arm = scores.index(max(scores))
-                arms.append(arm)
-                phi = self.features[tid, arm]
-                np.multiply(phi[:, None], phi, out=outer)
-                outer /= self.noise_var
-                self.a_mat += outer
-                self.b_vec += phi * (payoff[arm] / self.noise_var)
-            if not np.isfinite(thetas).all():
-                raise NumericalError("non-finite draw in %s" % self.name)
+        for j, (tid, payoff) in enumerate(zip(task_ids.tolist(),
+                                              payoffs.tolist())):
+            thetas[j] = theta = precision_draw(self.a_mat, self.b_vec,
+                                               normals[j])
+            scores = [s + o for s, o in zip(
+                (self.features[tid] @ theta).tolist(), offset)]
+            arm = scores.index(max(scores))
+            arms.append(arm)
+            phi = self.features[tid, arm]
+            np.multiply(phi[:, None], phi, out=outer)
+            outer /= self.noise_var
+            self.a_mat += outer
+            self.b_vec += phi * (payoff[arm] / self.noise_var)
+        if not np.isfinite(thetas).all():
+            raise NumericalError("non-finite draw in %s" % self.name)
         return np.array(arms, dtype=np.int64)
 
 
@@ -783,15 +780,15 @@ class _BetaCountTS(_CountTS):
         arm's payoff.  The piece is counted once, after its counts are
         written back."""
         k = self.counts.shape[1]
-        slots = self.slot_of[task_ids]
+        ids, slots = task_ids.tolist(), self.slot_of[task_ids].tolist()
         stats = {slot: (self.counts[slot].tolist(), self.sums[slot].tolist())
-                 for slot in set(slots.tolist())}
+                 for slot in set(slots)}
         priors = {t: [np.full(k, shape).tolist() for shape in self._prior(t)]
-                  for t in set(task_ids.tolist())}
+                  for t in set(ids)}
         offset = _score_offsets(k)
         beta = self.rng.beta
         arms: list[int] = []
-        for tid, slot, payoff in iter_rows(task_ids, slots, payoffs):
+        for tid, slot, payoff in zip(ids, slots, payoffs.tolist()):
             n, successes = stats[slot]
             alpha1, alpha2 = priors[tid]
             scores = [beta(a1 + s, a2 + (c - s)) + o for a1, a2, c, s, o

@@ -25,7 +25,7 @@ import json
 import os
 import shutil
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from itertools import chain, repeat
 from typing import NamedTuple
@@ -33,12 +33,13 @@ from typing import NamedTuple
 import numpy as np
 import yaml
 
+from . import core
 from ._version import __version__
 from .agents import AgentContext, Policy, check_algorithm, make_policy
 from .core import check_count, check_flag
 from .envs import (InteractionSchedule, Population, PopulationSpec,
                    RewardTable, agent_rng, atomic_file, atomic_write_text,
-                   generate_population, make_schedule, removed_on_exit)
+                   generate_population, make_schedule)
 from .errors import ConfigError
 from .metrics import (ORACLE_NAME, VIEWS, Curve, RegretLedger,
                       cumulative_regret_by_seed, paired_curve,
@@ -51,9 +52,8 @@ SCHEMA_VERSION = 1
 OUTPUT_ENV_VAR = "HIERBANDIT_OUT"
 DEFAULT_OUTPUT_DIR = "out"
 
-_POPULATION_KEYS = frozenset({
-    "n_tasks", "horizon", "n_arms", "dim", "reward_kind", "sigma_noise",
-    "sigma1_sq", "psi", "theta_scale", "misspec_lambda"})
+_POPULATION_KEYS = frozenset(
+    f.name for f in fields(PopulationSpec) if f.name != "seed")
 _TOP_KEYS = frozenset({
     "population", "schedule", "algorithms", "seeds", "emit_mtr", "plots",
     "parallelism", "output_dir"})
@@ -246,11 +246,14 @@ def simulate_run(population: Population, table: RewardTable, policy: Policy,
                             np.ndarray]:
     """Drive one policy through one schedule; returns the ledger columns
     (task_ids, rounds, arms, rewards, inst_regrets) in interaction order.
-    policy.play plays the schedule one segment at a time: each round of a
+    The schedule is played one segment at a time: each round of a
     concurrent schedule, then end_of_round; each task of a sequential one,
-    then end_of_task; the whole stream of a custom one, with no hook.  The
-    segment's payoff rows are read once, by table.arm_rewards, and each
-    reward is gathered from its row at the arm play returned."""
+    then end_of_task; the whole stream of a custom one, with no hook.  This
+    is the one place that bounds work: each segment is cut into pieces of
+    at most core.ROW_CHUNK rows, a piece's payoff rows are read once, by
+    table.arm_rewards, policy.play plays it, and each reward is gathered
+    from its row at the arm play returned.  The hook fires after the
+    segment's last piece."""
     task_ids, rounds = schedule.columns()
     n = task_ids.shape[0]
     if schedule.kind == "concurrent":
@@ -261,14 +264,16 @@ def simulate_run(population: Population, table: RewardTable, policy: Policy,
         size, hook = n, lambda tid: None
     arms = np.empty(n, dtype=np.int64)
     rewards = np.empty(n)
+    chunk = core.ROW_CHUNK
     for start in range(0, n, size or 1):
-        stop = start + size
-        ids = task_ids[start:stop]
-        payoffs = table.arm_rewards(ids, rounds[start:stop])
-        arms[start:stop] = policy.play(ids, payoffs)
-        rewards[start:stop] = payoffs[np.arange(ids.shape[0]),
-                                      arms[start:stop]]
-        hook(int(ids[-1]))
+        end = start + size
+        for lo in range(start, end, chunk):
+            hi = min(lo + chunk, end)
+            ids = task_ids[lo:hi]
+            payoffs = table.arm_rewards(ids, rounds[lo:hi])
+            arms[lo:hi] = policy.play(ids, payoffs)
+            rewards[lo:hi] = payoffs[np.arange(hi - lo), arms[lo:hi]]
+        hook(int(task_ids[end - 1]))
     gaps = population.best_means[task_ids] - population.means[task_ids, arms]
     return task_ids, rounds, arms, rewards, gaps
 
@@ -513,13 +518,17 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None,
     prefix = os.path.join(out, ".ledger.csv.spill.%d" % os.getpid())
     spills = [_spill_path(prefix, index, seed)
               for index in range(len(names)) for seed in config.seeds]
-    with removed_on_exit(spills):
+    try:
         per_seed = _map_seeds(config, partial(stream_seed, config, prefix))
         with atomic_file(paths["ledger"], "wb") as fh:
             fh.write(_LEDGER_HEADER.encode())
             for spill in spills:
                 with open(spill, "rb") as src:
                     shutil.copyfileobj(src, fh)
+    finally:
+        for spill in spills:
+            if os.path.exists(spill):
+                os.remove(spill)
     runs = {name: dict(zip(config.seeds, results))
             for name, results in zip(names, zip(*per_seed))}
     curves = _curves(config, lambda name, view: series_from_cells(

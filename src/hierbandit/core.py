@@ -23,9 +23,9 @@ from .errors import ConfigError, NumericalError
 # jitter tolerance for PSD validation of configuration matrices
 _PSD_JITTER = 1e-10
 
-# Rows iter_rows (and the ledger's row writer) convert to Python objects at
-# a time: a long stream, such as a whole custom schedule played as one
-# segment, then never holds all of its rows boxed at once.
+# The most rows bench.simulate_run hands a policy at once, and the ledger's
+# row writer converts to Python objects at once: a long segment, such as a
+# whole custom stream, then never holds all of its rows boxed at once.
 ROW_CHUNK = 4096
 
 
@@ -33,20 +33,6 @@ def _readonly(a, dtype=float) -> np.ndarray:
     out = np.array(a, dtype=dtype)
     out.setflags(write=False)
     return out
-
-
-def row_chunks(*columns: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
-    """The columns' slices of at most ROW_CHUNK rows, chunk by chunk."""
-    for start in range(0, columns[0].shape[0], ROW_CHUNK):
-        yield tuple(c[start:start + ROW_CHUNK] for c in columns)
-
-
-def iter_rows(*columns: np.ndarray) -> Iterator[tuple]:
-    """zip(*(c.tolist() for c in columns)) over equal-length arrays, each
-    row a tuple of Python scalars or lists, converted ROW_CHUNK rows at a
-    time."""
-    for chunk in row_chunks(*columns):
-        yield from zip(*(c.tolist() for c in chunk))
 
 
 def check_count(name: str, value, least: int, allow_none: bool = False):

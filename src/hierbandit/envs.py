@@ -19,8 +19,7 @@ import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -283,22 +282,9 @@ class InteractionSchedule:
     def __len__(self) -> int:
         return self.n_tasks * self.horizon
 
-    def iter_with_rounds(self) -> Iterator[tuple[int, int]]:
-        """(task_id, round_within_task) pairs, rounds 1-based per task."""
-        tasks, rounds = range(self.n_tasks), range(1, self.horizon + 1)
-        if self.kind == "sequential":
-            yield from product(tasks, rounds)
-        elif self.kind == "concurrent":
-            yield from ((tid, rnd) for rnd, tid in product(rounds, tasks))
-        else:
-            counter = [0] * self.n_tasks
-            for tid in self.stream:
-                counter[tid] += 1
-                yield tid, counter[tid]
-
     def columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """iter_with_rounds as two read-only int64 columns (task_ids,
-        rounds), the same arrays on every call."""
+        """(task_ids, rounds): each interaction's task and 1-based round
+        within it, in play order; read-only int64, the same on every call."""
         return self._columns
 
     @cached_property
@@ -408,15 +394,3 @@ def atomic_write_text(path: str, chunks) -> None:
     yields them."""
     with atomic_file(path) as fh:
         fh.writelines(chunks)
-
-
-@contextmanager
-def removed_on_exit(paths):
-    """Yield paths; when the block ends, returned or raised, remove each of
-    them that exists.  Spill files live as long as such a block."""
-    try:
-        yield paths
-    finally:
-        for path in paths:
-            if os.path.exists(path):
-                os.remove(path)

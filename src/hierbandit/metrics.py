@@ -133,9 +133,10 @@ def run_rows(algorithm: str, seed: int, cols):
     """Row tuples (algorithm, seed, task_id, round, arm, reward,
     inst_regret) of one run's columns, converted at most core.ROW_CHUNK rows
     at a time."""
-    for chunk in core.row_chunks(*cols):
+    chunk = core.ROW_CHUNK
+    for start in range(0, cols[0].shape[0], chunk):
         yield from zip(repeat(algorithm), repeat(seed),
-                       *(c.tolist() for c in chunk))
+                       *(c[start:start + chunk].tolist() for c in cols))
 
 
 @dataclass(frozen=True)

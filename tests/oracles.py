@@ -322,3 +322,25 @@ def seed_totals_oracle(rows, algorithm):
     regret = np.array([row[6] for row in mine], dtype=float)
     return {int(s): float(regret[seed_col == s].sum())
             for s in np.unique(seed_col)}
+
+
+def schedule_pairs_oracle(kind, n_tasks, horizon, stream=None):
+    """(task_id, round_within_task) pairs of a schedule in play order, rounds
+    1-based per task, by explicit loops: sequential plays every round of a
+    task before the next task, concurrent round 1 of every task, then round
+    2, ...; custom follows stream, counting each task's visits."""
+    pairs = []
+    if kind == "sequential":
+        for task in range(n_tasks):
+            for rnd in range(1, horizon + 1):
+                pairs.append((task, rnd))
+    elif kind == "concurrent":
+        for rnd in range(1, horizon + 1):
+            for task in range(n_tasks):
+                pairs.append((task, rnd))
+    else:
+        seen = [0] * n_tasks
+        for task in stream:
+            seen[task] += 1
+            pairs.append((task, seen[task]))
+    return pairs

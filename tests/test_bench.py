@@ -1,5 +1,6 @@
 """Experiment config validation, artifact writing, and reproducibility."""
 
+import functools
 import hashlib
 import json
 import os
@@ -25,6 +26,7 @@ from hierbandit.envs import (PopulationSpec, RewardTable, agent_rng,
 from hierbandit.errors import ConfigError, ScheduleError
 from hierbandit.metrics import RegretLedger
 from hierbandit.priors import derive_baseline_priors
+from oracles import schedule_pairs_oracle
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -556,8 +558,9 @@ def _play(task_id):
      + _play(0) + _play(1) + _play(2) + _play(0) + _play(1) + _play(2)),
 ])
 def test_simulate_run_hook_order(kind, stream, expected):
-    # One play per segment (a round, a task, or a whole custom stream),
-    # then the segment's boundary hook; the base play steps through it.
+    # One play per segment (a round, a task, or a whole custom stream; each
+    # is one piece at the default core.ROW_CHUNK), then the segment's
+    # boundary hook; the base play steps through it.
     spec = PopulationSpec(n_tasks=3, horizon=2, n_arms=2, dim=3, seed=5)
     population = generate_population(spec)
     schedule = make_schedule(kind, spec.n_tasks, spec.horizon, stream)
@@ -565,7 +568,8 @@ def test_simulate_run_hook_order(kind, stream, expected):
     task_ids, rounds, arms, _, _ = simulate_run(
         population, RewardTable(population), policy, schedule)
     assert policy.events == expected
-    assert list(zip(task_ids, rounds)) == list(schedule.iter_with_rounds())
+    assert list(zip(task_ids.tolist(), rounds.tolist())) \
+        == schedule_pairs_oracle(kind, spec.n_tasks, spec.horizon, stream)
     assert arms.tolist() == [0] * len(schedule)
 
 
@@ -614,7 +618,8 @@ def test_simulate_run_batched_hook_order(kind, stream, run, expected):
     task_ids, rounds, arms, rewards, _ = simulate_run(
         population, table, policy, schedule)
     assert policy.events == expected
-    assert list(zip(task_ids, rounds)) == list(schedule.iter_with_rounds())
+    assert list(zip(task_ids.tolist(), rounds.tolist())) \
+        == schedule_pairs_oracle(kind, spec.n_tasks, spec.horizon, stream)
     want_arms = []
     for event in expected:
         if event[0] == "play":
@@ -827,9 +832,9 @@ _SCALAR_KERNELS += [("bernoulli", name, options)
 @pytest.mark.parametrize("kind, name, options", _SCALAR_KERNELS)
 def test_scalar_kernels_match_loop_across_row_chunks(monkeypatch, kind, name,
                                                      options):
-    # A custom stream is one segment (42 steps here); with five rows
-    # converted to Python objects at a time, every scalar kernel crosses
-    # eight chunk boundaries and must still equal the loop bit for bit.
+    # A custom stream is one segment (42 steps here); the engine hands it
+    # over in pieces of five rows, so every scalar kernel continues its
+    # segment across eight cuts and must still equal the loop bit for bit.
     monkeypatch.setattr(core, "ROW_CHUNK", 5)
     _assert_same_run(_both_paths(kind, name, options, 6, "custom",
                                  no_steps=True, stats=_all_statistics))
@@ -860,30 +865,34 @@ def _custom_stream_peak(kind, name):
 @pytest.mark.parametrize("kind", ["gaussian", "bernoulli"])
 def test_scalar_kernel_memory_on_a_long_custom_stream(kind):
     # 200 tasks x 200 rounds x 8 arms played as one custom segment by the
-    # pooled-ts kernel.  Converting its rows a chunk at a time, the run
-    # peaks near the base loop's 8.3-9.3 MB (Gaussian 8.7 MB, Bernoulli 8.6
-    # MB); converting the whole segment at once peaked at 29.8 and 17.8 MB.
+    # pooled-ts kernel.  The engine hands it over, and reads its payoff
+    # rows, core.ROW_CHUNK rows at a time: the run peaks at 3.82 MB
+    # (Gaussian) and 2.47 MB (Bernoulli), and each bound is its peak plus
+    # 25%.  Reading the whole segment's payoffs at once peaked at 8.7 and
+    # 8.6 MB; converting its rows at once as well, at 29.8 and 17.8 MB.
     peak = _custom_stream_peak(kind, "pooled-ts")
-    assert peak < 10_000_000, peak
+    assert peak < {"gaussian": 4_800_000, "bernoulli": 3_100_000}[kind], peak
 
 
 @pytest.mark.parametrize("name", ["hier-ts", "linear-ts"])
 def test_precision_kernel_memory_on_a_long_custom_stream(name):
     # The same stream through the Gaussian precision kernels, which draw
-    # their normals and check their draws one core.ROW_CHUNK chunk at a
-    # time: 8.8 MB (hier-ts) and 8.3 MB (linear-ts) against 8.3 MB for the
-    # base loop.  Keeping every step's theta and scores for one check per
-    # piece peaked at 29.2 and 14.5 MB.
+    # their normals and check their draws once per engine piece: 6.24 MB
+    # (hier-ts) and 3.27 MB (linear-ts), each bound the peak plus 25%.
+    # Chunking inside the kernel with the segment's payoffs read whole
+    # peaked at 8.8 and 8.3 MB; keeping every step's theta and scores for
+    # one check per segment, at 29.2 and 14.5 MB.
     peak = _custom_stream_peak("gaussian", name)
-    assert peak < 10_000_000, peak
+    assert peak < {"hier-ts": 7_800_000, "linear-ts": 4_100_000}[name], peak
 
 
 @pytest.mark.parametrize("name", ["hier-ts", "linear-ts"])
 def test_precision_kernel_raises_at_the_end_of_a_later_chunk(monkeypatch,
                                                              name):
-    # A non-finite theta drawn in the second of four five-step chunks
-    # raises NumericalError when that chunk ends: after ten draws, not at
-    # the end of the 20-step piece.
+    # simulate_run hands a 20-step custom stream to the kernel as four
+    # five-step pieces; a non-finite theta drawn in the second raises
+    # NumericalError when that piece ends: after ten draws, not at the end
+    # of the stream.
     monkeypatch.setattr(core, "ROW_CHUNK", 5)
     spec = PopulationSpec(n_tasks=4, horizon=5, n_arms=3, dim=4, seed=77)
     population = generate_population(spec)
@@ -897,12 +906,132 @@ def test_precision_kernel_raises_at_the_end_of_a_later_chunk(monkeypatch,
         return draws[-1] * np.nan if len(draws) == 7 else draws[-1]
 
     monkeypatch.setattr(agents, "precision_draw", poisoned)
-    task_ids = np.tile(np.arange(spec.n_tasks), spec.horizon)
-    rounds = np.repeat(np.arange(1, spec.horizon + 1), spec.n_tasks)
-    payoffs = RewardTable(population).arm_rewards(task_ids, rounds)
+    schedule = make_schedule("custom", spec.n_tasks, spec.horizon,
+                             np.tile(np.arange(spec.n_tasks),
+                                     spec.horizon).tolist())
     with pytest.raises(errors.NumericalError, match="non-finite"):
-        policy.play(task_ids, payoffs)
+        simulate_run(population, RewardTable(population), policy, schedule)
     assert len(draws) == 10
+
+
+class _PieceRecorder(Policy):
+    """Records each piece the engine hands play, and each boundary hook."""
+
+    def __init__(self):
+        self.events = []
+
+    def play(self, task_ids, payoffs):
+        self.events.append(("play", task_ids.tolist()))
+        return np.zeros(task_ids.shape[0], dtype=np.int64)
+
+    def end_of_round(self):
+        self.events.append(("end_of_round",))
+
+    def end_of_task(self, task_id):
+        self.events.append(("end_of_task", task_id))
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 4, 4096])
+@pytest.mark.parametrize("kind", ["concurrent", "sequential", "custom"])
+def test_engine_bounds_every_piece_and_hooks_once_per_segment(monkeypatch,
+                                                              kind, chunk):
+    # Each segment (a round of 7 tasks, a task of 9 rounds, the custom
+    # stream of 63 steps) reaches play as consecutive pieces of at most
+    # core.ROW_CHUNK rows, and its one hook fires after its last piece.
+    monkeypatch.setattr(core, "ROW_CHUNK", chunk)
+    spec = PopulationSpec(n_tasks=7, horizon=9, n_arms=2, dim=3, seed=5)
+    population = generate_population(spec)
+    stream = np.random.default_rng(8).permutation(
+        np.repeat(np.arange(spec.n_tasks), spec.horizon)).tolist() \
+        if kind == "custom" else None
+    policy = _PieceRecorder()
+    simulate_run(population, RewardTable(population), policy,
+                 make_schedule(kind, spec.n_tasks, spec.horizon, stream))
+    tasks = [t for t, _ in schedule_pairs_oracle(kind, spec.n_tasks,
+                                                 spec.horizon, stream)]
+    size = {"concurrent": spec.n_tasks, "sequential": spec.horizon,
+            "custom": len(tasks)}[kind]
+    expected = []
+    for start in range(0, len(tasks), size):
+        segment = tasks[start:start + size]
+        expected += [("play", segment[i:i + chunk])
+                     for i in range(0, len(segment), chunk)]
+        if kind == "concurrent":
+            expected.append(("end_of_round",))
+        elif kind == "sequential":
+            expected.append(("end_of_task", segment[-1]))
+    assert policy.events == expected
+    assert all(len(e[1]) <= chunk for e in expected if e[0] == "play")
+
+
+# Every registered policy with each of its options, as the engine's piece
+# cut must leave them: (kind, name, options).
+_CUT_POLICIES = [("gaussian", name, {}) for name in (
+    "hier-ts", "hier-ts-aligned", "individual-ts", "pooled-ts", "linear-ts",
+    "meta-ts")]
+_CUT_POLICIES += [("gaussian", "hier-ts-batch", {"refresh_every": m})
+                  for m in (None, 1, 4, 7)]
+_CUT_POLICIES += [("gaussian", "oracle-ts", {"align": a})
+                  for a in (False, True)]
+_CUT_POLICIES += [("bernoulli", name, {}) for name in (
+    "oracle-ts", "individual-ts", "pooled-ts", "meta-ts")]
+_CUT_POLICIES += [("bernoulli", "hier-ts", dict(_BERNOULLI_HIER, **extra))
+                  for extra in ({}, {"refresh_every": 4})]
+_CUT_CASES = [(kind, name, options, schedule)
+              for kind, name, options in _CUT_POLICIES
+              for schedule in ("concurrent", "sequential", "custom")
+              if name != "hier-ts-aligned" or schedule == "sequential"]
+
+
+def test_cut_cases_cover_every_policy_and_option():
+    for kind in ("gaussian", "bernoulli"):
+        for name in agents.algorithm_names(kind):
+            cut = [set(o) for k, n, o in _CUT_POLICIES if (k, n) == (kind, name)]
+            assert cut, (kind, name)
+            allowed = set(agents._ALLOWED_OPTIONS.get((kind, name), {}))
+            assert allowed - {"burn_in", "sweeps"} <= set.union(*cut)
+
+
+@functools.lru_cache(maxsize=None)
+def _cut_inputs(kind):
+    """A 7-task, 9-round population of kind rewards and its priors."""
+    spec = PopulationSpec(n_tasks=7, horizon=9, n_arms=3, dim=4,
+                          reward_kind=kind, seed=31)
+    population = generate_population(spec)
+    return population, derive_baseline_priors(spec, population.theta,
+                                              n_mc=2000)
+
+
+def _cut_run(kind, name, options, schedule):
+    """simulate_run of one policy as (columns, statistics and acceptance
+    rates, generator end state)."""
+    population, priors = _cut_inputs(kind)
+    spec = population.spec
+    stream = np.random.default_rng(32).permutation(
+        np.repeat(np.arange(spec.n_tasks), spec.horizon)).tolist() \
+        if schedule == "custom" else None
+    ctx = AgentContext(population, priors, agent_rng(33, name), schedule)
+    policy = make_policy(name, ctx, options)
+    cols = simulate_run(population, RewardTable(population), policy,
+                        make_schedule(schedule, spec.n_tasks, spec.horizon,
+                                      stream))
+    rates = np.array(getattr(policy, "acceptance_rates", ()))
+    return (*cols, *_all_statistics(policy), rates), \
+        ctx.rng.bit_generator.state
+
+
+@pytest.mark.parametrize("kind, name, options, schedule", _CUT_CASES, ids=[
+    "-".join([k, n, *map("%s=%s".__mod__, o.items()), s])
+    for k, n, o, s in _CUT_CASES])
+def test_row_chunk_does_not_change_a_run(monkeypatch, kind, name, options,
+                                         schedule):
+    # At ROW_CHUNK = 2 the engine cuts every round, task and custom stream
+    # into two-row pieces; each policy continues its segment across the
+    # cuts, so columns, statistics and generator end state equal the run
+    # at the default, where no segment here is cut.
+    whole = _cut_run(kind, name, options, schedule)
+    monkeypatch.setattr(core, "ROW_CHUNK", 2)
+    _assert_same_run((_cut_run(kind, name, options, schedule), whole))
 
 
 @pytest.mark.parametrize("n_arms", [3, 24])

@@ -13,6 +13,7 @@ from hierbandit.envs import (InteractionSchedule, Population, PopulationSpec,
                              make_schedule, noise_rng, population_rng,
                              population_to_csv)
 from hierbandit.errors import ConfigError, ScheduleError
+from oracles import schedule_pairs_oracle
 
 
 def _spec(**kw):
@@ -150,18 +151,25 @@ def test_bernoulli_spec_refuses_misspec_lambda(lam):
         == 1.0
 
 
+def _pairs(sched):
+    task_ids, rounds = sched.columns()
+    return list(zip(task_ids.tolist(), rounds.tolist()))
+
+
 def test_schedule_sequential():
     sched = make_schedule("sequential", n_tasks=2, horizon=2)
-    assert list(sched.iter_with_rounds()) == [(0, 1), (0, 2), (1, 1), (1, 2)]
+    assert _pairs(sched) == [(0, 1), (0, 2), (1, 1), (1, 2)]
+    assert schedule_pairs_oracle("sequential", 2, 2) == _pairs(sched)
 
 
 def test_schedule_concurrent():
     sched = make_schedule("concurrent", n_tasks=2, horizon=2)
-    assert list(sched.iter_with_rounds()) == [(0, 1), (1, 1), (0, 2), (1, 2)]
+    assert _pairs(sched) == [(0, 1), (1, 1), (0, 2), (1, 2)]
+    assert schedule_pairs_oracle("concurrent", 2, 2) == _pairs(sched)
 
 
 @pytest.mark.parametrize("kind", ["sequential", "concurrent", "custom"])
-def test_schedule_columns_equal_iter_with_rounds(kind):
+def test_schedule_columns_equal_pairs_oracle(kind):
     rng = np.random.default_rng(17)
     for n_tasks, horizon in ((1, 1), (1, 5), (4, 1), (7, 9), (30, 12)):
         stream = rng.permutation(np.repeat(np.arange(n_tasks), horizon)) \
@@ -170,7 +178,7 @@ def test_schedule_columns_equal_iter_with_rounds(kind):
         task_ids, rounds = sched.columns()
         assert task_ids.dtype == rounds.dtype == np.int64
         assert list(zip(task_ids.tolist(), rounds.tolist())) \
-            == list(sched.iter_with_rounds())
+            == schedule_pairs_oracle(kind, n_tasks, horizon, stream)
 
 
 @pytest.mark.parametrize("kind", ["sequential", "concurrent", "custom"])
@@ -188,7 +196,8 @@ def test_schedule_columns_are_built_once_read_only(kind):
 
 def test_schedule_custom():
     sched = make_schedule("custom", n_tasks=2, horizon=2, stream=[0, 1, 1, 0])
-    assert list(sched.iter_with_rounds()) == [(0, 1), (1, 1), (1, 2), (0, 2)]
+    assert _pairs(sched) == [(0, 1), (1, 1), (1, 2), (0, 2)]
+    assert schedule_pairs_oracle("custom", 2, 2, [0, 1, 1, 0]) == _pairs(sched)
     with pytest.raises(ScheduleError):
         make_schedule("custom", n_tasks=2, horizon=2, stream=[0, 0, 0, 1])
     with pytest.raises(ScheduleError):
