@@ -652,11 +652,11 @@ class LinearTS(Policy):
     def play(self, task_ids: np.ndarray, payoffs: np.ndarray) -> np.ndarray:
         """The base loop as one kernel over the piece: one
         standard_normal((n, d)) call is the stream of its steps' theta
-        draws, each made by precision_draw on the running (A, b); the first
-        of the highest scores is played, as _pick; the pulled arm's outer
-        product enters A through one preallocated buffer, as update forms
-        it, and its payoff enters b.  A non-finite theta raises
-        NumericalError at the end of the piece."""
+        draws, each made by precision_draw on the running (A, b); a strict
+        > scan plays the first of the highest scores, as _pick; the pulled
+        arm's outer product enters A through one preallocated buffer, as
+        update forms it, and its payoff enters b.  A non-finite theta
+        raises NumericalError at the end of the piece."""
         k, d = self.features.shape[1:]
         offset = _score_offsets(k)
         outer = np.empty((d, d))
@@ -667,9 +667,12 @@ class LinearTS(Policy):
                                               payoffs.tolist())):
             thetas[j] = theta = precision_draw(self.a_mat, self.b_vec,
                                                normals[j])
-            scores = [s + o for s, o in zip(
-                (self.features[tid] @ theta).tolist(), offset)]
-            arm = scores.index(max(scores))
+            row = (self.features[tid] @ theta).tolist()
+            arm, best = 0, row[0] + offset[0]
+            for a in range(1, k):
+                score = row[a] + offset[a]
+                if score > best:
+                    arm, best = a, score
             arms.append(arm)
             phi = self.features[tid, arm]
             np.multiply(phi[:, None], phi, out=outer)
@@ -776,9 +779,9 @@ class _BetaCountTS(_CountTS):
         each task's prior (keyed by task, as tasks may share a slot) are
         read once; each step draws arm by arm with one scalar rng.beta call
         in _draw's operation order (the stream of one K-array call), plays
-        the first of the highest scores, as _pick, and counts the played
-        arm's payoff.  The piece is counted once, after its counts are
-        written back."""
+        the first of the highest scores, as _pick, by a strict > scan, and
+        counts the played arm's payoff.  The piece is counted once, after
+        its counts are written back."""
         k = self.counts.shape[1]
         ids, slots = task_ids.tolist(), self.slot_of[task_ids].tolist()
         stats = {slot: (self.counts[slot].tolist(), self.sums[slot].tolist())
@@ -791,9 +794,12 @@ class _BetaCountTS(_CountTS):
         for tid, slot, payoff in zip(ids, slots, payoffs.tolist()):
             n, successes = stats[slot]
             alpha1, alpha2 = priors[tid]
-            scores = [beta(a1 + s, a2 + (c - s)) + o for a1, a2, c, s, o
-                      in zip(alpha1, alpha2, n, successes, offset)]
-            arm = scores.index(max(scores))
+            arm, best = 0, None
+            for a in range(k):
+                s = successes[a]
+                score = beta(alpha1[a] + s, alpha2[a] + (n[a] - s)) + offset[a]
+                if best is None or score > best:
+                    arm, best = a, score
             arms.append(arm)
             n[arm] += 1.0
             if payoff[arm] >= 0.5:

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .bernoulli import MEAN_CLIP, BetaParams, beta_from_mean_precision, \
     clipped_logistic, precision_for_variance
 from .core import FeatureMap, HierarchyConfig, History
@@ -82,6 +83,58 @@ def two_level_task_variance(spec: PopulationSpec, true_theta: np.ndarray) -> flo
     return spec.sigma1_sq + float(tail @ tail)
 
 
+def _metadata_blocks(rng: np.random.Generator, n_mc: int, p: int):
+    """Yield (rows, block): n_mc standard-normal metadata draws of length p,
+    core.ROW_CHUNK rows at a time in row order, so the blocks are the stream
+    of one standard_normal((n_mc, p)) call.  Each block is drawn when the
+    caller asks for it, into one buffer that the next block overwrites."""
+    chunk = core.ROW_CHUNK
+    buf = np.empty((min(chunk, n_mc), p))
+    for lo in range(0, n_mc, chunk):
+        hi = min(lo + chunk, n_mc)
+        yield slice(lo, hi), rng.standard_normal(out=buf[:hi - lo])
+
+
+def _conditional_logits(spec: PopulationSpec, true_theta: np.ndarray,
+                        rng: np.random.Generator, n_mc: int) -> np.ndarray:
+    """n_mc x K logits of the arm means at the realized theta, one row per
+    metadata draw."""
+    d, k = spec.dim, spec.n_arms
+    tail = true_theta[k:]
+    lin = np.empty((n_mc, k))
+    for rows, metadata in _metadata_blocks(rng, n_mc, spec.p):
+        for a in range(k):
+            lin[rows, a] = (true_theta[a]
+                            + metadata[:, a * (d - k):(a + 1) * (d - k)] @ tail)
+    return lin
+
+
+def _marginal_logits(spec: PopulationSpec, rng: np.random.Generator,
+                     n_mc: int) -> np.ndarray:
+    """n_mc x K logits of the arm means with theta drawn from its prior as
+    well.  The stream draws every theta before the metadata."""
+    d, k = spec.dim, spec.n_arms
+    thetas = rng.standard_normal((n_mc, d))
+    thetas *= np.sqrt(spec.scale)
+    lin = np.empty((n_mc, k))
+    for rows, metadata in _metadata_blocks(rng, n_mc, spec.p):
+        block = thetas[rows]
+        for a in range(k):
+            lin[rows, a] = block[:, a] + np.einsum(
+                "nj,nj->n", metadata[:, a * (d - k):(a + 1) * (d - k)],
+                block[:, k:])
+    return lin
+
+
+def _reward_moments(probs: np.ndarray, het: float, axis: int | None):
+    """Mean and variance of a reward whose mean is Beta-distributed around
+    probs, over the rows (axis=0, per arm) or over every entry (None):
+        E Var(r | l) + Var E(r | l) = het * E[l(1-l)] + Var(l)."""
+    mean = probs.mean(axis=axis)
+    var = het * (probs * (1.0 - probs)).mean(axis=axis) + probs.var(axis=axis)
+    return mean, var
+
+
 def _bernoulli_moments(spec: PopulationSpec, true_theta: np.ndarray,
                        rng: np.random.Generator, n_mc: int
                        ) -> tuple[np.ndarray, np.ndarray, float, float]:
@@ -90,31 +143,23 @@ def _bernoulli_moments(spec: PopulationSpec, true_theta: np.ndarray,
     Returns per-arm conditional means and variances given the realized theta
     (metadata integrated out), plus the overall marginal mean and variance
     with theta also integrated out.
+
+    Each pass fills its n_mc x K logits from metadata drawn in
+    _metadata_blocks, so at most one block of metadata is held at once, and
+    runs in its own function, so its block and thetas are freed before the
+    reductions.  A
+    row's logit does not depend on the block size as long as
+    core.ROW_CHUNK is a multiple of 8 rows (a matrix-vector product's
+    per-row bits can depend on where the row falls in a SIMD group).  The
+    reductions run on the whole n_mc x K arrays, as a blocked sum would
+    change bits.
     """
-    d, k, p = spec.dim, spec.n_arms, spec.p
     het = spec.psi / (1.0 + spec.psi)
-
-    tail = true_theta[k:]
-    metadata = rng.standard_normal((n_mc, p))
-    lin = np.zeros((n_mc, k))
-    for a in range(k):
-        lin[:, a] = true_theta[a] + metadata[:, a * (d - k):(a + 1) * (d - k)] @ tail
-    probs = clipped_logistic(lin)
-    cond_mean = probs.mean(axis=0)
-    # Var(r | theta) over metadata and the Beta draw:
-    #   E Var(r | l) + Var E(r | l) = het * E[l(1-l)] + Var(l).
-    cond_var = het * (probs * (1.0 - probs)).mean(axis=0) + probs.var(axis=0)
-
-    thetas = rng.standard_normal((n_mc, d)) * np.sqrt(spec.scale)
-    meta2 = rng.standard_normal((n_mc, p))
-    lin2 = np.zeros((n_mc, k))
-    for a in range(k):
-        lin2[:, a] = thetas[:, a] + np.einsum(
-            "nj,nj->n", meta2[:, a * (d - k):(a + 1) * (d - k)], thetas[:, k:])
-    probs2 = clipped_logistic(lin2)
-    marg_mean = float(probs2.mean())
-    marg_var = float(het * (probs2 * (1.0 - probs2)).mean() + probs2.var())
-    return cond_mean, cond_var, marg_mean, marg_var
+    cond_mean, cond_var = _reward_moments(clipped_logistic(
+        _conditional_logits(spec, true_theta, rng, n_mc)), het, axis=0)
+    marg_mean, marg_var = _reward_moments(clipped_logistic(
+        _marginal_logits(spec, rng, n_mc)), het, axis=None)
+    return cond_mean, cond_var, float(marg_mean), float(marg_var)
 
 
 def derive_baseline_priors(spec: PopulationSpec, true_theta: np.ndarray,
@@ -123,6 +168,8 @@ def derive_baseline_priors(spec: PopulationSpec, true_theta: np.ndarray,
     (and, where the construction is defined relative to the realized
     population, from the true coefficients)."""
     true_theta = np.asarray(true_theta, dtype=float)
+    if n_mc < 1:
+        raise ConfigError("n_mc must be >= 1, got %r" % (n_mc,))
     if true_theta.shape != (spec.dim,):
         raise ConfigError("true_theta must have length dim=%d" % spec.dim)
     if spec.reward_kind == "gaussian":

@@ -344,3 +344,66 @@ def schedule_pairs_oracle(kind, n_tasks, horizon, stream=None):
             seen[task] += 1
             pairs.append((task, seen[task]))
     return pairs
+
+
+def bernoulli_priors_oracle(n_arms, dim, psi, scale, true_theta, rng, n_mc,
+                            n_candidates=10, mean_range=(0.1, 0.9),
+                            mean_clip=1e-6):
+    """Moment-matched Bernoulli baseline priors from whole-array Monte Carlo.
+
+    The reference pass for the blocked one: every metadata draw is made by
+    one standard_normal((n_mc, p)) call and held at once.  Pass 1 averages
+    the clipped logistic arm means over metadata at true_theta; pass 2 draws
+    theta (scaled by sqrt(scale)) and then its metadata.  Reward moments are
+    het * E[l(1-l)] + Var(l) with het = psi / (1 + psi).  Returns
+    (marginal_mean, marginal_variance, marginal (alpha1, alpha2), candidates
+    as tuples of per-arm (alpha1, alpha2)): candidate 0 moment-matches pass
+    1 per arm, the others draw uniform means at precision psi.
+    """
+    from scipy.special import expit
+
+    def clipped(z):
+        return np.clip(expit(z), mean_clip, 1.0 - mean_clip)
+
+    def shapes(mu, precision):
+        return (mu / precision, (1.0 - mu) / precision)
+
+    def precision_for(mu, var):
+        return 1.0 / (mu * (1.0 - mu) / var - 1.0)
+
+    d, k = dim, n_arms
+    p = k * (d - k)
+    het = psi / (1.0 + psi)
+    true_theta = np.asarray(true_theta, dtype=float)
+    tail = true_theta[k:]
+    metadata = rng.standard_normal((n_mc, p))
+    lin = np.zeros((n_mc, k))
+    for a in range(k):
+        lin[:, a] = true_theta[a] + metadata[:, a * (d - k):(a + 1) * (d - k)] @ tail
+    probs = clipped(lin)
+    cond_mean = probs.mean(axis=0)
+    cond_var = het * (probs * (1.0 - probs)).mean(axis=0) + probs.var(axis=0)
+
+    thetas = rng.standard_normal((n_mc, d)) * np.sqrt(scale)
+    meta2 = rng.standard_normal((n_mc, p))
+    lin2 = np.zeros((n_mc, k))
+    for a in range(k):
+        lin2[:, a] = thetas[:, a] + np.einsum(
+            "nj,nj->n", meta2[:, a * (d - k):(a + 1) * (d - k)], thetas[:, k:])
+    probs2 = clipped(lin2)
+    marg_mean = float(probs2.mean())
+    marg_var = float(het * (probs2 * (1.0 - probs2)).mean() + probs2.var())
+
+    truth = []
+    for a in range(k):
+        mu = float(np.clip(cond_mean[a], mean_clip, 1.0 - mean_clip))
+        cap = mu * (1.0 - mu)
+        var = min(max(float(cond_var[a]), 1e-12), cap * (1.0 - 1e-9))
+        truth.append(shapes(mu, precision_for(mu, var)))
+    candidates = [tuple(truth)]
+    for _ in range(n_candidates - 1):
+        candidates.append(tuple(shapes(float(rng.uniform(*mean_range)), psi)
+                                for _a in range(k)))
+    return (marg_mean, marg_var,
+            shapes(marg_mean, precision_for(marg_mean, marg_var)),
+            tuple(candidates))

@@ -5,10 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from hierbandit.bernoulli import (BetaParams, ThetaSampler,
+from scipy.special import expit
+
+from hierbandit.bernoulli import (MEAN_CLIP, BetaParams, ThetaSampler,
                                   beta_binomial_log_marginal,
                                   beta_from_mean_precision,
-                                  bblm_prior_for_task, clipped_logistic_means,
+                                  bblm_prior_for_task, clipped_logistic,
+                                  clipped_logistic_means,
                                   conjugate_update, log_marginal_counts,
                                   logistic_beta_shapes, outcome_counts,
                                   precision_for_variance, sample_theta_counts,
@@ -69,6 +72,22 @@ def test_logistic_means_clipped():
     small = clipped_logistic_means(fm, np.array([1.0]), np.array([-1e4]))
     assert big[0] == 1.0 - 1e-6
     assert small[0] == 1e-6
+
+
+def test_clipped_logistic_has_the_bits_of_np_clip():
+    # The clamp is np.minimum(np.maximum(...)); it must give np.clip's bits
+    # everywhere, the infinities, NaN and saturated logits included.
+    edges = np.array([np.inf, -np.inf, np.nan, 800.0, -800.0, 0.0, -0.0,
+                      13.8, -13.8, 1e-300])
+    rng = np.random.default_rng(11)
+    for z in [edges, edges.reshape(2, 5), rng.standard_normal(96) * 12.0,
+              np.where(rng.random((8, 12)) < 0.2, np.nan,
+                       rng.standard_normal((8, 12)) * 30.0)]:
+        got = clipped_logistic(z)
+        want = np.clip(expit(z), MEAN_CLIP, 1.0 - MEAN_CLIP)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert clipped_logistic(0.0) == 0.5
 
 
 def test_logistic_means_log3():

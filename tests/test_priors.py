@@ -1,18 +1,22 @@
 """Baseline prior derivation and empirical-Bayes fitting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import multivariate_normal
 
+from hierbandit import core
 from hierbandit.core import (FeatureMap, History, InteractionRecord)
-from hierbandit.envs import PopulationSpec, generate_population
+from hierbandit.envs import PopulationSpec, generate_population, prior_rng
 from hierbandit.errors import ConfigError
 from hierbandit.priors import (derive_baseline_priors, fit_variance_components,
                                log_marginal_likelihood, marginal_arm_variance,
                                two_level_task_variance)
 
 from conftest import dense_effect_rows, random_instance
-from oracles import logistic, normal_log_pdf_oracle
+from oracles import (bernoulli_priors_oracle, logistic,
+                     normal_log_pdf_oracle)
 
 
 def test_marginal_variance_no_metadata_block():
@@ -90,6 +94,65 @@ def test_derive_bernoulli_priors_deterministic():
     b = derive_baseline_priors(spec, theta, n_mc=5_000)
     assert a.bernoulli_marginal == b.bernoulli_marginal
     assert a.bernoulli_candidates == b.bernoulli_candidates
+
+
+def _bernoulli_spec(k, d, seed, psi=1.0):
+    return PopulationSpec(n_tasks=3, horizon=2, n_arms=k, dim=d,
+                          reward_kind="bernoulli", psi=psi, seed=seed)
+
+
+@pytest.mark.parametrize("row_chunk", [None, 8, 1000])
+@pytest.mark.parametrize("k, d", [(4, 6), (8, 20), (24, 30)])
+def test_bernoulli_priors_match_the_whole_array_pass(monkeypatch, k, d,
+                                                     row_chunk):
+    # Both Monte Carlo passes draw their metadata core.ROW_CHUNK rows at a
+    # time; every field must carry the bits of one whole-array pass, for
+    # draw counts on both sides of a block edge and blocks of any multiple
+    # of 8 rows.
+    if row_chunk is not None:
+        monkeypatch.setattr(core, "ROW_CHUNK", row_chunk)
+    for seed, psi in [(1, 1.0), (7, 0.3)]:
+        spec = _bernoulli_spec(k, d, seed, psi)
+        theta = generate_population(spec).theta
+        for n_mc in (50, 4095, 4096, 4097, 20000):
+            got = derive_baseline_priors(spec, theta, n_mc=n_mc)
+            mean, var, marginal, candidates = bernoulli_priors_oracle(
+                k, d, psi, spec.scale, theta, prior_rng(seed), n_mc)
+            assert (got.marginal_mean, got.marginal_variance) == (mean, var)
+            assert (got.bernoulli_marginal.alpha1,
+                    got.bernoulli_marginal.alpha2) == marginal
+            assert tuple(tuple((b.alpha1, b.alpha2) for b in arms)
+                         for arms in got.bernoulli_candidates) == candidates
+
+
+@pytest.mark.parametrize("reward_kind", ["bernoulli", "gaussian"])
+@pytest.mark.parametrize("n_mc", [0, -5])
+def test_derive_refuses_fewer_than_one_draw(reward_kind, n_mc):
+    # No draws gave NaN priors behind a "Mean of empty slice" warning, and
+    # a negative count numpy's own ValueError.
+    spec = PopulationSpec(n_tasks=2, horizon=2, n_arms=2, dim=3,
+                          reward_kind=reward_kind, seed=4)
+    with pytest.raises(ConfigError, match="n_mc"):
+        derive_baseline_priors(spec, np.zeros(3), n_mc=n_mc)
+
+
+@pytest.mark.parametrize("k, d, bound", [(4, 6, 2_420_000),
+                                         (24, 30, 16_800_000)])
+def test_bernoulli_derive_memory(k, d, bound):
+    # One derive at the default 20,000 draws holds its n_mc x K logits, the
+    # second pass's n_mc x d thetas and one block of metadata: a peak of
+    # 1.93 MB at K=4, d=6 and 13.43 MB at K=24, d=30, each bound the peak
+    # plus 25%.  Drawing each pass's metadata whole peaked at 6.72 and
+    # 70.08 MB; a fresh array per block, at 2.13 and 18.08 MB.
+    spec = _bernoulli_spec(k, d, seed=1)
+    theta = generate_population(spec).theta
+    tracemalloc.start()
+    try:
+        derive_baseline_priors(spec, theta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, peak
 
 
 def _single_record_setup():
