@@ -178,7 +178,11 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
         with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
+            try:
+                raw = yaml.safe_load(fh)
+            except yaml.YAMLError as exc:  # its message spans several lines
+                raise ConfigError("config file %s is not valid YAML: %s" % (
+                    path, " ".join(str(exc).split()))) from None
         raw = _require_mapping(raw, "config file %s" % path)
         if "config" in raw and "schema_version" in raw:
             # A manifest written by a previous run; its seeds are a list.
@@ -383,10 +387,6 @@ def _ledger_lines(rows):
     return map("%s,%d,%d,%d,%d,%.17g,%.17g\n".__mod__, rows)
 
 
-def _fmt_float(v: float) -> str:
-    return "%.17g" % v
-
-
 def write_ledger_csv(ledger: RegretLedger, path: str) -> None:
     """Stream the ledger to path row by row: the header, then each row
     formatted as it is written, so memory does not grow with the number of
@@ -442,10 +442,10 @@ def _write_summary(config: ExperimentConfig, totals: dict, path: str) -> None:
     lines = ["algorithm,cum_regret_mean,cum_regret_se,"
              "ratio_vs_individual_ts,ratio_vs_oracle_ts"]
     for name in run_names:
-        cells = [name, _fmt_float(means[name]), _fmt_float(ses[name])]
+        cells = [name, "%.17g" % means[name], "%.17g" % ses[name]]
         for ref in ("individual-ts", ORACLE_NAME):
             if ref in means and means[ref] != 0.0:
-                cells.append(_fmt_float(means[name] / means[ref]))
+                cells.append("%.17g" % (means[name] / means[ref]))
             else:
                 cells.append("")
         lines.append(",".join(cells))

@@ -104,17 +104,12 @@ def clipped_logistic(z: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(expit(z), MEAN_CLIP), 1.0 - MEAN_CLIP)
 
 
-def clipped_logistic_means(fm: FeatureMap, x: np.ndarray,
-                           theta: np.ndarray) -> np.ndarray:
-    """logistic(Phi_i theta) for every arm, clamped away from {0, 1}."""
-    return clipped_logistic(fm.task_features(x) @ theta)
-
-
 def bblm_prior_for_task(theta: np.ndarray, fm: FeatureMap, x: np.ndarray,
                         psi: float) -> list[BetaParams]:
     """Per-arm Beta priors Beta(mu_a/psi, (1-mu_a)/psi) with
     mu_a = logistic(phi(x, a)^T theta)."""
-    means = clipped_logistic_means(fm, x, np.asarray(theta, dtype=float))
+    means = clipped_logistic(fm.task_features(x)
+                             @ np.asarray(theta, dtype=float))
     return [beta_from_mean_precision(float(m), psi) for m in means]
 
 
@@ -143,9 +138,10 @@ def log_marginal_counts(theta: np.ndarray, cfg: HierarchyConfig,
         B(alpha1 + s_a, alpha2 + f_a) / B(alpha1, alpha2)  per arm,
     the task's share of ThetaSampler's collapsed likelihood.  Used by the
     small-d quadrature oracle."""
-    means = clipped_logistic_means(fm, task_x, np.asarray(theta, dtype=float))
-    return float(np.sum(beta_binomial_log_marginal(
-        means / cfg.psi, (1.0 - means) / cfg.psi, successes, failures)))
+    a1, a2 = logistic_beta_shapes(fm.task_features(task_x),
+                                  np.asarray(theta, dtype=float), cfg.psi)
+    return float(np.sum(beta_binomial_log_marginal(a1, a2, successes,
+                                                   failures)))
 
 
 @dataclass

@@ -130,7 +130,7 @@ def main(argv=None) -> int:
         if args.command == "validate":
             return _cmd_validate(args)
         return _cmd_export_population(args)
-    except (ConfigError, ScheduleError, FileNotFoundError) as exc:
+    except (ConfigError, ScheduleError, OSError) as exc:
         print("hierbandit: error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except NumericalError as exc:

@@ -25,9 +25,7 @@ _PSD_JITTER = 1e-10
 
 # The most rows bench.simulate_run hands a policy at once, and the ledger's
 # row writer converts to Python objects at once: a long segment, such as a
-# whole custom stream, then never holds all of its rows boxed at once.  The
-# Bernoulli prior Monte Carlo draws its metadata in blocks of this many
-# rows, whose bits stay those of one whole draw only for a multiple of 8.
+# whole custom stream, then never holds all of its rows boxed at once.
 ROW_CHUNK = 4096
 
 

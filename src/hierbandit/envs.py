@@ -352,7 +352,8 @@ def population_to_csv(population: Population, path: str) -> None:
     header = ["task_id"] + ["x%d" % j for j in range(spec.p)] \
         + ["r%d" % a for a in range(spec.n_arms)]
     lines = [",".join(name for name, _ in params),
-             ",".join(_csv_cell(value) for _, value in params),
+             ",".join("%.17g" % value if isinstance(value, float)
+                      else str(value) for _, value in params),
              ",".join(header)]
     for task in population.tasks:
         cells = [str(task.task_id)]
@@ -360,14 +361,6 @@ def population_to_csv(population: Population, path: str) -> None:
         cells += ["%.17g" % v for v in task.true_means]
         lines.append(",".join(cells))
     atomic_write_text(path, ["\n".join(lines) + "\n"])
-
-
-def _csv_cell(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, float):
-        return "%.17g" % value
-    return str(value)
 
 
 @contextmanager

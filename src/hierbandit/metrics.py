@@ -18,11 +18,10 @@ its index cells (np.add.at over the cells in row order); series_from_cells
 assembles the cells of an algorithm's seeds, in ascending seed order, into
 the seed x index matrix.  run_total is one run's total regret.  The
 streamed experiment (bench.run_experiment) applies them to each run as it
-is played.  The ledger holds one block of numpy columns per (algorithm,
-seed) run, and its curves and totals apply the same functions to one seed's
-rows at a time (RegretLedger.seed_runs: a run's block as stored, or the
-seed's blocks joined when its rows span several), so whole runs and the
-partial or shuffled ledgers add builds give the same bits.
+is played.  The ledger holds exactly one block of numpy columns per
+(algorithm, seed) run and refuses a second, and its curves and totals apply
+the same functions to one run's block at a time (RegretLedger.seed_runs),
+so the streamed and the ledger-built artifacts have the same bits.
 """
 
 from __future__ import annotations
@@ -50,15 +49,17 @@ class RegretLedger:
     """Columnar store of every interaction of every (algorithm, seed) run.
 
     Columns: algorithm, seed, task_id, round (1-based within task), arm,
-    reward, inst_regret.  The store is a list of blocks, one per run: the
-    run's algorithm and seed and one numpy array per remaining column.
-    extend_run appends one block; add buffers single rows and, on the next
-    read, folds each stretch of consecutive rows with the same (algorithm,
-    seed) into one block.  Rows are kept in insertion order, which for runs
-    appended via extend_run is the schedule order.  A block keeps the arrays
-    it is given when they already have its dtypes, so the runs of one seed
-    share the schedule's read-only task_id and round columns.  rows()
-    converts at most core.ROW_CHUNK rows to Python objects at a time.
+    reward, inst_regret.  The store holds exactly one block per run, keyed
+    by (algorithm, seed) in insertion order: one numpy array per remaining
+    column.  extend_run stores one run's block; add buffers single rows and,
+    on the next read, folds each stretch of consecutive rows with the same
+    (algorithm, seed) into one block.  A run the ledger already holds a
+    block for is refused with ConfigError, whether by a second extend_run or
+    by add-ed rows that reappear after other rows (or after a read), so each
+    run's rows are contiguous, in the order they were given.  A block keeps
+    the arrays it is given when they already have its dtypes, so the runs
+    of one seed share the schedule's read-only task_id and round columns.
+    rows() converts at most core.ROW_CHUNK rows to Python objects at a time.
     """
 
     COLUMNS = ("algorithm", "seed", "task_id", "round", "arm", "reward",
@@ -66,11 +67,11 @@ class RegretLedger:
     _DTYPES = (np.int64, np.int64, np.int64, float, float)
 
     def __init__(self):
-        self._blocks: list[tuple[str, int, tuple[np.ndarray, ...]]] = []
+        self._runs: dict[tuple[str, int], tuple[np.ndarray, ...]] = {}
         self._pending: list[tuple] = []
 
     def __len__(self) -> int:
-        return sum(cols[0].shape[0] for _, _, cols in self._read())
+        return sum(cols[0].shape[0] for cols in self._read().values())
 
     def add(self, algorithm: str, seed: int, task_id: int, round_within: int,
             arm: int, reward: float, inst_regret: float) -> None:
@@ -84,6 +85,10 @@ class RegretLedger:
                      (task_ids, rounds, arms, rewards, inst_regrets))
 
     def _append(self, algorithm: str, seed: int, columns) -> None:
+        key = (algorithm, int(seed))
+        if key in self._runs:
+            raise ConfigError("ledger already holds the run of (%s, seed %d)"
+                              % key)
         # astype(copy=False), not asarray(dtype=): an array unpickled from a
         # worker carries an equal but distinct dtype object, which asarray
         # copies over
@@ -93,39 +98,34 @@ class RegretLedger:
         if any(c.shape != (n,) for c in cols):
             raise ConfigError("ledger run columns must have equal length")
         if n:
-            self._blocks.append((algorithm, int(seed), cols))
+            self._runs[key] = cols
 
-    def _read(self) -> list[tuple[str, int, tuple[np.ndarray, ...]]]:
-        """The blocks, after folding the rows buffered by add."""
+    def _read(self) -> dict[tuple[str, int], tuple[np.ndarray, ...]]:
+        """The runs' blocks, after folding the rows buffered by add."""
         if self._pending:
             pending, self._pending = self._pending, []
             for (algorithm, seed), rows in groupby(pending, itemgetter(0, 1)):
                 self._append(algorithm, seed, list(zip(*rows))[2:])
-        return self._blocks
+        return self._runs
 
     def algorithms(self) -> tuple[str, ...]:
-        return tuple(dict.fromkeys(alg for alg, _, _ in self._read()))
+        return tuple(dict.fromkeys(alg for alg, _ in self._read()))
 
     def seed_runs(self, algorithm: str):
-        """(seed, (task_id, round, arm, reward, inst_regret)) for each seed
-        of one algorithm's rows, in ascending seed order, the columns in
-        insertion order: the seed's block as stored, or its blocks joined
-        when its rows span several.  Yields one seed at a time."""
-        by_seed: dict[int, list] = {}
-        for alg, seed, cols in self._read():
-            if alg == algorithm:
-                by_seed.setdefault(seed, []).append(cols)
-        if not by_seed:
+        """(seed, (task_id, round, arm, reward, inst_regret)) for each run
+        of one algorithm, in ascending seed order, the run's block as
+        stored.  Yields one seed at a time."""
+        seeds = sorted(seed for alg, seed in self._read() if alg == algorithm)
+        if not seeds:
             raise ConfigError("no ledger rows for algorithm %r" % algorithm)
-        for seed, blocks in sorted(by_seed.items()):
-            yield seed, (blocks[0] if len(blocks) == 1
-                         else tuple(map(np.concatenate, zip(*blocks))))
+        for seed in seeds:
+            yield seed, self._runs[algorithm, seed]
 
     def rows(self):
         """Row tuples in insertion order (CSV writing), converted at most
         core.ROW_CHUNK rows at a time, so a caller that streams them holds
         one chunk's rows as Python objects whatever the number of rows."""
-        for algorithm, seed, cols in self._read():
+        for (algorithm, seed), cols in self._read().items():
             yield from run_rows(algorithm, seed, cols)
 
 
@@ -169,30 +169,26 @@ def seed_cells(cols, view: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def series_from_cells(cells: dict, algorithm: str, view: str
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(seeds, index, matrix) from seed -> seed_cells: one matrix row per
-    seed, in ascending seed order, and one column per index point."""
+    seed, in ascending seed order, and one column per index point.  Every
+    seed must cover the same index set."""
     if len(cells) < 2:
         raise ConfigError("curves need at least 2 seeds, got %d for %r"
                           % (len(cells), algorithm))
     seeds = sorted(cells)
-    index = np.unique(np.concatenate([cells[s][0] for s in seeds]))
-    matrix = np.zeros((len(seeds), index.shape[0]))
-    counts = np.zeros_like(matrix)
-    for row, seed in enumerate(seeds):
-        keys, sums, n = cells[seed]
-        at = np.searchsorted(index, keys)
-        matrix[row, at], counts[row, at] = sums, n
+    index = cells[seeds[0]][0]
+    if any(not np.array_equal(cells[s][0], index) for s in seeds):
+        raise ConfigError("seeds of %r cover different index sets"
+                          % algorithm)
+    matrix = np.stack([cells[s][1] for s in seeds])
     if view == VIEWS[0]:
-        if np.any(counts == 0):
-            raise ConfigError("missing (seed, round) cells for %r" % algorithm)
-        matrix = matrix / counts
+        matrix = matrix / np.stack([cells[s][2] for s in seeds])
     return np.array(seeds, dtype=np.int64), index, matrix
 
 
 def per_seed_series(ledger: RegretLedger, algorithm: str, view: str
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """series_from_cells over the ledger's runs of one algorithm.  Each
-    seed's cells are summed in insertion order, so a cell holds the same
-    bits however the seed's rows lie in the ledger's blocks."""
+    """series_from_cells over the ledger's runs of one algorithm, each
+    seed's cells summed over its run's one block in row order."""
     return series_from_cells({seed: seed_cells(cols, view) for seed, cols
                               in ledger.seed_runs(algorithm)},
                              algorithm, view)

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import core
 from .bernoulli import MEAN_CLIP, BetaParams, beta_from_mean_precision, \
     clipped_logistic, precision_for_variance
 from .core import FeatureMap, HierarchyConfig, History
@@ -36,6 +35,11 @@ from .gaussian import KernelWorkspace, _require_model, _Stacked, \
 
 N_BERNOULLI_CANDIDATES = 10
 _CANDIDATE_MEAN_RANGE = (0.1, 0.9)
+# The Bernoulli Monte Carlo draws its metadata in blocks of this many rows.
+# A row's logit keeps the bits of one whole draw only for a multiple of 8
+# (a matrix-vector product's per-row bits can depend on where the row falls
+# in a SIMD group).
+_MC_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -85,13 +89,12 @@ def two_level_task_variance(spec: PopulationSpec, true_theta: np.ndarray) -> flo
 
 def _metadata_blocks(rng: np.random.Generator, n_mc: int, p: int):
     """Yield (rows, block): n_mc standard-normal metadata draws of length p,
-    core.ROW_CHUNK rows at a time in row order, so the blocks are the stream
+    _MC_BLOCK rows at a time in row order, so the blocks are the stream
     of one standard_normal((n_mc, p)) call.  Each block is drawn when the
     caller asks for it, into one buffer that the next block overwrites."""
-    chunk = core.ROW_CHUNK
-    buf = np.empty((min(chunk, n_mc), p))
-    for lo in range(0, n_mc, chunk):
-        hi = min(lo + chunk, n_mc)
+    buf = np.empty((min(_MC_BLOCK, n_mc), p))
+    for lo in range(0, n_mc, _MC_BLOCK):
+        hi = min(lo + _MC_BLOCK, n_mc)
         yield slice(lo, hi), rng.standard_normal(out=buf[:hi - lo])
 
 
@@ -147,12 +150,9 @@ def _bernoulli_moments(spec: PopulationSpec, true_theta: np.ndarray,
     Each pass fills its n_mc x K logits from metadata drawn in
     _metadata_blocks, so at most one block of metadata is held at once, and
     runs in its own function, so its block and thetas are freed before the
-    reductions.  A
-    row's logit does not depend on the block size as long as
-    core.ROW_CHUNK is a multiple of 8 rows (a matrix-vector product's
-    per-row bits can depend on where the row falls in a SIMD group).  The
-    reductions run on the whole n_mc x K arrays, as a blocked sum would
-    change bits.
+    reductions.  A row's logit does not depend on the block size as long as
+    _MC_BLOCK is a multiple of 8 rows.  The reductions run on the whole
+    n_mc x K arrays, as a blocked sum would change bits.
     """
     het = spec.psi / (1.0 + spec.psi)
     cond_mean, cond_var = _reward_moments(clipped_logistic(

@@ -11,7 +11,6 @@ from hierbandit.bernoulli import (MEAN_CLIP, BetaParams, ThetaSampler,
                                   beta_binomial_log_marginal,
                                   beta_from_mean_precision,
                                   bblm_prior_for_task, clipped_logistic,
-                                  clipped_logistic_means,
                                   conjugate_update, log_marginal_counts,
                                   logistic_beta_shapes, outcome_counts,
                                   precision_for_variance, sample_theta_counts,
@@ -56,6 +55,11 @@ def test_beta_params_validation():
         beta_from_mean_precision(0.5, 0.0)
     with pytest.raises(ConfigError):
         precision_for_variance(0.5, 0.3)   # variance cap mu(1-mu)
+
+
+def clipped_logistic_means(fm, x, theta):
+    """The clipped logistic mean of every arm of a task with metadata x."""
+    return clipped_logistic(fm.task_features(x) @ theta)
 
 
 def test_logistic_means_zero_theta():

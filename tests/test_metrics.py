@@ -14,7 +14,7 @@ from hierbandit.metrics import (ORACLE_NAME, VIEWS, RegretLedger,
                                 bayes_regret_curve,
                                 cumulative_regret_by_seed,
                                 instantaneous_regret, multi_task_regret_curve,
-                                verify_replay)
+                                series_from_cells, verify_replay)
 from oracles import ledger_series_oracle, seed_totals_oracle
 
 
@@ -66,21 +66,20 @@ def test_extend_run_rejects_unequal_columns():
 
 
 def test_mixed_add_and_extend_run_keep_insertion_order():
-    # Two stretches of ("a", 0) with an ("b", 0) run between them, each
-    # stretch partly from add and partly from extend_run, and a read in the
-    # middle of the second stretch.
+    # Whole runs entered through add or extend_run, algorithms interleaved
+    # and seeds out of order, with a read between two runs.  Rows keep
+    # their insertion order, and curves and totals carry the bits of the
+    # same runs entered in sorted order.
     rng = np.random.default_rng(7)
 
-    def run(algorithm, seed, n):
-        return [(algorithm, seed, int(rng.integers(3)), i + 1,
-                 int(rng.integers(2)), float(rng.standard_normal()),
-                 float(rng.uniform())) for i in range(n)]
+    def run(algorithm, seed):
+        return [(algorithm, seed, i % 3, i // 3 + 1, int(rng.integers(2)),
+                 float(rng.standard_normal()), float(rng.uniform()))
+                for i in range(6)]
 
-    pieces = [("add", run("a", 0, 4)), ("extend", run("a", 0, 3)),
-              ("extend", run("b", 0, 5)), ("add", run("b", 1, 2)),
-              ("add", run("a", 0, 2)), ("read", None),
-              ("add", run("a", 0, 3)), ("extend", run("a", 1, 4)),
-              ("add", run("a", 0, 1))]
+    pieces = [("add", run("a", 2)), ("extend", run("b", 0)),
+              ("extend", run("a", 0)), ("add", run("b", 1)), ("read", None),
+              ("add", run("a", 1)), ("extend", run("b", 2))]
     ledger = RegretLedger()
     expected = []
     for how, rows in pieces:
@@ -97,21 +96,64 @@ def test_mixed_add_and_extend_run_keep_insertion_order():
     assert list(ledger.rows()) == expected
     assert len(ledger) == len(expected)
     assert ledger.algorithms() == ("a", "b")
+    in_order = RegretLedger()
+    for _, rows in sorted((rows[0][:2], rows) for how, rows in pieces
+                          if how != "read"):
+        in_order.extend_run(rows[0][0], rows[0][1],
+                            *[list(c) for c in zip(*rows)][2:])
     for algorithm in ("a", "b"):
         want = {}
         for alg, seed, *_, gap in expected:
             if alg == algorithm:
                 want.setdefault(seed, []).append(gap)
-        assert cumulative_regret_by_seed(ledger, algorithm) == \
-            {seed: float(np.sum(gaps)) for seed, gaps in sorted(want.items())}
-    row_by_row = RegretLedger()
-    for row in expected:
-        row_by_row.add(*row)
-    for view in ("per_round_concurrent", "per_task_sequential"):
-        got = bayes_regret_curve(ledger, "a", view)
-        ref = bayes_regret_curve(row_by_row, "a", view)
-        np.testing.assert_array_equal(got.mean, ref.mean)
-        np.testing.assert_array_equal(got.se, ref.se)
+        totals = cumulative_regret_by_seed(ledger, algorithm)
+        assert list(totals.items()) == \
+            [(seed, float(np.sum(gaps))) for seed, gaps in sorted(want.items())]
+        assert totals == cumulative_regret_by_seed(in_order, algorithm)
+        for view in VIEWS:
+            got = bayes_regret_curve(ledger, algorithm, view)
+            ref = bayes_regret_curve(in_order, algorithm, view)
+            np.testing.assert_array_equal(got.mean, ref.mean)
+            np.testing.assert_array_equal(got.se, ref.se)
+
+
+def test_ledger_refuses_a_second_block_of_a_run():
+    ledger = RegretLedger()
+    ledger.extend_run("alg", 0, [0], [1], [0], [0.0], [0.5])
+    with pytest.raises(ConfigError, match="already holds"):
+        ledger.extend_run("alg", 0, [1], [1], [0], [0.0], [0.5])
+    assert list(ledger.rows()) == [("alg", 0, 0, 1, 0, 0.0, 0.5)]
+    # rows added one by one: a run that comes back after other rows
+    interleaved = RegretLedger()
+    for seed in (0, 1, 0):
+        interleaved.add("alg", seed, 0, 1, 0, 0.0, 0.5)
+    with pytest.raises(ConfigError, match="already holds"):
+        len(interleaved)
+    # or after the ledger was read
+    read = RegretLedger()
+    read.add("alg", 0, 0, 1, 0, 0.0, 0.5)
+    assert len(read) == 1
+    read.add("alg", 0, 0, 2, 0, 0.0, 0.5)
+    with pytest.raises(ConfigError, match="already holds"):
+        list(read.rows())
+
+
+def test_series_refuses_seeds_with_different_index_sets():
+    cells = {0: (np.array([1, 2]), np.array([0.5, 0.25]), np.array([1, 1])),
+             1: (np.array([1, 3]), np.array([0.5, 0.25]), np.array([1, 1])),
+             2: (np.array([1]), np.array([0.5]), np.array([1]))}
+    for seeds in ((0, 1), (0, 2)):
+        for view in VIEWS:
+            with pytest.raises(ConfigError, match="different index sets"):
+                series_from_cells({s: cells[s] for s in seeds}, "alg", view)
+    # a seed whose run is one round short, in both views
+    ledger = RegretLedger()
+    _fill_run(ledger, "alg", 0, np.ones((2, 2)), 2, 2)
+    _fill_run(ledger, "alg", 1, np.ones((2, 1)), 2, 1)
+    _fill_run(ledger, "alg", 2, np.ones((1, 2)), 1, 2)
+    for view in VIEWS:
+        with pytest.raises(ConfigError, match="different index sets"):
+            bayes_regret_curve(ledger, "alg", view)
 
 
 def test_sequential_view_sums_per_task():
@@ -143,21 +185,23 @@ def test_concurrent_view_loop_oracle():
 
 
 def test_curve_invariant_to_entry_order():
+    # The same whole runs entered in another run order give the same bits.
     rng = np.random.default_rng(2)
-    entries = [("alg", s, tid, rnd, 0, 0.0, float(rng.uniform()))
-               for s in range(2) for tid in range(3) for rnd in (1, 2, 3)]
+    runs = [[("alg", s, tid, rnd, 0, 0.0, float(rng.uniform()))
+             for rnd in (1, 2, 3) for tid in range(3)] for s in range(4)]
     ledger_a = RegretLedger()
-    for e in entries:
-        ledger_a.add(*e)
-    rng.shuffle(entries)
+    for run in runs:
+        for e in run:
+            ledger_a.add(*e)
     ledger_b = RegretLedger()
-    for e in entries:
-        ledger_b.add(*e)
+    for j in (2, 0, 3, 1):
+        for e in runs[j]:
+            ledger_b.add(*e)
     for view in ("per_round_concurrent", "per_task_sequential"):
         ca = bayes_regret_curve(ledger_a, "alg", view)
         cb = bayes_regret_curve(ledger_b, "alg", view)
-        np.testing.assert_allclose(ca.mean, cb.mean)
-        np.testing.assert_allclose(ca.se, cb.se)
+        np.testing.assert_array_equal(ca.mean, cb.mean)
+        np.testing.assert_array_equal(ca.se, cb.se)
 
 
 def test_cumulative_is_nondecreasing():
@@ -351,67 +395,6 @@ def _assert_matches_concatenating_oracle(ledger, config):
 def test_run_by_run_aggregation_matches_concatenating_oracle(case):
     config = ExperimentConfig.from_dict(_ENGINE_CONFIGS[case])
     _assert_matches_concatenating_oracle(simulate_ledger(config), config)
-
-
-def _rebuild(rows, pieces):
-    """A ledger of rows in the given order, cut at the pieces' ends, each
-    piece of one (algorithm, seed) entered through add or extend_run."""
-    ledger = RegretLedger()
-    start = 0
-    for stop, how in pieces:
-        chunk = rows[start:stop]
-        if how == "add":
-            for row in chunk:
-                ledger.add(*row)
-        else:
-            ledger.extend_run(chunk[0][0], chunk[0][1],
-                              *[list(c) for c in zip(*chunk)][2:])
-        start = stop
-    return ledger
-
-
-def _runs_pieces(rows, rng, how):
-    """Cut points at every change of (algorithm, seed) and at random places
-    inside each stretch; each piece is entered by how(rng)."""
-    cuts = [j for j in range(1, len(rows)) if rows[j][:2] != rows[j - 1][:2]]
-    cuts += rng.choice(len(rows), size=len(rows) // 7, replace=False).tolist()
-    cuts = sorted(set(c for c in cuts if c > 0)) + [len(rows)]
-    return [(stop, how(rng)) for stop in cuts]
-
-
-@pytest.mark.parametrize("layout", ["split-seed", "interleaved",
-                                    "add-and-extend"])
-@pytest.mark.parametrize("case", sorted(_ENGINE_CONFIGS))
-def test_shuffled_ledgers_match_concatenating_oracle(case, layout):
-    # The same rows in other block layouts: a seed's run split into
-    # several blocks with other runs between them; every row shuffled and
-    # added one by one (algorithms interleaved, every seed in many
-    # blocks); and pieces entered by add and extend_run alike.  Curves and
-    # totals follow each layout's insertion order bit for bit.
-    config = ExperimentConfig.from_dict(_ENGINE_CONFIGS[case])
-    rows = list(simulate_ledger(config).rows())
-    rng = np.random.default_rng(11)
-    if layout == "split-seed":
-        # each run's second half moved to the end, in reverse run order
-        halves = {}
-        for row in rows:
-            halves.setdefault(row[:2], []).append(row)
-        first = [row for run in halves.values()
-                 for row in run[:len(run) // 2]]
-        second = [row for run in reversed(halves.values())
-                  for row in run[len(run) // 2:]]
-        rows = first + second
-        ledger = _rebuild(rows, _runs_pieces(rows, rng, lambda r: "extend"))
-    elif layout == "interleaved":
-        rows = [rows[j] for j in rng.permutation(len(rows))]
-        ledger = _rebuild(rows, [(len(rows), "add")])
-    else:
-        rows = [rows[j] for j in rng.permutation(len(rows))]
-        rows.sort(key=lambda row: row[0])  # stable: shuffled within each
-        ledger = _rebuild(rows, _runs_pieces(
-            rows, rng, lambda r: "add" if r.uniform() < 0.5 else "extend"))
-    assert list(ledger.rows()) == rows
-    _assert_matches_concatenating_oracle(ledger, config)
 
 
 def _synthetic_run(rng, n_tasks=200, horizon=200):

@@ -1,7 +1,7 @@
 """The benchmark in perfbench/ calls the package through public functions
-(set-up of every pair, a traced copy of the simulation loop, run_pair); on
-each run workload's tiny warm-up config those calls must still work and
-agree with run_experiment, and the posterior-routes query mix must run
+(set-up of every pair, a traced copy of the simulation loop, run_pair, the
+ledger read-back and replay); on each run workload's tiny warm-up config
+those calls must still work and agree with run_experiment, and the posterior-routes query mix must run
 without a failed query with its dense and blocked routes in agreement, so
 an API change that breaks the benchmark fails here rather than as a failed
 benchmark run."""
@@ -30,6 +30,12 @@ def test_perfbench_run_workload_calls(tmp_path, workload):
     plain = bench.run_experiment(config, str(tmp_path / "plain"))
     assert Path(paths["ledger"]).read_bytes() \
         == Path(plain["ledger"]).read_bytes()
+    # the untraced benchmark's correctness check: ledger.csv parsed back
+    # row by row, then replayed against fresh reward tables
+    ledger = harness.read_ledger(plain["ledger"])
+    n_rows = len(Path(plain["ledger"]).read_text().splitlines()) - 1
+    assert n_rows > 0 and len(ledger) == n_rows
+    assert harness.replay_error(config, ledger) is None
     for algorithm in config.run_specs():
         for seed in config.seeds:
             assert harness.columns_equal(

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from scipy.stats import multivariate_normal
 
-from hierbandit import core
+from hierbandit import core, priors
 from hierbandit.core import (FeatureMap, History, InteractionRecord)
 from hierbandit.envs import PopulationSpec, generate_population, prior_rng
 from hierbandit.errors import ConfigError
-from hierbandit.priors import (derive_baseline_priors, fit_variance_components,
+from hierbandit.priors import (N_BERNOULLI_CANDIDATES, derive_baseline_priors,
+                               fit_variance_components,
                                log_marginal_likelihood, marginal_arm_variance,
                                two_level_task_variance)
 
@@ -105,12 +106,12 @@ def _bernoulli_spec(k, d, seed, psi=1.0):
 @pytest.mark.parametrize("k, d", [(4, 6), (8, 20), (24, 30)])
 def test_bernoulli_priors_match_the_whole_array_pass(monkeypatch, k, d,
                                                      row_chunk):
-    # Both Monte Carlo passes draw their metadata core.ROW_CHUNK rows at a
+    # Both Monte Carlo passes draw their metadata priors._MC_BLOCK rows at a
     # time; every field must carry the bits of one whole-array pass, for
     # draw counts on both sides of a block edge and blocks of any multiple
     # of 8 rows.
     if row_chunk is not None:
-        monkeypatch.setattr(core, "ROW_CHUNK", row_chunk)
+        monkeypatch.setattr(priors, "_MC_BLOCK", row_chunk)
     for seed, psi in [(1, 1.0), (7, 0.3)]:
         spec = _bernoulli_spec(k, d, seed, psi)
         theta = generate_population(spec).theta
@@ -123,6 +124,33 @@ def test_bernoulli_priors_match_the_whole_array_pass(monkeypatch, k, d,
                     got.bernoulli_marginal.alpha2) == marginal
             assert tuple(tuple((b.alpha1, b.alpha2) for b in arms)
                          for arms in got.bernoulli_candidates) == candidates
+
+
+def test_bernoulli_priors_do_not_follow_the_engine_chunk(monkeypatch):
+    # The Monte Carlo block is its own constant: an engine chunk that is
+    # not a multiple of 8 rows leaves the blocks, and every derived prior's
+    # bits, alone.
+    spec = _bernoulli_spec(4, 6, 1)
+    theta = generate_population(spec).theta
+    want = derive_baseline_priors(spec, theta)
+    sizes = []
+    blocks = priors._metadata_blocks
+
+    def spy(rng, n_mc, p):
+        for rows, block in blocks(rng, n_mc, p):
+            sizes.append(block.shape[0])
+            yield rows, block
+
+    monkeypatch.setattr(priors, "_metadata_blocks", spy)
+    monkeypatch.setattr(core, "ROW_CHUNK", 5)
+    got = derive_baseline_priors(spec, theta)
+    n = priors._MC_BLOCK  # both passes draw the default 20000 rows
+    assert sizes == 2 * ([n] * (20000 // n) + [20000 % n])
+    assert (got.marginal_mean, got.marginal_variance) == \
+        (want.marginal_mean, want.marginal_variance)
+    assert got.bernoulli_marginal == want.bernoulli_marginal
+    assert len(got.bernoulli_candidates) == N_BERNOULLI_CANDIDATES
+    assert got.bernoulli_candidates == want.bernoulli_candidates
 
 
 @pytest.mark.parametrize("reward_kind", ["bernoulli", "gaussian"])

@@ -90,6 +90,24 @@ def test_cli_run_bad_inputs(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("case", ["yaml-syntax", "directory"])
+@pytest.mark.parametrize("command", ["run", "export-population"])
+def test_cli_malformed_config_is_one_error_line(tmp_path, capsys, command,
+                                                case):
+    if case == "yaml-syntax":
+        path = tmp_path / "broken.yaml"
+        path.write_text("population: {n_tasks: 3\nschedule: [sequential\n")
+    else:
+        path = tmp_path / "a_directory"
+        path.mkdir()
+    assert main([command, str(path), "--out", str(tmp_path / "o")]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("hierbandit: error: ")
+    assert str(path) in lines[0]
+    assert "Traceback" not in captured.err + captured.out
+
+
 def test_cli_run_respects_env_output(tmp_path, monkeypatch, capsys):
     cfg = _write_config(tmp_path / "exp.yaml")
     target = tmp_path / "from_env"
