@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from functools import partial
@@ -43,7 +44,7 @@ from .envs import (InteractionSchedule, Population, PopulationSpec,
 from .errors import ConfigError
 from .metrics import (ORACLE_NAME, VIEWS, Curve, RegretLedger,
                       cumulative_regret_by_seed, paired_curve,
-                      per_seed_series, run_rows, run_total, seed_cells,
+                      per_seed_series, run_total, seed_cells,
                       series_from_cells, summarize)
 from .priors import derive_baseline_priors
 from .svgplot import Series, write_line_plot
@@ -361,14 +362,16 @@ def stream_seed(config: ExperimentConfig, spill_prefix: str, seed: int
                 ) -> list[RunResult]:
     """A seed's unit of work in run_experiment (process-safe).  Each
     algorithm's run is played, its ledger rows are written to its spill
-    file (_spill_path(spill_prefix, algorithm index, seed)) as the ledger
-    writer formats them, and only its RunResult is kept."""
+    file (_spill_path(spill_prefix, algorithm index, seed)) by _run_lines,
+    the line writer write_ledger_csv uses too (each distinct regret of the
+    run formatted once, rows written in blocks), and only its RunResult is
+    kept."""
     results = []
     for index, (algorithm, policy, cols) in enumerate(_play_seed(config,
                                                                  seed)):
         with open(_spill_path(spill_prefix, index, seed), "w",
                   encoding="utf-8") as fh:
-            fh.writelines(_ledger_lines(run_rows(algorithm.name, seed, cols)))
+            fh.writelines(_run_lines(algorithm.name, seed, cols))
         results.append(RunResult(
             {view: seed_cells(cols, view) for view in VIEWS}, run_total(cols),
             tuple(getattr(policy, "mcmc_warnings", ()))))
@@ -380,19 +383,57 @@ def stream_seed(config: ExperimentConfig, spill_prefix: str, seed: int
 # ---------------------------------------------------------------------------
 
 _LEDGER_HEADER = ",".join(RegretLedger.COLUMNS) + "\n"
+# Rows joined into one string per write; larger blocks raise the writer's
+# peak memory more than they save.
+_WRITE_BLOCK = 512
+# A run played by the engine has at most n_tasks x K distinct regrets; past
+# this many, a run's regrets are formatted row by row instead of memoized.
+_REGRET_MEMO_MAX = 4096
+_pack_int64 = struct.Struct("=q").pack
+_unpack_float64 = struct.Struct("=d").unpack
 
 
-def _ledger_lines(rows):
-    """ledger.csv lines of row tuples, floats in repr-exact %.17g."""
-    return map("%s,%d,%d,%d,%d,%.17g,%.17g\n".__mod__, rows)
+class _RegretText(dict):
+    """One run's memo of inst_regret texts: a value's int64 bit pattern ->
+    its "%.17g\n".  Keyed on the bits, so -0.0 and 0.0 keep their own
+    texts, and so do NaNs of different payloads."""
+
+    __slots__ = ()
+
+    def __missing__(self, bits: int) -> str:
+        text = "%.17g\n" % _unpack_float64(_pack_int64(bits))[0]
+        if len(self) < _REGRET_MEMO_MAX:
+            self[bits] = text
+        return text
+
+
+def _run_lines(algorithm: str, seed: int, cols):
+    """ledger.csv text of one run's columns (task_id, round, arm, reward,
+    inst_regret), one string per _WRITE_BLOCK rows, floats in repr-exact
+    %.17g.  The algorithm and seed are folded into the row format, and each
+    distinct inst_regret is formatted once per run; rewards are formatted
+    row by row."""
+    fmt = (("%s,%d," % (algorithm, seed)).replace("%", "%%")
+           + "%d,%d,%d,%.17g,%s")
+    task_ids, rounds, arms, rewards, regrets = cols
+    bits = np.asarray(regrets, dtype=np.float64).view(np.int64)
+    memo = _RegretText()
+    for lo in range(0, bits.shape[0], _WRITE_BLOCK):
+        hi = lo + _WRITE_BLOCK
+        yield "".join(map(fmt.__mod__, zip(
+            task_ids[lo:hi].tolist(), rounds[lo:hi].tolist(),
+            arms[lo:hi].tolist(), rewards[lo:hi].tolist(),
+            map(memo.__getitem__, bits[lo:hi].tolist()))))
 
 
 def write_ledger_csv(ledger: RegretLedger, path: str) -> None:
-    """Stream the ledger to path row by row: the header, then each row
-    formatted as it is written, so memory does not grow with the number of
-    runs in the ledger."""
-    atomic_write_text(path, chain([_LEDGER_HEADER],
-                                  _ledger_lines(ledger.rows())))
+    """Stream the ledger to path: the header, then each run in insertion
+    order through _run_lines, the line writer of run_experiment's spill
+    files (each distinct regret of a run formatted once, rows written in
+    blocks), so memory does not grow with the number of runs."""
+    atomic_write_text(path, chain([_LEDGER_HEADER], chain.from_iterable(
+        _run_lines(algorithm, seed, cols)
+        for (algorithm, seed), cols in ledger.runs())))
 
 
 def _curves(config: ExperimentConfig, series) -> dict[tuple[str, str], Curve]:

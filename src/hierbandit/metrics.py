@@ -56,7 +56,8 @@ class RegretLedger:
     (algorithm, seed) into one block.  A run the ledger already holds a
     block for is refused with ConfigError, whether by a second extend_run or
     by add-ed rows that reappear after other rows (or after a read), so each
-    run's rows are contiguous, in the order they were given.  A block keeps
+    run's rows are contiguous, in the order they were given.  A refused fold
+    stores none of its stretches and keeps every buffered row.  A block keeps
     the arrays it is given when they already have its dtypes, so the runs
     of one seed share the schedule's read-only task_id and round columns.
     rows() converts at most core.ROW_CHUNK rows to Python objects at a time.
@@ -81,31 +82,38 @@ class RegretLedger:
     def extend_run(self, algorithm: str, seed: int, task_ids, rounds, arms,
                    rewards, inst_regrets) -> None:
         self._read()  # rows buffered by add keep their place before this run
-        self._append(algorithm, seed,
-                     (task_ids, rounds, arms, rewards, inst_regrets))
+        self._store([((algorithm, seed),
+                      (task_ids, rounds, arms, rewards, inst_regrets))])
 
-    def _append(self, algorithm: str, seed: int, columns) -> None:
-        key = (algorithm, int(seed))
-        if key in self._runs:
-            raise ConfigError("ledger already holds the run of (%s, seed %d)"
-                              % key)
-        # astype(copy=False), not asarray(dtype=): an array unpickled from a
-        # worker carries an equal but distinct dtype object, which asarray
-        # copies over
-        cols = tuple(np.asarray(c).astype(t, copy=False)
-                     for c, t in zip(columns, self._DTYPES))
-        n = cols[0].shape[0]
-        if any(c.shape != (n,) for c in cols):
-            raise ConfigError("ledger run columns must have equal length")
-        if n:
-            self._runs[key] = cols
+    def _store(self, runs) -> None:
+        """Store runs, ((algorithm, seed), columns) pairs, all or none:
+        every key is checked against the stored runs and the other runs, and
+        every block is built, before any is stored."""
+        blocks = {}
+        for (algorithm, seed), columns in runs:
+            key = (algorithm, int(seed))
+            if key in self._runs or key in blocks:
+                raise ConfigError("ledger already holds the run of "
+                                  "(%s, seed %d)" % key)
+            # astype(copy=False), not asarray(dtype=): an array unpickled
+            # from a worker carries an equal but distinct dtype object, which
+            # asarray copies over
+            cols = tuple(np.asarray(c).astype(t, copy=False)
+                         for c, t in zip(columns, self._DTYPES))
+            n = cols[0].shape[0]
+            if any(c.shape != (n,) for c in cols):
+                raise ConfigError("ledger run columns must have equal length")
+            if n:
+                blocks[key] = cols
+        self._runs.update(blocks)
 
     def _read(self) -> dict[tuple[str, int], tuple[np.ndarray, ...]]:
-        """The runs' blocks, after folding the rows buffered by add."""
+        """The runs' blocks, after folding the rows buffered by add.  A
+        refused fold leaves the ledger as it was, its rows still buffered."""
         if self._pending:
-            pending, self._pending = self._pending, []
-            for (algorithm, seed), rows in groupby(pending, itemgetter(0, 1)):
-                self._append(algorithm, seed, list(zip(*rows))[2:])
+            self._store((key, list(zip(*rows))[2:]) for key, rows
+                        in groupby(self._pending, itemgetter(0, 1)))
+            self._pending = []
         return self._runs
 
     def algorithms(self) -> tuple[str, ...]:
@@ -121,22 +129,22 @@ class RegretLedger:
         for seed in seeds:
             yield seed, self._runs[algorithm, seed]
 
+    def runs(self):
+        """((algorithm, seed), (task_id, round, arm, reward, inst_regret))
+        for each run in insertion order, the run's block as stored."""
+        return self._read().items()
+
     def rows(self):
-        """Row tuples in insertion order (CSV writing), converted at most
-        core.ROW_CHUNK rows at a time, so a caller that streams them holds
-        one chunk's rows as Python objects whatever the number of rows."""
-        for (algorithm, seed), cols in self._read().items():
-            yield from run_rows(algorithm, seed, cols)
-
-
-def run_rows(algorithm: str, seed: int, cols):
-    """Row tuples (algorithm, seed, task_id, round, arm, reward,
-    inst_regret) of one run's columns, converted at most core.ROW_CHUNK rows
-    at a time."""
-    chunk = core.ROW_CHUNK
-    for start in range(0, cols[0].shape[0], chunk):
-        yield from zip(repeat(algorithm), repeat(seed),
-                       *(c[start:start + chunk].tolist() for c in cols))
+        """Row tuples (algorithm, seed, task_id, round, arm, reward,
+        inst_regret) in insertion order, converted at most core.ROW_CHUNK
+        rows at a time, so a caller that streams them holds one chunk's rows
+        as Python objects whatever the number of rows."""
+        chunk = core.ROW_CHUNK
+        for (algorithm, seed), cols in self.runs():
+            for start in range(0, cols[0].shape[0], chunk):
+                yield from zip(repeat(algorithm), repeat(seed),
+                               *(c[start:start + chunk].tolist()
+                                 for c in cols))
 
 
 @dataclass(frozen=True)

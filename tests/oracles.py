@@ -324,6 +324,20 @@ def seed_totals_oracle(rows, algorithm):
             for s in np.unique(seed_col)}
 
 
+def ledger_text_oracle(runs):
+    """ledger.csv text (header included) of runs, a list of (algorithm,
+    seed, (task_id, round, arm, reward, inst_regret)) in ledger order, by
+    the row-at-a-time writer: every row converted to Python objects and
+    formatted whole with "%s,%d,%d,%d,%d,%.17g,%.17g\n"."""
+    fmt = "%s,%d,%d,%d,%d,%.17g,%.17g\n".__mod__
+    lines = ["algorithm,seed,task_id,round,arm,reward,inst_regret\n"]
+    for algorithm, seed, cols in runs:
+        lines.extend(map(fmt, zip([algorithm] * len(cols[0]),
+                                  [seed] * len(cols[0]),
+                                  *(np.asarray(c).tolist() for c in cols))))
+    return "".join(lines)
+
+
 def schedule_pairs_oracle(kind, n_tasks, horizon, stream=None):
     """(task_id, round_within_task) pairs of a schedule in play order, rounds
     1-based per task, by explicit loops: sequential plays every round of a

@@ -26,7 +26,7 @@ from hierbandit.envs import (PopulationSpec, RewardTable, agent_rng,
 from hierbandit.errors import ConfigError, ScheduleError
 from hierbandit.metrics import RegretLedger
 from hierbandit.priors import derive_baseline_priors
-from oracles import schedule_pairs_oracle
+from oracles import ledger_text_oracle, schedule_pairs_oracle
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -352,10 +352,11 @@ def test_streamed_ledger_csv_matches_joined_text(tmp_path):
 def test_ledger_writer_memory_does_not_grow_with_runs(tmp_path):
     # One and two runs of 40k rows (200 tasks x 200 rounds, the largest run
     # of any shipped config or benchmark workload). The streamed writer holds
-    # one chunk of core.ROW_CHUNK rows as Python objects at a time, so both
-    # peak at about 0.4 MB; converting a whole run at a time peaked at 3.5
-    # MB, and the joined writer before it at 8.9 MB for 40k rows and 17.7 MB
-    # for 80k.
+    # one block of rows as Python objects at a time, and a run's regret memo
+    # keeps at most bench._REGRET_MEMO_MAX texts of these all-distinct
+    # regrets, so both peak at about 0.7 MB; converting a whole run at a time
+    # peaked at 3.5 MB, and the joined writer before it at 8.9 MB for 40k
+    # rows and 17.7 MB for 80k.
     peaks = []
     for n_runs in (1, 2):
         ledger = RegretLedger()
@@ -370,6 +371,117 @@ def test_ledger_writer_memory_does_not_grow_with_runs(tmp_path):
             tracemalloc.stop()
     assert max(peaks) < 1_000_000, peaks
     assert peaks[1] < 1.2 * peaks[0], peaks
+
+
+def _float_bits(*patterns):
+    return np.array(patterns, dtype=np.uint64).view(np.float64)
+
+
+def _writer_run(regrets, rewards=None, seed=0):
+    # A run's columns around given regrets: tasks 0..4 in turn, each task's
+    # visits counted as its rounds, arms in turn.
+    regrets = np.asarray(regrets, dtype=float)
+    n = regrets.shape[0]
+    task_ids = np.arange(n, dtype=np.int64) % 5
+    rounds = np.arange(n, dtype=np.int64) // 5 + 1
+    if rewards is None:
+        rewards = np.random.default_rng(seed).standard_normal(n)
+    return (task_ids, rounds, task_ids % 3, np.asarray(rewards, dtype=float),
+            regrets)
+
+
+def _writer_cases():
+    rng = np.random.default_rng(11)
+    block = bench._WRITE_BLOCK
+    nans = _float_bits(0x7FF8000000000001, 0x7FF8000000000002,
+                       0xFFF8000000000000)
+    tiny = _float_bits(1, 2, 0x000FFFFFFFFFFFFF, 0x8000000000000001)
+    special = np.concatenate([nans, tiny, [np.inf, -np.inf, 0.0, -0.0]])
+    switch = np.array([1e-5, 9.99e-5, 1e-4, 9.99e-4, 1e16, 1e17,
+                       np.nextafter(1e-4, 0.0), np.nextafter(1e17, 0.0),
+                       -1e-5, -1e17])
+    return {
+        "signed-zeros": _writer_run(np.tile([0.0, -0.0, 0.5, -0.0], 9),
+                                    np.tile([-0.0, 0.0, 1.0], 12)),
+        "nan-inf-subnormal": _writer_run(np.tile(special, 3),
+                                         np.tile(special[::-1], 3)),
+        "exponent-switch": _writer_run(np.tile(switch, 4),
+                                       np.tile(switch[::-1], 4)),
+        # repeated regrets across block edges
+        "blocks": _writer_run(rng.choice([0.0, 0.1, 1 / 3, 2.5, 1e-5, 7.0],
+                                         3 * block + 1)),
+        # more distinct regrets than the memo keeps, each seen twice
+        "memo-overflow": _writer_run(np.tile(
+            rng.random(bench._REGRET_MEMO_MAX + 100), 2)),
+    }
+
+
+def test_ledger_writer_matches_row_at_a_time_oracle(tmp_path):
+    # Every case's bytes through write_ledger_csv, one run per case plus an
+    # algorithm whose name holds format directives and a negative seed.
+    path = tmp_path / "ledger.csv"
+    write_ledger_csv(RegretLedger(), str(path))
+    assert path.read_text() == ledger_text_oracle([])
+    runs = [("alg-%d" % i, i, cols)
+            for i, cols in enumerate(_writer_cases().values())]
+    runs.append(("50%d %s %%", -7, _writer_run([0.25, -0.0, 0.25])))
+    ledger = RegretLedger()
+    for algorithm, seed, cols in runs:
+        ledger.extend_run(algorithm, seed, *cols)
+    write_ledger_csv(ledger, str(path))
+    assert path.read_bytes() == ledger_text_oracle(runs).encode()
+
+
+@pytest.mark.parametrize("case", sorted(_writer_cases()))
+def test_spilled_ledger_matches_row_at_a_time_oracle(tmp_path, monkeypatch,
+                                                     case):
+    # The same cases through run_experiment's spill files: every run plays
+    # the case's columns in place of its own.
+    cols = _writer_cases()[case]
+    monkeypatch.setattr(bench, "simulate_run", lambda *args: cols)
+    config = ExperimentConfig.from_dict(_minimal_raw(
+        algorithms=["individual-ts", "pooled-ts"], seeds=[2, 0],
+        emit_mtr=False))
+    with np.errstate(all="ignore"):
+        paths = run_experiment(config, str(tmp_path))
+    expected = ledger_text_oracle([(name, seed, cols)
+                                   for name in ("individual-ts", "pooled-ts")
+                                   for seed in (2, 0)])
+    assert Path(paths["ledger"]).read_bytes() == expected.encode()
+
+
+def test_ledger_writer_memory_on_an_engine_run(monkeypatch):
+    # One 40k-row run played by the engine (200 tasks x 200 rounds, K = 8)
+    # written whole: the memo holds each distinct regret once, at most
+    # n_tasks x K of them, and the writer peaks at about 0.3 MB (0.38 MB
+    # for the row-at-a-time writer).
+    memos = []
+
+    class RecordingMemo(bench._RegretText):
+        __slots__ = ()
+
+        def __init__(self):
+            memos.append(self)
+
+    monkeypatch.setattr(bench, "_RegretText", RecordingMemo)
+    config = ExperimentConfig.from_dict({
+        "population": {"n_tasks": 200, "horizon": 200, "n_arms": 8,
+                       "dim": 15},
+        "schedule": "concurrent", "algorithms": ["individual-ts"],
+        "seeds": 2, "emit_mtr": False})
+    cols = run_pair(config, config.algorithms[0], 0)
+    ledger = RegretLedger()
+    ledger.extend_run("individual-ts", 0, *cols)
+    tracemalloc.start()
+    try:
+        write_ledger_csv(ledger, os.devnull)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000, peak
+    assert len(memos) == 1
+    distinct = np.unique(cols[4].view(np.int64)).shape[0]
+    assert len(memos[0]) == distinct <= 200 * 8
 
 
 @pytest.mark.parametrize("parallelism", [1, 2])
@@ -509,6 +621,29 @@ def test_gaussian_policies_artifact_bytes_pinned(tmp_path, schedule):
         "seeds": [3, 4],
         "emit_mtr": True,
     }) == _GAUSSIAN_SHA256[schedule]
+
+
+# A Gaussian concurrent config of 40 tasks x 40 rounds: each run's 1,600
+# ledger rows span several of the ledger writer's blocks.
+_GAUSSIAN_BLOCKS_SHA256 = (
+    "d012254eda3ff6a6bd2e694cad81c4e2154299e996d4baa2c93386ed7c0115cc",
+    "9c89f8bc436c14297f0a85e186a5c516d2690afe712cb5a4ab453a16bdd3f74a",
+    "7f2063387c004db3b7a8c7a44c5aa0f6bb4b61b44cf186127b533282a5c57269")
+
+
+def test_gaussian_multi_block_artifact_bytes_pinned(tmp_path):
+    raw = {"population": {"n_tasks": 40, "horizon": 40, "n_arms": 3,
+                          "dim": 4},
+           "schedule": "concurrent",
+           "algorithms": ["individual-ts", "pooled-ts"],
+           "seeds": [3, 4], "emit_mtr": True}
+    assert _artifact_sha256(tmp_path, raw) == _GAUSSIAN_BLOCKS_SHA256
+    # the in-memory ledger through write_ledger_csv writes the same bytes
+    path = tmp_path / "simulated.csv"
+    write_ledger_csv(simulate_ledger(ExperimentConfig.from_dict(raw)),
+                     str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() \
+        == _GAUSSIAN_BLOCKS_SHA256[0]
 
 
 class _RecordingPolicy(Policy):

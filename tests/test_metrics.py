@@ -127,15 +127,24 @@ def test_ledger_refuses_a_second_block_of_a_run():
     interleaved = RegretLedger()
     for seed in (0, 1, 0):
         interleaved.add("alg", seed, 0, 1, 0, 0.0, 0.5)
-    with pytest.raises(ConfigError, match="already holds"):
-        len(interleaved)
+    pending = list(interleaved._pending)
+    for _ in range(2):
+        # the refused fold stores no stretch and keeps every buffered row,
+        # so the next read refuses it again
+        with pytest.raises(ConfigError, match=r"already holds the run of "
+                           r"\(alg, seed 0\)"):
+            len(interleaved)
+        assert interleaved._runs == {} and interleaved._pending == pending
     # or after the ledger was read
     read = RegretLedger()
     read.add("alg", 0, 0, 1, 0, 0.0, 0.5)
     assert len(read) == 1
+    read.add("alg", 1, 0, 1, 0, 0.0, 0.5)
     read.add("alg", 0, 0, 2, 0, 0.0, 0.5)
-    with pytest.raises(ConfigError, match="already holds"):
-        list(read.rows())
+    for _ in range(2):
+        with pytest.raises(ConfigError, match="already holds"):
+            list(read.rows())
+        assert list(read._runs) == [("alg", 0)] and len(read._pending) == 2
 
 
 def test_series_refuses_seeds_with_different_index_sets():
