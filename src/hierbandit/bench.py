@@ -42,10 +42,10 @@ from .envs import (InteractionSchedule, Population, PopulationSpec,
                    RewardTable, agent_rng, atomic_file, atomic_write_text,
                    generate_population, make_schedule)
 from .errors import ConfigError
-from .metrics import (ORACLE_NAME, VIEWS, Curve, RegretLedger,
+from .metrics import (ORACLE_NAME, VIEWS, CellFold, Curve, RegretLedger,
                       cumulative_regret_by_seed, paired_curve,
-                      per_seed_series, run_total, seed_cells,
-                      series_from_cells, summarize)
+                      per_seed_series, run_total, series_from_cells,
+                      summarize)
 from .priors import derive_baseline_priors
 from .svgplot import Series, write_line_plot
 
@@ -245,20 +245,20 @@ def resolve_output_dir(explicit: str | None, config: ExperimentConfig) -> str:
 # simulation
 # ---------------------------------------------------------------------------
 
-def simulate_run(population: Population, table: RewardTable, policy: Policy,
-                 schedule: InteractionSchedule
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
-                            np.ndarray]:
-    """Drive one policy through one schedule; returns the ledger columns
-    (task_ids, rounds, arms, rewards, inst_regrets) in interaction order.
-    The schedule is played one segment at a time: each round of a
-    concurrent schedule, then end_of_round; each task of a sequential one,
-    then end_of_task; the whole stream of a custom one, with no hook.  This
-    is the one place that bounds work: each segment is cut into pieces of
-    at most core.ROW_CHUNK rows, a piece's payoff rows are read once, by
-    table.arm_rewards, policy.play plays it, and each reward is gathered
-    from its row at the arm play returned.  The hook fires after the
-    segment's last piece."""
+def play_blocks(population: Population, table: RewardTable, policy: Policy,
+                schedule: InteractionSchedule):
+    """Drive one policy through one schedule, yielding the ledger columns
+    (task_ids, rounds, arms, rewards, inst_regrets) in interaction order,
+    in consecutive blocks of at most core.ROW_CHUNK rows.  The schedule is
+    played one segment at a time: each round of a concurrent schedule, then
+    end_of_round; each task of a sequential one, then end_of_task; the
+    whole stream of a custom one, with no hook.  This is the one place that
+    bounds work: each segment is cut into pieces of at most core.ROW_CHUNK
+    rows, a piece's payoff rows are read once, by table.arm_rewards,
+    policy.play plays it, and each reward is gathered from its row at the
+    arm play returned.  The hook fires after the segment's last piece.  A
+    block is whole pieces, so it ends where the next piece would not fit;
+    its task_ids and rounds are views of the schedule's read-only columns."""
     task_ids, rounds = schedule.columns()
     n = task_ids.shape[0]
     if schedule.kind == "concurrent":
@@ -267,31 +267,66 @@ def simulate_run(population: Population, table: RewardTable, policy: Policy,
         size, hook = schedule.horizon, policy.end_of_task
     else:
         size, hook = n, lambda tid: None
-    arms = np.empty(n, dtype=np.int64)
-    rewards = np.empty(n)
     chunk = core.ROW_CHUNK
+    block = 0  # the first row of the block being filled
+    arms = np.empty(chunk, dtype=np.int64)
+    rewards = np.empty(chunk)
+
+    def filled(hi):
+        ids = task_ids[block:hi]
+        played = arms[:hi - block]
+        return (ids, rounds[block:hi], played, rewards[:hi - block],
+                population.best_means[ids] - population.means[ids, played])
+
     for start in range(0, n, size or 1):
         end = start + size
         for lo in range(start, end, chunk):
             hi = min(lo + chunk, end)
+            if hi - block > chunk:
+                yield filled(lo)
+                block = lo
+                arms = np.empty(chunk, dtype=np.int64)
+                rewards = np.empty(chunk)
             ids = task_ids[lo:hi]
             payoffs = table.arm_rewards(ids, rounds[lo:hi])
-            arms[lo:hi] = policy.play(ids, payoffs)
-            rewards[lo:hi] = payoffs[np.arange(hi - lo), arms[lo:hi]]
+            played = arms[lo - block:hi - block]
+            played[:] = policy.play(ids, payoffs)
+            rewards[lo - block:hi - block] = payoffs[np.arange(hi - lo),
+                                                     played]
         hook(int(task_ids[end - 1]))
-    gaps = population.best_means[task_ids] - population.means[task_ids, arms]
+    if n:
+        yield filled(n)
+
+
+def simulate_run(population: Population, table: RewardTable, policy: Policy,
+                 schedule: InteractionSchedule
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
+                            np.ndarray]:
+    """The whole of one run: play_blocks' columns joined, with the
+    schedule's own read-only task_ids and rounds."""
+    task_ids, rounds = schedule.columns()
+    n = task_ids.shape[0]
+    arms = np.empty(n, dtype=np.int64)
+    rewards = np.empty(n)
+    gaps = np.empty(n)
+    lo = 0
+    for _, _, *cols in play_blocks(population, table, policy, schedule):
+        hi = lo + cols[0].shape[0]
+        arms[lo:hi], rewards[lo:hi], gaps[lo:hi] = cols
+        lo = hi
     return task_ids, rounds, arms, rewards, gaps
 
 
 make_population = generate_population  # the name perfbench/ imports
 
 
-def _play_seed(config: ExperimentConfig, seed: int,
+def _seed_runs(config: ExperimentConfig, seed: int,
                algorithms: tuple[AlgorithmSpec, ...] | None = None):
     """Build the seed's population, reward table, baseline priors and
-    schedule once, then play each of algorithms (config.run_specs() by
-    default) on them in order, yielding (algorithm, policy, columns) as
-    each run ends."""
+    schedule once, then, for each of algorithms (config.run_specs() by
+    default) in order, its policy; yields (algorithm, run), where run is
+    the arguments (population, table, policy, schedule) of simulate_run and
+    play_blocks, so the caller plays each run as it comes."""
     spec = config.spec_for_seed(seed)
     population = generate_population(spec)
     table = RewardTable(population)
@@ -302,8 +337,7 @@ def _play_seed(config: ExperimentConfig, seed: int,
                            rng=agent_rng(seed, algorithm.name),
                            schedule_kind=config.schedule_kind)
         policy = make_policy(algorithm.name, ctx, algorithm.options_dict())
-        yield algorithm, policy, simulate_run(population, table, policy,
-                                              schedule)
+        yield algorithm, (population, table, policy, schedule)
 
 
 def run_seed(config: ExperimentConfig, seed: int,
@@ -311,7 +345,8 @@ def run_seed(config: ExperimentConfig, seed: int,
              ) -> list[tuple[np.ndarray, ...]]:
     """Play each of algorithms (config.run_specs() by default) on the
     seed's inputs, built once (process-safe); returns their columns."""
-    return [cols for _, _, cols in _play_seed(config, seed, algorithms)]
+    return [simulate_run(*run)
+            for _, run in _seed_runs(config, seed, algorithms)]
 
 
 def run_pair(config: ExperimentConfig, algorithm: AlgorithmSpec, seed: int
@@ -346,8 +381,8 @@ def simulate_ledger(config: ExperimentConfig) -> RegretLedger:
 
 class RunResult(NamedTuple):
     """What a streamed run keeps of one (algorithm, seed) run: its curve
-    cells (view -> metrics.seed_cells), its total regret and its MCMC
-    warnings."""
+    cells (view -> (keys, sums, counts), as metrics.seed_cells gives them),
+    its total regret and its MCMC warnings."""
 
     cells: dict
     total: float
@@ -358,24 +393,44 @@ def _spill_path(prefix: str, index: int, seed: int) -> str:
     return "%s.%d.%d" % (prefix, index, seed)
 
 
+def _stream_run(path: str, algorithm: str, seed: int,
+                population: Population, table: RewardTable, policy: Policy,
+                schedule: InteractionSchedule) -> RunResult:
+    """Play one run block by block (play_blocks) and consume each block as
+    it comes: its ledger rows go to the spill file at path through
+    _run_lines, the line writer write_ledger_csv uses too, with one regret
+    memo for the run; its curve cells are folded into the run's CellFold of
+    each view, whose keys are the rounds 1..horizon and the task positions
+    1..n_tasks; and its regrets are copied into the run's one regret
+    column, kept for run_total.  Nothing of the run outlives the call but
+    its RunResult."""
+    folds = [CellFold(view, size + 1) for view, size
+             in zip(VIEWS, (schedule.horizon, schedule.n_tasks))]
+    regrets = np.empty(len(schedule))
+    memo = _RegretText()
+    end = 0
+    with open(path, "w", encoding="utf-8") as fh:
+        for cols in play_blocks(population, table, policy, schedule):
+            fh.writelines(_run_lines(algorithm, seed, cols, memo))
+            for fold in folds:
+                fold.fold(cols)
+            regrets[end:end + cols[4].shape[0]] = cols[4]
+            end += cols[4].shape[0]
+    return RunResult({fold.view: fold.cells() for fold in folds},
+                     run_total(regrets[:end]),
+                     tuple(getattr(policy, "mcmc_warnings", ())))
+
+
 def stream_seed(config: ExperimentConfig, spill_prefix: str, seed: int
                 ) -> list[RunResult]:
-    """A seed's unit of work in run_experiment (process-safe).  Each
-    algorithm's run is played, its ledger rows are written to its spill
-    file (_spill_path(spill_prefix, algorithm index, seed)) by _run_lines,
-    the line writer write_ledger_csv uses too (each distinct regret of the
-    run formatted once, rows written in blocks), and only its RunResult is
-    kept."""
-    results = []
-    for index, (algorithm, policy, cols) in enumerate(_play_seed(config,
-                                                                 seed)):
-        with open(_spill_path(spill_prefix, index, seed), "w",
-                  encoding="utf-8") as fh:
-            fh.writelines(_run_lines(algorithm.name, seed, cols))
-        results.append(RunResult(
-            {view: seed_cells(cols, view) for view in VIEWS}, run_total(cols),
-            tuple(getattr(policy, "mcmc_warnings", ()))))
-    return results
+    """A seed's unit of work in run_experiment (process-safe): each
+    algorithm's run, streamed by _stream_run into its spill file
+    (_spill_path(spill_prefix, algorithm index, seed)), kept as its
+    RunResult only."""
+    return [_stream_run(_spill_path(spill_prefix, index, seed),
+                        algorithm.name, seed, *run)
+            for index, (algorithm, run) in enumerate(_seed_runs(config,
+                                                                seed))]
 
 
 # ---------------------------------------------------------------------------
@@ -407,17 +462,16 @@ class _RegretText(dict):
         return text
 
 
-def _run_lines(algorithm: str, seed: int, cols):
-    """ledger.csv text of one run's columns (task_id, round, arm, reward,
-    inst_regret), one string per _WRITE_BLOCK rows, floats in repr-exact
-    %.17g.  The algorithm and seed are folded into the row format, and each
-    distinct inst_regret is formatted once per run; rewards are formatted
-    row by row."""
+def _run_lines(algorithm: str, seed: int, cols, memo: _RegretText):
+    """ledger.csv text of a run's columns (task_id, round, arm, reward,
+    inst_regret), or of one block of them, one string per _WRITE_BLOCK
+    rows, floats in repr-exact %.17g.  The algorithm and seed are folded
+    into the row format; each distinct inst_regret is formatted once per
+    memo, one per run; rewards are formatted row by row."""
     fmt = (("%s,%d," % (algorithm, seed)).replace("%", "%%")
            + "%d,%d,%d,%.17g,%s")
     task_ids, rounds, arms, rewards, regrets = cols
     bits = np.asarray(regrets, dtype=np.float64).view(np.int64)
-    memo = _RegretText()
     for lo in range(0, bits.shape[0], _WRITE_BLOCK):
         hi = lo + _WRITE_BLOCK
         yield "".join(map(fmt.__mod__, zip(
@@ -432,7 +486,7 @@ def write_ledger_csv(ledger: RegretLedger, path: str) -> None:
     files (each distinct regret of a run formatted once, rows written in
     blocks), so memory does not grow with the number of runs."""
     atomic_write_text(path, chain([_LEDGER_HEADER], chain.from_iterable(
-        _run_lines(algorithm, seed, cols)
+        _run_lines(algorithm, seed, cols, _RegretText())
         for (algorithm, seed), cols in ledger.runs())))
 
 

@@ -23,9 +23,10 @@ from .errors import ConfigError, NumericalError
 # jitter tolerance for PSD validation of configuration matrices
 _PSD_JITTER = 1e-10
 
-# The most rows bench.simulate_run hands a policy at once, and the ledger's
-# row writer converts to Python objects at once: a long segment, such as a
-# whole custom stream, then never holds all of its rows boxed at once.
+# The most rows bench.play_blocks hands a policy, or the consumer of a run,
+# at once, and the ledger's row writer converts to Python objects at once:
+# a long segment, such as a whole custom stream, then never holds all of its
+# rows boxed at once, and a streamed run never holds all of its rows.
 ROW_CHUNK = 4096
 
 

@@ -13,15 +13,16 @@ Two aggregation views:
                          of the task's instantaneous regret over its rounds.
 Curves report the across-seed mean and standard error at each index.
 
-A curve is built in two steps.  seed_cells reduces one run's columns to
-its index cells (np.add.at over the cells in row order); series_from_cells
-assembles the cells of an algorithm's seeds, in ascending seed order, into
-the seed x index matrix.  run_total is one run's total regret.  The
-streamed experiment (bench.run_experiment) applies them to each run as it
-is played.  The ledger holds exactly one block of numpy columns per
-(algorithm, seed) run and refuses a second, and its curves and totals apply
-the same functions to one run's block at a time (RegretLedger.seed_runs),
-so the streamed and the ledger-built artifacts have the same bits.
+A curve is built in two steps.  A CellFold reduces one run's rows to its
+index cells (np.add.at over the cells in row order), one block of rows at
+a time; series_from_cells assembles the cells of an algorithm's seeds, in
+ascending seed order, into the seed x index matrix.  run_total is one
+run's total regret.  The streamed experiment (bench.run_experiment) folds
+each block of a run as it is played.  The ledger holds exactly one block
+of numpy columns per (algorithm, seed) run and refuses a second, and its
+curves and totals fold one run's block at a time (seed_cells over
+RegretLedger.seed_runs), so the streamed and the ledger-built artifacts
+have the same bits.
 """
 
 from __future__ import annotations
@@ -160,18 +161,49 @@ class Curve:
         return np.cumsum(self.mean)
 
 
+def _keys(cols, view: str) -> np.ndarray:
+    """Each row's index key under view: the round, or the 1-based task
+    position."""
+    return cols[1] if view == VIEWS[0] else cols[0] + 1
+
+
+class CellFold:
+    """One view's cells of a run, folded one block of its rows at a time:
+    for each key below size, the regret summed from 0.0 in row order with
+    np.add.at, and the row count.  The keys are the rounds, or the 1-based
+    task positions.  A run folded in blocks has the bits of the run folded
+    whole."""
+
+    def __init__(self, view: str, size: int):
+        if view not in VIEWS:
+            raise ConfigError("view must be one of %s" % (VIEWS,))
+        self.view = view
+        self.sums = np.zeros(size)
+        self.counts = np.zeros(size, dtype=np.int64)
+
+    def fold(self, cols) -> None:
+        """Add a block's columns (task_id, round, arm, reward, inst_regret)."""
+        keys = _keys(cols, self.view)
+        self.counts += np.bincount(keys, minlength=self.counts.shape[0])
+        np.add.at(self.sums, keys, cols[4])
+
+    def cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The keys seen, in ascending order, with their sums and counts."""
+        keys = np.flatnonzero(self.counts)
+        return keys, self.sums[keys], self.counts[keys]
+
+
 def seed_cells(cols, view: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One seed's cells of a view from its run's columns (task_id, round,
     arm, reward, inst_regret): the index keys, each key's regret summed from
-    0.0 in row order with np.add.at, and each key's row count."""
-    if view not in VIEWS:
-        raise ConfigError("view must be one of %s" % (VIEWS,))
-    # the round, or the 1-based task position
-    keys, at = np.unique(cols[1] if view == VIEWS[0] else cols[0] + 1,
-                         return_inverse=True)
-    sums = np.zeros(keys.shape[0])
-    np.add.at(sums, at, cols[4])
-    return keys, sums, np.bincount(at, minlength=keys.shape[0])
+    0.0 in row order, and each key's row count, by one CellFold.  A
+    negative index is a ConfigError."""
+    keys = _keys(cols, view)
+    if keys.size and keys.min() < 0:
+        raise ConfigError("%s index %d is negative" % (view, keys.min()))
+    fold = CellFold(view, int(keys.max()) + 1 if keys.size else 0)
+    fold.fold(cols)
+    return fold.cells()
 
 
 def series_from_cells(cells: dict, algorithm: str, view: str
@@ -240,15 +272,17 @@ def multi_task_regret_curve(ledger: RegretLedger, algorithm: str,
                         per_seed_series(ledger, oracle_name, view))
 
 
-def run_total(cols) -> float:
-    """Total regret of one run from its columns."""
-    return float(cols[4].sum())
+def run_total(regrets) -> float:
+    """Total regret of one run from its inst_regret column, summed whole
+    (numpy's pairwise sum, whose bits depend on the whole column)."""
+    return float(regrets.sum())
 
 
 def cumulative_regret_by_seed(ledger: RegretLedger, algorithm: str) -> dict[int, float]:
     """Total regret per seed (paired comparisons across algorithms), in
     ascending seed order."""
-    return {seed: run_total(cols) for seed, cols in ledger.seed_runs(algorithm)}
+    return {seed: run_total(cols[4])
+            for seed, cols in ledger.seed_runs(algorithm)}
 
 
 def verify_replay(ledger: RegretLedger, population_for_seed, reward_for) -> None:

@@ -436,10 +436,20 @@ def test_ledger_writer_matches_row_at_a_time_oracle(tmp_path):
 def test_spilled_ledger_matches_row_at_a_time_oracle(tmp_path, monkeypatch,
                                                      case):
     # The same cases through run_experiment's spill files: every run plays
-    # the case's columns in place of its own.
+    # the case's columns in place of its own, handed out by the engine's
+    # block seam in blocks of core.ROW_CHUNK rows.  The population covers
+    # the case's tasks (0..4) and rounds, so the blocks fold into its cells.
     cols = _writer_cases()[case]
-    monkeypatch.setattr(bench, "simulate_run", lambda *args: cols)
+    n = cols[0].shape[0]
+
+    def case_blocks(*run):
+        for lo in range(0, n, core.ROW_CHUNK):
+            yield tuple(c[lo:lo + core.ROW_CHUNK] for c in cols)
+
+    monkeypatch.setattr(bench, "play_blocks", case_blocks)
     config = ExperimentConfig.from_dict(_minimal_raw(
+        population={"n_tasks": 5, "horizon": -(-n // 5), "n_arms": 2,
+                    "dim": 3},
         algorithms=["individual-ts", "pooled-ts"], seeds=[2, 0],
         emit_mtr=False))
     with np.errstate(all="ignore"):
@@ -1524,26 +1534,83 @@ def test_pooled_streamed_run_failure_cancels_pending_seeds(tmp_path,
     assert {p: Path(p).read_bytes() for p in paths.values()} == before
 
 
+def _streamed_run_peak(out, algorithms, horizon=200, seeds=2):
+    """tracemalloc peak of run_experiment on 200 tasks x horizon rounds,
+    K = 8, seeds 0..seeds - 1."""
+    config = ExperimentConfig.from_dict({
+        "population": {"n_tasks": 200, "horizon": horizon, "n_arms": 8,
+                       "dim": 15},
+        "schedule": "concurrent", "algorithms": algorithms, "seeds": seeds,
+        "emit_mtr": False})
+    tracemalloc.start()
+    try:
+        run_experiment(config, str(out))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_streamed_run_memory_does_not_grow_with_seeds(tmp_path):
     # Runs of 40k rows (200 tasks x 200 rounds), at 2 and 6 seeds.  Each
     # seed's runs leave only their ledger text, in spill files, and their
-    # curve cells and totals, so run_experiment peaks at 6.5 MB at both;
-    # holding every seed's columns until the ledger was written peaked at
-    # 6.8 and 13.2 MB.
-    peaks = []
-    for n_seeds in (2, 6):
-        config = ExperimentConfig.from_dict({
-            "population": {"n_tasks": 200, "horizon": 200, "n_arms": 8,
-                           "dim": 15},
-            "schedule": "concurrent", "algorithms": ["individual-ts"],
-            "seeds": n_seeds, "emit_mtr": False})
-        tracemalloc.start()
-        try:
-            run_experiment(config, str(tmp_path / str(n_seeds)))
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    # curve cells and totals, so run_experiment peaks at 4.4 MB at both
+    # (6.5 MB while each run was held whole); holding every seed's columns
+    # until the ledger was written peaked at 6.8 and 13.2 MB.
+    peaks = [_streamed_run_peak(tmp_path / str(n), ["individual-ts"], seeds=n)
+             for n in (2, 6)]
     assert peaks[1] < 1.1 * peaks[0], peaks
+
+
+def test_streamed_run_holds_no_earlier_run(tmp_path):
+    # A second algorithm's run plays while nothing of the first run is held
+    # but its cells, total and warnings: one algorithm and two peak at 4.38
+    # and 4.39 MB.  Holding each run's columns until the next run had played
+    # peaked at 5.20 and 6.14 MB.  The second run is oracle-ts, a vectorized
+    # count policy; pooled-ts's scalar kernel, a Python float per step, takes
+    # 7 s under tracemalloc.
+    one = _streamed_run_peak(tmp_path / "one", ["individual-ts"])
+    two = _streamed_run_peak(tmp_path / "two", ["individual-ts", "oracle-ts"])
+    assert two < 1.1 * one, (one, two)
+
+
+def test_streamed_run_memory_per_row_is_bounded(tmp_path):
+    # Horizons 100 and 400: 60k more rows per run.  What grows with a run's
+    # rows is the seed's reward table (64 B a row at K = 8), its schedule
+    # columns (16 B) and the run's regret column (8 B), kept for the
+    # pairwise total; the rest of a run streams in blocks of at most
+    # core.ROW_CHUNK rows.  The bound is those 88 B plus 10%; the run grows
+    # 88.2 B a row (2.61 to 7.91 MB).  Holding a run's whole columns, its
+    # sort of the cell keys and the previous run's columns grew 153 B a row
+    # between horizons 200 and 600.
+    short = _streamed_run_peak(tmp_path / "short", ["individual-ts"], 100)
+    long = _streamed_run_peak(tmp_path / "long", ["individual-ts"], 400)
+    assert (long - short) / (200 * 300) <= 97, (short, long)
+
+
+_CHUNK_CONFIGS = [("gaussian", schedule, ["hier-ts", "pooled-ts"])
+                  for schedule in ("concurrent", "sequential")]
+_CHUNK_CONFIGS += [("bernoulli", schedule, ["individual-ts", "pooled-ts"])
+                   for schedule in ("concurrent", "sequential")]
+
+
+@pytest.mark.parametrize("kind, schedule, algorithms", _CHUNK_CONFIGS)
+def test_row_chunk_does_not_change_artifact_bytes(tmp_path, monkeypatch,
+                                                  kind, schedule, algorithms):
+    # At ROW_CHUNK = 7 a run of 9 tasks x 10 rounds reaches play in pieces
+    # cut mid-round and mid-task, and its ledger lines, curve cells and
+    # regret column come in blocks of at most 7 rows; every artifact keeps
+    # the bytes of the run at the default, where each block holds the run.
+    config = ExperimentConfig.from_dict({
+        "population": {"n_tasks": 9, "horizon": 10, "n_arms": 3, "dim": 4,
+                       "reward_kind": kind},
+        "schedule": schedule, "algorithms": algorithms, "seeds": [3, 1],
+        "emit_mtr": True})
+    names = ("ledger", "curves", "summary")
+    whole = run_experiment(config, str(tmp_path / "whole"))
+    monkeypatch.setattr(core, "ROW_CHUNK", 7)
+    cut = run_experiment(config, str(tmp_path / "cut"))
+    for name in names:
+        assert Path(cut[name]).read_bytes() == Path(whole[name]).read_bytes()
 
 
 @pytest.mark.parametrize("parallelism", [1, 2])

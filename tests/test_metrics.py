@@ -165,6 +165,18 @@ def test_series_refuses_seeds_with_different_index_sets():
             bayes_regret_curve(ledger, "alg", view)
 
 
+def test_curves_refuse_a_negative_index():
+    # The cells of a view are indexed by the round, or the task id + 1.
+    for view, row in (("per_round_concurrent", (0, -1)),
+                      ("per_task_sequential", (-2, 1))):
+        ledger = RegretLedger()
+        for seed in (0, 1):
+            ledger.add("alg", seed, *row, 0, 0.0, 0.5)
+        with pytest.raises(ConfigError, match="%s index -1 is negative"
+                           % view):
+            bayes_regret_curve(ledger, "alg", view)
+
+
 def test_sequential_view_sums_per_task():
     ledger = RegretLedger()
     for seed in (0, 1):
