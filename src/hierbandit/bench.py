@@ -25,7 +25,6 @@ import json
 import os
 import shutil
 import struct
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from functools import partial
 from itertools import chain, repeat
@@ -362,6 +361,8 @@ def _map_seeds(config: ExperimentConfig, work) -> list:
     waits for the running ones before the exception propagates."""
     if config.parallelism == 1:
         return [work(seed) for seed in config.seeds]
+    # Imported here so that a serial run never loads multiprocessing.
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=config.parallelism) as pool:
         return list(pool.map(work, config.seeds))
 

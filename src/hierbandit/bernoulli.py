@@ -33,7 +33,6 @@ from functools import partial
 from typing import Sequence
 
 import numpy as np
-from scipy.special import betaln, expit
 
 from .core import FeatureMap, HierarchyConfig, History
 from .errors import ConfigError
@@ -44,6 +43,27 @@ MEAN_CLIP = 1e-6
 
 ACCEPTANCE_TARGET = 0.3
 ACCEPTANCE_WINDOW = (0.05, 0.95)
+
+
+# scipy.special is imported at the first Bernoulli call, not with the
+# package, so a Gaussian run never loads it (about 3.6 MB resident).  The
+# first call of either stub rebinds both names to scipy's own ufuncs, so
+# every later call goes straight to them.
+def expit(z):
+    """scipy.special.expit, the logistic function."""
+    return _load_special().expit(z)
+
+
+def betaln(a, b):
+    """scipy.special.betaln, log B(a, b)."""
+    return _load_special().betaln(a, b)
+
+
+def _load_special():
+    global expit, betaln
+    from scipy import special
+    expit, betaln = special.expit, special.betaln
+    return special
 
 
 @dataclass(frozen=True)

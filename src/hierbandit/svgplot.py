@@ -8,7 +8,6 @@ with absolute coordinates, parseable by any XML reader.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -29,6 +28,12 @@ class Series:
     label: str
     x: np.ndarray
     y: np.ndarray
+
+
+def _escape(text: str) -> str:
+    """xml.sax.saxutils.escape's three replacements, "&" first.  That module
+    imports urllib.request, and with it http.client, email and ssl."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
@@ -85,7 +90,7 @@ def write_line_plot(path: str, series: list[Series], *, title: str,
              '<rect width="%d" height="%d" fill="white"/>' % (WIDTH, HEIGHT),
              '<text x="%d" y="24" font-family="sans-serif" font-size="16" '
              'text-anchor="middle">%s</text>'
-             % (MARGIN_LEFT + plot_w // 2, escape(title))]
+             % (MARGIN_LEFT + plot_w // 2, _escape(title))]
 
     for tick in _ticks(x_lo, x_hi):
         tx = px(tick)
@@ -108,11 +113,11 @@ def write_line_plot(path: str, series: list[Series], *, title: str,
                  'stroke="#333333"/>' % (MARGIN_LEFT, MARGIN_TOP, plot_w, plot_h))
     parts.append('<text x="%d" y="%d" font-family="sans-serif" font-size="13" '
                  'text-anchor="middle">%s</text>'
-                 % (MARGIN_LEFT + plot_w // 2, HEIGHT - 12, escape(x_label)))
+                 % (MARGIN_LEFT + plot_w // 2, HEIGHT - 12, _escape(x_label)))
     parts.append('<text x="16" y="%d" font-family="sans-serif" font-size="13" '
                  'text-anchor="middle" transform="rotate(-90 16 %d)">%s</text>'
                  % (MARGIN_TOP + plot_h // 2, MARGIN_TOP + plot_h // 2,
-                    escape(y_label)))
+                    _escape(y_label)))
 
     for j, s in enumerate(series):
         color = PALETTE[j % len(PALETTE)]
@@ -126,7 +131,7 @@ def write_line_plot(path: str, series: list[Series], *, title: str,
         parts.append('<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="%s" '
                      'stroke-width="1.8"/>' % (lx, ly - 4, lx + 22, ly - 4, color))
         parts.append('<text x="%d" y="%d" font-family="sans-serif" '
-                     'font-size="12">%s</text>' % (lx + 28, ly, escape(s.label)))
+                     'font-size="12">%s</text>' % (lx + 28, ly, _escape(s.label)))
 
     parts.append("</svg>")
     atomic_write_text(path, ["\n".join(parts) + "\n"])

@@ -14,7 +14,7 @@ from types import MethodType, SimpleNamespace
 import numpy as np
 import pytest
 
-from hierbandit import agents, bench, bernoulli, core, errors
+from hierbandit import agents, bench, bernoulli, core, errors, svgplot
 from hierbandit.agents import (AgentContext, Policy, PooledTS,
                                PooledTSBernoulli, _CountTS, make_policy)
 from hierbandit.bench import (ExperimentConfig, resolve_output_dir,
@@ -67,6 +67,28 @@ def test_minimal_run_writes_all_artifacts(tmp_path):
     assert {line.split(",")[0] for line in summary_lines[1:]} == \
         {"hier-ts", "oracle-ts"}
 
+
+
+def test_svg_text_is_escaped_as_saxutils_escapes_it(tmp_path, monkeypatch):
+    from xml.sax.saxutils import escape
+
+    texts = {"title": "a & b < c > d \" e ' f &amp; g",
+             "x_label": "<round> & 'x'", "y_label": "\"y\" &amp;&lt;",
+             "label": "s&p <500> \"q\" 'r' &amp;"}
+    series = [svgplot.Series(texts["label"], np.arange(3.0),
+                             np.array([0.5, 1.0, 0.25]))]
+    labels = {key: texts[key] for key in ("title", "x_label", "y_label")}
+    svgplot.write_line_plot(str(tmp_path / "own.svg"), series, **labels)
+    monkeypatch.setattr(svgplot, "_escape", escape)
+    svgplot.write_line_plot(str(tmp_path / "oracle.svg"), series, **labels)
+    own = (tmp_path / "own.svg").read_bytes()
+    assert own == (tmp_path / "oracle.svg").read_bytes()
+    text = own.decode()
+    for value in texts.values():
+        assert escape(value) in text
+    read = [el.text for el in ET.fromstring(text).iter()
+            if el.tag.endswith("text")]
+    assert set(texts.values()) <= set(read)
 
 def test_rerun_is_byte_identical(tmp_path):
     config = ExperimentConfig.from_dict(_minimal_raw())
