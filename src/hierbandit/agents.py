@@ -78,24 +78,11 @@ from .errors import ConfigError, NumericalError, ScheduleError
 from .gaussian import ThetaStatAccumulator, diagonal_effect_variances
 from .priors import DerivedPriors
 
-# Additive score perturbation applied inside every argmax; the validate
-# suite flips it to verify the regret harness notices broken agents.
-_SCORE_OFFSET: float | None = None
-
 
 def _pick(scores: np.ndarray) -> np.ndarray:
     """Arm of the highest score in each row (the last axis); exact ties go
     to the lowest index."""
-    if _SCORE_OFFSET is not None:
-        scores = scores + _SCORE_OFFSET * np.arange(scores.shape[-1])
     return scores.argmax(axis=-1)
-
-
-def _score_offsets(k: int) -> list[float]:
-    """_pick's offset of each of k arms, as Python floats, for the scalar
-    kernels: they add it to every score and keep the first strict maximum."""
-    return [0.0 if _SCORE_OFFSET is None else _SCORE_OFFSET * a
-            for a in range(k)]
 
 
 @dataclass
@@ -419,7 +406,6 @@ class HierTS(_ConditionalTS):
             counts.tolist(), self.sums[tasks].tolist(), dens.tolist(),
             np.sqrt(self.arm_var * noise_sq / dens).tolist(),
             acc.prior_arm_means[tasks].tolist())))
-        offset = _score_offsets(k)
         outer = np.empty((d, d))
         normals = self.rng.standard_normal((task_ids.shape[0], d + k))
         thetas = np.empty((task_ids.shape[0], d))
@@ -431,10 +417,10 @@ class HierTS(_ConditionalTS):
                 self._sigma_theta_inv + phi_vinv_phi, phi_vinv_resid,
                 normals[j, :d])
             counts, sums, dens, sds, base = stats[tid]
-            scores = [m + v * (s - c * m) / e + sd * x + o
-                      for m, v, s, c, e, sd, x, o
+            scores = [m + v * (s - c * m) / e + sd * x
+                      for m, v, s, c, e, sd, x
                       in zip((features[tid] @ theta).tolist(), var, sums,
-                             counts, dens, sds, z, offset)]
+                             counts, dens, sds, z)]
             scores_played.extend(scores)
             arm = scores.index(max(scores))
             arms.append(arm)
@@ -599,12 +585,11 @@ class PooledTS(_IndependentArmTS):
             post_var = 1.0 / (inv_prior + n / noise_sq)
             post_mean.append(post_var * (prior_term + s / noise_sq))
             post_sd.append(math.sqrt(post_var))
-        offset = _score_offsets(k)
         arms: list[int] = []
         for z, payoff in zip(normals.tolist(), payoffs.tolist()):
-            arm, best = 0, post_mean[0] + post_sd[0] * z[0] + offset[0]
+            arm, best = 0, post_mean[0] + post_sd[0] * z[0]
             for a in range(1, k):
-                score = post_mean[a] + post_sd[a] * z[a] + offset[a]
+                score = post_mean[a] + post_sd[a] * z[a]
                 if score > best:
                     arm, best = a, score
             arms.append(arm)
@@ -633,7 +618,6 @@ class LinearTS(Policy):
         cfg = ctx.cfg
         cfg.require_gaussian()
         self.rng = ctx.rng
-        self.fm = ctx.fm
         self.noise_var = ctx.priors.linear_noise_variance
         sigma_theta_inv = np.linalg.inv(cfg.sigma_theta)
         self.a_mat = sigma_theta_inv.copy()
@@ -652,13 +636,12 @@ class LinearTS(Policy):
     def play(self, task_ids: np.ndarray, payoffs: np.ndarray) -> np.ndarray:
         """The base loop as one kernel over the piece: one
         standard_normal((n, d)) call is the stream of its steps' theta
-        draws, each made by precision_draw on the running (A, b); a strict
-        > scan plays the first of the highest scores, as _pick; the pulled
-        arm's outer product enters A through one preallocated buffer, as
-        update forms it, and its payoff enters b.  A non-finite theta
-        raises NumericalError at the end of the piece."""
-        k, d = self.features.shape[1:]
-        offset = _score_offsets(k)
+        draws, each made by precision_draw on the running (A, b); the first
+        of the highest scores is played, as _pick; the pulled arm's outer
+        product enters A through one preallocated buffer, as update forms
+        it, and its payoff enters b.  A non-finite theta raises
+        NumericalError at the end of the piece."""
+        d = self.features.shape[2]
         outer = np.empty((d, d))
         normals = self.rng.standard_normal((task_ids.shape[0], d))
         thetas = np.empty((task_ids.shape[0], d))
@@ -668,11 +651,7 @@ class LinearTS(Policy):
             thetas[j] = theta = precision_draw(self.a_mat, self.b_vec,
                                                normals[j])
             row = (self.features[tid] @ theta).tolist()
-            arm, best = 0, row[0] + offset[0]
-            for a in range(1, k):
-                score = row[a] + offset[a]
-                if score > best:
-                    arm, best = a, score
+            arm = row.index(max(row))
             arms.append(arm)
             phi = self.features[tid, arm]
             np.multiply(phi[:, None], phi, out=outer)
@@ -788,7 +767,6 @@ class _BetaCountTS(_CountTS):
                  for slot in set(slots)}
         priors = {t: [np.full(k, shape).tolist() for shape in self._prior(t)]
                   for t in set(ids)}
-        offset = _score_offsets(k)
         beta = self.rng.beta
         arms: list[int] = []
         for tid, slot, payoff in zip(ids, slots, payoffs.tolist()):
@@ -797,7 +775,7 @@ class _BetaCountTS(_CountTS):
             arm, best = 0, None
             for a in range(k):
                 s = successes[a]
-                score = beta(alpha1[a] + s, alpha2[a] + (n[a] - s)) + offset[a]
+                score = beta(alpha1[a] + s, alpha2[a] + (n[a] - s))
                 if best is None or score > best:
                     arm, best = a, score
             arms.append(arm)

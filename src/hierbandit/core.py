@@ -24,9 +24,11 @@ from .errors import ConfigError, NumericalError
 _PSD_JITTER = 1e-10
 
 # The most rows bench.play_blocks hands a policy, or the consumer of a run,
-# at once, and the ledger's row writer converts to Python objects at once:
-# a long segment, such as a whole custom stream, then never holds all of its
-# rows boxed at once, and a streamed run never holds all of its rows.
+# at once, and the most RegretLedger.rows() converts to Python objects at
+# once (the ledger's line writer, bench._run_lines, converts its own
+# _WRITE_BLOCK rows at a time): a long segment, such as a whole custom
+# stream, then never holds all of its rows boxed at once, and a streamed run
+# never holds all of its rows.
 ROW_CHUNK = 4096
 
 
@@ -46,6 +48,19 @@ def check_count(name: str, value, least: int, allow_none: bool = False):
         raise ConfigError("%s must be an integer >= %d%s, got %r"
                           % (name, least, " or None" if allow_none else "",
                              value))
+    return value
+
+
+def check_real(name: str, value, allow_none: bool = False):
+    """value if it is a finite real number (not a bool; numpy reals too), or
+    None when allow_none; ConfigError otherwise."""
+    if value is None and allow_none:
+        return value
+    if isinstance(value, bool) \
+            or not isinstance(value, (int, float, np.integer, np.floating)) \
+            or not np.isfinite(value):
+        raise ConfigError("%s must be a finite number%s, got %r"
+                          % (name, " or None" if allow_none else "", value))
     return value
 
 

@@ -24,7 +24,8 @@ from typing import Iterable
 import numpy as np
 
 from .bernoulli import clipped_logistic
-from .core import FeatureMap, HierarchyConfig, TaskInstance, check_count
+from .core import (FeatureMap, HierarchyConfig, TaskInstance, check_count,
+                   check_real)
 from .errors import ConfigError, ScheduleError
 
 SCHEDULE_KINDS = ("sequential", "concurrent", "custom")
@@ -83,6 +84,9 @@ class PopulationSpec:
         for name in ("n_tasks", "horizon", "n_arms", "dim"):
             check_count(name, getattr(self, name), 1)
         check_count("seed", self.seed, 0)
+        for name in ("sigma_noise", "sigma1_sq", "psi", "misspec_lambda"):
+            check_real(name, getattr(self, name))
+        check_real("theta_scale", self.theta_scale, allow_none=True)
         if self.dim < self.n_arms:
             raise ConfigError("dim must be >= n_arms (indicator block)")
         if self.reward_kind not in REWARD_KINDS:

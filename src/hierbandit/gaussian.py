@@ -37,11 +37,6 @@ from ._linalg import chol_factor, chol_solve, psd_root, symmetrize
 from .core import FeatureMap, HierarchyConfig, History
 from .errors import ConfigError, NumericalError
 
-# Fault-injection hook for the validate suite: multiplies the Woodbury
-# low-rank correction term.  Anything other than 1.0 breaks path equivalence
-# on purpose; never change it outside tests.
-_CORRECTION_SIGN = 1.0
-
 # GP path is dense-only; refuse histories beyond this size.
 GP_MAX_RECORDS = 5000
 
@@ -280,11 +275,11 @@ def posterior_r_woodbury(cfg: HierarchyConfig, fm: FeatureMap, h: History,
     ps = phi_t @ cfg.sigma_theta                                   # K x d
     gain = ps @ ws.phi_vinv_phi + m_vinv_phi                       # K x d
     mean = phi_t @ cfg.mu_theta + ps @ ws.phi_vinv_resid + m_vinv_resid \
-        - _CORRECTION_SIGN * (gain @ (sigma_in @ ws.phi_vinv_resid))
+        - gain @ (sigma_in @ ws.phi_vinv_resid)
     cov = phi_t @ cfg.sigma_theta @ phi_t.T + cfg.sigma_delta \
         - m_vinv_m - ps @ ws.phi_vinv_phi @ ps.T \
         - ps @ m_vinv_phi.T - m_vinv_phi @ ps.T \
-        + _CORRECTION_SIGN * (gain @ sigma_in @ gain.T)
+        + gain @ sigma_in @ gain.T
     return GaussianBelief(mean, cov)
 
 

@@ -11,9 +11,11 @@ Four suites, each a list of named checks returning pass/fail plus detail:
 
 The checks are deterministic (fixed internal seeds) and sized to finish in
 seconds each (the mcmc suite in well under two minutes).  They exist to
-catch silent numerical regressions: deliberately flipping the sign of the
-blocked route's low-rank correction, or biasing every agent's argmax, makes
-the corresponding suite fail by name.
+catch silent numerical regressions.  The tests inject both kinds of fault
+from outside the package: negating the blocked route's M V^{-1} resid term
+(KernelWorkspace.task_cross_terms) fails path-equivalence, and turning the
+agents' pick rule (agents._pick) into an argmin fails
+oracle-beats-blind-play, each by name.
 """
 
 from __future__ import annotations

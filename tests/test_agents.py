@@ -47,13 +47,10 @@ def test_pick_ties_to_lowest_index():
     assert _pick(np.array([1.0, 1.0, 1.0])) == 0
 
 
-def test_pick_row_wise_ties_and_offset(monkeypatch):
+def test_pick_row_wise_ties():
     scores = np.array([[0.3, 0.7, 0.7], [1.0, 1.0, 1.0], [2.0, 0.0, 2.0],
                        [0.0, 1.0, 50.0]])
     assert _pick(scores).tolist() == [1, 0, 0, 2]
-    monkeypatch.setattr(hierbandit.agents, "_SCORE_OFFSET", -100.0)
-    # the offset -100 * arm applies to every row alike
-    assert _pick(scores).tolist() == [0, 0, 0, 0]
     rows = np.random.default_rng(0).normal(0.0, 100.0, size=(50, 4))
     assert _pick(rows).tolist() == [int(_pick(r)) for r in rows]
 

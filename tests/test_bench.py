@@ -885,18 +885,6 @@ def test_pooled_ts_play_matches_act_update_loop(schedule, n_tasks):
                                  schedule, no_steps=True))
 
 
-def test_pooled_ts_play_matches_act_update_loop_with_score_offset(
-        monkeypatch):
-    # The validate suite's argmax offset reaches the kernel's scan; 0.4
-    # moves the picks toward higher arms.
-    monkeypatch.setattr(agents, "_SCORE_OFFSET", 0.4)
-    both = _both_paths("gaussian", "pooled-ts", {}, 6, no_steps=True)
-    _assert_same_run(both)
-    monkeypatch.setattr(agents, "_SCORE_OFFSET", None)
-    (plain, _), _ = _both_paths("gaussian", "pooled-ts", {}, 6)
-    assert not np.array_equal(plain[2], both[0][0][2])
-
-
 @pytest.mark.parametrize("normals", ["generator", "zeros"])
 def test_pooled_ts_play_continues_from_carried_counts(normals):
     # One segment played by the kernel on a slot that already holds pulls,
@@ -956,18 +944,39 @@ def test_gaussian_precision_kernel_matches_act_update_loop(
                                  records=records, stats=_KERNEL_STATS[name]))
 
 
+@pytest.mark.parametrize("normals", ["generator", "zeros"])
 @pytest.mark.parametrize("name", sorted(_KERNEL_STATS))
-def test_gaussian_precision_kernel_matches_loop_with_score_offset(
-        monkeypatch, name):
-    # The validate suite's argmax offset reaches both kernels' scans; 0.4
-    # moves the picks toward higher arms.
-    monkeypatch.setattr(agents, "_SCORE_OFFSET", 0.4)
-    both = _both_paths("gaussian", name, {}, 6, no_steps=True,
-                       stats=_KERNEL_STATS[name])
-    _assert_same_run(both)
-    monkeypatch.setattr(agents, "_SCORE_OFFSET", None)
-    (plain, _), _ = _both_paths("gaussian", name, {}, 6)
-    assert not np.array_equal(plain[2], both[0][0][2])
+def test_gaussian_precision_kernel_ties_go_to_the_lowest_arm(name, normals):
+    # One segment played by the kernel against the loop.  Arms 0 and 1 of
+    # every task share one feature row and carry equal statistics, so with
+    # every normal zero (theta is then its posterior mean) their scores tie
+    # at the top and the kernel must pick arm 0, as argmax does.
+    spec = PopulationSpec(n_tasks=4, horizon=5, n_arms=3, dim=4, seed=24)
+    population = generate_population(spec)
+    table = RewardTable(population)
+    priors = derive_baseline_priors(spec, population.theta)
+    task_ids = np.array([2, 0, 3, 1, 2, 0])
+    rounds = np.array([1, 1, 1, 1, 2, 2])
+    runs = []
+    for kernel in (True, False):
+        rng = agent_rng(25, name) if normals == "generator" \
+            else SimpleNamespace(standard_normal=np.zeros)
+        policy = make_policy(name, AgentContext(
+            population, priors, rng, "sequential"))
+        features = policy.acc.features if name == "hier-ts" \
+            else policy.features
+        features[:, 1] = features[:, 0]
+        for record in [(2, 0, 2.0), (2, 1, 2.0), (2, 2, -1.5), (0, 0, 0.25),
+                       (0, 1, 0.25)]:
+            policy.update(*record)
+        play = type(policy).play if kernel else Policy.play
+        arms = play(policy, task_ids, table.arm_rewards(task_ids, rounds))
+        state = rng.bit_generator.state if normals == "generator" else None
+        runs.append(((arms, *(a.copy() for a in _KERNEL_STATS[name](policy))),
+                     state))
+    _assert_same_run(runs)
+    if normals == "zeros":
+        assert runs[0][0][0][0] == 0
 
 
 _BERNOULLI_COUNT = [("hier-ts", _BERNOULLI_HIER), ("oracle-ts", {}),
@@ -1209,20 +1218,6 @@ def test_bernoulli_pooled_ts_round_matches_act_update_loop(n_tasks, n_arms):
     # vectorized step).
     _assert_same_run(_both_paths("bernoulli", "pooled-ts", {}, n_tasks,
                                  no_steps=True, n_arms=n_arms))
-
-
-@pytest.mark.parametrize("schedule", ["sequential", "concurrent"])
-def test_bernoulli_kernel_matches_act_update_loop_with_score_offset(
-        monkeypatch, schedule):
-    # The validate suite's argmax offset reaches the Beta kernel's scan as
-    # it reaches the Gaussian one; 0.4 moves the picks toward higher arms.
-    name = "individual-ts" if schedule == "sequential" else "pooled-ts"
-    monkeypatch.setattr(agents, "_SCORE_OFFSET", 0.4)
-    both = _both_paths("bernoulli", name, {}, 6, schedule, no_steps=True)
-    _assert_same_run(both)
-    monkeypatch.setattr(agents, "_SCORE_OFFSET", None)
-    (plain, _), _ = _both_paths("bernoulli", name, {}, 6, schedule)
-    assert not np.array_equal(plain[2], both[0][0][2])
 
 
 @pytest.mark.parametrize("draws", ["generator", "means"])

@@ -46,9 +46,18 @@ def test_spec_integer_fields_validated(field, value):
         _spec(**{field: value})
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), True])
+@pytest.mark.parametrize("field", ["sigma_noise", "sigma1_sq", "psi",
+                                   "theta_scale", "misspec_lambda"])
+def test_spec_real_fields_must_be_finite_numbers(field, value):
+    with pytest.raises(ConfigError, match=field):
+        _spec(**{field: value})
+
+
 def test_spec_accepts_numpy_integers():
     spec = _spec(n_tasks=np.int64(3), horizon=np.int32(2), n_arms=np.int64(2),
-                 dim=np.int64(3), seed=np.uint8(7))
+                 dim=np.int64(3), seed=np.uint8(7), sigma_noise=np.int64(1),
+                 sigma1_sq=np.float32(0.5), theta_scale=np.float64(0.25))
     assert len(generate_population(spec).tasks) == 3
 
 

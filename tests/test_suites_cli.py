@@ -28,16 +28,32 @@ def test_mcmc_suite_passes_within_budget():
     assert elapsed < 120.0
 
 
+def _pick_worst_arm(monkeypatch):
+    """Break every agent's numpy pick rule: argmin in place of argmax."""
+    monkeypatch.setattr(hierbandit.agents, "_pick",
+                        lambda scores: scores.argmin(axis=-1))
+
+
+def _failed(suite):
+    return [c.name for c in run_suite(suite) if not c.passed]
+
+
 def test_sign_flip_fault_fails_path_equivalence(monkeypatch):
-    monkeypatch.setattr(hierbandit.gaussian, "_CORRECTION_SIGN", -1.0)
-    checks = {c.name: c for c in run_suite("posterior")}
-    assert not checks["path-equivalence"].passed
+    # Break the blocked route: task_cross_terms returns -M V^{-1} resid.
+    workspace = hierbandit.gaussian.KernelWorkspace
+    cross_terms = workspace.task_cross_terms
+
+    def flipped(self, target_task):
+        m_vinv_phi, m_vinv_resid, m_vinv_m = cross_terms(self, target_task)
+        return m_vinv_phi, -m_vinv_resid, m_vinv_m
+
+    monkeypatch.setattr(workspace, "task_cross_terms", flipped)
+    assert _failed("posterior") == ["path-equivalence"]
 
 
 def test_score_offset_fault_fails_regret_suite(monkeypatch):
-    monkeypatch.setattr(hierbandit.agents, "_SCORE_OFFSET", -100.0)
-    checks = {c.name: c for c in run_suite("regret")}
-    assert not checks["oracle-beats-blind-play"].passed
+    _pick_worst_arm(monkeypatch)
+    assert _failed("regret") == ["oracle-beats-blind-play"]
 
 
 def test_suite_registry():
@@ -108,6 +124,18 @@ def test_cli_malformed_config_is_one_error_line(tmp_path, capsys, command,
     assert "Traceback" not in captured.err + captured.out
 
 
+def test_cli_run_refuses_an_infinite_population_parameter(tmp_path, capsys):
+    population = {"n_tasks": 3, "horizon": 4, "n_arms": 2, "dim": 2,
+                  "reward_kind": "bernoulli", "psi": float("inf")}
+    cfg = _write_config(tmp_path / "exp.yaml", population=population)
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("hierbandit: error: ")
+    assert "psi" in lines[0]
+    assert "Traceback" not in captured.err + captured.out
+
+
 def test_cli_run_respects_env_output(tmp_path, monkeypatch, capsys):
     cfg = _write_config(tmp_path / "exp.yaml")
     target = tmp_path / "from_env"
@@ -122,7 +150,7 @@ def test_cli_validate_reports_and_exit_codes(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "conjugacy/" in out
     assert "checks passed" in out
-    monkeypatch.setattr(hierbandit.agents, "_SCORE_OFFSET", -100.0)
+    _pick_worst_arm(monkeypatch)
     assert main(["validate", "--suite", "regret"]) == 3
     out = capsys.readouterr().out
     assert "oracle-beats-blind-play: FAIL" in out
