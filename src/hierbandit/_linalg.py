@@ -1,9 +1,11 @@
 """Dense linear algebra helpers used by the posterior engines.
 
-Every matrix inverse in the package goes through a factorized solve.  A
-Cholesky factorization is attempted on the (symmetrized) input first; on
-failure a diagonal jitter of 1e-10 is added and escalated by factors of 10
-up to 1e-6 before raising NumericalError.  Covariances never jitter: psd_root
+chol_factor tries a Cholesky factorization of the (symmetrized) input first;
+on failure a diagonal jitter of 1e-10 is added and escalated by factors of
+10 up to 1e-6 before raising NumericalError.  The posterior routes solve
+through such factors (chol_solve); the small inverses of the theta prior
+(agents.HierTS, agents.LinearTS, bernoulli.ThetaSampler) and the blocked
+route's per-task inverse use np.linalg.  Covariances never jitter: psd_root
 falls back to an exact eigendecomposition (the one PSD rule, shared by every
 validated belief and by sample_mvn), and the precision-form draw
 (precision_draw, shared by sample_mvn_precision and the segment kernels of
@@ -14,7 +16,6 @@ factor.
 from __future__ import annotations
 
 import numpy as np
-from scipy import linalg as sla
 
 from .errors import NumericalError
 
@@ -22,6 +23,36 @@ JITTER_START = 1e-10
 JITTER_MAX = 1e-6
 # Eigenvalues of a covariance down to -PSD_TOL are rounding and clip to 0.
 PSD_TOL = 1e-10
+
+
+# scipy.linalg is imported at the first LAPACK call, not with the package,
+# so a run that never factors a precision never loads it (about 21 MB
+# resident).  The first call of any stub rebinds all four names to scipy's
+# own routines, so later calls go straight to them.  Other modules call them
+# as _linalg.dpotrs: a from-import would keep the stub.
+def dpotrf(*args, **kwargs):
+    return _load_lapack().lapack.dpotrf(*args, **kwargs)
+
+
+def dtrtrs(*args, **kwargs):
+    return _load_lapack().lapack.dtrtrs(*args, **kwargs)
+
+
+def dpotrs(*args, **kwargs):
+    return _load_lapack().lapack.dpotrs(*args, **kwargs)
+
+
+def cho_solve(*args, **kwargs):
+    return _load_lapack().cho_solve(*args, **kwargs)
+
+
+def _load_lapack():
+    global dpotrf, dtrtrs, dpotrs, cho_solve
+    from scipy import linalg
+    lapack = linalg.lapack
+    dpotrf, dtrtrs, dpotrs = lapack.dpotrf, lapack.dtrtrs, lapack.dpotrs
+    cho_solve = linalg.cho_solve
+    return linalg
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
@@ -50,7 +81,7 @@ def chol_factor(a: np.ndarray, jitter_start: float = JITTER_START,
 
 
 def chol_solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return sla.cho_solve((lower, True), b)
+    return cho_solve((lower, True), b)
 
 
 def logdet_from_chol(lower: np.ndarray) -> float:
@@ -111,12 +142,12 @@ def precision_draw(precision: np.ndarray, linear: np.ndarray,
     x ~ N(A^{-1} b, A^{-1}), as the covariance is L^{-T} L^{-1} = A^{-1}.
     Only the lower triangle of A is read.  A precision that is not positive
     definite is never jittered: it raises NumericalError."""
-    lower, info = sla.lapack.dpotrf(precision, lower=1)
+    lower, info = dpotrf(precision, lower=1)
     if info != 0:
         raise NumericalError("precision matrix not positive definite "
                              "(LAPACK dpotrf info=%d)" % info)
-    w, _ = sla.lapack.dtrtrs(lower, linear, lower=1)
-    x, _ = sla.lapack.dtrtrs(lower, w + z, lower=1, trans=1)
+    w, _ = dtrtrs(lower, linear, lower=1)
+    x, _ = dtrtrs(lower, w + z, lower=1, trans=1)
     return x
 
 

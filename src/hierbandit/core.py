@@ -107,7 +107,8 @@ class TaskInstance:
 
 @dataclass(frozen=True)
 class InteractionRecord:
-    """One observed interaction (task, arm, reward, within-task round)."""
+    """One observed interaction (task, arm, reward, within-task round).
+    A reward that is not a finite real number is a ConfigError."""
 
     task_id: int
     action: int
@@ -115,6 +116,7 @@ class InteractionRecord:
     round_within_task: int
 
     def __post_init__(self):
+        check_real("reward", self.reward)
         if self.action < 0:
             raise ConfigError("action must be a 0-based arm index >= 0")
         if self.round_within_task < 1:

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import linalg as sla
 
 from . import _linalg
 from ._linalg import chol_factor, chol_solve, psd_root, symmetrize
@@ -336,7 +335,7 @@ def conditional_stats_update(prior_mean: np.ndarray, sigma_delta: np.ndarray,
     s.flat[::pulled.size + 1] += sigma_noise ** 2 / counts[pulled]
     # chol_factor has checked s for finiteness; dpotrs skips cho_solve's
     # argument checks on this per-draw path
-    solved, info = sla.lapack.dpotrs(chol_factor(s), rows, lower=1)
+    solved, info = _linalg.dpotrs(chol_factor(s), rows, lower=1)
     if info != 0:
         raise NumericalError("dpotrs failed (info=%d)" % info)
     gain = solved.T                                                # K x |P|

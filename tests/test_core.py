@@ -170,6 +170,13 @@ def test_record_invariants():
                           round_within_task=0)
 
 
+@pytest.mark.parametrize("reward", [float("nan"), float("inf"), True])
+def test_record_reward_must_be_a_finite_number(reward):
+    with pytest.raises(ConfigError, match="reward must be a finite number"):
+        InteractionRecord(task_id=0, action=0, reward=reward,
+                          round_within_task=1)
+
+
 def test_task_instance_readonly_and_shape():
     task = TaskInstance(task_id=0, metadata=np.array([1.0]),
                         true_means=np.array([0.5, 0.2]))

@@ -169,6 +169,23 @@ def test_routes_reject_sigma_delta_of_wrong_size(route, size):
             call(h)
 
 
+@pytest.mark.parametrize("route", ["naive", "woodbury", "theta"])
+def test_routes_never_see_a_non_finite_reward(route):
+    """A NaN reward once made the dense route raise scipy's raw ValueError
+    and the blocked and theta routes return a NaN mean; the history that
+    carries it can no longer be built."""
+    cfg, fm, h, target, x = random_instance(np.random.default_rng(101))
+    call = {
+        "naive": lambda h: posterior_r_naive(cfg, fm, h, target, x),
+        "woodbury": lambda h: posterior_r_woodbury(cfg, fm, h, target, x),
+        "theta": lambda h: posterior_theta(cfg, fm, h),
+    }[route]
+    records = list(h)
+    assert np.isfinite(call(History(records)).mean).all()
+    with pytest.raises(ConfigError, match="reward must be a finite number"):
+        call(History([replace(records[0], reward=np.nan)] + records[1:]))
+
+
 def test_woodbury_empty_history_is_prior_predictive():
     cfg = HierarchyConfig(mu_theta=np.ones(2), sigma_theta=np.eye(2),
                           sigma_delta=0.5 * np.eye(2), sigma_noise=1.0)
