@@ -55,9 +55,12 @@ falls, then plays each part of distinct count slots as one vectorized step
 and any other part through _play_steps, which the Beta core runs as a
 scalar kernel (one rng.beta call per arm) and the Gaussian cores as the
 base loop.  Gaussian pooled-ts, hier-ts and linear-ts, whose every decision
-reads every earlier update, each play a piece as their own scalar kernel;
-hier-ts and linear-ts draw theta every step by _linalg.precision_draw, the
-recipe sample_mvn_precision uses.  hier-ts-aligned keeps the base loop.
+reads every earlier update, each play a piece in their own kernel:
+pooled-ts by verified speculation (numpy passes that commit the rows whose
+guessed arms they confirm, and a scalar loop where passes keep failing),
+hier-ts and linear-ts as a scalar loop that draws theta every step by
+_linalg.precision_draw, the recipe sample_mvn_precision uses.
+hier-ts-aligned keeps the base loop.
 """
 
 from __future__ import annotations
@@ -77,6 +80,13 @@ from .envs import Population
 from .errors import ConfigError, NumericalError, ScheduleError
 from .gaussian import ThetaStatAccumulator, diagonal_effect_variances
 from .priors import DerivedPriors
+
+# Gaussian pooled-ts (PooledTS.play): the fewest rows a speculative pass must
+# commit to count as a success (also the first scalar stretch after one that
+# commits fewer), and the most rows one pass covers, so that a long piece
+# does not redo all its remaining rows for every few rows a pass commits.
+_SPEC_MIN_ROWS = 8
+_SPEC_WINDOW = 256
 
 
 def _pick(scores: np.ndarray) -> np.ndarray:
@@ -130,14 +140,14 @@ class Policy:
     piece has at most core.ROW_CHUNK rows, and consecutive calls with no
     hook between them continue the same segment.  payoffs is the
     piece's (n, K) payoff rows, payoffs[j, a] the reward arm a pays at
-    interaction j; step j reads payoffs[j, a] only for the arm a it plays,
-    and only after choosing it.  This version is the act/update loop; the
-    count core's planner (_CountTS.play) and the kernels of
-    Gaussian pooled-ts, hier-ts and linear-ts override it, and
-    AlignedHierTS keeps it.  end_of_round fires after each concurrent
-    round, end_of_task after each task completes under a sequential
-    schedule; both call _at_boundary, a no-op here.  A sequential_only
-    policy runs on sequential schedules only (check_algorithm enforces it).
+    interaction j; no decision that play commits depends on a payoff that
+    was not played.  This version is the act/update loop; the count core's
+    planner (_CountTS.play) and the kernels of Gaussian pooled-ts, hier-ts
+    and linear-ts override it, and AlignedHierTS keeps it.  end_of_round
+    fires after each concurrent round, end_of_task after each task
+    completes under a sequential schedule; both call _at_boundary, a no-op
+    here.  A sequential_only policy runs on sequential schedules only
+    (check_algorithm enforces it).
     """
 
     name: str = "policy"
@@ -546,14 +556,26 @@ class _IndependentArmTS(_CountTS):
         self.noise_sq = ctx.population.spec.sigma_noise ** 2
         self.prior_mean = ctx.priors.marginal_mean
         self.prior_var = ctx.priors.marginal_variance
+        self.inv_prior = 1.0 / self.prior_var
+        self.prior_term = self.prior_mean / self.prior_var
+
+    def _posterior(self, counts, sums, sd, mean) -> None:
+        """Each arm's conjugate normal posterior from (count, sum), written
+        to sd and mean: var = 1 / (1 / prior_var + n / noise_sq), mean =
+        var (prior_mean / prior_var + S / noise_sq), sd = sqrt(var)."""
+        np.divide(counts, self.noise_sq, out=sd)
+        sd += self.inv_prior
+        np.divide(1.0, sd, out=sd)
+        np.divide(sums, self.noise_sq, out=mean)
+        mean += self.prior_term
+        mean *= sd
+        np.sqrt(sd, out=sd)
 
     def _draw(self, task_id) -> np.ndarray:
         n, sums = self._stats(task_id)
-        # Conjugate normal posterior per arm from (count, sum).
-        post_var = 1.0 / (1.0 / self.prior_var + n / self.noise_sq)
-        post_mean = post_var * (self.prior_mean / self.prior_var
-                                + sums / self.noise_sq)
-        return post_mean + np.sqrt(post_var) * self.rng.standard_normal(n.shape)
+        sd, mean = np.empty(n.shape), np.empty(n.shape)
+        self._posterior(n, sums, sd, mean)
+        return mean + sd * self.rng.standard_normal(n.shape)
 
 
 class IndividualTS(_IndependentArmTS):
@@ -563,22 +585,114 @@ class IndividualTS(_IndependentArmTS):
 
 
 class PooledTS(_IndependentArmTS):
-    """One belief over arm means shared by every task (one size fits all)."""
+    """One belief over arm means shared by every task (one size fits all).
+
+    Every step reads the one shared slot, so play decides a piece's rows in
+    order, from one standard_normal((n, K)) call (the stream of n
+    standard_normal(K) calls), by verified speculation: a pass (_speculate)
+    guesses the arms of the next _SPEC_WINDOW rows at most, rescores each
+    row under the counts and sums the guesses before it imply, and commits
+    the rows up to and including the first whose rescored arm is not its
+    guess; the rescored arms are the next pass's guess.  Rows no pass has
+    reached guess their argmax under the slot's posterior at the start of
+    the piece.  After a pass that commits fewer than _SPEC_MIN_ROWS rows
+    (exploration), the scalar loop (_play_scalar) plays the next stretch of
+    rows; the stretch doubles while passes keep failing, even across
+    pieces, and starts again at _SPEC_MIN_ROWS when one succeeds.  The
+    scalar loop also plays the last rows of a piece when fewer than
+    _SPEC_MIN_ROWS remain.
+    """
 
     name = "pooled-ts"
     n_slots = 1
 
+    def __init__(self, ctx: AgentContext):
+        super().__init__(ctx)
+        self._stretch = _SPEC_MIN_ROWS
+        self._eye = np.eye(ctx.n_arms, dtype=bool)
+
     def play(self, task_ids: np.ndarray, payoffs: np.ndarray) -> np.ndarray:
-        # Every step reads the one shared slot, so the steps run in order,
-        # on Python floats.  One standard_normal((n, K)) call is the stream
-        # of n standard_normal(K) calls; only the pulled arm's posterior
-        # changes, recomputed in _draw's operation order; a strict > scan
-        # keeps argmax's lowest-index ties.
-        k = self.counts.shape[1]
-        normals = self.rng.standard_normal((task_ids.shape[0], k))
+        n, k = payoffs.shape
+        normals = self.rng.standard_normal((n, k))
+        arms = np.empty(n, dtype=np.int64)
+        i = 0
+        if n >= _SPEC_MIN_ROWS:
+            sd, mean = np.empty(k), np.empty(k)
+            self._posterior(self.counts[0], self.sums[0], sd, mean)
+            guess = (normals * sd + mean).argmax(axis=1)
+            # A pass's counts and sums before each of its rows under the
+            # guess, and its scores, in buffers every pass of the piece
+            # reuses; a pass covers at most _SPEC_WINDOW rows.
+            w = min(n, _SPEC_WINDOW)
+            work = (np.empty((w + 1, k)), np.empty((w + 1, k)),
+                    np.empty((w, k)), np.empty((w, k)))
+        while n - i >= _SPEC_MIN_ROWS:
+            rows = slice(i, min(n, i + w))
+            done = self._speculate(guess[rows], normals[rows], payoffs[rows],
+                                   arms[rows], work)
+            i += done
+            if done >= _SPEC_MIN_ROWS:
+                self._stretch = _SPEC_MIN_ROWS
+                continue
+            rows = slice(i, min(n, i + self._stretch))
+            arms[rows] = self._play_scalar(normals[rows], payoffs[rows])
+            i = rows.stop
+            self._stretch *= 2
+        if i < n:
+            arms[i:] = self._play_scalar(normals[i:], payoffs[i:])
+        return arms
+
+    def _speculate(self, guess: np.ndarray, normals: np.ndarray,
+                   payoffs: np.ndarray, arms: np.ndarray, work) -> int:
+        """One pass over rows whose guessed arms guess holds.  Each row is
+        rescored under the slot's statistics plus the pulls that the guesses
+        before it imply, so every row up to and including the first whose
+        rescored arm is not its guess (every row if none) is exact, and none
+        of them reads a payoff that was not played.  Commits those rows,
+        their arms to arms and their pulls to the slot, and returns how
+        many; guess then holds the rescored arms."""
+        m = guess.shape[0]
+        seen, total = work[0][:m + 1], work[1][:m + 1]
+        scores, means = work[2][:m], work[3][:m]
+        pulled = self._eye[guess]
+        # Row j of seen and total is the slot's counts and sums before row
+        # j.  An arm that a row's guess leaves adds -0.0, which keeps every
+        # sum's bits (x + -0.0 is x, signed zeros too); np.where picks it,
+        # where a product with 0 would turn a NaN payoff into a NaN sum.
+        counts, sums = self.counts[0], self.sums[0]
+        seen[0], total[0] = counts, sums
+        seen[1:] = 0.0
+        np.copyto(seen[1:], 1.0, where=pulled)
+        total[1:] = np.where(pulled, payoffs, -0.0)
+        np.add.accumulate(seen, out=seen)
+        np.add.accumulate(total, out=total)
+        self._posterior(seen[:m], total[:m], scores, means)
+        scores *= normals
+        scores += means
+        chosen = scores.argmax(axis=1)
+        miss = chosen != guess
+        if miss.any():
+            # The missed row plays its own choice, not its guess.
+            done = int(miss.argmax()) + 1
+            arm = chosen[done - 1]
+            counts[:], sums[:] = seen[done - 1], total[done - 1]
+            counts[arm] += 1.0
+            sums[arm] += payoffs[done - 1, arm]
+        else:
+            done = m
+            counts[:], sums[:] = seen[m], total[m]
+        arms[:done] = chosen[:done]
+        guess[:] = chosen
+        return done
+
+    def _play_scalar(self, normals: np.ndarray,
+                     payoffs: np.ndarray) -> list[int]:
+        """The loop on Python floats over rows of normals and payoffs: only
+        the pulled arm's posterior changes, recomputed in _posterior's
+        operation order; a strict > scan keeps argmax's lowest-index ties."""
+        k = normals.shape[1]
         counts, sums = self.counts[0].tolist(), self.sums[0].tolist()
-        prior_mean, prior_var = float(self.prior_mean), float(self.prior_var)
-        inv_prior, prior_term = 1.0 / prior_var, prior_mean / prior_var
+        inv_prior, prior_term = float(self.inv_prior), float(self.prior_term)
         noise_sq = float(self.noise_sq)
         post_mean, post_sd = [], []
         for n, s in zip(counts, sums):
@@ -599,7 +713,7 @@ class PooledTS(_IndependentArmTS):
             post_mean[arm] = post_var * (prior_term + sums[arm] / noise_sq)
             post_sd[arm] = math.sqrt(post_var)
         self.counts[0], self.sums[0] = counts, sums
-        return np.array(arms, dtype=np.int64)
+        return arms
 
 
 class LinearTS(Policy):

@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import FeatureMap, HierarchyConfig, History
+from .core import FeatureMap, HierarchyConfig, History, check_real
 from .errors import ConfigError
 
 # Logistic means are clamped into [MEAN_CLIP, 1 - MEAN_CLIP] so extreme
@@ -46,7 +46,9 @@ ACCEPTANCE_WINDOW = (0.05, 0.95)
 
 
 # scipy.special is imported at the first Bernoulli call, not with the
-# package, so a Gaussian run never loads it (about 3.6 MB resident).  The
+# package, so a Gaussian run never loads it.  On top of `import hierbandit`
+# (scipy 1.17.1) it costs 23.7 MB resident as the first scipy submodule to
+# load, as in every Bernoulli run, and 3.6 MB once scipy.linalg is in.  The
 # first call of either stub rebinds both names to scipy's own ufuncs, so
 # every later call goes straight to them.
 def expit(z):
@@ -68,12 +70,14 @@ def _load_special():
 
 @dataclass(frozen=True)
 class BetaParams:
-    """Beta(alpha1, alpha2) with both shapes > 0."""
+    """Beta(alpha1, alpha2) with both shapes finite real numbers > 0."""
 
     alpha1: float
     alpha2: float
 
     def __post_init__(self):
+        check_real("alpha1", self.alpha1)
+        check_real("alpha2", self.alpha2)
         if not (self.alpha1 > 0 and self.alpha2 > 0):
             raise ConfigError("Beta shapes must be positive, got (%g, %g)"
                               % (self.alpha1, self.alpha2))

@@ -273,16 +273,19 @@ class HierarchyConfig:
         object.__setattr__(self, "sigma_theta", _readonly(self.sigma_theta))
         if self.mu_theta.ndim != 1:
             raise ConfigError("mu_theta must be a vector")
+        if not np.isfinite(self.mu_theta).all():
+            raise ConfigError("mu_theta must be finite, got %s"
+                              % np.array2string(self.mu_theta))
         if self.sigma_theta.shape != (self.dim, self.dim):
             raise ConfigError("sigma_theta must be %d x %d" % (self.dim, self.dim))
         _check_psd("sigma_theta", self.sigma_theta, require_nonsingular=True)
         if self.sigma_delta is not None:
             object.__setattr__(self, "sigma_delta", _readonly(self.sigma_delta))
             _check_psd("sigma_delta", self.sigma_delta)
-        if self.sigma_noise is not None and not self.sigma_noise > 0:
-            raise ConfigError("sigma_noise must be > 0")
-        if self.psi is not None and not self.psi > 0:
-            raise ConfigError("psi must be > 0")
+        for name in ("sigma_noise", "psi"):
+            value = check_real(name, getattr(self, name), allow_none=True)
+            if value is not None and not value > 0:
+                raise ConfigError("%s must be > 0" % name)
 
     @property
     def dim(self) -> int:

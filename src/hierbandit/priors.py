@@ -234,8 +234,6 @@ def log_marginal_likelihood(sigma_noise: float, sigma_delta: np.ndarray,
     sigma_delta = np.asarray(sigma_delta, dtype=float)
     mu_theta = np.asarray(mu_theta, dtype=float)
     sigma_theta = np.asarray(sigma_theta, dtype=float)
-    if not sigma_noise > 0:
-        raise ConfigError("sigma_noise must be > 0")
     cfg = HierarchyConfig(mu_theta=mu_theta, sigma_theta=sigma_theta,
                           sigma_delta=sigma_delta, sigma_noise=sigma_noise)
     _require_model(cfg, fm)

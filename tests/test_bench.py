@@ -802,7 +802,7 @@ def test_simulate_run_batched_hook_order(kind, stream, run, expected):
 
 def _both_paths(kind, name, options, n_tasks, schedule="concurrent",
                 play=None, no_steps=False, n_arms=3, records=(),
-                stats=lambda policy: (), table=RewardTable):
+                stats=lambda policy: (), table=RewardTable, horizon=7):
     """simulate_run of one policy through its own play (or the function
     play, if given) and through the base loop, Policy.play; each as
     (columns, generator end state), the arrays stats(policy) returns after
@@ -810,8 +810,8 @@ def _both_paths(kind, name, options, n_tasks, schedule="concurrent",
     (task, arm, reward) records through update.  no_steps=True makes act
     and update fail on the first path, which must then not step.  A custom
     schedule plays the tasks in a shuffled order.  Both paths read the
-    reward table table(population) builds."""
-    spec = PopulationSpec(n_tasks=n_tasks, horizon=7, n_arms=n_arms,
+    reward table table(population) builds, horizon rounds per task."""
+    spec = PopulationSpec(n_tasks=n_tasks, horizon=horizon, n_arms=n_arms,
                           dim=max(4, n_arms + 1), reward_kind=kind, seed=21)
     population = generate_population(spec)
     table = table(population)
@@ -916,6 +916,198 @@ def test_pooled_ts_play_continues_from_carried_counts(normals):
     assert kernel[3:] == looped[3:]
     if normals == "zeros":
         assert kernel[0][0] == 0
+
+
+class _NormalQueue:
+    """A generator stand-in whose standard_normal serves one fixed array of
+    normals in order, whatever shape each call asks for; taken, the count
+    of normals served, is its state."""
+
+    def __init__(self, normals):
+        self.normals, self.taken = np.ravel(normals), 0
+
+    def standard_normal(self, shape):
+        size = int(np.prod(shape))
+        out = self.normals[self.taken:self.taken + size].reshape(shape)
+        self.taken += size
+        return out.copy()
+
+
+def _spy_pooled_ts(monkeypatch):
+    """The list to which Gaussian pooled-ts play appends each speculative
+    pass as ("pass", rows, rows committed) and each scalar stretch as
+    ("scalar", rows), in order."""
+    log = []
+    speculate, scalar = PooledTS._speculate, PooledTS._play_scalar
+
+    def spy_pass(self, guess, *args):
+        done = speculate(self, guess, *args)
+        log.append(("pass", guess.shape[0], done))
+        return done
+
+    def spy_scalar(self, normals, payoffs):
+        log.append(("scalar", normals.shape[0]))
+        return scalar(self, normals, payoffs)
+
+    monkeypatch.setattr(PooledTS, "_speculate", spy_pass)
+    monkeypatch.setattr(PooledTS, "_play_scalar", spy_scalar)
+    return log
+
+
+def _pooled_ts_both(n_arms, records, payoffs, normals=None):
+    """PooledTS.play against Policy.play on one piece of payoff rows, after
+    the (task, arm, reward) records through update; each as ((arms,
+    counts, sums), generator end state).  The generator is agent_rng's, or
+    a _NormalQueue of normals."""
+    spec = PopulationSpec(n_tasks=4, horizon=5, n_arms=n_arms,
+                          dim=max(4, n_arms + 1), seed=24)
+    population = generate_population(spec)
+    priors = derive_baseline_priors(spec, population.theta, n_mc=2000)
+    runs = []
+    for play in (PooledTS.play, Policy.play):
+        rng = agent_rng(25, "pooled-ts") if normals is None \
+            else _NormalQueue(normals)
+        policy = make_policy("pooled-ts", AgentContext(
+            population, priors, rng, "custom"))
+        for record in records:
+            policy.update(*record)
+        arms = play(policy, np.arange(payoffs.shape[0]) % 4, payoffs)
+        state = rng.bit_generator.state if normals is None else rng.taken
+        runs.append(((arms, policy.counts.copy(), policy.sums.copy()), state))
+    return runs
+
+
+@pytest.mark.parametrize("n_arms", [1, 3, 24])
+def test_pooled_ts_whole_passes_verify_on_concentrated_counts(monkeypatch,
+                                                              n_arms):
+    # 100 carried pulls per arm put the last arm's mean 1.0 ahead of every
+    # other arm's by ten posterior sds, so each row's guess under the
+    # piece's starting posterior holds: 600 rows go as whole windows of
+    # 256, 256 and 88 rows, and the scalar loop never runs.
+    means = np.zeros(n_arms)
+    means[-1] = 1.0
+    records = [(a % 4, a, means[a]) for a in range(n_arms)
+               for _ in range(100)]
+    payoffs = np.random.default_rng(26).normal(means, 1.0, (600, n_arms))
+    log = _spy_pooled_ts(monkeypatch)
+    both = _pooled_ts_both(n_arms, records, payoffs)
+    _assert_same_run(both)
+    assert log == [("pass", 256, 256), ("pass", 256, 256), ("pass", 88, 88)]
+    assert (both[0][0][0] == n_arms - 1).all()
+
+
+def _follows_the_backoff(log, pieces, carry=True):
+    """Whether log, the spy's record of pieces of the given row counts
+    played from a fresh policy, follows the fallback rule: after a pass
+    that commits fewer than 8 rows, the scalar loop plays the next
+    min(stretch, rows left in the piece); the stretch starts at 8, doubles
+    after each such stretch, starts again after a pass that commits 8 or
+    more and, with carry, carries over to the next piece.  The scalar loop
+    also plays a piece's last rows when fewer than 8 remain."""
+    events, stretch = iter(log), 8
+    for n in pieces:
+        played, failed = 0, False
+        stretch = stretch if carry else 8
+        while played < n:
+            event = next(events, None)
+            left = n - played
+            if event is None:
+                return False
+            if event[0] == "pass":
+                if failed or left < 8 or event[1] != min(left, 256):
+                    return False
+                played += event[2]
+                failed = event[2] < 8
+                stretch = stretch if failed else 8
+            else:
+                if event[1] != (min(stretch, left) if failed else left) \
+                        or not (failed or left < 8):
+                    return False
+                played += event[1]
+                stretch, failed = stretch * 2 if failed else stretch, False
+    return next(events, None) is None
+
+
+@pytest.mark.parametrize("n_arms", [3, 24])
+def test_pooled_ts_fresh_stream_falls_back_to_the_scalar_loop(monkeypatch,
+                                                              n_arms):
+    # From a fresh slot every arm looks alike, so passes keep failing
+    # within a few rows and the scalar loop plays stretches of 8, 16, 32,
+    # ... rows between them.
+    payoffs = np.random.default_rng(27).normal(0.0, 1.0, (250, n_arms))
+    log = _spy_pooled_ts(monkeypatch)
+    _assert_same_run(_pooled_ts_both(n_arms, (), payoffs))
+    assert ("scalar", 8) in log and ("scalar", 16) in log
+    assert _follows_the_backoff(log, [250])
+
+
+# Arm 0 leads at first but pays -1.0, so its mean sinks below arm 1's; arm
+# 1 pays -50.0, so the one row that plays it sends play back to arm 0.
+# With every normal zero, scores are the posterior means.
+_SWITCH_RECORDS = [(0, 0, 2.0)] * 20 + [(1, 1, 1.0)] * 5 + [(2, 2, -2.0)] * 5
+_SWITCH_PAYOFFS = np.tile([-1.0, -50.0, 0.0], (60, 1))
+
+
+def _switch_row():
+    """The first row at which the loop plays arm 1 on _SWITCH_PAYOFFS."""
+    (_, _), (looped, _) = _pooled_ts_both(3, _SWITCH_RECORDS, _SWITCH_PAYOFFS,
+                                          np.zeros((60, 3)))
+    return int(np.argmax(looped[0] == 1))
+
+
+def test_pooled_ts_pass_fails_at_its_last_row(monkeypatch):
+    # A piece that ends at the switch: every row guesses arm 0, the one
+    # pass rescores its last row to arm 1 and commits every row.
+    r = _switch_row()
+    assert 8 <= r < 60
+    log = _spy_pooled_ts(monkeypatch)
+    both = _pooled_ts_both(3, _SWITCH_RECORDS, _SWITCH_PAYOFFS[:r + 1],
+                           np.zeros((r + 1, 3)))
+    _assert_same_run(both)
+    assert log == [("pass", r + 1, r + 1)]
+    assert both[0][0][0].tolist() == [0] * r + [1]
+
+
+def test_pooled_ts_pass_fails_at_its_first_row(monkeypatch):
+    # The first pass commits through the switch row r.  Its rescore of row
+    # r + 1 still saw arm 0 pulled at r and so guesses arm 1, but arm 1's
+    # -50.0 payoff at r sends row r + 1 back to arm 0: the second pass
+    # fails at its first row, and the scalar loop plays the next 8.
+    r = _switch_row()
+    log = _spy_pooled_ts(monkeypatch)
+    both = _pooled_ts_both(3, _SWITCH_RECORDS, _SWITCH_PAYOFFS,
+                           np.zeros((60, 3)))
+    _assert_same_run(both)
+    assert log[:3] == [("pass", 60, r + 1), ("pass", 59 - r, 1),
+                       ("scalar", 8)]
+    assert both[0][0][0][r:r + 2].tolist() == [1, 0]
+
+
+class _NoiseTable:
+    """Payoff rows of standard normal noise, every arm's mean 0, so that
+    pooled-ts keeps exploring."""
+
+    def __init__(self, population):
+        spec = population.spec
+        self.noise = np.random.default_rng(28).standard_normal(
+            (spec.n_tasks, spec.horizon, spec.n_arms))
+
+    def arm_rewards(self, task_ids, rounds):
+        return self.noise[task_ids, np.asarray(rounds) - 1]
+
+
+def test_pooled_ts_backoff_carries_across_row_chunk_cuts(monkeypatch):
+    # A 6-task x 60-round custom stream of pure noise in pieces of 20 rows:
+    # no pass spans a cut, and the stretch that a piece's failed passes
+    # left carries into the next piece, which the log would not follow if
+    # the stretch started again at every piece.
+    monkeypatch.setattr(core, "ROW_CHUNK", 20)
+    log = _spy_pooled_ts(monkeypatch)
+    _assert_same_run(_both_paths("gaussian", "pooled-ts", {}, 6, "custom",
+                                 no_steps=True, stats=_all_statistics,
+                                 table=_NoiseTable, horizon=60))
+    assert _follows_the_backoff(log, [20] * 18)
+    assert not _follows_the_backoff(log, [20] * 18, carry=False)
 
 
 # The statistics each Gaussian precision-form kernel reads and writes.

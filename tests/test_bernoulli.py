@@ -57,6 +57,23 @@ def test_beta_params_validation():
         precision_for_variance(0.5, 0.3)   # variance cap mu(1-mu)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, True],
+                         ids=["nan", "inf", "bool"])
+@pytest.mark.parametrize("field", ["alpha1", "alpha2"])
+def test_beta_params_refuse_non_finite_and_bool_shapes(field, bad):
+    shapes = {"alpha1": 0.5, "alpha2": 1.5, field: bad}
+    with pytest.raises(ConfigError,
+                       match="%s must be a finite number" % field):
+        BetaParams(**shapes)
+
+
+def test_conjugate_update_on_bool_counts_gives_float_shapes():
+    # The beta-count-ts suite check counts each outcome as a bool.
+    post = conjugate_update(BetaParams(0.5, 1.5), True, False)
+    assert (post.alpha1, post.alpha2) == (1.5, 1.5)
+    assert type(post.alpha1) is float and type(post.alpha2) is float
+
+
 def clipped_logistic_means(fm, x, theta):
     """The clipped logistic mean of every arm of a task with metadata x."""
     return clipped_logistic(fm.task_features(x) @ theta)

@@ -1,6 +1,7 @@
 """Data-model tests: feature maps, histories, hierarchy config."""
 
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -207,6 +208,24 @@ def test_hierarchy_config_validation():
     asym = np.array([[1.0, 0.5], [-0.5, 1.0]])
     with pytest.raises(ConfigError):
         HierarchyConfig(mu_theta=np.zeros(2), sigma_theta=asym)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, True],
+                         ids=["nan", "inf", "bool"])
+@pytest.mark.parametrize("field", ["sigma_noise", "psi"])
+def test_hierarchy_config_refuses_non_finite_and_bool_scales(field, bad):
+    with pytest.raises(ConfigError,
+                       match="%s must be a finite number" % field):
+        HierarchyConfig(mu_theta=np.zeros(2), sigma_theta=np.eye(2),
+                        sigma_delta=np.eye(3), **{field: bad})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_hierarchy_config_refuses_a_non_finite_mu_theta(bad):
+    # Built, such a config gave NaN posterior means with no error.
+    with pytest.raises(ConfigError, match="mu_theta must be finite"):
+        HierarchyConfig(mu_theta=np.array([0.0, bad]), sigma_theta=np.eye(2),
+                        sigma_delta=np.eye(3), sigma_noise=1.0)
 
 
 def test_singular_sigma_delta_allowed():
