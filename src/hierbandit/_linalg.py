@@ -1,16 +1,16 @@
 """Dense linear algebra helpers used by the posterior engines.
 
-chol_factor tries a Cholesky factorization of the (symmetrized) input first;
-on failure a diagonal jitter of 1e-10 is added and escalated by factors of
-10 up to 1e-6 before raising NumericalError.  The posterior routes solve
-through such factors (chol_solve); the small inverses of the theta prior
-(agents.HierTS, agents.LinearTS, bernoulli.ThetaSampler) and the blocked
-route's per-task inverse use np.linalg.  Covariances never jitter: psd_root
-falls back to an exact eigendecomposition (the one PSD rule, shared by every
-validated belief and by sample_mvn), and the precision-form draw
-(precision_draw, shared by sample_mvn_precision and the segment kernels of
-Gaussian hier-ts and linear-ts) raises at once on a precision that fails to
-factor.
+Nothing here adds to a diagonal to make a matrix factor: chol_factor returns
+the Cholesky factor of a finite matrix or raises NumericalError, and the
+posterior routes solve through such factors (chol_solve).  The small
+inverses of the theta prior (agents.HierTS, agents.LinearTS,
+bernoulli.ThetaSampler) and the blocked route's per-task inverse use
+np.linalg.  psd_eigh states the one PSD rule (smallest eigenvalue at least
+-PSD_TOL) that core._check_psd applies to configurations and psd_root to
+every validated belief and sample_mvn, as the fallback for a covariance
+Cholesky rejects.  The precision-form draw (precision_draw, shared by
+sample_mvn_precision and the segment kernels of Gaussian hier-ts and
+linear-ts) raises at once on a precision that fails to factor.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ import numpy as np
 
 from .errors import NumericalError
 
-JITTER_START = 1e-10
-JITTER_MAX = 1e-6
 # Eigenvalues of a covariance down to -PSD_TOL are rounding and clip to 0.
 PSD_TOL = 1e-10
 
@@ -28,65 +26,66 @@ PSD_TOL = 1e-10
 # scipy.linalg is imported at the first LAPACK call, not with the package,
 # so a run that never factors a precision never loads it (26.5 MB resident
 # on top of `import hierbandit`, scipy 1.17.1).  The first call of any stub
-# rebinds all four names to scipy's own routines, so later calls go straight
-# to them.  Other modules call them as _linalg.dpotrs: a from-import would
-# keep the stub.
+# rebinds all three names to scipy's own routines, so later calls go straight
+# to them.  Code outside this module must look them up as _linalg.dpotrf:
+# a from-import would keep the stub.
 def dpotrf(*args, **kwargs):
-    return _load_lapack().lapack.dpotrf(*args, **kwargs)
+    return _load_lapack().dpotrf(*args, **kwargs)
 
 
 def dtrtrs(*args, **kwargs):
-    return _load_lapack().lapack.dtrtrs(*args, **kwargs)
+    return _load_lapack().dtrtrs(*args, **kwargs)
 
 
 def dpotrs(*args, **kwargs):
-    return _load_lapack().lapack.dpotrs(*args, **kwargs)
-
-
-def cho_solve(*args, **kwargs):
-    return _load_lapack().cho_solve(*args, **kwargs)
+    return _load_lapack().dpotrs(*args, **kwargs)
 
 
 def _load_lapack():
-    global dpotrf, dtrtrs, dpotrs, cho_solve
-    from scipy import linalg
-    lapack = linalg.lapack
+    global dpotrf, dtrtrs, dpotrs
+    from scipy.linalg import lapack
     dpotrf, dtrtrs, dpotrs = lapack.dpotrf, lapack.dtrtrs, lapack.dpotrs
-    cho_solve = linalg.cho_solve
-    return linalg
+    return lapack
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def chol_factor(a: np.ndarray, jitter_start: float = JITTER_START,
-                jitter_max: float = JITTER_MAX) -> np.ndarray:
-    """Lower Cholesky factor of a symmetric PSD matrix, jittering if needed."""
+def chol_factor(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a finite positive definite matrix."""
     a = np.asarray(a, dtype=float)
-    if a.size and not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NumericalError("non-finite entries in matrix to factorize")
     try:
         return np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
-        pass
-    eye = np.eye(a.shape[0])
-    jitter = jitter_start
-    while jitter <= jitter_max * (1.0 + 1e-12):
-        try:
-            return np.linalg.cholesky(a + jitter * eye)
-        except np.linalg.LinAlgError:
-            jitter *= 10.0
-    raise NumericalError(
-        "Cholesky failed after diagonal jitter up to %g" % jitter_max)
+        raise NumericalError("matrix not positive definite") from None
 
 
 def chol_solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return cho_solve((lower, True), b)
+    """x with (lower lower^T) x = b by LAPACK dpotrs, the call scipy's
+    cho_solve makes; a non-finite b raises NumericalError."""
+    if not np.isfinite(b).all():
+        raise NumericalError("non-finite right-hand side in a Cholesky solve")
+    x, info = dpotrs(lower, b, lower=1)
+    if info != 0:
+        raise NumericalError("dpotrs failed (info=%d)" % info)
+    return x
 
 
 def logdet_from_chol(lower: np.ndarray) -> float:
     return 2.0 * float(np.sum(np.log(np.diag(lower))))
+
+
+def psd_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh of a symmetric matrix whose smallest eigenvalue is at
+    least -PSD_TOL, the one PSD rule; NumericalError otherwise."""
+    w, v = np.linalg.eigh(a)
+    if w.size and w[0] < -PSD_TOL:
+        raise NumericalError("matrix not PSD within tolerance: "
+                             "eigenvalue %g < %g" % (w[0], -PSD_TOL))
+    return w, v
 
 
 def psd_root(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -94,11 +93,9 @@ def psd_root(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     The covariance is symmetrized as (C + C^T)/2 and factored by a plain
     Cholesky; root is then its lower factor.  Only a covariance Cholesky
-    rejects takes an eigendecomposition, never a jittered factor:
-    eigenvalues at or above -PSD_TOL are clipped to zero (the returned cov
-    is rebuilt from the clipped spectrum when any was negative), so a
-    zero-variance coordinate keeps a zero row in root, and a covariance
-    further from PSD raises NumericalError.
+    rejects takes an eigendecomposition, psd_eigh, whose negative eigenvalues
+    are clipped to zero (cov is then rebuilt from the clipped spectrum), so
+    a zero-variance coordinate keeps a zero row in root.
     """
     cov = symmetrize(np.asarray(cov, dtype=float))
     if not np.isfinite(cov).all():
@@ -107,10 +104,7 @@ def psd_root(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return cov, np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
         pass
-    w, v = np.linalg.eigh(cov)
-    if w[0] < -PSD_TOL:
-        raise NumericalError("covariance not PSD within tolerance: "
-                             "eigenvalue %g < %g" % (w[0], -PSD_TOL))
+    w, v = psd_eigh(cov)
     if w[0] < 0.0:
         w = np.clip(w, 0.0, None)
         cov = symmetrize((v * w) @ v.T)

@@ -75,7 +75,8 @@ import numpy as np
 from ._linalg import precision_draw, sample_mvn_precision
 from .bernoulli import (ThetaSampler, acceptance_warnings,
                         beta_binomial_log_marginal, logistic_beta_shapes)
-from .core import FeatureMap, HierarchyConfig, check_count, check_flag
+from .core import (FeatureMap, HierarchyConfig, check_count, check_flag,
+                   check_real)
 from .envs import Population
 from .errors import ConfigError, NumericalError, ScheduleError
 from .gaussian import ThetaStatAccumulator, diagonal_effect_variances
@@ -134,7 +135,8 @@ class AgentContext:
 class Policy:
     """Interface the simulation loop drives.
 
-    act(task_id) returns an arm; update(...) feeds back the observed reward.
+    act(task_id) returns an arm; update(...) feeds back the observed reward,
+    refusing a non-finite one (core.check_real) before it changes any state.
     play(task_ids, payoffs) plays one piece of a schedule segment, the
     interactions of task_ids in order, and returns their arms (int64).  A
     piece has at most core.ROW_CHUNK rows, and consecutive calls with no
@@ -231,6 +233,7 @@ class _CountTS(Policy):
         return _pick(self._draw(task_ids))
 
     def update(self, task_id: int, arm: int, reward: float) -> None:
+        check_real("reward", reward)
         s = self.slot_of[task_id]
         self.counts[s, arm] += 1.0
         self.sums[s, arm] += self._observed(reward)
@@ -386,6 +389,7 @@ class HierTS(_ConditionalTS):
         return self.acc.features[task_id] @ self._current_theta()
 
     def update(self, task_id: int, arm: int, reward: float) -> None:
+        check_real("reward", reward)
         self.acc.add(task_id, arm, reward)
         super().update(task_id, arm, reward)
 
@@ -743,6 +747,7 @@ class LinearTS(Policy):
         return int(_pick(self.features[task_id] @ theta))
 
     def update(self, task_id: int, arm: int, reward: float) -> None:
+        check_real("reward", reward)
         phi = self.features[task_id, arm]
         self.a_mat += np.outer(phi, phi) / self.noise_var
         self.b_vec += phi * (reward / self.noise_var)

@@ -17,11 +17,8 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from ._linalg import chol_factor
+from ._linalg import PSD_TOL, psd_eigh, symmetrize
 from .errors import ConfigError, NumericalError
-
-# jitter tolerance for PSD validation of configuration matrices
-_PSD_JITTER = 1e-10
 
 # The most rows bench.play_blocks hands a policy, or the consumer of a run,
 # at once, and the most RegretLedger.rows() converts to Python objects at
@@ -71,19 +68,26 @@ def check_flag(name: str, value) -> bool:
     return bool(value)
 
 
+def check_finite(name: str, a: np.ndarray) -> None:
+    """ConfigError unless every entry of the array a is finite."""
+    if not np.isfinite(a).all():
+        raise ConfigError("%s must be finite" % name)
+
+
 def _check_psd(name: str, mat: np.ndarray, require_nonsingular: bool = False) -> None:
+    """ConfigError unless mat is square, finite, symmetric and PSD (psd_eigh);
+    nonsingular needs a smallest eigenvalue above 2 PSD_TOL."""
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ConfigError("%s must be square, got shape %s" % (name, (mat.shape,)))
+    check_finite(name, mat)
     if not np.allclose(mat, mat.T, rtol=0.0, atol=1e-10):
         raise ConfigError("%s must be symmetric" % name)
     try:
-        lower = chol_factor(mat, jitter_start=_PSD_JITTER, jitter_max=_PSD_JITTER)
+        w, _ = psd_eigh(symmetrize(mat))
     except NumericalError:
         raise ConfigError("%s must be positive semidefinite" % name) from None
-    if require_nonsingular:
-        # a pivot at the jitter floor means the matrix itself is singular
-        if float(np.min(np.diag(lower))) ** 2 <= 2.0 * _PSD_JITTER:
-            raise ConfigError("%s must be nonsingular" % name)
+    if require_nonsingular and w.size and w[0] <= 2.0 * PSD_TOL:
+        raise ConfigError("%s must be nonsingular" % name)
 
 
 @dataclass(frozen=True)
@@ -103,6 +107,8 @@ class TaskInstance:
         object.__setattr__(self, "true_means", _readonly(self.true_means))
         if self.metadata.ndim != 1 or self.true_means.ndim != 1:
             raise ConfigError("task metadata and true_means must be 1-D")
+        check_finite("task metadata", self.metadata)
+        check_finite("task true_means", self.true_means)
 
 
 @dataclass(frozen=True)
@@ -273,9 +279,7 @@ class HierarchyConfig:
         object.__setattr__(self, "sigma_theta", _readonly(self.sigma_theta))
         if self.mu_theta.ndim != 1:
             raise ConfigError("mu_theta must be a vector")
-        if not np.isfinite(self.mu_theta).all():
-            raise ConfigError("mu_theta must be finite, got %s"
-                              % np.array2string(self.mu_theta))
+        check_finite("mu_theta", self.mu_theta)
         if self.sigma_theta.shape != (self.dim, self.dim):
             raise ConfigError("sigma_theta must be %d x %d" % (self.dim, self.dim))
         _check_psd("sigma_theta", self.sigma_theta, require_nonsingular=True)

@@ -33,8 +33,8 @@ import numpy as np
 
 from . import _linalg
 from ._linalg import chol_factor, chol_solve, psd_root, symmetrize
-from .core import FeatureMap, HierarchyConfig, History
-from .errors import ConfigError, NumericalError
+from .core import FeatureMap, HierarchyConfig, History, _check_psd, check_real
+from .errors import ConfigError
 
 # GP path is dense-only; refuse histories beyond this size.
 GP_MAX_RECORDS = 5000
@@ -333,12 +333,7 @@ def conditional_stats_update(prior_mean: np.ndarray, sigma_delta: np.ndarray,
     rows = sigma_delta[pulled]                                     # |P| x K
     s = rows[:, pulled]
     s.flat[::pulled.size + 1] += sigma_noise ** 2 / counts[pulled]
-    # chol_factor has checked s for finiteness; dpotrs skips cho_solve's
-    # argument checks on this per-draw path
-    solved, info = _linalg.dpotrs(chol_factor(s), rows, lower=1)
-    if info != 0:
-        raise NumericalError("dpotrs failed (info=%d)" % info)
-    gain = solved.T                                                # K x |P|
+    gain = chol_solve(chol_factor(s), rows).T                      # K x |P|
     mean = prior_mean + gain @ (ybar - prior_mean[pulled])
     cov = sigma_delta - gain @ rows
     return mean, cov
@@ -517,7 +512,8 @@ class GPConfig:
                            np.asarray(self.sigma_delta, dtype=float))
         if self.sigma_delta.shape != (self.n_arms, self.n_arms):
             raise ConfigError("sigma_delta must be K x K")
-        if not self.sigma_noise > 0:
+        _check_psd("sigma_delta", self.sigma_delta)
+        if not check_real("sigma_noise", self.sigma_noise) > 0:
             raise ConfigError("sigma_noise must be > 0")
 
     @property

@@ -399,9 +399,8 @@ def _check_cumulative_monotone(ledger: metrics.RegretLedger) -> CheckResult:
                    "most negative cumulative increment = %.3g" % worst)
 
 
-def _check_replay_determinism() -> CheckResult:
-    config = _tiny_config()
-    first = bench.simulate_ledger(config)
+def _check_replay_determinism(config: bench.ExperimentConfig,
+                              first: metrics.RegretLedger) -> CheckResult:
     second = bench.simulate_ledger(config)
     same = list(first.rows()) == list(second.rows())
     detail = "two in-process replays %s" % ("match row for row"
@@ -439,7 +438,7 @@ def _regret_suite() -> list[CheckResult]:
     config = _tiny_config()
     ledger = bench.simulate_ledger(config)
     return [_check_oracle_self_mtr(ledger), _check_cumulative_monotone(ledger),
-            _check_replay_determinism(),
+            _check_replay_determinism(config, ledger),
             _check_oracle_beats_random(config, ledger)]
 
 

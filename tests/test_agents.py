@@ -671,9 +671,36 @@ def test_conditional_core_matches_dense_update():
 
 def test_conditional_core_rejects_non_finite_draw():
     agent = _oracle_on(np.eye(2), 1.0, np.random.default_rng(0))
-    agent.update(0, 1, np.inf)
+    # update refuses an infinite reward, so the sum is set directly.
+    agent.counts[0, 1], agent.sums[0, 1] = 1.0, np.inf
     with pytest.raises(NumericalError, match="non-finite"):
         agent.act(0)
+
+
+def _held_arrays(policy):
+    """Copies of every array a policy and its theta accumulator hold."""
+    owners = [policy] + ([policy.acc] if hasattr(policy, "acc") else [])
+    return [(name, value.copy()) for owner in owners
+            for name, value in vars(owner).items()
+            if isinstance(value, np.ndarray)]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, True],
+                         ids=["nan", "inf", "bool"])
+@pytest.mark.parametrize("kind", ["gaussian", "bernoulli"])
+def test_every_policy_update_refuses_a_non_finite_reward(kind, bad):
+    spec = PopulationSpec(n_tasks=2, horizon=4, n_arms=3, dim=4,
+                          reward_kind=kind, seed=5)
+    pop = generate_population(spec)
+    pri = derive_baseline_priors(spec, pop.theta, n_mc=500)
+    for name in algorithm_names(kind):
+        agent = make_policy(name, AgentContext(
+            pop, pri, np.random.default_rng(0), "sequential"))
+        before = _held_arrays(agent)
+        with pytest.raises(ConfigError, match="reward must be a finite"):
+            agent.update(0, 1, bad)
+        for (key, old), (_, new) in zip(before, _held_arrays(agent)):
+            np.testing.assert_array_equal(new, old, err_msg=name + "." + key)
 
 
 def test_gaussian_agents_reject_dense_effects():

@@ -2,6 +2,7 @@
 
 import inspect
 import math
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -178,6 +179,15 @@ def test_record_reward_must_be_a_finite_number(reward):
                           round_within_task=1)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("field", ["metadata", "true_means"])
+def test_task_instance_refuses_non_finite_arrays(field, bad):
+    arrays = {"metadata": np.zeros(2), "true_means": np.zeros(3)}
+    arrays[field][1] = bad
+    with pytest.raises(ConfigError, match="task %s must be finite" % field):
+        TaskInstance(task_id=0, **arrays)
+
+
 def test_task_instance_readonly_and_shape():
     task = TaskInstance(task_id=0, metadata=np.array([1.0]),
                         true_means=np.array([0.5, 0.2]))
@@ -226,6 +236,37 @@ def test_hierarchy_config_refuses_a_non_finite_mu_theta(bad):
     with pytest.raises(ConfigError, match="mu_theta must be finite"):
         HierarchyConfig(mu_theta=np.array([0.0, bad]), sigma_theta=np.eye(2),
                         sigma_delta=np.eye(3), sigma_noise=1.0)
+
+
+@pytest.mark.parametrize("scale, ok", [(0.0, False), (1e-10, False),
+                                       (2e-10, False), (2.5e-10, True),
+                                       (3e-10, True)])
+def test_sigma_theta_nonsingular_boundary(scale, ok):
+    with nullcontext() if ok else pytest.raises(
+            ConfigError, match="sigma_theta must be nonsingular"):
+        HierarchyConfig(mu_theta=np.zeros(2), sigma_theta=scale * np.eye(2))
+
+
+@pytest.mark.parametrize("least, ok", [(-5e-11, True), (-2e-10, False)])
+def test_sigma_delta_psd_tolerance_boundary(least, ok):
+    rot = np.array([[0.6, -0.8], [0.8, 0.6]])
+    sigma_delta = rot @ np.diag([least, 1.0]) @ rot.T
+    sigma_delta = 0.5 * (sigma_delta + sigma_delta.T)
+    assert np.linalg.eigvalsh(sigma_delta)[0] == pytest.approx(least, abs=1e-15)
+    with nullcontext() if ok else pytest.raises(
+            ConfigError, match="sigma_delta must be positive semidefinite"):
+        HierarchyConfig(mu_theta=np.zeros(2), sigma_theta=np.eye(2),
+                        sigma_delta=sigma_delta, sigma_noise=1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["sigma_theta", "sigma_delta"])
+def test_hierarchy_config_refuses_a_non_finite_covariance(field, bad):
+    mats = {"sigma_theta": np.eye(2), "sigma_delta": np.eye(3)}
+    mats[field][0, 1] = bad
+    with pytest.raises(ConfigError, match="%s must be finite" % field):
+        HierarchyConfig(mu_theta=np.zeros(2), sigma_noise=1.0, **mats)
 
 
 def test_singular_sigma_delta_allowed():

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import hierbandit.gaussian as gaussian
-from hierbandit._linalg import sample_mvn, sample_mvn_precision
+from hierbandit._linalg import (chol_factor, chol_solve, sample_mvn,
+                                sample_mvn_precision)
 from hierbandit.core import (FeatureMap, HierarchyConfig, History,
                              InteractionRecord)
 from hierbandit.envs import PopulationSpec, generate_population
@@ -429,6 +430,35 @@ def test_gp_requires_lookup_for_history():
         posterior_r_gp(gp, h, 0, np.zeros(1))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "inf", "-inf"])
+def test_gp_config_refuses_a_non_finite_sigma_delta(bad):
+    sigma_delta = np.eye(2)
+    sigma_delta[0, 1] = bad
+    with pytest.raises(ConfigError, match="sigma_delta must be finite"):
+        GPConfig(mean_fns=[lambda x: 0.0] * 2,
+                 kernel_fns=[lambda a, b: 1.0] * 2,
+                 sigma_delta=sigma_delta, sigma_noise=1.0)
+
+
+@pytest.mark.parametrize("sigma_delta, reason", [
+    (np.array([[1.0, 0.5], [-0.5, 1.0]]), "symmetric"),
+    (np.diag([1.0, -1e-3]), "positive semidefinite")])
+def test_gp_config_applies_the_psd_rule(sigma_delta, reason):
+    with pytest.raises(ConfigError, match="sigma_delta must be " + reason):
+        GPConfig(mean_fns=[lambda x: 0.0] * 2,
+                 kernel_fns=[lambda a, b: 1.0] * 2,
+                 sigma_delta=sigma_delta, sigma_noise=1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, True],
+                         ids=["nan", "inf", "bool"])
+def test_gp_config_refuses_a_non_finite_or_bool_sigma_noise(bad):
+    with pytest.raises(ConfigError, match="sigma_noise must be a finite"):
+        GPConfig(mean_fns=[lambda x: 0.0], kernel_fns=[lambda a, b: 1.0],
+                 sigma_delta=np.eye(1), sigma_noise=bad)
+
+
 def test_gp_record_cap(monkeypatch):
     monkeypatch.setattr(gaussian, "GP_MAX_RECORDS", 3)
     gp = GPConfig(mean_fns=[lambda x: 0.0], kernel_fns=[lambda a, b: 1.0],
@@ -553,6 +583,19 @@ def test_sample_mvn_singular_psd_is_exact_not_jittered():
         assert draws[:, ~zero].std(axis=0).min() > 0.5
     with pytest.raises(NumericalError, match="not PSD"):
         sample_mvn(np.zeros(2), np.diag([1.0, -1e-3]), rng)
+
+
+@pytest.mark.parametrize("singular", [np.ones((2, 2)), np.zeros((2, 2))],
+                         ids=["ones", "zeros"])
+def test_chol_factor_never_jitters_a_singular_matrix(singular):
+    with pytest.raises(NumericalError, match="not positive definite"):
+        chol_factor(singular)
+
+
+def test_chol_solve_refuses_a_non_finite_right_hand_side():
+    lower = chol_factor(np.array([[2.0, 0.5], [0.5, 1.0]]))
+    with pytest.raises(NumericalError, match="non-finite"):
+        chol_solve(lower, np.array([np.nan, 0.0]))
 
 
 def test_theta_accumulator_order_invariant():
