@@ -202,9 +202,10 @@ class FeatureMap:
         self.p = int(p)
         self._fn = fn
         self._task_metadata = {int(t): _readonly(x) for t, x in (task_metadata or {}).items()}
-        for x in self._task_metadata.values():
+        for t, x in self._task_metadata.items():
             if x.shape != (self.p,):
                 raise ConfigError("registered metadata must have length p=%d" % self.p)
+            check_finite("metadata of task %d" % t, x)
 
     @classmethod
     def indicator_with_metadata(cls, n_arms: int, dim: int,
@@ -235,6 +236,7 @@ class FeatureMap:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.p,):
             raise ConfigError("metadata length %d, expected p=%d" % (x.size, self.p))
+        check_finite("metadata", x)
         k = self.n_arms
         if self.kind == "indicator_metadata":
             out = np.eye(k, self.dim)

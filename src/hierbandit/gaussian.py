@@ -33,7 +33,8 @@ import numpy as np
 
 from . import _linalg
 from ._linalg import chol_factor, chol_solve, psd_root, symmetrize
-from .core import FeatureMap, HierarchyConfig, History, _check_psd, check_real
+from .core import (FeatureMap, HierarchyConfig, History, _check_psd,
+                   check_finite, check_real)
 from .errors import ConfigError
 
 # GP path is dense-only; refuse histories beyond this size.
@@ -532,6 +533,7 @@ def posterior_r_gp(gp: GPConfig, h: History, target_task: int,
     is required whenever h is nonempty.  Dense-only, capped at 5000 records.
     """
     target_x = np.asarray(target_x, dtype=float)
+    check_finite("target_x", target_x)
     k = gp.n_arms
     mu_t = np.array([fn(target_x) for fn in gp.mean_fns])
     k_t = np.diag([gp.kernel_fns[a](target_x, target_x) for a in range(k)])

@@ -4,6 +4,8 @@ import functools
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import time
 import tracemalloc
 import xml.etree.ElementTree as ET
@@ -1741,6 +1743,184 @@ def test_pooled_streamed_run_failure_cancels_pending_seeds(tmp_path,
     assert sorted(os.listdir(out)) == sorted(os.path.basename(p)
                                              for p in paths.values())
     assert {p: Path(p).read_bytes() for p in paths.values()} == before
+
+
+def _recording_forks(monkeypatch):
+    # The pids of every process forked while the test runs (the serial
+    # run's ledger writer and any pool worker).
+    forked = []
+    fork = os.fork
+
+    def recording():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", recording)
+    return forked
+
+
+def _assert_reaped(forked):
+    # A reaped child is no longer this process's child: waitpid refuses it.
+    for pid in forked:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def _fail_in_writer(monkeypatch, delay=0.0):
+    # _run_lines raises at its second block, which in a serial run is the
+    # ledger writer's second block, after sleeping for delay seconds.
+    run_lines = bench._run_lines
+    calls = []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            time.sleep(delay)
+            raise OSError("disk full")
+        return run_lines(*args)
+    monkeypatch.setattr(bench, "_run_lines", failing)
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+@pytest.mark.parametrize("failure", ["none", "parent", "writer",
+                                     "writer-late"])
+def test_run_reaps_every_fork_and_leaves_no_spill(tmp_path, monkeypatch,
+                                                  failure, parallelism):
+    # A serial run forks one ledger writer (this one at any size), a pooled
+    # run its workers.  After a run that succeeds, raises in a seed (the parent, in a serial run),
+    # or raises in the writer (a pool worker, in a pooled run), every
+    # forked process has been reaped, no spill or temp file is left, and a
+    # failed run leaves the previous artifacts as they were.  The writer
+    # fails while the parent still sends, or (late) once every block is in
+    # the pipe, so that only the wait for the writer can see it.
+    out = tmp_path / "out"
+    marks = tmp_path / "marks"
+    marks.mkdir()
+    config = ExperimentConfig.from_dict(_minimal_raw(
+        seeds=[4, 5, 6, 7], algorithms=["hier-ts", "pooled-ts"],
+        parallelism=parallelism))
+    paths = run_experiment(config, str(out))
+    before = {p: Path(p).read_bytes() for p in paths.values()}
+    monkeypatch.setattr(core, "ROW_CHUNK", 5)
+    monkeypatch.setattr(bench, "_WRITER_MIN_ROWS", 0)
+    forked = _recording_forks(monkeypatch)
+    if failure == "none":
+        assert run_experiment(config, str(out)) == paths
+    elif failure == "parent":
+        _fail_in_seed(monkeypatch, 6, marks)
+        with pytest.raises(RuntimeError, match="seed 6"):
+            run_experiment(config, str(out))
+    else:
+        _fail_in_writer(monkeypatch, 0.5 if failure == "writer-late" else 0)
+        with pytest.raises(OSError) as caught:
+            run_experiment(config, str(out))
+        # the writer's own error, not the pipe it left broken
+        assert type(caught.value) is OSError
+        assert str(caught.value) == "disk full"
+    if parallelism == 1:
+        assert len(forked) == 1
+    _assert_reaped(forked)
+    assert sorted(os.listdir(out)) == sorted(os.path.basename(p)
+                                             for p in paths.values())
+    assert {p: Path(p).read_bytes() for p in paths.values()} == before
+
+
+_EXIT_SCRIPT = """
+import atexit, os, sys
+from hierbandit import bench
+
+log = os.open(sys.argv[1], os.O_WRONLY | os.O_APPEND)
+
+def note(what):
+    os.write(log, ("%s %d\\n" % (what, os.getpid())).encode())
+
+atexit.register(note, "atexit")
+config = bench.ExperimentConfig.from_dict({
+    "population": {"n_tasks": 4, "horizon": 8, "n_arms": 2, "dim": 3},
+    "schedule": "concurrent", "algorithms": ["pooled-ts"], "seeds": 3})
+bench._WRITER_MIN_ROWS = 0
+run_lines = bench._run_lines
+build = bench.generate_population
+
+def broken_writer(*args):
+    raise OSError("disk full")
+
+def broken_seed(spec):
+    raise RuntimeError("seed failed")
+
+for case, name, fake in [("ok", "_run_lines", run_lines),
+                         ("writer", "_run_lines", broken_writer),
+                         ("parent", "generate_population", broken_seed)]:
+    setattr(bench, name, fake)
+    try:
+        bench.run_experiment(config, sys.argv[2])
+        note("returned-" + case)
+    except Exception as exc:
+        note("raised-%s-%s" % (case, type(exc).__name__))
+    finally:
+        note("finally-" + case)
+    bench._run_lines, bench.generate_population = run_lines, build
+"""
+
+
+def test_ledger_writer_leaves_through_os_exit(tmp_path):
+    # The writer never returns into the caller's stack (no finally or
+    # except clause of the caller runs in it) and never runs atexit hooks:
+    # every line of the log comes from the interpreter that ran the script,
+    # after a run that succeeds, fails in the writer and fails in a seed.
+    log = tmp_path / "log"
+    log.touch()
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(bench.__file__).parents[1])]
+        + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    done = subprocess.run([sys.executable, "-c", _EXIT_SCRIPT, str(log),
+                           str(tmp_path / "out")], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = [line.split() for line in log.read_text().splitlines()]
+    assert len({pid for _, pid in lines}) == 1, lines
+    assert [what for what, _ in lines] == [
+        "returned-ok", "finally-ok", "raised-writer-OSError",
+        "finally-writer", "raised-parent-RuntimeError", "finally-parent",
+        "atexit"]
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+@pytest.mark.parametrize("schedule", ["concurrent", "sequential"])
+def test_ledger_in_many_blocks_is_byte_identical(tmp_path, monkeypatch,
+                                                 schedule, parallelism):
+    # At ROW_CHUNK = 3 each run of 5 tasks x 6 rounds crosses the writer's
+    # pipe (or a pool worker's spill writer) in 10 blocks, cut mid-round
+    # and mid-task; ledger.csv keeps the bytes of the whole ledger written
+    # at once.
+    config = ExperimentConfig.from_dict({
+        "population": {"n_tasks": 5, "horizon": 6, "n_arms": 3, "dim": 4},
+        "schedule": schedule, "algorithms": ["hier-ts", "pooled-ts"],
+        "seeds": [3, 1, 2], "parallelism": parallelism})
+    monkeypatch.setattr(core, "ROW_CHUNK", 3)
+    monkeypatch.setattr(bench, "_WRITER_MIN_ROWS", 0)
+    paths = run_experiment(config, str(tmp_path / "run"))
+    write_ledger_csv(simulate_ledger(config), str(tmp_path / "ledger.csv"))
+    assert Path(paths["ledger"]).read_bytes() \
+        == (tmp_path / "ledger.csv").read_bytes()
+
+
+@pytest.mark.parametrize("min_rows, forks", [(128, 1), (129, 0)])
+def test_serial_run_forks_its_writer_from_min_rows(tmp_path, monkeypatch,
+                                                   min_rows, forks):
+    # 4 tasks x 8 rounds x (hier-ts, oracle-ts) x 2 seeds = 128 ledger rows:
+    # the writer is forked only from _WRITER_MIN_ROWS rows, and ledger.csv
+    # is the same either way.
+    config = ExperimentConfig.from_dict(_minimal_raw())
+    monkeypatch.setattr(bench, "_WRITER_MIN_ROWS", min_rows)
+    forked = _recording_forks(monkeypatch)
+    paths = run_experiment(config, str(tmp_path / "run"))
+    assert len(forked) == forks
+    _assert_reaped(forked)
+    write_ledger_csv(simulate_ledger(config), str(tmp_path / "ledger.csv"))
+    assert Path(paths["ledger"]).read_bytes() \
+        == (tmp_path / "ledger.csv").read_bytes()
 
 
 def _streamed_run_peak(out, algorithms, horizon=200, seeds=2):

@@ -188,6 +188,28 @@ def test_task_instance_refuses_non_finite_arrays(field, bad):
         TaskInstance(task_id=0, **arrays)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_feature_map_refuses_non_finite_registered_metadata(bad):
+    # indicator_with_metadata(2, 4, {0: [nan] * 4}) was accepted.
+    with pytest.raises(ConfigError, match="metadata of task 0 must be finite"):
+        FeatureMap.indicator_with_metadata(2, 4, {0: [bad] * 4})
+    with pytest.raises(ConfigError, match="metadata of task 3 must be finite"):
+        FeatureMap.custom(2, 4, 2, lambda x, a: np.zeros(4),
+                          {1: np.zeros(2), 3: np.array([0.0, bad])})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("kind", ["indicator", "custom"])
+def test_task_features_refuses_a_non_finite_query(kind, bad):
+    # task_features([nan, 0, 0, 0]) returned a NaN feature row.
+    fm = (FeatureMap.indicator_with_metadata(2, 4) if kind == "indicator"
+          else FeatureMap.custom(2, 4, 4, lambda x, a: np.zeros(4)))
+    assert np.isfinite(fm.task_features(np.zeros(4))).all()
+    with pytest.raises(ConfigError, match="metadata must be finite"):
+        fm.task_features([bad, 0.0, 0.0, 0.0])
+
+
 def test_task_instance_readonly_and_shape():
     task = TaskInstance(task_id=0, metadata=np.array([1.0]),
                         true_means=np.array([0.5, 0.2]))

@@ -187,6 +187,53 @@ def test_routes_never_see_a_non_finite_reward(route):
         call(History([replace(records[0], reward=np.nan)] + records[1:]))
 
 
+@pytest.mark.parametrize("route", ["naive", "woodbury", "theta"])
+def test_routes_never_see_a_nan_mu_theta(route):
+    """A NaN in mu_theta once made the dense route raise scipy's raw
+    ValueError and the blocked and theta routes return a NaN mean; the
+    config that carries it can no longer be built."""
+    cfg, fm, h, target, x = random_instance(np.random.default_rng(101))
+    call = {
+        "naive": lambda cfg: posterior_r_naive(cfg, fm, h, target, x),
+        "woodbury": lambda cfg: posterior_r_woodbury(cfg, fm, h, target, x),
+        "theta": lambda cfg: posterior_theta(cfg, fm, h),
+    }[route]
+    assert len(h) and np.isfinite(call(cfg).mean).all()
+    mu_theta = cfg.mu_theta.copy()
+    mu_theta[0] = np.nan
+    with pytest.raises(ConfigError, match="mu_theta must be finite"):
+        call(replace(cfg, mu_theta=mu_theta))
+
+
+@pytest.mark.parametrize("route", ["naive", "woodbury", "conditional",
+                                   "marginal", "gp"])
+def test_routes_refuse_a_non_finite_query(route):
+    # One registered task and a query x of length p = 4; a NaN in x once
+    # gave NaN means.
+    fm = FeatureMap.indicator_with_metadata(
+        n_arms=2, dim=4, task_metadata={0: np.full(4, 0.5)})
+    cfg = HierarchyConfig(mu_theta=np.zeros(4), sigma_theta=np.eye(4),
+                          sigma_delta=0.5 * np.eye(2), sigma_noise=1.0)
+    gp = GPConfig(mean_fns=[np.sum] * 2, kernel_fns=[np.dot] * 2,
+                  sigma_delta=0.5 * np.eye(2), sigma_noise=1.0)
+    h = History([InteractionRecord(0, 1, 0.5, 1)])
+    call = {
+        "naive": lambda x: posterior_r_naive(cfg, fm, h, 1, x),
+        "woodbury": lambda x: posterior_r_woodbury(cfg, fm, h, 1, x),
+        "conditional": lambda x: conditional_r_given_theta(
+            cfg, fm, h, np.zeros(4), x),
+        "marginal": lambda x: marginal_task_belief(
+            cfg, fm, ThetaPosterior(np.zeros(4), np.eye(4)), x,
+            np.array([0.0, 1.0]), np.array([0.0, 0.5])),
+        "gp": lambda x: posterior_r_gp(gp, h, 1, x,
+                                       metadata_lookup=fm.metadata_for),
+    }[route]
+    assert np.isfinite(call(np.zeros(4)).mean).all()
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ConfigError, match="must be finite"):
+            call(np.array([0.0, bad, 0.0, 0.0]))
+
+
 def test_woodbury_empty_history_is_prior_predictive():
     cfg = HierarchyConfig(mu_theta=np.ones(2), sigma_theta=np.eye(2),
                           sigma_delta=0.5 * np.eye(2), sigma_noise=1.0)
