@@ -128,7 +128,7 @@ class AgentContext:
     def stacked_features(self) -> np.ndarray:
         """(n_tasks, K, d) array whose [i, a] row is phi(x_i, a)."""
         fm = self.fm
-        return np.stack([fm.task_features(fm.metadata_for(i))
+        return np.stack([fm.registered_features(i)
                          for i in range(self.n_tasks)])
 
 

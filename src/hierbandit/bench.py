@@ -17,8 +17,9 @@ Each file is streamed to a temp file in the output directory and renamed
 into place, and none contains anything time- or host-dependent.  The run
 streams seed by seed: each seed's runs' ledger rows go to spill files in
 the output directory, formatted by a forked writer process in a serial run
-(one of at least _WRITER_MIN_ROWS rows) and by each pool worker in a
-parallel one, and are joined into ledger.csv once every seed is done.
+(one of at least _WRITER_MIN_ROWS rows), to which the blocks cross one pipe
+as pickles, and by each pool worker in a parallel one, and are joined into
+ledger.csv once every seed is done.
 """
 
 from __future__ import annotations
@@ -450,13 +451,6 @@ def _spill_lines(path: str, algorithm: str, seed: int):
                                                     memo))
 
 
-# The forked writer's pipe carries messages of a _MESSAGE head (rows,
-# payload bytes) and a payload: rows = -1 opens a run's spill file, whose
-# pickled (path, algorithm, seed) follow; rows >= 0 is a block of the run,
-# its five columns as _COLUMN_TYPES, one after another.
-_MESSAGE = struct.Struct("=qq")
-_COLUMN_TYPES = (np.int64, np.int64, np.int64, np.float64, np.float64)
-_ROW_BYTES = 8 * len(_COLUMN_TYPES)
 # With the default 64 KiB pipe, player and writer kept waiting on each
 # other; 1 MiB is the largest size an unprivileged Linux process may set.
 _PIPE_BYTES = 1 << 20
@@ -467,88 +461,71 @@ _PIPE_BYTES = 1 << 20
 _WRITER_MIN_ROWS = 16384
 
 
-class _ForkedSpills:
+@contextmanager
+def _forked_spills():
     """The ledger writer of a serial run, as a context manager whose value
     is stream_seed's spill: a process forked with os.fork, which formats
-    the runs' spill files while this process plays.  Each block's columns
-    are written raw to one pipe, and the writer turns them into the spill
-    file through _spill_lines, as a pool worker does in its own process.
+    the runs' spill files while this process plays.  Each run's (path,
+    algorithm, seed) and then each of its blocks' columns cross one pipe as
+    pickles, and the writer turns them into the spill file through
+    _spill_lines, as a pool worker does in its own process.  Only this
+    process writes the pipe, so the writer unpickles nothing from outside.
     The writer calls no BLAS and takes no lock, so the threads a fork
-    leaves behind cannot stall it.  Leaving the block waits for the writer
-    to drain the pipe and reaps it; a writer failure is then raised as the
-    writer raised it, unless the block is raising already."""
+    leaves behind cannot stall it.  Leaving the block closes the pipe,
+    waits for the writer to drain it and reaps it; a writer failure is then
+    raised as the writer raised it, unless the block is raising already.
+    A broken pipe means that the writer has left, so its error is raised
+    in place of the BrokenPipeError."""
+    read, write = os.pipe()
+    err_read, err_write = os.pipe()
+    try:
+        fcntl.fcntl(write, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+    except (AttributeError, OSError):  # not Linux, or above its limit
+        pass  # the pipe keeps its default size
+    cpu = _current_cpu()
+    try:
+        pid = os.fork()
+    except BaseException:
+        for fd in (read, write, err_read, err_write):
+            os.close(fd)
+        raise
+    if pid == 0:
+        _writer_process(read, (write, err_read), err_write, cpu)
+    os.close(read)
+    os.close(err_write)
+    pipe = open(write, "wb")  # its write retries a short one
 
-    def __init__(self):
-        read, self._fd = os.pipe()
-        err_read, err_write = os.pipe()
-        try:
-            fcntl.fcntl(self._fd, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
-        except (AttributeError, OSError):  # not Linux, or above its limit
-            pass  # the pipe keeps its default size
-        cpu = _current_cpu()
-        try:
-            self._pid = os.fork()
-        except BaseException:
-            for fd in (read, self._fd, err_read, err_write):
-                os.close(fd)
-            raise
-        if self._pid == 0:
-            _writer_process(read, (self._fd, err_read), err_write, cpu)
-        os.close(read)
-        os.close(err_write)
-        self._err = err_read
-
-    def __enter__(self):
-        return self._run
-
-    def __exit__(self, kind, exc, tb) -> None:
-        failure = self._reap()
-        if kind is None and failure is not None:
-            raise failure
+    def send(message) -> None:
+        # pickle.dump(message, pipe) raised the player's peak RSS by
+        # 0.7-0.8 MB on the ledger-heavy benchmark.
+        pipe.write(pickle.dumps(message, pickle.HIGHEST_PROTOCOL))
+        pipe.flush()
 
     @contextmanager
-    def _run(self, path: str, algorithm: str, seed: int):
-        data = pickle.dumps((path, algorithm, seed))
-        self._send([_MESSAGE.pack(-1, len(data)), data])
-        yield self._send_block
+    def run(path: str, algorithm: str, seed: int):
+        send((path, algorithm, seed))
+        yield send
 
-    def _send_block(self, cols) -> None:
-        n = cols[0].shape[0]
-        self._send([_MESSAGE.pack(n, n * _ROW_BYTES)]
-                   + [np.ascontiguousarray(col, dtype=kind)
-                      for col, kind in zip(cols, _COLUMN_TYPES)])
-
-    def _send(self, parts) -> None:
+    broken = None
+    try:
+        yield run
+    except BrokenPipeError as exc:
+        broken = exc
+    finally:
         try:
-            sent = os.writev(self._fd, parts)
-            if sent < sum(memoryview(part).nbytes for part in parts):
-                rest = memoryview(b"".join(parts))[sent:]
-                while rest:  # a signal cut the write short
-                    rest = rest[os.write(self._fd, rest):]
-        except BrokenPipeError:
-            # The writer has left; what it left with is the error.
-            raise (self._reap()
-                   or RuntimeError("ledger writer left early")) from None
-
-    def _reap(self) -> BaseException | None:
-        """Close the pipe, let the writer drain it, reap it, and return
-        the exception it raised (a RuntimeError if it left without one),
-        or None after a clean exit.  A second call returns None."""
-        if self._pid is None:
-            return None
-        pid, self._pid = self._pid, None
-        try:
-            os.close(self._fd)
-            with open(self._err, "rb") as fh:
+            # Every message was flushed; a broken pipe's unsent bytes are
+            # dropped, where pipe.close() would try them again and raise.
+            pipe.raw.close()
+            with open(err_read, "rb") as fh:
                 report = fh.read()
         finally:
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        if report:
-            return pickle.loads(report)
-        if status:
-            return RuntimeError("ledger writer exited with status %d"
-                                % status)
-        return None
+    if report:
+        raise pickle.loads(report)
+    if status:
+        raise RuntimeError("ledger writer exited with status %d" % status)
+    if broken is not None:
+        raise broken
 
 
 def _current_cpu() -> int | None:
@@ -562,7 +539,7 @@ def _current_cpu() -> int | None:
 
 def _writer_process(read: int, inherited: tuple[int, ...], err: int,
                     parent_cpu: int | None):
-    """The forked writer's whole life: write each run that _ForkedSpills
+    """The forked writer's whole life: write each run that _forked_spills
     sends on the pipe read into its spill file through _spill_lines, until
     the pipe closes; report a failure on err; and leave through os._exit,
     so that nothing of the parent's stack, atexit hooks or buffers runs
@@ -583,18 +560,16 @@ def _writer_process(read: int, inherited: tuple[int, ...], err: int,
             if others:
                 os.sched_setaffinity(0, others)
         with open(read, "rb") as src, ExitStack() as run:
-            while len(head := src.read(_MESSAGE.size)) == _MESSAGE.size:
-                rows, size = _MESSAGE.unpack(head)
-                data = src.read(size)
-                if len(data) < size:  # the parent stopped mid-message
+            while True:
+                try:
+                    message = pickle.load(src)
+                except EOFError:  # the parent closed the pipe
                     break
-                if rows < 0:
+                if isinstance(message[0], str):  # (path, algorithm, seed)
                     run.close()
-                    write = run.enter_context(
-                        _spill_lines(*pickle.loads(data)))
-                else:
-                    write(tuple(np.frombuffer(data, kind, rows, i * rows * 8)
-                                for i, kind in enumerate(_COLUMN_TYPES)))
+                    write = run.enter_context(_spill_lines(*message))
+                else:  # a block's columns
+                    write(message)
         status = 0
     except BaseException as exc:
         try:
@@ -772,9 +747,9 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None,
     in the process pool, which leaves its runs' ledger rows in spill files
     in the output directory and returns their curve cells, totals and MCMC
     warnings.  A serial run of at least _WRITER_MIN_ROWS ledger rows forks
-    one ledger writer (_ForkedSpills) before the first seed, which formats
-    the spills while the seeds play; a smaller serial run and the pool
-    workers format their own.  So memory holds one seed's runs per worker,
+    one ledger writer (_forked_spills) before the first seed, which formats
+    the spills from the blocks it is sent as pickles while the seeds play;
+    a smaller serial run and the pool workers format their own.  So memory holds one seed's runs per worker,
     whatever the number of seeds.  The spills are then joined into
     ledger.csv in ledger order (algorithms, then config.seeds) and
     removed; they are removed as well if anything raises, once the writer
@@ -798,7 +773,7 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None,
     fork = (config.parallelism == 1 and len(spills) * spec.n_tasks
             * spec.horizon >= _WRITER_MIN_ROWS)
     try:
-        with (_ForkedSpills() if fork
+        with (_forked_spills() if fork
               else nullcontext(_spill_lines)) as spill:
             per_seed = _map_seeds(config, partial(stream_seed, config,
                                                   spill, prefix))

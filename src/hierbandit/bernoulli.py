@@ -223,7 +223,7 @@ def sample_theta_mcmc(cfg: HierarchyConfig, fm: FeatureMap, h: History,
     if not task_ids:
         raise ConfigError("no tasks to condition on: history and feature-map "
                           "registry are both empty")
-    phi_rows = np.concatenate([fm.task_features(fm.metadata_for(tid))
+    phi_rows = np.concatenate([fm.registered_features(tid)
                                for tid in task_ids])
     successes, failures = outcome_counts(h, task_ids, fm.n_arms)
     return sample_theta_counts(cfg, phi_rows, successes.ravel(),

@@ -237,6 +237,13 @@ class FeatureMap:
         if x.shape != (self.p,):
             raise ConfigError("metadata length %d, expected p=%d" % (x.size, self.p))
         check_finite("metadata", x)
+        return self._features(x)
+
+    def registered_features(self, task_id: int) -> np.ndarray:
+        """task_features(metadata_for(task_id)), checked once, in __init__."""
+        return self._features(self.metadata_for(task_id))
+
+    def _features(self, x: np.ndarray) -> np.ndarray:
         k = self.n_arms
         if self.kind == "indicator_metadata":
             out = np.eye(k, self.dim)

@@ -103,8 +103,7 @@ class _Stacked:
             fm.check_arm(int(bad[0]))
         self.task_ids, self.task_rows = np.unique(self.tasks,
                                                   return_inverse=True)
-        mats = [fm.task_features(fm.metadata_for(t))
-                for t in self.task_ids.tolist()]
+        mats = [fm.registered_features(t) for t in self.task_ids.tolist()]
         self.features = np.stack(mats) if mats \
             else np.zeros((0, fm.n_arms, fm.dim))
         self.phi = self.features[self.task_rows, self.actions]
@@ -433,7 +432,7 @@ class ThetaStatAccumulator:
         self.features = np.zeros((n_tasks, k, fm.dim))
         self.prior_arm_means = np.zeros((n_tasks, k))
         for tid, row in self._index.items():
-            self.features[row] = fm.task_features(fm.metadata_for(tid))
+            self.features[row] = fm.registered_features(tid)
             self.prior_arm_means[row] = self.features[row] @ cfg.mu_theta
         self.counts = np.zeros((n_tasks, k))
         self.sums = np.zeros((n_tasks, k))

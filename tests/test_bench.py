@@ -1,5 +1,7 @@
 """Experiment config validation, artifact writing, and reproducibility."""
 
+import errno
+import fcntl
 import functools
 import hashlib
 import json
@@ -1917,6 +1919,34 @@ def test_serial_run_forks_its_writer_from_min_rows(tmp_path, monkeypatch,
     forked = _recording_forks(monkeypatch)
     paths = run_experiment(config, str(tmp_path / "run"))
     assert len(forked) == forks
+    _assert_reaped(forked)
+    write_ledger_csv(simulate_ledger(config), str(tmp_path / "ledger.csv"))
+    assert Path(paths["ledger"]).read_bytes() \
+        == (tmp_path / "ledger.csv").read_bytes()
+
+
+@pytest.mark.parametrize("pipe", ["one-page", "default"])
+def test_blocks_larger_than_the_pipe_are_byte_identical(tmp_path,
+                                                        monkeypatch, pipe):
+    # At the default ROW_CHUNK each block of a 50 x 100 run holds 4050
+    # rows, about 160 KB as a pickle, so every block crosses a one-page
+    # pipe, or the default-size one when F_SETPIPE_SZ is refused, in many
+    # writes that wait on the writer; ledger.csv keeps the bytes of the
+    # whole ledger written at once.
+    config = ExperimentConfig.from_dict({
+        "population": {"n_tasks": 50, "horizon": 100, "n_arms": 3, "dim": 4},
+        "schedule": "concurrent", "algorithms": ["individual-ts"],
+        "seeds": [3, 1]})
+    if pipe == "one-page":
+        monkeypatch.setattr(bench, "_PIPE_BYTES", 4096)
+    else:
+        def refused(*args):
+            raise OSError(errno.EPERM, "Operation not permitted")
+        monkeypatch.setattr(fcntl, "fcntl", refused)
+    monkeypatch.setattr(bench, "_WRITER_MIN_ROWS", 0)
+    forked = _recording_forks(monkeypatch)
+    paths = run_experiment(config, str(tmp_path / "run"))
+    assert len(forked) == 1
     _assert_reaped(forked)
     write_ledger_csv(simulate_ledger(config), str(tmp_path / "ledger.csv"))
     assert Path(paths["ledger"]).read_bytes() \

@@ -81,8 +81,12 @@ def test_task_registry():
         n_arms=2, dim=3, task_metadata={0: np.array([1.0, 2.0])})
     assert fm.known_tasks() == (0,)
     np.testing.assert_array_equal(fm.metadata_for(0), [1.0, 2.0])
+    np.testing.assert_array_equal(fm.registered_features(0),
+                                  fm.task_features([1.0, 2.0]))
     with pytest.raises(KeyError):
         fm.metadata_for(7)
+    with pytest.raises(KeyError):
+        fm.registered_features(7)
     with pytest.raises(ConfigError):
         FeatureMap.indicator_with_metadata(
             n_arms=2, dim=3, task_metadata={0: np.zeros(3)})

@@ -54,6 +54,10 @@ report["count_run"] = loaded(NOT_LOADED + LAPACK)
 run({}, ["hier-ts", "hier-ts-batch", "individual-ts", "pooled-ts",
          "linear-ts", "meta-ts"], True)
 report["gaussian_run"] = loaded(NOT_LOADED)
+
+bench._WRITER_MIN_ROWS = 0  # a serial run of any size forks its writer
+run({}, ["individual-ts", "pooled-ts"], False)
+report["writer_run"] = loaded(NOT_LOADED)
 import scipy.linalg
 report["lapack_bound"] = (
     _linalg.dpotrf is scipy.linalg.lapack.dpotrf
@@ -153,6 +157,8 @@ def test_gaussian_run_loads_no_bernoulli_pool_or_xml_module():
     # The count policies and the oracle never factor a precision.
     assert report["count_run"] == []
     assert report["gaussian_run"] == []
+    # The serial run's forked ledger writer uses no pool module either.
+    assert report["writer_run"] == []
     # No loader is left on the draw path: after the first LAPACK call all
     # three names are scipy's own routines.
     assert report["lapack_bound"] is True
